@@ -27,7 +27,6 @@ from .exact import (
     CONFIG_CAP,
     assemble_stability_matrix,
     build_joint_chain,
-    check_expected_matrix_measure,
     dump_stability_matrix,
     exact_mean_stable,
 )
@@ -161,25 +160,20 @@ def _expected_degree_abar(degrees: np.ndarray) -> np.ndarray:
 
 def _realize_ensemble(ens) -> SwitchedNetworkSpec:
     """Materialize a small ensemble as an explicit switched network."""
+    if not isinstance(ens, (CommunitySpec, ExpectedDegreeSpec, PowerLawSpec)):
+        raise TypeError(f"not an ensemble: {ens!r}")
+    if ens.n > REALIZE_N_CAP:
+        raise ValueError(
+            f"ensemble has n={ens.n} > {REALIZE_N_CAP}; too large to "
+            "materialize as an edge list"
+        )
+    if isinstance(ens, CommunitySpec):
+        return realize_switched_spec(community_abar_dense(ens), ens.switch_scale)
     if isinstance(ens, PowerLawSpec):
         ens = ExpectedDegreeSpec(degrees=power_law_degrees(ens))
-    if isinstance(ens, CommunitySpec):
-        if ens.n > REALIZE_N_CAP:
-            raise ValueError(
-                f"ensemble has n={ens.n} > {REALIZE_N_CAP}; too large to "
-                "materialize as an edge list"
-            )
-        return realize_switched_spec(community_abar_dense(ens), ens.switch_scale)
-    if isinstance(ens, ExpectedDegreeSpec):
-        if ens.n > REALIZE_N_CAP:
-            raise ValueError(
-                f"ensemble has n={ens.n} > {REALIZE_N_CAP}; too large to "
-                "materialize as an edge list"
-            )
-        return realize_switched_spec(
-            _expected_degree_abar(ens.degrees), ens.switch_scale
-        )
-    raise TypeError(f"not an ensemble: {ens!r}")
+    return realize_switched_spec(
+        _expected_degree_abar(ens.degrees), ens.switch_scale
+    )
 
 
 def _attempt_exact(
@@ -195,7 +189,6 @@ def _attempt_exact(
         joint = build_joint_chain(spec, config_cap=config_cap)
         res = exact_mean_stable(joint, params)
         mean_lam = check_mean_lambda_max(joint, params)
-        measure = check_expected_matrix_measure(joint, params)
         if dump_path is not None:
             dump_stability_matrix(
                 assemble_stability_matrix(joint, params.beta), dump_path
@@ -207,8 +200,6 @@ def _attempt_exact(
             "mean_stable": res.mean_stable,
             "e_lambda_max": mean_lam.e_lambda_max,
             "e_lambda_max_stable": mean_lam.stable,
-            "expected_measure": measure.expected_measure,
-            "expected_measure_stable": measure.stable,
         }
     except ValueError as exc:
         return {"status": "skipped-too-large", "reason": str(exc)}

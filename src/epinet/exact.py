@@ -9,9 +9,12 @@ a finite linear ODE whose system matrix is
 
 where Pi is the joint generator and A_k the adjacency matrix of
 configuration k.  The epidemic is mean stable exactly when the spectral
-abscissa of that matrix stays below the recovery rate delta.  Everything
-here is exponential in m and only meant for small instances; it is the
-ground truth the scalable bounds are checked against.
+abscissa of that matrix stays below the recovery rate delta.  The matrix is
+assembled sparse (Pi is a Kronecker sum of the per-edge generators) and its
+abscissa found by ARPACK, so neither Pi nor the nN x nN matrix is ever
+dense.  The size is still exponential in m, so this is capped; it is the
+ground truth the scalable bounds are checked against.  The dense reference
+for all of this lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -24,8 +27,15 @@ import numpy as np
 from .netmodel import EpidemicParams, SwitchedNetworkSpec, edge_process
 from .spectral import spectral_abscissa
 
-CONFIG_CAP = 4096
-JOINT_DIM_CAP = 10_000
+CONFIG_CAP = 65_536
+# Caps on the arrays of the exact route, which together keep every instance
+# they admit under 1 GB peak: the rows n * N of the mean-dynamics matrix
+# (ARPACK keeps 20 vectors of that length), its stored nonzeros (about 40
+# bytes each while it is assembled), and the entries N * n^2 of the
+# adjacency matrices in ``JointChain.configs``.
+JOINT_DIM_CAP = 1 << 19
+JOINT_NNZ_CAP = 1 << 24
+CONFIG_ENTRY_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -33,30 +43,23 @@ class JointChain:
     """Joint configuration chain of all edge processes.
 
     ``configs[k]`` is the n x n adjacency matrix of configuration k,
-    ``generator`` the N x N joint rate matrix, ``stationary`` its stationary
-    law.  ``edge_order`` records the (i, j) pairs in enumeration order;
-    configuration k corresponds to the mixed-radix digits of k over the
-    per-edge state counts, last edge fastest.
+    ``rate_matrices[e]`` the generator of edge e, and ``stationary`` the
+    product-form stationary law of the joint chain.  ``edge_order`` records
+    the (i, j) pairs in enumeration order; configuration k corresponds to
+    the mixed-radix digits of k over the per-edge state counts, last edge
+    fastest, so the joint generator is the Kronecker sum of
+    ``rate_matrices`` in this order.
     """
 
     n: int
     edge_order: tuple[tuple[int, int], ...]
     configs: np.ndarray
-    generator: np.ndarray
+    rate_matrices: tuple[np.ndarray, ...]
     stationary: np.ndarray
 
     @property
     def n_configs(self) -> int:
         return self.configs.shape[0]
-
-
-def _kron_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """Generator of independent chains run jointly:
-    sum_e I x ... x Q_e x ... x I."""
-    out = mats[0]
-    for q in mats[1:]:
-        out = np.kron(out, np.eye(q.shape[0])) + np.kron(np.eye(out.shape[0]), q)
-    return out
 
 
 def build_joint_chain(
@@ -66,11 +69,9 @@ def build_joint_chain(
 
     The configuration count is the product of the per-edge state counts
     (2^m for m binary edges) and is capped because it grows exponentially;
-    instances past the cap must fall back to the spectral bounds.
-
-    The stationary law is computed twice -- as the tensor product of the
-    per-edge laws and by solving pi Pi = 0 directly -- and the two must
-    agree to 1e-12, which guards both the enumeration order and the solver.
+    instances past the cap must fall back to the spectral bounds.  The
+    stationary law is the tensor product of the per-edge laws, which holds
+    because the edges switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
@@ -84,33 +85,22 @@ def build_joint_chain(
                 f"({len(spec.edges)} edges; the count grows exponentially "
                 "with the edge count); use the spectral bounds instead"
             )
-    generator = _kron_sum([p.rate_matrix for p in procs])
-
-    pi_product = procs[0].stationary
-    for proc in procs[1:]:
-        pi_product = np.kron(pi_product, proc.stationary)
-
-    if n_configs == 1:
-        pi_solved = np.ones(1)
-    else:
-        system = generator.T.copy()
-        system[-1, :] = 1.0
-        rhs = np.zeros(n_configs)
-        rhs[-1] = 1.0
-        pi_solved = np.linalg.solve(system, rhs)
-    if float(np.abs(pi_product - pi_solved).max()) > 1e-12:
-        raise RuntimeError(
-            "stationary laws from the product form and the direct solve "
-            "disagree; joint-chain construction is inconsistent"
+    if n_configs * spec.n**2 > CONFIG_ENTRY_CAP:
+        raise ValueError(
+            f"joint chain would store {n_configs} adjacency matrices of "
+            f"{spec.n} x {spec.n} (> {CONFIG_ENTRY_CAP} entries); use the "
+            "spectral bounds instead"
         )
-    if float(np.abs(pi_product @ generator).max()) > 1e-12:
-        raise RuntimeError("stationary residual pi @ generator exceeds 1e-12")
+
+    stationary = procs[0].stationary
+    for proc in procs[1:]:
+        stationary = np.kron(stationary, proc.stationary)
 
     dims = [len(p.values) for p in procs]
-    digits = np.array(np.unravel_index(np.arange(n_configs), dims))
+    digits = np.unravel_index(np.arange(n_configs), dims)
     configs = np.zeros((n_configs, spec.n, spec.n))
-    for e, proc in enumerate(procs):
-        vals = proc.values[digits[e]]
+    for proc, digit in zip(procs, digits):
+        vals = proc.values[digit]
         configs[:, proc.i - 1, proc.j - 1] = vals
         configs[:, proc.j - 1, proc.i - 1] = vals
 
@@ -118,15 +108,18 @@ def build_joint_chain(
         n=spec.n,
         edge_order=tuple((p.i, p.j) for p in procs),
         configs=configs,
-        generator=generator,
-        stationary=pi_product,
+        rate_matrices=tuple(p.rate_matrix for p in procs),
+        stationary=stationary,
     )
 
 
 def assemble_stability_matrix(
     joint: JointChain, beta: float, dim_cap: int = JOINT_DIM_CAP
-) -> np.ndarray:
-    """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
+) -> "scipy.sparse.csr_array":
+    """Sparse (CSR) nN x nN mean-dynamics matrix
+    kron(Pi^T, I) + beta blockdiag(A_k)."""
+    from scipy import sparse
+
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     n, big_n = joint.n, joint.n_configs
@@ -135,11 +128,22 @@ def assemble_stability_matrix(
         raise ValueError(
             f"stability matrix would be {dim} x {dim} (> cap {dim_cap})"
         )
-    mat = np.kron(joint.generator.T, np.eye(n))
-    for k in range(big_n):
-        block = slice(k * n, (k + 1) * n)
-        mat[block, block] += beta * joint.configs[k]
-    return mat
+    generator = sparse.csr_array(joint.rate_matrices[0])
+    for q in joint.rate_matrices[1:]:
+        generator = sparse.kron(
+            generator, sparse.eye_array(q.shape[0]), format="csr"
+        ) + sparse.kron(sparse.eye_array(generator.shape[0]), q, format="csr")
+    k, i, j = np.nonzero(joint.configs)
+    nnz = generator.nnz * n + k.size
+    if nnz > JOINT_NNZ_CAP:
+        raise ValueError(
+            f"stability matrix would hold {nnz} nonzeros (> cap {JOINT_NNZ_CAP})"
+        )
+    flow = sparse.kron(generator.T, sparse.eye_array(n), format="csr")
+    blocks = sparse.coo_array(
+        (beta * joint.configs[k, i, j], (k * n + i, k * n + j)), shape=(dim, dim)
+    )
+    return (flow + blocks).tocsr()
 
 
 def mean_stability_abscissa(
@@ -214,25 +218,6 @@ def check_mean_stability_modes(
     return HurwitzResult(abscissa=eta, stable=eta < 0)
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    expected_measure: float
-    stable: bool
-
-
-def check_expected_matrix_measure(
-    joint: JointChain, params: EpidemicParams
-) -> MeasureResult:
-    """Coarser sufficient test: E[mu_2(beta A_G - delta I)] < 0.
-
-    The measure of a symmetric matrix is its top eigenvalue, so this is
-    beta E[lambda_max(A_G)] - delta < 0.  Implied by mean stability but not
-    conversely; kept as a cross-check on the exact test.
-    """
-    expected = params.beta * expected_lambda_max(joint) - params.delta
-    return MeasureResult(expected_measure=expected, stable=expected < 0)
-
-
 def expected_lambda_max(joint: JointChain) -> float:
     """Stationary expectation of lambda_max(A_G) over all configurations."""
     top = np.linalg.eigvalsh(joint.configs)[:, -1]
@@ -247,8 +232,8 @@ def enumerate_expectation(
     return float(joint.stationary @ vals)
 
 
-def dump_stability_matrix(matrix: np.ndarray, path: Union[str, Path]) -> None:
-    """Write the (sparse) stability matrix in Matrix Market format."""
-    from scipy import io, sparse
+def dump_stability_matrix(matrix, path: Union[str, Path]) -> None:
+    """Write the sparse stability matrix in Matrix Market format."""
+    from scipy import io
 
-    io.mmwrite(str(path), sparse.coo_matrix(matrix))
+    io.mmwrite(str(path), matrix)

@@ -55,6 +55,11 @@ class EdgeChain:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
+        if not (np.isfinite(self.p_rate) and np.isfinite(self.q_rate)):
+            raise ValueError(
+                f"edge ({self.i}, {self.j}): rates must be finite, got "
+                f"p={self.p_rate}, q={self.q_rate}"
+            )
         if self.p_rate < 0 or self.q_rate < 0:
             raise ValueError(f"edge ({self.i}, {self.j}): rates must be nonnegative")
         if self.p_rate + self.q_rate <= 0:
@@ -105,6 +110,10 @@ class WeightedEdgeChain:
                 f"to match the {k} states"
             )
         q = np.asarray(gen, dtype=float)
+        if not np.isfinite(q).all():
+            raise ValueError(
+                f"edge ({self.i}, {self.j}): generator entries must be finite"
+            )
         offdiag = q - np.diag(np.diag(q))
         if offdiag.min(initial=0.0) < 0:
             raise ValueError(

@@ -5,6 +5,11 @@ for a handful of vertices; in exchange it validates the fast path end to
 end: the sandwich lambda_max(abar) <= E[lambda_max(A_G)] <= lambda_max(abar)
 + min f, the probability tail bound behind the penalty, and the agreement
 between the enumerated stationary law and the closed-form edge moments.
+
+It also holds the dense reference for the exact test: the N x N joint
+generator, the direct solve of its stationary law, the dense nN x nN
+mean-dynamics matrix and its eigenvalues.  Like the rest of this module it
+needs numpy only.
 """
 from __future__ import annotations
 
@@ -12,12 +17,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JointChain, build_joint_chain, mean_stability_abscissa
-from .netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec, stationary_stats
+from .exact import JointChain, build_joint_chain
+from .netmodel import EdgeChain, SwitchedNetworkSpec, stationary_stats
 from .spectral import lambda_max_dense
 from .stability import EXP_FLOOR, minimize_penalty
 
 REL_TOL = 1e-8
+
+
+def dense_generator(joint: JointChain) -> np.ndarray:
+    """Dense N x N joint generator, the Kronecker sum
+    sum_e I x ... x Q_e x ... x I of the edge generators.
+
+    Checks the chain's product-form stationary law against a direct solve
+    of pi Pi = 0 to 1e-12, which guards the enumeration order and the
+    solver both.
+    """
+    mats = joint.rate_matrices
+    gen = mats[0]
+    for q in mats[1:]:
+        gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)
+    size = gen.shape[0]
+    if size == 1:
+        solved = np.ones(1)
+    else:
+        system = gen.T.copy()
+        system[-1, :] = 1.0
+        rhs = np.zeros(size)
+        rhs[-1] = 1.0
+        solved = np.linalg.solve(system, rhs)
+    if float(np.abs(joint.stationary - solved).max()) > 1e-12:
+        raise RuntimeError(
+            "stationary laws from the product form and the direct solve "
+            "disagree; joint-chain construction is inconsistent"
+        )
+    if float(np.abs(joint.stationary @ gen).max()) > 1e-12:
+        raise RuntimeError("stationary residual pi @ generator exceeds 1e-12")
+    return gen
+
+
+def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
+    """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
+    n = joint.n
+    mat = np.kron(dense_generator(joint).T, np.eye(n))
+    for k in range(joint.n_configs):
+        block = slice(k * n, (k + 1) * n)
+        mat[block, block] += beta * joint.configs[k]
+    return mat
+
+
+def dense_abscissa(joint: JointChain, beta: float) -> float:
+    """Mean-stability abscissa eta by dense eigvals: the reference for
+    :func:`epinet.exact.mean_stability_abscissa`."""
+    return float(np.linalg.eigvals(dense_stability_matrix(joint, beta)).real.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +178,7 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     tail = check_tail_bound(
         joint, stats.delta_uncertainty, np.linspace(0.0, 1.5 * s_top, 20)
     )
-    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    eta = dense_abscissa(joint, beta=1.0)
     return OracleReport(
         n=spec.n,
         m=len(spec.edges),

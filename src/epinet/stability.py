@@ -423,6 +423,8 @@ def check_mean_lambda_max(
     Needs the enumerated joint chain, so it scales no better than the exact
     test; its role is to sandwich the concentration bound in the oracle:
     lambda_max(abar) <= E[lambda_max(A_G)] <= lambda_max(abar) + min f.
+    It certifies almost-sure extinction only: it neither implies nor is
+    implied by mean stability (eta < delta).
     """
     expected = expected_lambda_max(joint)
     return MeanLambdaResult(

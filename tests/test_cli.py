@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 
+import epinet.cli
 from epinet.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -40,6 +47,7 @@ def test_analyze_writes_report_and_manifest(triangle_spec, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["exact"]["status"] == "ok"
     assert report["exact"]["n_configs"] == 8
+    assert "expected_measure" not in report["exact"]
     assert isinstance(report["exact"]["mean_stable"], bool)
     assert report["sufficient"]["test"] == "spectral-penalty"
     assert report["sufficient"]["n"] == 3
@@ -111,6 +119,60 @@ def test_analyze_malformed_spec(tmp_path, capsys):
     code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
     assert code == 1
     assert "edges[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+def test_non_finite_rate_rejected(command, rate, tmp_path, capsys):
+    # json reads the bare NaN / Infinity literals; before the check, analyze
+    # failed with a misleading message, simulate on NaN exited 0 with a
+    # garbage trajectory and simulate on Infinity never returned
+    spec = tmp_path / "bad.json"
+    spec.write_text(
+        '{"n": 3, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}, '
+        f'{{"i": 2, "j": 3, "p": {rate}, "q": 1.0}}]}}'
+    )
+    code = main([command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "edge (2, 3)" in err and "finite" in err
+
+
+def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    monkeypatch.setattr(sla, "eigs", no_convergence)
+    code = main(
+        ["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"]
+    )
+    assert code == 2
+    assert "ARPACK" in capsys.readouterr().err
+
+
+def test_import_cli_loads_no_scipy():
+    # scipy is imported inside the functions that need it; importing it at
+    # module level would add its import time to every command.  The oracle
+    # (the dense reference) runs on numpy alone.
+    probe = (
+        "import sys, epinet.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded(), file=sys.stderr)\n"
+        "epinet.cli.main(['oracle', '--trials', '3'])\n"
+        "print(loaded(), file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stderr
+    assert err.splitlines() == ["[]", "[]"]
 
 
 def test_analyze_bad_params(triangle_spec):
@@ -283,6 +345,28 @@ def test_analyze_large_ensemble_skips_exact(tmp_path, capsys):
     stdout = capsys.readouterr().out
     payload = json.loads(stdout[stdout.index("{"):])
     assert payload["exact"]["status"] == "skipped-too-large"
+
+
+def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = epinet.cli.power_law_degrees
+    monkeypatch.setattr(
+        epinet.cli, "power_law_degrees", lambda ens: calls.append(ens) or original(ens)
+    )
+    spec = tmp_path / "ens.json"
+    spec.write_text(
+        json.dumps(
+            {"ensemble": "power-law", "n": 5000, "exponent": 2.5,
+             "max_degree": 50.0, "avg_degree": 5.0}
+        )
+    )
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.001", "--delta", "2.0"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout[stdout.index("{"):])
+    assert payload["exact"]["status"] == "skipped-too-large"
+    assert "n=5000" in payload["exact"]["reason"]
+    assert len(calls) == 1  # the sufficient test's sequence only
 
 
 def test_analyze_expected_degree_ensemble(tmp_path, capsys):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epinet import exact
 from epinet.exact import (
+    CONFIG_ENTRY_CAP,
     build_joint_chain,
     assemble_stability_matrix,
-    check_expected_matrix_measure,
     check_mean_stability_modes,
     dump_stability_matrix,
     enumerate_expectation,
@@ -18,6 +19,13 @@ from epinet.exact import (
     mean_stability_abscissa,
 )
 from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
+from epinet.oracle import (
+    dense_abscissa,
+    dense_generator,
+    dense_stability_matrix,
+    random_small_spec,
+    run_sandwich_suite,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,7 +80,7 @@ def test_joint_chain_structure_two_edges():
     )
     assert joint.stationary == pytest.approx(expected, abs=1e-14)
     # generator invariants
-    gen = joint.generator
+    gen = dense_generator(joint)
     assert np.abs(gen.sum(axis=1)).max() < 1e-12
     offdiag = gen - np.diag(np.diag(gen))
     assert offdiag.min() >= 0.0
@@ -102,17 +110,26 @@ def test_joint_generator_against_bruteforce_enumeration():
             p, q = rates[e]
             brute[k, flipped] = q if bits[e] else p
         brute[k, k] = -brute[k].sum()
-    assert np.allclose(joint.generator, brute, atol=1e-13)
+    assert np.allclose(dense_generator(joint), brute, atol=1e-13)
 
 
 def test_config_cap_raises():
-    n = 6  # complete graph: 15 edges -> 32768 configurations
+    n = 7  # complete graph: 21 edges -> 2^21 configurations
     edges = tuple(
         EdgeChain(i=i, j=j, p_rate=1.0, q_rate=1.0)
         for i, j in itertools.combinations(range(1, n + 1), 2)
     )
     with pytest.raises(ValueError, match="configurations"):
         build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
+    # 200 vertices, 9 edges: 512 adjacency matrices of 200 x 200 would
+    # exceed the stored-entry cap long before the configuration cap
+    many = SwitchedNetworkSpec(
+        n=200,
+        edges=tuple(EdgeChain(i=1, j=k, p_rate=1.0, q_rate=1.0) for k in range(2, 11)),
+    )
+    assert 512 * 200**2 > CONFIG_ENTRY_CAP
+    with pytest.raises(ValueError, match="entries"):
+        build_joint_chain(many)
 
 
 def test_no_edges_rejected():
@@ -131,13 +148,61 @@ def test_stability_matrix_against_bruteforce_kron():
     brute = np.kron(pi_gen.T, np.eye(2))
     brute[0:2, 0:2] += beta * a_off
     brute[2:4, 2:4] += beta * a_on
-    assert np.array_equal(mat, brute)
+    assert mat.format == "csr"
+    assert np.array_equal(mat.toarray(), brute)
+    # the sparse assembly equals the oracle's dense reference on random
+    # instances, entry for entry
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        joint = build_joint_chain(random_small_spec(rng))
+        sparse_mat = assemble_stability_matrix(joint, 0.7)
+        assert np.array_equal(sparse_mat.toarray(), dense_stability_matrix(joint, 0.7))
 
 
-def test_stability_matrix_dim_cap():
+def test_krylov_eta_matches_dense_reference():
+    # every spec of the default oracle suite, whose eta_beta1 is the dense
+    # eigvals reference, plus one 5-vertex, 9-edge spec (2560 rows)
+    reports = run_sandwich_suite(count=100, seed=0)
+    rng = np.random.default_rng(0)
+    params = EpidemicParams(beta=1.0, delta=1.0)
+    for report in reports:
+        spec = random_small_spec(rng)
+        assert (report.n, report.m) == (spec.n, len(spec.edges))
+        joint = build_joint_chain(spec)
+        eta = mean_stability_abscissa(joint, params)
+        assert abs(eta - report.eta_beta1) <= 1e-10 * max(1.0, abs(report.eta_beta1))
+    rng = np.random.default_rng(9)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    edges = tuple(
+        EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
+        for (i, j), (p, q) in zip(pairs[:9], rng.uniform(0.1, 5.0, size=(9, 2)))
+    )
+    joint = build_joint_chain(SwitchedNetworkSpec(n=5, edges=edges))
+    eta = mean_stability_abscissa(joint, params)
+    dense = dense_abscissa(joint, beta=1.0)
+    assert abs(eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+def test_perfect_matching_eta_is_golden_ratio():
+    # 12 disjoint symmetric edges decouple, so eta is the single-edge value;
+    # 4096 configurations x 24 vertices = 98 304 rows, far past dense reach
+    edges = tuple(
+        EdgeChain(i=2 * k + 1, j=2 * k + 2, p_rate=1.0, q_rate=1.0) for k in range(12)
+    )
+    joint = build_joint_chain(SwitchedNetworkSpec(n=24, edges=edges))
+    assert joint.n_configs * joint.n == 98_304
+    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    assert abs(eta - GOLDEN) <= 1e-9
+
+
+def test_stability_matrix_dim_cap(monkeypatch):
     joint = build_joint_chain(single_edge_spec())
     with pytest.raises(ValueError, match="cap"):
         assemble_stability_matrix(joint, 1.0, dim_cap=3)
+    # 4 generator entries x 2 vertices + 2 adjacency entries = 10 nonzeros
+    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", 9)
+    with pytest.raises(ValueError, match="10 nonzeros"):
+        assemble_stability_matrix(joint, 1.0)
 
 
 def test_exact_mean_stable_strictness():
@@ -205,30 +270,12 @@ def test_enumerate_expectation_edge_count():
     assert mean_edges == pytest.approx(0.5 + 0.75, abs=1e-13)
 
 
-def test_measure_test_implies_mean_stability():
-    # the matrix-measure test is coarser: whenever it certifies stability,
-    # the exact test must agree
-    rng = np.random.default_rng(42)
-    implications = 0
-    for _ in range(30):
-        spec = random_spec(rng)
-        joint = build_joint_chain(spec)
-        delta = float(rng.uniform(0.2, 4.0))
-        params = EpidemicParams(beta=1.0, delta=delta)
-        measure = check_expected_matrix_measure(joint, params)
-        exact = exact_mean_stable(joint, params)
-        if measure.stable:
-            implications += 1
-            assert exact.mean_stable
-    assert implications >= 3  # the sweep actually exercised the implication
-
-
 def test_check_mean_stability_modes_epidemic_consistency():
     spec = single_edge_spec(p=2.0, q=1.0)
     joint = build_joint_chain(spec)
     params = EpidemicParams(beta=1.0, delta=1.2)
     modes = [params.beta * a - params.delta * np.eye(2) for a in joint.configs]
-    res = check_mean_stability_modes(modes, joint.generator)
+    res = check_mean_stability_modes(modes, dense_generator(joint))
     eta = mean_stability_abscissa(joint, params)
     assert res.abscissa == pytest.approx(eta - params.delta, abs=1e-10)
     assert res.stable == (eta < params.delta)
@@ -256,4 +303,4 @@ def test_dump_stability_matrix_round_trip(tmp_path):
     path = tmp_path / "stability_matrix.mtx"
     dump_stability_matrix(mat, path)
     back = io.mmread(path).toarray()
-    assert np.allclose(back, mat, atol=1e-15)
+    assert np.allclose(back, mat.toarray(), atol=1e-15)

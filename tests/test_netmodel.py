@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def test_edge_chain_rejects_bad_input():
         EdgeChain(i=1, j=2, p_rate=-1.0, q_rate=1.0)
     with pytest.raises(ValueError):
         EdgeChain(i=1, j=2, p_rate=0.0, q_rate=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\): rates must be finite"):
+            EdgeChain(i=1, j=2, p_rate=bad, q_rate=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            EdgeChain(i=1, j=2, p_rate=1.0, q_rate=bad)
 
 
 def test_stationary_edge_prob_hand_value():
@@ -93,6 +99,10 @@ def test_weighted_chain_validation():
         )
     with pytest.raises(ValueError, match="2x2"):
         WeightedEdgeChain(i=1, j=2, states=(0.0, 1.0), generator=((-1, 1),))
+    with pytest.raises(ValueError, match="finite"):
+        WeightedEdgeChain(
+            i=1, j=2, states=(0.0, 1.0), generator=((-math.inf, math.inf), (1, -1))
+        )
 
 
 def test_weighted_chain_requires_unique_stationary_law():

@@ -68,7 +68,7 @@ def test_tail_bound_flags_violation():
         n=1,
         edge_order=(),
         configs=np.array([[[0.0]], [[10.0]]]),
-        generator=np.array([[-1.0, 1.0], [1.0, -1.0]]),
+        rate_matrices=(np.array([[-1.0, 1.0], [1.0, -1.0]]),),
         stationary=np.array([0.5, 0.5]),
     )
     tail = check_tail_bound(fake, 1e-6, np.array([1.0]))

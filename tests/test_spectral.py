@@ -66,12 +66,32 @@ def test_spectral_abscissa_triangular():
 
 
 def test_spectral_abscissa_complex_pair():
-    # rotation generator: eigenvalues +/- i, abscissa 0; also not Metzler,
-    # which should only warn, not fail
+    # rotation generator: eigenvalues +/- i.  It is not Metzler, so its
+    # rightmost eigenvalue need not be real and the Krylov abscissa refuses it
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.warns(UserWarning, match="off-diagonal"):
-        val = spectral_abscissa(a)
-    assert val == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="Metzler"):
+        spectral_abscissa(a)
+    with pytest.raises(ValueError, match="Metzler"):
+        spectral_abscissa(np.kron(np.eye(3), a))
+
+
+def test_spectral_abscissa_arpack_guards(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    a = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 1.0], [0.0, 1.0, -3.0]])
+    assert spectral_abscissa(a) == pytest.approx(
+        np.linalg.eigvals(a).real.max(), abs=1e-13
+    )
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    monkeypatch.setattr(sla, "eigs", no_convergence)
+    with pytest.raises(RuntimeError, match="ARPACK"):
+        spectral_abscissa(a)
+    monkeypatch.setattr(sla, "eigs", lambda *args, **kwargs: np.array([0.5 + 1e-3j]))
+    with pytest.raises(RuntimeError, match="not real"):
+        spectral_abscissa(a)
 
 
 def test_spectral_abscissa_metzler_no_warning(recwarn):

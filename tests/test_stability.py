@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epinet.exact import build_joint_chain
+from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import (
     EdgeChain,
     EpidemicParams,
@@ -402,3 +402,31 @@ def test_check_mean_lambda_max_single_edge():
     assert res.stable  # 0.25 < 0.3
     res2 = check_mean_lambda_max(joint, _params(beta=1.0, delta=0.25))
     assert not res2.stable  # strict comparison at the boundary
+
+
+def test_check_mean_lambda_max_is_not_a_mean_stability_test():
+    # The verdict E[lambda_max] < delta/beta (equivalently the matrix-measure
+    # form beta E[lambda_max] - delta < 0) certifies almost-sure extinction
+    # only.  It does not imply mean stability: on a symmetric edge
+    # E[lambda_max] = 1/2 < 0.55 while eta = 0.618... > 0.55.  Nor is it
+    # implied by it: under fast switching eta approaches
+    # beta lambda_max(abar), which sits below beta E[lambda_max].
+    sym = build_joint_chain(
+        SwitchedNetworkSpec(n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),))
+    )
+    params = _params(beta=1.0, delta=0.55)
+    assert check_mean_lambda_max(sym, params).stable
+    assert not exact_mean_stable(sym, params).mean_stable
+    fast = build_joint_chain(
+        SwitchedNetworkSpec(
+            n=3,
+            edges=(
+                EdgeChain(i=1, j=2, p_rate=50.0, q_rate=50.0),
+                EdgeChain(i=2, j=3, p_rate=50.0, q_rate=50.0),
+            ),
+        )
+    )
+    # lambda_max(abar) = 1/sqrt(2) ~ 0.707 < 0.72 < E[lambda_max] = 0.853...
+    params = _params(beta=1.0, delta=0.72)
+    assert not check_mean_lambda_max(fast, params).stable
+    assert exact_mean_stable(fast, params).mean_stable

@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from epinet.exact import build_joint_chain, mean_stability_abscissa
+from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import EpidemicParams
 from epinet.oracle import random_small_spec
 from epinet.simulate import SimConfig, default_step, estimate_decay
@@ -25,9 +25,9 @@ args = parser.parse_args()
 
 spec = random_small_spec(np.random.default_rng(args.seed))
 beta = 1.0
-eta = mean_stability_abscissa(
+eta = exact_mean_stable(
     build_joint_chain(spec), EpidemicParams(beta=beta, delta=1.0)
-)
+).eta
 delta = eta + 0.5
 params = EpidemicParams(beta=beta, delta=delta)
 cfg = SimConfig(

@@ -23,7 +23,6 @@ from .ensembles import (
     community_stats,
     expected_degree_stats,
     power_law_degrees,
-    power_law_stats,
     realize_switched_spec,
 )
 from .exact import (
@@ -87,7 +86,6 @@ __all__ = [
     "mean_stability_abscissa",
     "minimize_penalty",
     "power_law_degrees",
-    "power_law_stats",
     "realize_switched_spec",
     "save_spec",
     "simulate_coupled",

@@ -25,7 +25,6 @@ from .ensembles import (
 )
 from .exact import (
     CONFIG_CAP,
-    assemble_stability_matrix,
     build_joint_chain,
     dump_stability_matrix,
     exact_mean_stable,
@@ -187,12 +186,10 @@ def _attempt_exact(
         return {"status": "skipped-too-large", "reason": reason or "no edge list"}
     try:
         joint = build_joint_chain(spec, config_cap=config_cap)
-        res = exact_mean_stable(joint, params)
         mean_lam = check_mean_lambda_max(joint, params)
+        res = exact_mean_stable(joint, params)
         if dump_path is not None:
-            dump_stability_matrix(
-                assemble_stability_matrix(joint, params.beta), dump_path
-            )
+            dump_stability_matrix(res.matrix, dump_path)
         return {
             "status": "ok",
             "n_configs": joint.n_configs,
@@ -410,7 +407,7 @@ def _cmd_example(args) -> int:
             "max_degree": float(degrees[0]),
             "mean_degree": float(degrees.mean()),
             "d_tilde": stats.d_tilde,
-            "lambda_power": stats.lambda_power,
+            "lambda_max": stats.lambda_max,
             "delta_uncertainty": stats.delta_uncertainty,
             "f_min": pm.f_min,
             "s_star": pm.s_star,

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
 from .netmodel import EdgeChain, SwitchedNetworkSpec
-from .spectral import PowerIterationResult, SymmetricOperator, lambda_max_iterative
-from .stability import expected_degree_uncertainty, pair_probability_violations
+from .stability import (
+    expected_degree_lambda_max,
+    expected_degree_uncertainty,
+    pair_probability_violations,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,6 @@ class CommunityStats:
     quotient: np.ndarray
     lambda_max: float
     delta_uncertainty: float
-    operator: SymmetricOperator
 
 
 def community_quotient(spec: CommunitySpec) -> np.ndarray:
@@ -80,22 +82,6 @@ def community_quotient(spec: CommunitySpec) -> np.ndarray:
             [spec.phi * spec.n1, spec.theta2 * (spec.n2 - 1)],
         ]
     )
-
-
-def community_operator(spec: CommunitySpec) -> SymmetricOperator:
-    """Matrix-free abar matvec in O(n) for cross-checking the closed form."""
-    n1, n2 = spec.n1, spec.n2
-    t1, t2, phi = spec.theta1, spec.theta2, spec.phi
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        s1 = float(v[:n1].sum())
-        s2 = float(v[n1:].sum())
-        out = np.empty_like(v)
-        out[:n1] = t1 * (s1 - v[:n1]) + phi * s2
-        out[n1:] = t2 * (s2 - v[n1:]) + phi * s1
-        return out
-
-    return SymmetricOperator(n=spec.n, matvec=matvec)
 
 
 def community_stats(spec: CommunitySpec) -> CommunityStats:
@@ -115,7 +101,6 @@ def community_stats(spec: CommunitySpec) -> CommunityStats:
         quotient=q,
         lambda_max=float(lam),
         delta_uncertainty=float(max(row1, row2)),
-        operator=community_operator(spec),
     )
 
 
@@ -165,8 +150,8 @@ class ExpectedDegreeStats:
 
     ``d_tilde`` = sum(d^2)/sum(d) plays the role of lambda_max(abar): abar is
     the rank-one rho d d^T minus its diagonal, so lambda_max(abar) lies in
-    [d_tilde - rho max(d)^2, d_tilde].  ``lambda_power`` is the iterative
-    eigenvalue of the actual (deflated) operator, kept as a cross-check.
+    [d_tilde - rho max(d)^2, d_tilde].  ``lambda_max`` is that eigenvalue
+    itself, the root of the secular equation.
     ``max_pair_prob`` > 1 flags parameter choices that break the probability
     model; the counts are recorded rather than silently clipped.
     """
@@ -175,28 +160,15 @@ class ExpectedDegreeStats:
     rho: float
     d_tilde: float
     delta_uncertainty: float
-    lambda_power: float
-    power_converged: bool
+    lambda_max: float
     max_pair_prob: float
     invalid_pairs: int
 
 
-def expected_degree_operator(degrees: np.ndarray) -> SymmetricOperator:
-    """Matrix-free abar = rho (d d^T - diag(d^2)) in O(n) per matvec."""
-    d = np.asarray(degrees, dtype=float)
-    rho = 1.0 / float(d.sum())
-    d_sq = d * d
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return rho * (d * float(d @ v) - d_sq * v)
-
-    return SymmetricOperator(n=d.size, matvec=matvec)
-
-
 def expected_degree_stats(
-    spec: Union[ExpectedDegreeSpec, np.ndarray], power_tol: float = 1e-8
+    spec: Union[ExpectedDegreeSpec, np.ndarray]
 ) -> ExpectedDegreeStats:
-    """O(n) summary of a Chung-Lu ensemble, plus the iterative eigenvalue."""
+    """O(n) summary of a Chung-Lu ensemble, lambda_max(abar) included."""
     if isinstance(spec, ExpectedDegreeSpec):
         d = spec.degrees
     else:
@@ -206,16 +178,12 @@ def expected_degree_stats(
     d_tilde = rho * float((d * d).sum())
     delta_u, _, _ = expected_degree_uncertainty(d)
     max_pair, invalid = pair_probability_violations(d)
-    power: PowerIterationResult = lambda_max_iterative(
-        expected_degree_operator(d), tol=power_tol
-    )
     return ExpectedDegreeStats(
         n=d.size,
         rho=rho,
         d_tilde=d_tilde,
         delta_uncertainty=float(delta_u),
-        lambda_power=power.value,
-        power_converged=power.converged,
+        lambda_max=expected_degree_lambda_max(d),
         max_pair_prob=max_pair,
         invalid_pairs=invalid,
     )
@@ -261,32 +229,12 @@ class PowerLawSpec:
         return self.n * ratio ** (b - 1.0)
 
 
-def power_law_degree_blocks(
-    spec: PowerLawSpec, block_size: int = 1_000_000
-) -> Iterator[np.ndarray]:
-    """Stream the degree sequence in blocks, O(block_size) memory."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    c, i0 = spec.coefficient, spec.offset
-    gamma = 1.0 / (spec.exponent - 1.0)
-    start = 1
-    while start <= spec.n:
-        stop = min(start + block_size - 1, spec.n)
-        idx = np.arange(start, stop + 1, dtype=float)
-        yield c * (idx + i0 - 1.0) ** (-gamma)
-        start = stop + 1
-
-
 def power_law_degrees(spec: PowerLawSpec) -> np.ndarray:
     """Materialized degree sequence (descending), O(n) memory."""
     c, i0 = spec.coefficient, spec.offset
     gamma = 1.0 / (spec.exponent - 1.0)
     idx = np.arange(1, spec.n + 1, dtype=float)
     return c * (idx + i0 - 1.0) ** (-gamma)
-
-
-def power_law_stats(spec: PowerLawSpec, power_tol: float = 1e-8) -> ExpectedDegreeStats:
-    return expected_degree_stats(power_law_degrees(spec), power_tol=power_tol)
 
 
 def realize_switched_spec(abar: np.ndarray, kappa: float) -> SwitchedNetworkSpec:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -146,90 +146,38 @@ def assemble_stability_matrix(
     return (flow + blocks).tocsr()
 
 
-def mean_stability_abscissa(
-    joint: JointChain, params: EpidemicParams, dim_cap: int = JOINT_DIM_CAP
-) -> float:
-    """Spectral abscissa eta of the mean-dynamics matrix; the epidemic is
-    mean stable exactly when eta < delta."""
-    mat = assemble_stability_matrix(joint, params.beta, dim_cap=dim_cap)
-    return spectral_abscissa(mat, dim_cap=dim_cap)
+def mean_stability_abscissa(matrix, dim_cap: int = JOINT_DIM_CAP) -> float:
+    """Spectral abscissa eta of a mean-dynamics matrix from
+    :func:`assemble_stability_matrix`; the epidemic is mean stable exactly
+    when eta < delta."""
+    return spectral_abscissa(matrix, dim_cap=dim_cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactResult:
+    """Exact verdict, with the sparse mean-dynamics matrix it was read from."""
+
     eta: float
     delta: float
     mean_stable: bool
+    matrix: "scipy.sparse.csr_array"
 
 
 def exact_mean_stable(
     joint: JointChain, params: EpidemicParams, dim_cap: int = JOINT_DIM_CAP
 ) -> ExactResult:
     """Exact mean-stability verdict: eta < delta (strict)."""
-    eta = mean_stability_abscissa(joint, params, dim_cap=dim_cap)
-    return ExactResult(eta=eta, delta=params.delta, mean_stable=eta < params.delta)
-
-
-@dataclass(frozen=True)
-class HurwitzResult:
-    abscissa: float
-    stable: bool
-
-
-def check_mean_stability_modes(
-    modes: list[np.ndarray], generator: np.ndarray
-) -> HurwitzResult:
-    """Mean stability of a switched linear system with Metzler mode matrices.
-
-    ``modes[k]`` is the system matrix active in Markov state k, ``generator``
-    the switching generator.  The first moment is stable iff
-    kron(generator^T, I) + blockdiag(modes) is Hurwitz.  Rejects non-Metzler
-    modes, for which this criterion does not hold.
-    """
-    gen = np.asarray(generator, dtype=float)
-    big_n = gen.shape[0]
-    if gen.ndim != 2 or gen.shape[1] != big_n:
-        raise ValueError("generator must be square")
-    if len(modes) != big_n:
-        raise ValueError(
-            f"got {len(modes)} mode matrices for a {big_n}-state generator"
-        )
-    scale = max(1.0, float(np.abs(gen).max(initial=0.0)))
-    if float((gen - np.diag(np.diag(gen))).min(initial=0.0)) < -1e-12 * scale:
-        raise ValueError("generator has negative off-diagonal entries")
-    if float(np.abs(gen.sum(axis=1)).max(initial=0.0)) > 1e-9 * scale:
-        raise ValueError("generator rows must sum to zero")
-    mats = [np.asarray(m, dtype=float) for m in modes]
-    n = mats[0].shape[0]
-    for k, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ValueError(f"mode {k} has shape {m.shape}, expected ({n}, {n})")
-        mscale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        if float((m - np.diag(np.diag(m))).min(initial=0.0)) < -1e-12 * mscale:
-            raise ValueError(
-                f"mode {k} is not Metzler; mean stability of the first moment "
-                "is not equivalent to this matrix being Hurwitz"
-            )
-    mat = np.kron(gen.T, np.eye(n))
-    for k, m in enumerate(mats):
-        block = slice(k * n, (k + 1) * n)
-        mat[block, block] += m
-    eta = spectral_abscissa(mat)
-    return HurwitzResult(abscissa=eta, stable=eta < 0)
+    matrix = assemble_stability_matrix(joint, params.beta, dim_cap=dim_cap)
+    eta = mean_stability_abscissa(matrix, dim_cap=dim_cap)
+    return ExactResult(
+        eta=eta, delta=params.delta, mean_stable=eta < params.delta, matrix=matrix
+    )
 
 
 def expected_lambda_max(joint: JointChain) -> float:
     """Stationary expectation of lambda_max(A_G) over all configurations."""
     top = np.linalg.eigvalsh(joint.configs)[:, -1]
     return float(joint.stationary @ top)
-
-
-def enumerate_expectation(
-    joint: JointChain, func: Callable[[np.ndarray], float]
-) -> float:
-    """Stationary expectation of an arbitrary scalar graph functional."""
-    vals = np.array([func(joint.configs[k]) for k in range(joint.n_configs)])
-    return float(joint.stationary @ vals)
 
 
 def dump_stability_matrix(matrix, path: Union[str, Path]) -> None:

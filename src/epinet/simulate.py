@@ -35,6 +35,10 @@ EXPM_N_CAP = 64
 BOUNDS_TOL = 1e-9
 MAX_HALVINGS = 20
 
+# Every trial integrates and stores at least horizon / step grid samples, so
+# this caps the work of a run; the tests and the benchmark stay below 10^4.
+GRID_STEP_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,6 +56,12 @@ class SimConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.horizon / self.step > GRID_STEP_CAP:
+            raise ValueError(
+                f"horizon/step = {self.horizon / self.step:.3g} grid steps per "
+                f"trial exceeds the cap of {GRID_STEP_CAP}; raise the step or "
+                "shorten the horizon"
+            )
 
 
 @dataclass(frozen=True)
@@ -379,7 +389,7 @@ def _worker_count(trials: int) -> int:
         workers = int(raw)
     except ValueError:
         raise ValueError(f"EPINET_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(workers, trials))
+    return max(1, min(workers, trials, os.cpu_count() or 1))
 
 
 def estimate_decay(

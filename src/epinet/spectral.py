@@ -1,33 +1,11 @@
 """Eigenvalue kernels shared by the stability tests."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 DENSE_EIG_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Matrix-free symmetric linear operator on R^n."""
-
-    n: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    dense: Optional[np.ndarray] = None
-
-    @staticmethod
-    def from_dense(a: np.ndarray) -> "SymmetricOperator":
-        a = _check_symmetric(a)
-        return SymmetricOperator(n=a.shape[0], matvec=lambda v: a @ v, dense=a)
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    iterations: int
-    converged: bool
 
 
 def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -48,41 +26,6 @@ def lambda_max_dense(a: np.ndarray) -> float:
             f"dense eigensolve refused for n={a.shape[0]} > {DENSE_EIG_CAP}"
         )
     return float(np.linalg.eigvalsh(a)[-1])
-
-
-def lambda_max_iterative(
-    op: SymmetricOperator, tol: float = 1e-8, max_iter: int = 10_000
-) -> PowerIterationResult:
-    """Power iteration with Rayleigh-quotient stopping.
-
-    Converges to the largest eigenvalue when it dominates in modulus, which
-    holds for the nonnegative-weight operators used here.  Returns
-    ``converged=False`` instead of raising if the iteration stalls.
-    """
-    if op.n < 1:
-        raise ValueError("operator dimension must be >= 1")
-    rng = np.random.default_rng(0x5EED)
-    # Deterministic start: all-ones plus a fixed jitter so the iterate is not
-    # orthogonal to the leading eigenvector of structured matrices.
-    v = np.ones(op.n) + 1e-3 * rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    streak = 0
-    for it in range(1, max_iter + 1):
-        w = op.matvec(v)
-        new = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return PowerIterationResult(value=0.0, iterations=it, converged=True)
-        v = w / norm
-        if abs(new - rayleigh) <= tol * max(abs(new), 1e-30):
-            streak += 1
-            if streak >= 3:
-                return PowerIterationResult(value=new, iterations=it, converged=True)
-        else:
-            streak = 0
-        rayleigh = new
-    return PowerIterationResult(value=rayleigh, iterations=max_iter, converged=False)
 
 
 def spectral_abscissa(a, dim_cap: Optional[int] = None) -> float:
@@ -131,9 +74,3 @@ def spectral_abscissa(a, dim_cap: Optional[int] = None) -> float:
             f"rightmost eigenvalue {top} of a Metzler matrix is not real"
         )
     return float(top.real)
-
-
-def matrix_measure_sym(a: np.ndarray) -> float:
-    """Matrix measure induced by the Euclidean norm; for symmetric input this
-    is just the largest eigenvalue."""
-    return lambda_max_dense(a)

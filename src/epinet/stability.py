@@ -325,23 +325,74 @@ def expected_degree_uncertainty(degrees: np.ndarray) -> tuple[float, int, float]
     return float(rows[idx]), idx, float(d[idx])
 
 
+def expected_degree_lambda_max(degrees: np.ndarray) -> float:
+    """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n).
+
+    abar is a rank-one update of the diagonal -diag(w), w_i = rho d_i^2, so
+    lambda_max(abar) is the root, right of every pole, of the secular
+    equation (Golub, SIAM Rev. 1973; Bunch, Nielsen & Sorensen, Numer.
+    Math. 1978)
+
+        g(lambda) = sum_i w_i / (lambda + w_i) = 1.
+
+    1/g is concave and increasing there, so Newton on 1/g - 1 started left
+    of the root climbs to it without overshooting.  The start is the
+    Rayleigh quotient of d, d_tilde - sum(w^2) / d_tilde, which lies between
+    Weyl's bound d_tilde - max(w) and the root; d_tilde = sum(w) bounds the
+    root from above.  A step that leaves the bracket of evaluated points is
+    replaced by bisection, and the iteration stops when a step no longer
+    changes lambda.  With r_i = w_i / (lambda + w_i) a step needs only
+    sum(r) and sum(r^2).  Fewer than two nonzero degrees leave abar zero.
+    """
+    d = np.asarray(degrees, dtype=float)
+    w = d * d
+    w /= float(d.sum())
+    if np.count_nonzero(w) < 2:
+        return 0.0
+    lo, hi = 0.0, float(w.sum())
+    lam = hi - float(w @ w) / hi
+    r = np.empty_like(w)
+    while True:
+        np.add(w, lam, out=r)
+        np.divide(w, r, out=r)
+        s1 = float(r.sum())
+        s2 = float(r @ r)
+        if s1 >= 1.0:
+            lo = lam
+        else:
+            hi = lam
+        step = lam * (1.0 - s1 * (1.0 - s1) / (s1 - s2))
+        if step == lam:
+            return lam
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                return lam
+        lam = step
+
+
 def pair_probability_violations(degrees: np.ndarray) -> tuple[float, int]:
     """Largest pairwise edge probability rho d_i d_j (i != j) and the number
-    of unordered pairs where it exceeds 1."""
+    of unordered pairs where it exceeds 1.
+
+    A pair can exceed 1 only if both ends are hubs, d_i > sum(d) / max(d),
+    so only the hubs are sorted and searched.
+    """
     d = np.asarray(degrees, dtype=float)
-    n = d.size
     d1 = float(d.sum())
     rho = 1.0 / d1
-    top_two = np.partition(d, n - 2)[-2:]
-    max_pair = float(rho * top_two[0] * top_two[1])
+    top = int(np.argmax(d))
+    d_max = float(d[top])
+    second = max(d[:top].max(initial=-np.inf), d[top + 1:].max(initial=-np.inf))
+    max_pair = float(rho * second * d_max)
     if max_pair <= 1.0:
         return max_pair, 0
-    # rho d_i d_j > 1 <=> d_j > d1 / d_i; count ordered pairs over the sorted
-    # sequence, drop self-pairings, halve.
-    ds = np.sort(d)
-    cutoffs = d1 / np.maximum(ds, 1e-300)
-    ordered = int((ds.size - np.searchsorted(ds, cutoffs, side="right")).sum())
-    self_pairs = int((ds * ds * rho > 1.0).sum())
+    # rho d_i d_j > 1 <=> d_j > d1 / d_i; count ordered hub pairs, drop
+    # self-pairings, halve.
+    hubs = np.sort(d[d > d1 / d_max])
+    cutoffs = d1 / hubs
+    ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
+    self_pairs = int((hubs > cutoffs).sum())
     return max_pair, (ordered - self_pairs) // 2
 
 

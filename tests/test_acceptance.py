@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 import conftest
 
 from epinet.cli import main
-from epinet.exact import build_joint_chain, mean_stability_abscissa
+from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
 from epinet.oracle import random_small_spec, run_sandwich_suite
 from epinet.simulate import (
@@ -78,7 +78,7 @@ def test_criterion_3_single_edge_threshold():
         n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),)
     )
     joint = build_joint_chain(spec)
-    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     err = abs(eta - golden)
     ok = err <= 1e-9
@@ -141,7 +141,7 @@ def test_criterion_6_decay_matches_exact_verdict(monkeypatch):
     for k in range(20):
         spec = random_small_spec(rng)
         joint = build_joint_chain(spec)
-        eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+        eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
         delta = eta + 0.5  # mean-stable with decay margin 1/2
         params = EpidemicParams(beta=1.0, delta=delta)
         cfg = SimConfig(

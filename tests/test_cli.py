@@ -9,6 +9,7 @@ import pytest
 from scipy.io import mmread
 
 import epinet.cli
+import epinet.exact
 from epinet.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -67,7 +68,17 @@ def test_analyze_stdout_json_without_out(triangle_spec, capsys):
     assert report["exact"]["status"] == "ok"
 
 
-def test_analyze_dump_matrix(triangle_spec, tmp_path):
+def test_analyze_dump_matrix(triangle_spec, tmp_path, monkeypatch):
+    built = []
+    assemble = epinet.exact.assemble_stability_matrix
+
+    def counting(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    # patched in both namespaces, so a second assembly anywhere is counted
+    monkeypatch.setattr(epinet.exact, "assemble_stability_matrix", counting)
+    monkeypatch.setattr(epinet.cli, "assemble_stability_matrix", counting, raising=False)
     out = tmp_path / "run"
     code = main(
         [
@@ -82,6 +93,8 @@ def test_analyze_dump_matrix(triangle_spec, tmp_path):
     assert code == 0
     mat = mmread(out / "stability_matrix.mtx")
     assert mat.shape == (24, 24)  # 8 configurations x 3 vertices
+    assert len(built) == 1
+    assert np.array_equal(mat.toarray(), built[0].toarray())
 
 
 def test_analyze_respects_exact_cap(triangle_spec, capsys):
@@ -249,6 +262,21 @@ def test_simulate_conflicting_modes(triangle_spec):
             ]
         )
     assert exc.value.code == 1
+
+
+def test_simulate_refuses_unbounded_work(triangle_spec, capsys):
+    code = main(
+        [
+            "simulate",
+            "--spec", str(triangle_spec),
+            "--beta", "0.5",
+            "--delta", "1.0",
+            "--horizon", "1e9",
+            "--step", "1e-12",
+        ]
+    )
+    assert code == 1
+    assert "grid steps per trial exceeds the cap" in capsys.readouterr().err
 
 
 def test_simulate_decay_mode(triangle_spec, tmp_path):

@@ -11,12 +11,9 @@ from epinet.exact import (
     CONFIG_ENTRY_CAP,
     build_joint_chain,
     assemble_stability_matrix,
-    check_mean_stability_modes,
     dump_stability_matrix,
-    enumerate_expectation,
     exact_mean_stable,
     expected_lambda_max,
-    mean_stability_abscissa,
 )
 from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
 from epinet.oracle import (
@@ -48,7 +45,7 @@ def random_spec(rng, n_max=4):
 
 def test_single_edge_eta_is_golden_ratio():
     joint = build_joint_chain(single_edge_spec())
-    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
     assert abs(eta - GOLDEN) <= 1e-9
 
 
@@ -79,6 +76,8 @@ def test_joint_chain_structure_two_edges():
         ]
     )
     assert joint.stationary == pytest.approx(expected, abs=1e-14)
+    mean_edges = joint.stationary @ joint.configs.sum(axis=(1, 2)) / 2.0
+    assert mean_edges == pytest.approx(pi12 + pi23, abs=1e-14)
     # generator invariants
     gen = dense_generator(joint)
     assert np.abs(gen.sum(axis=1)).max() < 1e-12
@@ -169,7 +168,7 @@ def test_krylov_eta_matches_dense_reference():
         spec = random_small_spec(rng)
         assert (report.n, report.m) == (spec.n, len(spec.edges))
         joint = build_joint_chain(spec)
-        eta = mean_stability_abscissa(joint, params)
+        eta = exact_mean_stable(joint, params).eta
         assert abs(eta - report.eta_beta1) <= 1e-10 * max(1.0, abs(report.eta_beta1))
     rng = np.random.default_rng(9)
     pairs = list(itertools.combinations(range(1, 6), 2))
@@ -178,7 +177,7 @@ def test_krylov_eta_matches_dense_reference():
         for (i, j), (p, q) in zip(pairs[:9], rng.uniform(0.1, 5.0, size=(9, 2)))
     )
     joint = build_joint_chain(SwitchedNetworkSpec(n=5, edges=edges))
-    eta = mean_stability_abscissa(joint, params)
+    eta = exact_mean_stable(joint, params).eta
     dense = dense_abscissa(joint, beta=1.0)
     assert abs(eta - dense) <= 1e-10 * max(1.0, abs(dense))
 
@@ -191,7 +190,7 @@ def test_perfect_matching_eta_is_golden_ratio():
     )
     joint = build_joint_chain(SwitchedNetworkSpec(n=24, edges=edges))
     assert joint.n_configs * joint.n == 98_304
-    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
     assert abs(eta - GOLDEN) <= 1e-9
 
 
@@ -207,7 +206,7 @@ def test_stability_matrix_dim_cap(monkeypatch):
 
 def test_exact_mean_stable_strictness():
     joint = build_joint_chain(single_edge_spec())
-    eta = mean_stability_abscissa(joint, EpidemicParams(beta=1.0, delta=1.0))
+    eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
     at = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=eta))
     assert not at.mean_stable
     above = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=eta + 1e-12))
@@ -224,7 +223,7 @@ def test_eta_scales_with_beta_on_static_graph():
     )
     joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
     for beta in (0.5, 1.0, 2.0):
-        eta = mean_stability_abscissa(joint, EpidemicParams(beta=beta, delta=1.0))
+        eta = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0)).eta
         assert eta == pytest.approx(beta * (n - 1), rel=1e-10)
 
 
@@ -247,52 +246,14 @@ def test_eta_invariant_under_vertex_relabeling(seed):
         ),
     )
     params = EpidemicParams(beta=1.0, delta=1.0)
-    eta1 = mean_stability_abscissa(build_joint_chain(spec), params)
-    eta2 = mean_stability_abscissa(build_joint_chain(relabeled), params)
+    eta1 = exact_mean_stable(build_joint_chain(spec), params).eta
+    eta2 = exact_mean_stable(build_joint_chain(relabeled), params).eta
     assert eta1 == pytest.approx(eta2, abs=1e-9)
 
 
 def test_expected_lambda_max_single_edge():
     joint = build_joint_chain(single_edge_spec(p=1.0, q=3.0))
     assert expected_lambda_max(joint) == pytest.approx(0.25, abs=1e-13)
-
-
-def test_enumerate_expectation_edge_count():
-    spec = SwitchedNetworkSpec(
-        n=3,
-        edges=(
-            EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),
-            EdgeChain(i=1, j=3, p_rate=3.0, q_rate=1.0),
-        ),
-    )
-    joint = build_joint_chain(spec)
-    mean_edges = enumerate_expectation(joint, lambda a: a.sum() / 2.0)
-    assert mean_edges == pytest.approx(0.5 + 0.75, abs=1e-13)
-
-
-def test_check_mean_stability_modes_epidemic_consistency():
-    spec = single_edge_spec(p=2.0, q=1.0)
-    joint = build_joint_chain(spec)
-    params = EpidemicParams(beta=1.0, delta=1.2)
-    modes = [params.beta * a - params.delta * np.eye(2) for a in joint.configs]
-    res = check_mean_stability_modes(modes, dense_generator(joint))
-    eta = mean_stability_abscissa(joint, params)
-    assert res.abscissa == pytest.approx(eta - params.delta, abs=1e-10)
-    assert res.stable == (eta < params.delta)
-
-
-def test_check_mean_stability_modes_validation():
-    gen = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    good = [np.array([[-1.0, 0.5], [0.5, -1.0]])] * 2
-    not_metzler = [np.array([[-1.0, -0.5], [0.5, -1.0]])] * 2
-    with pytest.raises(ValueError, match="Metzler"):
-        check_mean_stability_modes(not_metzler, gen)
-    with pytest.raises(ValueError, match="sum to zero"):
-        check_mean_stability_modes(good, np.array([[-1.0, 2.0], [1.0, -1.0]]))
-    with pytest.raises(ValueError, match="mode matrices"):
-        check_mean_stability_modes(good[:1], gen)
-    res = check_mean_stability_modes(good, gen)
-    assert res.stable
 
 
 def test_dump_stability_matrix_round_trip(tmp_path):

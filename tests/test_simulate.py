@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import solve_ivp
 from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
 from epinet.simulate import (
     SimConfig,
+    _worker_count,
     default_step,
     estimate_decay,
     simulate_coupled,
@@ -286,6 +288,15 @@ def test_estimate_decay_invalid_threads(monkeypatch):
     monkeypatch.setenv("EPINET_THREADS", "many")
     with pytest.raises(ValueError, match="EPINET_THREADS"):
         estimate_decay(spec, params, cfg)
+
+
+def test_worker_count_capped_by_cpus_and_trials(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("EPINET_THREADS", "1000000")
+    assert _worker_count(10**9) == cpus
+    assert _worker_count(1) == 1
+    monkeypatch.setenv("EPINET_THREADS", "0")
+    assert _worker_count(10**9) == 1
 
 
 def test_estimate_decay_needs_enough_window_points():

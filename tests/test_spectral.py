@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epinet.spectral import (
-    SymmetricOperator,
-    lambda_max_dense,
-    lambda_max_iterative,
-    matrix_measure_sym,
-    spectral_abscissa,
-)
+from epinet.spectral import lambda_max_dense, spectral_abscissa
 
 
 def test_lambda_max_dense_known_graphs():
@@ -26,38 +20,6 @@ def test_lambda_max_dense_rejects_asymmetric():
         lambda_max_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         lambda_max_dense(np.zeros((2, 3)))
-
-
-def test_power_iteration_matches_dense_on_random_instances():
-    rng = np.random.default_rng(123)
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        a = rng.uniform(0.0, 1.0, size=(n, n))
-        a = np.triu(a, 1)
-        a = a + a.T
-        op = SymmetricOperator.from_dense(a)
-        res = lambda_max_iterative(op, tol=1e-10)
-        assert res.converged
-        assert res.value == pytest.approx(lambda_max_dense(a), rel=1e-6)
-
-
-def test_power_iteration_rank_one_is_fast():
-    d = np.linspace(1.0, 3.0, 500)
-    rho = 1.0 / d.sum()
-    op = SymmetricOperator(
-        n=d.size, matvec=lambda v: rho * (d * float(d @ v) - d * d * v)
-    )
-    res = lambda_max_iterative(op)
-    dense = rho * (np.outer(d, d) - np.diag(d * d))
-    assert res.converged
-    assert res.value == pytest.approx(lambda_max_dense(dense), rel=1e-7)
-    assert res.iterations < 200
-
-
-def test_power_iteration_zero_operator():
-    op = SymmetricOperator(n=5, matvec=lambda v: np.zeros(5))
-    res = lambda_max_iterative(op)
-    assert res.converged and res.value == 0.0
 
 
 def test_spectral_abscissa_triangular():
@@ -103,10 +65,3 @@ def test_spectral_abscissa_metzler_no_warning(recwarn):
 def test_spectral_abscissa_dim_cap():
     with pytest.raises(ValueError, match="refused"):
         spectral_abscissa(np.zeros((11, 11)), dim_cap=10)
-
-
-def test_matrix_measure_is_lambda_max_for_symmetric():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 6))
-    a = 0.5 * (a + a.T)
-    assert matrix_measure_sym(a) == pytest.approx(lambda_max_dense(a), rel=1e-14)

@@ -342,17 +342,19 @@ def test_expected_degree_uncertainty_matches_dense():
 def test_pair_violations_match_bruteforce():
     rng = np.random.default_rng(9)
     d = np.concatenate([rng.uniform(0.5, 2.0, size=30), [40.0, 55.0, 70.0]])
+    d = np.concatenate([d, rng.pareto(1.5, size=200) + 0.1])
     rho = 1.0 / d.sum()
-    brute = sum(
-        1
-        for i in range(d.size)
-        for j in range(i + 1, d.size)
-        if rho * d[i] * d[j] > 1.0
-    )
-    max_pair, invalid = pair_probability_violations(d)
-    assert invalid == brute
-    assert max_pair == pytest.approx(rho * 70.0 * 55.0, rel=1e-12)
+    brute = int(np.triu(rho * np.outer(d, d) > 1.0, 1).sum())
+    top_two = np.sort(d)[-2:]
+    assert brute > 3
+    # unsorted, descending and shuffled input
+    for order in (d, np.sort(d)[::-1], rng.permutation(d)):
+        max_pair, invalid = pair_probability_violations(order)
+        assert invalid == brute
+        assert max_pair == pytest.approx(rho * top_two[0] * top_two[1], rel=1e-12)
     assert max_pair > 1.0
+    valid = np.array([1.0, 2.0, 3.0, 2.0])
+    assert pair_probability_violations(valid) == (pytest.approx(6.0 / 8.0), 0)
 
 
 def test_strict_mode_rejects_invalid_probabilities():

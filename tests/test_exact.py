@@ -256,6 +256,22 @@ def test_expected_lambda_max_single_edge():
     assert expected_lambda_max(joint) == pytest.approx(0.25, abs=1e-13)
 
 
+def test_enumerate_expectation_edge_count():
+    # stationary expectation of the edge count, enumerated over the
+    # configurations of the joint chain
+    spec = SwitchedNetworkSpec(
+        n=3,
+        edges=(
+            EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),
+            EdgeChain(i=1, j=3, p_rate=3.0, q_rate=1.0),
+        ),
+    )
+    joint = build_joint_chain(spec)
+    edge_counts = np.array([a.sum() / 2.0 for a in joint.configs])
+    mean_edges = float(joint.stationary @ edge_counts)
+    assert mean_edges == pytest.approx(0.5 + 0.75, abs=1e-13)
+
+
 def test_dump_stability_matrix_round_trip(tmp_path):
     from scipy import io
 

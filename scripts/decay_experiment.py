@@ -7,7 +7,6 @@ then estimates the decay rate of ||p||_2 from Monte-Carlo trials.  Writes
 the averaged norms to decay_norms.csv.
 
 Usage: python scripts/decay_experiment.py [--seed S] [--trials N]
-Set EPINET_THREADS to parallelize trials.
 """
 import argparse
 

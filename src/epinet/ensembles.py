@@ -176,7 +176,7 @@ def expected_degree_stats(
     d1 = float(d.sum())
     rho = 1.0 / d1
     d_tilde = rho * float((d * d).sum())
-    delta_u, _, _ = expected_degree_uncertainty(d)
+    delta_u = expected_degree_uncertainty(d)
     max_pair, invalid = pair_probability_violations(d)
     return ExpectedDegreeStats(
         n=d.size,

@@ -8,19 +8,23 @@ breakpoint -- edge event, sample-grid time k * step, or the horizon -- so a
 run samples the state on the shared uniform grid plus every switching
 instant.
 
+One lockstep core moves a batch of trials, held as (trials, n) states and
+(trials, n, n) adjacency, each to its own next breakpoint per iteration.  A
+single path is a batch of one; a decay estimate runs batches of TRIAL_CHUNK
+and keeps only the sum of grid norms, so its memory does not grow with the
+trial count.
+
 Determinism contract: one (spec, params, config, p0) tuple maps to one
 bit-identical trajectory.  Randomness is consumed only by the edge machinery
 (initial states, holding times, jump targets), never by the integrator, so a
 full run and a linearized run with the same seed see the same switching
-sequence.  Trial k of a multi-trial estimate uses the seed stream
-SeedSequence(seed, spawn_key=(k,)), which makes trials independent of each
-other and of the trial count.
+sequence.  Trial k uses the seed stream SeedSequence(seed, spawn_key=(k,)),
+and no step of the core mixes trials, so a trial's path is the same alone or
+in a batch of any size, and independent of the trial count.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,8 +39,11 @@ EXPM_N_CAP = 64
 BOUNDS_TOL = 1e-9
 MAX_HALVINGS = 20
 
-# Every trial integrates and stores at least horizon / step grid samples, so
-# this caps the work of a run; the tests and the benchmark stay below 10^4.
+# A decay estimate runs its trials in lockstep batches of this size.
+TRIAL_CHUNK = 256
+
+# Every trial integrates at least horizon / step grid steps, so this caps
+# the work of a trial; the tests and the benchmark stay below 10^4.
 GRID_STEP_CAP = 1_000_000
 
 
@@ -130,156 +137,184 @@ def _positive_exponential(rng: np.random.Generator, scale: float) -> float:
     return x
 
 
-def _rk4_span(rhs, p: np.ndarray, span: float, hmax: float, clamp01: bool) -> np.ndarray:
-    """Fixed-step RK4 over one switching segment.
+def _grid_times(cfg: SimConfig) -> np.ndarray:
+    """Every k * step up to the horizon, then the horizon itself."""
+    grid = np.arange(math.floor(cfg.horizon / cfg.step) + 2) * cfg.step
+    grid = grid[grid < cfg.horizon]
+    return np.append(grid, cfg.horizon)
 
-    Substep count is chosen so h <= hmax.  When ``clamp01`` is set the result
-    must stay inside [-BOUNDS_TOL, 1 + BOUNDS_TOL]; a violation halves the
-    substep and retries, erroring out after MAX_HALVINGS halvings.
+
+# numpy multiplies a small array by a 0-d array faster than by a Python
+# float, with the same result; the integrator is bound by such calls.
+_HALF, _TWO, _SIX = np.asarray(0.5), np.asarray(2.0), np.asarray(6.0)
+
+
+def _rk4(f, a: np.ndarray, q: np.ndarray, h: np.ndarray, nsub: int) -> np.ndarray:
+    """nsub RK4 substeps of dq/dt = f(a, q); h is the substep, one per entry."""
+    h2, h6 = _HALF * h, h / _SIX
+    for _ in range(nsub):
+        k1 = f(a, q)
+        k2 = f(a, q + h2 * k1)
+        k3 = f(a, q + h2 * k2)
+        k4 = f(a, q + h * k3)
+        q = q + h6 * (k1 + _TWO * k2 + _TWO * k3 + k4)
+    return q
+
+
+def _inside01(q: np.ndarray, axis=None):
+    return (q.min(axis=axis) >= -BOUNDS_TOL) & (q.max(axis=axis) <= 1.0 + BOUNDS_TOL)
+
+
+def _rk4_span(f, a, q, span, hmax: float, clamp01: bool, fits: bool) -> np.ndarray:
+    """Fixed-step RK4 over each row's switching segment (span is per entry).
+
+    Row i takes the fewest equal substeps with h <= hmax; ``fits`` says
+    that every span is known to need only one.  When ``clamp01`` is set
+    every row must stay inside [-BOUNDS_TOL, 1 + BOUNDS_TOL]; a row that
+    leaves it halves its substep and retries, erroring out after
+    MAX_HALVINGS halvings.
     """
-    nsub = max(1, math.ceil(span / hmax - 1e-12))
+    if fits or span.max() / hmax - 1e-12 <= 1.0:
+        out = _rk4(f, a, q, span, 1)
+        if not clamp01 or _inside01(out):
+            return out
+    nsub = np.maximum(1.0, np.ceil(span[:, 0] / hmax - 1e-12))
+    out = np.empty_like(q)
+    rows = np.arange(len(q))
     for _ in range(MAX_HALVINGS + 1):
-        h = span / nsub
-        q = p
-        for _ in range(nsub):
-            k1 = rhs(q)
-            k2 = rhs(q + 0.5 * h * k1)
-            k3 = rhs(q + 0.5 * h * k2)
-            k4 = rhs(q + h * k3)
-            q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for v in np.unique(nsub[rows]):
+            sel = rows[nsub[rows] == v]
+            out[sel] = _rk4(f, a[sel], q[sel], span[sel] / v, int(v))
         if not clamp01:
-            return q
-        if q.min() >= -BOUNDS_TOL and q.max() <= 1.0 + BOUNDS_TOL:
-            return q
-        nsub *= 2
+            return out
+        rows = rows[~_inside01(out[rows], axis=1)]
+        if rows.size == 0:
+            return out
+        nsub[rows] *= 2.0
     raise RuntimeError(
         f"state left [0, 1] even after {MAX_HALVINGS} step halvings; "
         "the configured step is far too coarse for these rates"
     )
 
 
-def _run_realization(
-    spec: SwitchedNetworkSpec,
-    params: EpidemicParams,
-    cfg: SimConfig,
-    p0: np.ndarray,
-    trial: int,
-    *,
-    full: bool,
-    linear: bool,
-):
-    """Advance one switching realization, integrating the requested systems.
+def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=None):
+    """Advance the realizations of ``trials`` to the horizon in lockstep.
 
-    Returns (times, p_full, p_linear, events, grid_mask); the trajectory
-    arrays are None for systems that were not requested.
+    Row b starts as trial trials[b] with its own edge states, clock, grid
+    index and seed stream.  Each iteration moves every live row over its own
+    span to its next breakpoint; rows that reach the horizon are compacted
+    out.  At t = 0 and after every step, ``sample(slots, t, on_grid,
+    grid_index, p_full, p_linear)`` sees the live rows: ``slots`` are their
+    positions in ``trials``, ``grid_index`` numbers the grid point of rows
+    with ``on_grid`` set, an unrequested system is None, and no array passed
+    there is written to afterwards.  Slot s's jumps go to ``events[s]``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(trial,)))
-    n = spec.n
-    beta, delta = params.beta, params.delta
+    n, step, horizon = spec.n, cfg.step, cfg.horizon
+    beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     procs = [edge_process(e) for e in spec.edges]
-    m = len(procs)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
+        for k in trials
+    ]
+    rows = len(rngs)
+    slots = np.arange(rows)
+    adj = np.zeros((rows, n, n))
+    state = np.zeros((rows, len(procs)), dtype=int)
+    next_time = np.full((rows, len(procs)), np.inf)
 
-    def draw_state(weights: np.ndarray) -> int:
+    def draw_state(rng: np.random.Generator, weights: np.ndarray) -> int:
         # Inverse-CDF draw; one uniform per call keeps the stream identical
         # between full and linearized runs.
         cum = np.cumsum(weights)
         u = rng.random() * cum[-1]
         return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
 
-    adj = np.zeros((n, n))
-    state = np.zeros(m, dtype=int)
-    next_time = np.full(m, np.inf)
-    for e, proc in enumerate(procs):
-        k = draw_state(proc.stationary)
-        state[e] = k
+    def enter(b: int, e: int, k: int, t: float) -> float:
+        proc = procs[e]
+        state[b, e] = k
         val = proc.values[k]
-        adj[proc.i - 1, proc.j - 1] = val
-        adj[proc.j - 1, proc.i - 1] = val
-        exit_rate = -float(proc.rate_matrix[k, k])
-        if exit_rate > 0.0:
-            next_time[e] = _positive_exponential(rng, 1.0 / exit_rate)
+        adj[b, proc.i - 1, proc.j - 1] = val
+        adj[b, proc.j - 1, proc.i - 1] = val
+        rate = -float(proc.rate_matrix[k, k])
+        hold = _positive_exponential(rngs[b], 1.0 / rate) if rate > 0.0 else math.inf
+        next_time[b, e] = t + hold
+        return float(val)
 
-    def rhs_full(q: np.ndarray) -> np.ndarray:
-        infect = beta * (adj @ q)
+    for b, rng in enumerate(rngs):
+        for e, proc in enumerate(procs):
+            enter(b, e, draw_state(rng, proc.stationary), 0.0)
+
+    def rhs_full(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+        infect = beta * np.matvec(a, q)
         return infect - delta * q - q * infect
 
-    def rhs_linear(q: np.ndarray) -> np.ndarray:
-        return beta * (adj @ q) - delta * q
+    def rhs_linear(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return beta * np.matvec(a, q) - delta * q
 
     use_expm = linear and n <= EXPM_N_CAP
-    eig_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
+    shift = delta * np.eye(n)
+    w = np.empty((rows, n)) if use_expm else None
+    vecs = np.empty((rows, n, n)) if use_expm else None
 
-    def propagate_linear(q: np.ndarray, span: float) -> np.ndarray:
-        nonlocal eig_cache
-        if not use_expm:
-            return _rk4_span(rhs_linear, q, span, cfg.step, clamp01=False)
-        if eig_cache is None:
-            eig_cache = np.linalg.eigh(beta * adj - delta * np.eye(n))
-        w, vecs = eig_cache
-        return vecs @ (np.exp(w * span) * (vecs.T @ q))
-
-    p_full = p0.copy() if full else None
-    p_lin = p0.copy() if linear else None
-    times = [0.0]
-    samples_full = [p_full.copy()] if full else None
-    samples_lin = [p_lin.copy()] if linear else None
-    grid_flags = [True]
-    events: list[SwitchEvent] = []
-
-    t = 0.0
-    grid_k = 1
-    while t < cfg.horizon:
-        te = float(next_time.min()) if m else math.inf
-        tg = grid_k * cfg.step
-        if tg > cfg.horizon:
-            tg = math.inf
-        t_next = min(te, tg, cfg.horizon)
-        span = t_next - t
+    p_full = np.tile(p0, (rows, 1)) if full else None
+    p_lin = np.tile(p0, (rows, 1)) if linear else None
+    t = np.zeros(rows)
+    te = next_time.min(axis=1, initial=math.inf)
+    grid = _grid_times(cfg)
+    # a span never exceeds the grid gap it lies in
+    fits = bool(np.diff(grid).max(initial=0.0) / step - 1e-12 <= 1.0)
+    grid_k = np.ones(rows, dtype=np.int64)
+    stale = slots  # rows whose eigendecomposition is out of date
+    sample(slots, t, t == 0.0, np.zeros(rows, dtype=np.int64), p_full, p_lin)
+    # a row ends on the iteration that samples grid[-1], not before the last-th
+    it, last = 0, grid.size - 1
+    while rows:
+        tg = grid[grid_k]
+        t_next = np.minimum(te, tg)
+        span = (t_next - t).repeat(n).reshape(rows, n)
         if full:
-            p_full = _rk4_span(rhs_full, p_full, span, cfg.step, clamp01=True)
-            samples_full.append(p_full.copy())
-        if linear:
-            p_lin = propagate_linear(p_lin, span)
-            samples_lin.append(p_lin.copy())
-        times.append(t_next)
-        grid_flags.append(t_next == tg or t_next == cfg.horizon)
+            p_full = _rk4_span(rhs_full, adj, p_full, span, step, True, fits)
+        if use_expm:
+            if stale.size:
+                w[stale], vecs[stale] = np.linalg.eigh(beta * adj[stale] - shift)
+            p_lin = np.exp(w * span) * np.matvec(vecs.swapaxes(1, 2), p_lin)
+            p_lin = np.matvec(vecs, p_lin)
+        elif linear:
+            p_lin = _rk4_span(rhs_linear, adj, p_lin, span, step, False, fits)
+        on_grid = t_next == tg
+        sample(slots, t_next, on_grid, grid_k, p_full, p_lin)
         t = t_next
-        if t >= cfg.horizon:
-            break
-        if t_next == te:
-            for e in np.flatnonzero(next_time == t_next):
+        grid_k = grid_k + on_grid
+        it += 1
+        if it >= last and (t == horizon).nonzero()[0].size:
+            keep = (t < horizon).nonzero()[0]
+            rows = keep.size
+            rngs = [rngs[b] for b in keep]
+            slots, adj, state, next_time, t, te, grid_k, p_full, p_lin, w, vecs = (
+                None if x is None else x[keep]
+                for x in (slots, adj, state, next_time, t, te, grid_k)
+                + (p_full, p_lin, w, vecs)
+            )
+        jumped = (t == te).nonzero()[0]
+        for b in jumped:
+            tb = float(t[b])
+            for e in (next_time[b] == tb).nonzero()[0]:
                 proc = procs[e]
-                k = state[e]
+                k = state[b, e]
                 if len(proc.values) == 2:
                     new_k = 1 - k  # two-state chains jump deterministically
                 else:
                     row = proc.rate_matrix[k].copy()
                     row[k] = 0.0
-                    new_k = draw_state(row)
-                state[e] = new_k
-                val = proc.values[new_k]
-                adj[proc.i - 1, proc.j - 1] = val
-                adj[proc.j - 1, proc.i - 1] = val
-                events.append(
-                    SwitchEvent(time=t, i=proc.i, j=proc.j, new_value=float(val))
-                )
-                new_exit = -float(proc.rate_matrix[new_k, new_k])
-                next_time[e] = (
-                    t + _positive_exponential(rng, 1.0 / new_exit)
-                    if new_exit > 0.0
-                    else math.inf
-                )
-            eig_cache = None
-        if t_next == tg:
-            grid_k += 1
-
-    return (
-        np.array(times),
-        np.array(samples_full) if full else None,
-        np.array(samples_lin) if linear else None,
-        tuple(events),
-        np.array(grid_flags, dtype=bool),
-    )
+                    new_k = draw_state(rngs[b], row)
+                val = enter(b, e, new_k, tb)
+                if events is not None:
+                    events[slots[b]].append(
+                        SwitchEvent(time=tb, i=proc.i, j=proc.j, new_value=val)
+                    )
+        if jumped.size:
+            te[jumped] = next_time[jumped].min(axis=1)
+        stale = jumped
 
 
 def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -293,6 +328,29 @@ def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
     return p0
 
 
+def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
+    """Trial 0 alone, as a (full, linearized) pair of trajectories or None."""
+    times, flags, paths = [], [], ([], [])
+
+    def sample(slots, t, on_grid, grid_index, pf, pl):
+        times.append(t[0])
+        flags.append(on_grid[0])
+        if full:
+            paths[0].append(pf[0])
+        if linear:
+            paths[1].append(pl[0])
+
+    events: list[list[SwitchEvent]] = [[]]
+    p0 = _check_p0(p0, spec.n)
+    _lockstep(spec, params, cfg, p0, [0], sample, full=full, linear=linear,
+              events=events)
+    times, mask, jumps = np.array(times), np.array(flags, dtype=bool), tuple(events[0])
+    return tuple(
+        Trajectory(times, np.array(path), jumps, cfg.seed, mask) if wanted else None
+        for path, wanted in zip(paths, (full, linear))
+    )
+
+
 def simulate_path(
     spec: SwitchedNetworkSpec,
     params: EpidemicParams,
@@ -304,11 +362,7 @@ def simulate_path(
     ``p0`` defaults to all-ones, the worst admissible initial condition.
     Edge chains start from their stationary laws.
     """
-    p0 = _check_p0(p0, spec.n)
-    times, p, _, events, mask = _run_realization(
-        spec, params, cfg, p0, trial=0, full=True, linear=False
-    )
-    return Trajectory(times=times, p=p, events=events, seed=cfg.seed, grid_mask=mask)
+    return _single_trial(spec, params, cfg, p0, full=True, linear=False)[0]
 
 
 def simulate_linear_path(
@@ -322,11 +376,7 @@ def simulate_linear_path(
     With the same config and seed as :func:`simulate_path` the switching
     sequence is bit-identical, so the two paths are directly comparable.
     """
-    p0 = _check_p0(p0, spec.n)
-    times, _, p, events, mask = _run_realization(
-        spec, params, cfg, p0, trial=0, full=False, linear=True
-    )
-    return Trajectory(times=times, p=p, events=events, seed=cfg.seed, grid_mask=mask)
+    return _single_trial(spec, params, cfg, p0, full=False, linear=True)[1]
 
 
 def simulate_coupled(
@@ -341,20 +391,9 @@ def simulate_coupled(
     from the same p0, so ``min_margin`` below roughly -1e-7 indicates an
     integration problem.
     """
-    p0 = _check_p0(p0, spec.n)
-    times, pf, pl, events, mask = _run_realization(
-        spec, params, cfg, p0, trial=0, full=True, linear=True
-    )
-    traj_full = Trajectory(
-        times=times, p=pf, events=events, seed=cfg.seed, grid_mask=mask
-    )
-    traj_lin = Trajectory(
-        times=times, p=pl, events=events, seed=cfg.seed, grid_mask=mask
-    )
-    margins = np.abs(pl).sum(axis=1) - np.abs(pf).sum(axis=1)
-    return CoupledResult(
-        full=traj_full, linear=traj_lin, min_margin=float(margins.min())
-    )
+    full, lin = _single_trial(spec, params, cfg, p0, full=True, linear=True)
+    margins = np.abs(lin.p).sum(axis=1) - np.abs(full.p).sum(axis=1)
+    return CoupledResult(full=full, linear=lin, min_margin=float(margins.min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,23 +414,6 @@ class DecayEstimate:
     mean_norms: np.ndarray
 
 
-def _decay_trial(args) -> np.ndarray:
-    spec, params, cfg, p0, trial = args
-    times, p, _, _, mask = _run_realization(
-        spec, params, cfg, p0, trial=trial, full=True, linear=False
-    )
-    return np.linalg.norm(p[mask], axis=1)
-
-
-def _worker_count(trials: int) -> int:
-    raw = os.environ.get("EPINET_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"EPINET_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(workers, trials, os.cpu_count() or 1))
-
-
 def estimate_decay(
     spec: SwitchedNetworkSpec,
     params: EpidemicParams,
@@ -402,38 +424,11 @@ def estimate_decay(
 
     Runs ``cfg.trials`` independent realizations, averages ||p||_2 on the
     shared sample grid, and fits a line to the log of the average over
-    t >= horizon / 2.  Honors EPINET_THREADS for process-level parallelism;
-    results are identical to the sequential run because trial seeds are
-    derived from the trial index, not the scheduling order.
+    t >= horizon / 2.  Trials advance in lockstep batches of TRIAL_CHUNK and
+    only the running sum of their grid norms is kept.
     """
     p0 = _check_p0(p0, spec.n)
-    jobs = [(spec, params, cfg, p0, k) for k in range(cfg.trials)]
-    workers = _worker_count(cfg.trials)
-    if workers > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            norms = list(pool.map(_decay_trial, jobs, chunksize=max(1, cfg.trials // (4 * workers))))
-    else:
-        norms = [_decay_trial(job) for job in jobs]
-    lengths = {len(x) for x in norms}
-    if len(lengths) != 1:
-        raise RuntimeError("trials disagree on the sample grid; this is a bug")
-    mean_norms = np.mean(norms, axis=0)
-
-    grid_times = np.unique(
-        np.concatenate(
-            [
-                np.arange(0, math.floor(cfg.horizon / cfg.step) + 1) * cfg.step,
-                [cfg.horizon],
-            ]
-        )
-    )
-    grid_times = grid_times[grid_times <= cfg.horizon]
-    if grid_times.size != mean_norms.size:
-        raise RuntimeError("sample-grid bookkeeping mismatch; this is a bug")
-
+    grid_times = _grid_times(cfg)
     window_start = cfg.horizon / 2.0
     sel = grid_times >= window_start
     if int(sel.sum()) < 3:
@@ -441,33 +436,31 @@ def estimate_decay(
             "fewer than 3 grid points in the fit window; lower the step or "
             "raise the horizon"
         )
+
+    norm_sum = np.zeros(grid_times.size)
+
+    def sample(slots, t, on_grid, grid_index, pf, pl):
+        on = on_grid.nonzero()[0]
+        np.add.at(norm_sum, grid_index[on], np.linalg.norm(pf[on], axis=1))
+
+    for start in range(0, cfg.trials, TRIAL_CHUNK):
+        batch = range(start, min(start + TRIAL_CHUNK, cfg.trials))
+        _lockstep(spec, params, cfg, p0, batch, sample, full=True, linear=False)
+    mean_norms = norm_sum / cfg.trials
+
     tw = grid_times[sel]
     yw = mean_norms[sel]
-    if yw.min() <= 0.0:
-        return DecayEstimate(
-            rate=-math.inf,
-            half_width=None,
-            trials=cfg.trials,
-            window_start=window_start,
-            grid_times=grid_times,
-            mean_norms=mean_norms,
-        )
-    logy = np.log(yw)
-    slope, intercept = np.polyfit(tw, logy, 1)
-    half = None
-    if cfg.trials >= 30 and tw.size > 2:
-        resid = logy - (slope * tw + intercept)
-        sigma_sq = float(resid @ resid) / (tw.size - 2)
-        t_center = tw - tw.mean()
-        half = 1.96 * math.sqrt(sigma_sq / float(t_center @ t_center))
-    return DecayEstimate(
-        rate=float(slope),
-        half_width=half,
-        trials=cfg.trials,
-        window_start=window_start,
-        grid_times=grid_times,
-        mean_norms=mean_norms,
-    )
+    rate, half = -math.inf, None
+    if yw.min() > 0.0:
+        logy = np.log(yw)
+        slope, intercept = np.polyfit(tw, logy, 1)
+        rate = float(slope)
+        if cfg.trials >= 30 and tw.size > 2:
+            resid = logy - (slope * tw + intercept)
+            sigma_sq = float(resid @ resid) / (tw.size - 2)
+            t_center = tw - tw.mean()
+            half = 1.96 * math.sqrt(sigma_sq / float(t_center @ t_center))
+    return DecayEstimate(rate, half, cfg.trials, window_start, grid_times, mean_norms)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

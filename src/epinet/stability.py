@@ -304,8 +304,8 @@ def check_spectral_penalty(
     )
 
 
-def expected_degree_uncertainty(degrees: np.ndarray) -> tuple[float, int, float]:
-    """Variance proxy for an expected-degree ensemble.
+def expected_degree_uncertainty(degrees: np.ndarray) -> float:
+    """Variance proxy Delta_d for an expected-degree ensemble.
 
     With abar_ij = rho d_i d_j (zero diagonal), row i of the entrywise
     variance matrix abar * (1 - abar) sums to
@@ -313,16 +313,20 @@ def expected_degree_uncertainty(degrees: np.ndarray) -> tuple[float, int, float]
         rho d_i (D1 - d_i) - rho^2 d_i^2 (D2 - d_i^2),
 
     with D1 = sum(d) and D2 = sum(d^2), so the maximum over rows costs O(n)
-    and never materializes the matrix.  Returns (Delta_d, index of the
-    maximizing vertex, that vertex's degree).
+    and never materializes the matrix.  The row sums are formed in three
+    reused n-buffers.
     """
     d = np.asarray(degrees, dtype=float)
-    d1 = float(d.sum())
-    d2 = float((d * d).sum())
-    rho = 1.0 / d1
-    rows = rho * d * (d1 - d) - (rho * d) ** 2 * (d2 - d * d)
-    idx = int(np.argmax(rows))
-    return float(rows[idx]), idx, float(d[idx])
+    sq = d * d
+    d1, d2 = float(d.sum()), float(sq.sum())
+    a = (1.0 / d1) * d  # rho d
+    rows = d1 - d
+    rows *= a  # rho d (D1 - d)
+    a *= a  # (rho d)^2
+    np.subtract(d2, sq, out=sq)
+    sq *= a  # (rho d)^2 (D2 - d^2)
+    rows -= sq
+    return float(rows.max())
 
 
 def expected_degree_lambda_max(degrees: np.ndarray) -> float:
@@ -437,7 +441,7 @@ def check_expected_degrees(
             raise ValueError(msg + "; pass strict=False to evaluate anyway")
         notes = notes + (msg,)
     d_tilde = rho * float((d * d).sum())
-    delta_u, _, _ = expected_degree_uncertainty(d)
+    delta_u = expected_degree_uncertainty(d)
     if delta_u < 0:
         raise ValueError(
             f"variance proxy is negative ({delta_u:.6g}); edge probabilities "

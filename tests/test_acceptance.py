@@ -132,8 +132,7 @@ def test_criterion_5_trajectory_domination():
     assert ok
 
 
-def test_criterion_6_decay_matches_exact_verdict(monkeypatch):
-    monkeypatch.setenv("EPINET_THREADS", "4")
+def test_criterion_6_decay_matches_exact_verdict():
     rng = np.random.default_rng(99)
     started = time.perf_counter()
     negative = 0

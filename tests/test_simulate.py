@@ -1,14 +1,18 @@
 import math
-import os
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
+from epinet import simulate
+from epinet.netmodel import (
+    EdgeChain,
+    EpidemicParams,
+    SwitchedNetworkSpec,
+    WeightedEdgeChain,
+)
 from epinet.simulate import (
     SimConfig,
-    _worker_count,
     default_step,
     estimate_decay,
     simulate_coupled,
@@ -269,42 +273,115 @@ def test_estimate_decay_zero_start_gives_neg_inf():
     assert est.half_width is None
 
 
-def test_estimate_decay_parallel_matches_sequential(monkeypatch):
+def run_trials(spec, params, cfg, trials):
+    """Run ``trials`` as one lockstep batch; per-trial times, states, events."""
+    paths = [([], [], []) for _ in trials]
+    events = [[] for _ in trials]
+
+    def sample(slots, t, on_grid, grid_index, pf, pl):
+        for row, slot in enumerate(slots):
+            for path, value in zip(paths[slot], (t[row], pf[row], pl[row])):
+                path.append(value)
+
+    p0 = np.ones(spec.n)
+    simulate._lockstep(
+        spec, params, cfg, p0, trials, sample, full=True, linear=True, events=events
+    )
+    return {
+        k: tuple(np.array(x) for x in path) + (events[slot],)
+        for slot, (k, path) in enumerate(zip(trials, paths))
+    }
+
+
+def test_trial_path_same_alone_and_in_batch(monkeypatch):
+    # a 3-state weighted edge and the coarse step of
+    # test_coarse_step_still_bounded, so rows halve at different iterations
+    three_state = WeightedEdgeChain(
+        i=1,
+        j=3,
+        states=(0.0, 0.5, 1.0),
+        generator=((-2.0, 1.5, 0.5), (1.0, -3.0, 2.0), (0.5, 0.5, -1.0)),
+    )
+    spec = SwitchedNetworkSpec(
+        n=3,
+        edges=(
+            WeightedEdgeChain(1, 2, (0.0, 1.0), ((-2.0, 2.0), (1.0, -1.0))),
+            three_state,
+            WeightedEdgeChain(2, 3, (0.2, 0.9), ((-1.0, 1.0), (1.0, -1.0))),
+        ),
+    )
+    params = EpidemicParams(beta=1.0, delta=40.0)
+    cfg = SimConfig(horizon=2.0, step=0.5, seed=11)
+    substeps = []
+    rk4 = simulate._rk4
+
+    def counting_rk4(f, a, q, h, nsub):
+        substeps.append(nsub)
+        return rk4(f, a, q, h, nsub)
+
+    monkeypatch.setattr(simulate, "_rk4", counting_rk4)
+    batch = run_trials(spec, params, cfg, range(200))
+    assert max(substeps) > 1  # some rows halved their step
+    assert any(ev.new_value == 0.5 for k in batch for ev in batch[k][3])
+    for k in (0, 1, 57, 123, 199):
+        alone = run_trials(spec, params, cfg, [k])[k]
+        times, p_full, p_lin, events = batch[k]
+        assert np.array_equal(alone[0], times)
+        assert np.array_equal(alone[1], p_full)
+        assert np.array_equal(alone[2], p_lin)
+        assert alone[3] == events
+    # trial 0 alone is what the public single-path functions return
+    traj = simulate_path(spec, params, cfg)
+    assert np.array_equal(traj.p, batch[0][1])
+    assert traj.events == tuple(batch[0][3])
+
+
+def test_rk4_span_rows_are_independent():
+    # rows needing 1, 2 and 5 substeps share one call, and the stiff ones
+    # leave [0, 1] and halve; each row must come out as it does alone
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.0, 1.0, size=(3, 2, 2))
+    a = a + a.swapaxes(1, 2)
+    q = rng.uniform(0.0, 1.0, size=(3, 2))
+    span = np.repeat([0.05, 0.15, 0.5], 2).reshape(3, 2)
+
+    def rhs(a, q):
+        infect = np.matvec(a, q)
+        return infect - 40.0 * q - q * infect
+
+    together = simulate._rk4_span(rhs, a, q, span, 0.1, True, False)
+    for i in range(3):
+        row = slice(i, i + 1)
+        alone = simulate._rk4_span(rhs, a[row], q[row], span[row], 0.1, True, False)
+        assert np.array_equal(alone, together[row])
+
+
+def test_estimate_decay_mean_of_single_trials(monkeypatch):
     spec = switching_spec()
     params = EpidemicParams(beta=0.3, delta=2.0)
-    cfg = SimConfig(horizon=4.0, step=0.1, trials=6, seed=8)
-    monkeypatch.delenv("EPINET_THREADS", raising=False)
-    seq = estimate_decay(spec, params, cfg)
-    monkeypatch.setenv("EPINET_THREADS", "3")
-    par = estimate_decay(spec, params, cfg)
-    assert np.array_equal(seq.mean_norms, par.mean_norms)
-    assert seq.rate == par.rate
+    cfg = SimConfig(horizon=4.0, step=0.1, trials=40, seed=8)
+    monkeypatch.setattr(simulate, "TRIAL_CHUNK", 7)  # several batches
+    est = estimate_decay(spec, params, cfg)
+    single = SimConfig(horizon=4.0, step=0.1, seed=8)
+    norms = []
+    for k in range(cfg.trials):
+        times, p_full, _, _ = run_trials(spec, params, single, [k])[k]
+        on_grid = np.isin(times, est.grid_times)
+        assert np.array_equal(times[on_grid], est.grid_times)
+        norms.append(np.linalg.norm(p_full[on_grid], axis=1))
+    expected = np.mean(norms, axis=0)
+    assert np.allclose(est.mean_norms, expected, rtol=1e-14, atol=0.0)
 
 
-def test_estimate_decay_invalid_threads(monkeypatch):
+def test_estimate_decay_needs_enough_window_points(monkeypatch):
     spec = switching_spec()
     params = EpidemicParams(beta=0.3, delta=2.0)
-    cfg = SimConfig(horizon=4.0, step=0.1, trials=2, seed=8)
-    monkeypatch.setenv("EPINET_THREADS", "many")
-    with pytest.raises(ValueError, match="EPINET_THREADS"):
-        estimate_decay(spec, params, cfg)
-
-
-def test_worker_count_capped_by_cpus_and_trials(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.setenv("EPINET_THREADS", "1000000")
-    assert _worker_count(10**9) == cpus
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("EPINET_THREADS", "0")
-    assert _worker_count(10**9) == 1
-
-
-def test_estimate_decay_needs_enough_window_points():
-    spec = switching_spec()
-    params = EpidemicParams(beta=0.3, delta=2.0)
-    cfg = SimConfig(horizon=1.0, step=0.9, trials=1, seed=0)
+    ran = []
+    monkeypatch.setattr(simulate, "_lockstep", lambda *args, **kw: ran.append(args))
+    cfg = SimConfig(horizon=1.0, step=0.9, trials=10**6, seed=0)
     with pytest.raises(ValueError, match="fit window"):
         estimate_decay(spec, params, cfg)
+    assert ran == []  # refused before any trial ran
 
 
 def test_csv_writers(tmp_path):

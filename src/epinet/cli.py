@@ -28,6 +28,7 @@ from .exact import (
     build_joint_chain,
     dump_stability_matrix,
     exact_mean_stable,
+    expected_lambda_max,
 )
 from .netmodel import (
     EpidemicParams,
@@ -49,8 +50,8 @@ from .simulate import (
 )
 from .stability import (
     check_expected_degrees,
-    check_mean_lambda_max,
     check_spectral_penalty,
+    expected_degree_lambda_max,
     minimize_penalty,
     spectral_penalty_report,
 )
@@ -186,7 +187,7 @@ def _attempt_exact(
         return {"status": "skipped-too-large", "reason": reason or "no edge list"}
     try:
         joint = build_joint_chain(spec, config_cap=config_cap)
-        mean_lam = check_mean_lambda_max(joint, params)
+        e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
         if dump_path is not None:
             dump_stability_matrix(res.matrix, dump_path)
@@ -195,8 +196,8 @@ def _attempt_exact(
             "n_configs": joint.n_configs,
             "eta": res.eta,
             "mean_stable": res.mean_stable,
-            "e_lambda_max": mean_lam.e_lambda_max,
-            "e_lambda_max_stable": mean_lam.stable,
+            "e_lambda_max": e_lam,
+            "e_lambda_max_stable": e_lam < params.threshold,
         }
     except ValueError as exc:
         return {"status": "skipped-too-large", "reason": str(exc)}
@@ -222,10 +223,8 @@ def _cmd_analyze(args) -> int:
                 notes=("two-community closed form (exact quotient eigenvalue)",),
             )
         else:
-            degrees = (
-                power_law_degrees(ens) if isinstance(ens, PowerLawSpec) else ens.degrees
-            )
-            report = check_expected_degrees(degrees, params, strict=False)
+            degrees = power_law_degrees(ens) if isinstance(ens, PowerLawSpec) else ens
+            report = check_expected_degrees(expected_degree_stats(degrees), params)
         try:
             realized = _realize_ensemble(ens)
             exact_info = _attempt_exact(realized, params, args.exact_cap, dump_path)
@@ -407,7 +406,7 @@ def _cmd_example(args) -> int:
             "max_degree": float(degrees[0]),
             "mean_degree": float(degrees.mean()),
             "d_tilde": stats.d_tilde,
-            "lambda_max": stats.lambda_max,
+            "lambda_max": expected_degree_lambda_max(degrees),
             "delta_uncertainty": stats.delta_uncertainty,
             "f_min": pm.f_min,
             "s_star": pm.s_star,

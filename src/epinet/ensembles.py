@@ -22,12 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .netmodel import EdgeChain, SwitchedNetworkSpec
-from .stability import (
-    expected_degree_lambda_max,
-    expected_degree_uncertainty,
-    pair_probability_violations,
-)
+from .netmodel import EdgeChain, SwitchedNetworkSpec, as_integer
+from .stability import expected_degree_uncertainty, pair_probability_violations
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,8 @@ def community_stats(spec: CommunitySpec) -> CommunityStats:
     )
 
 
-def community_abar_dense(spec: CommunitySpec, n_cap: int = 2000) -> np.ndarray:
-    """Materialized expected adjacency matrix; only for small instances."""
-    if spec.n > n_cap:
-        raise ValueError(f"refusing to materialize n={spec.n} > {n_cap}")
+def community_abar_dense(spec: CommunitySpec) -> np.ndarray:
+    """Materialized n x n expected adjacency matrix; the caller bounds n."""
     n1, n = spec.n1, spec.n
     abar = np.full((n, n), spec.phi)
     abar[:n1, :n1] = spec.theta1
@@ -139,10 +133,6 @@ class ExpectedDegreeSpec:
     def n(self) -> int:
         return self.degrees.size
 
-    @property
-    def rho(self) -> float:
-        return 1.0 / float(self.degrees.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class ExpectedDegreeStats:
@@ -150,17 +140,17 @@ class ExpectedDegreeStats:
 
     ``d_tilde`` = sum(d^2)/sum(d) plays the role of lambda_max(abar): abar is
     the rank-one rho d d^T minus its diagonal, so lambda_max(abar) lies in
-    [d_tilde - rho max(d)^2, d_tilde].  ``lambda_max`` is that eigenvalue
-    itself, the root of the secular equation.
-    ``max_pair_prob`` > 1 flags parameter choices that break the probability
-    model; the counts are recorded rather than silently clipped.
+    [d_tilde - rho max(d)^2, d_tilde]; the eigenvalue itself is
+    :func:`epinet.stability.expected_degree_lambda_max`, which the
+    certificate does not need.  ``max_pair_prob`` > 1 flags parameter
+    choices that break the probability model; the counts are recorded
+    rather than silently clipped.
     """
 
     n: int
     rho: float
     d_tilde: float
     delta_uncertainty: float
-    lambda_max: float
     max_pair_prob: float
     invalid_pairs: int
 
@@ -168,7 +158,8 @@ class ExpectedDegreeStats:
 def expected_degree_stats(
     spec: Union[ExpectedDegreeSpec, np.ndarray]
 ) -> ExpectedDegreeStats:
-    """O(n) summary of a Chung-Lu ensemble, lambda_max(abar) included."""
+    """Validated O(n) summary of a Chung-Lu ensemble: d_tilde, Delta and the
+    pairs whose edge probability exceeds 1."""
     if isinstance(spec, ExpectedDegreeSpec):
         d = spec.degrees
     else:
@@ -183,7 +174,6 @@ def expected_degree_stats(
         rho=rho,
         d_tilde=d_tilde,
         delta_uncertainty=float(delta_u),
-        lambda_max=expected_degree_lambda_max(d),
         max_pair_prob=max_pair,
         invalid_pairs=invalid,
     )
@@ -281,8 +271,8 @@ def ensemble_from_dict(data: dict) -> EnsembleSpec:
     try:
         if kind == "community":
             return CommunitySpec(
-                n1=int(data["n1"]),
-                n2=int(data["n2"]),
+                n1=as_integer(data["n1"], "field 'n1'"),
+                n2=as_integer(data["n2"], "field 'n2'"),
                 theta1=float(data["theta1"]),
                 theta2=float(data["theta2"]),
                 phi=float(data["phi"]),
@@ -295,7 +285,7 @@ def ensemble_from_dict(data: dict) -> EnsembleSpec:
             )
         if kind == "power-law":
             return PowerLawSpec(
-                n=int(data["n"]),
+                n=as_integer(data["n"], "field 'n'"),
                 exponent=float(data["exponent"]),
                 max_degree=float(data["max_degree"]),
                 avg_degree=float(data["avg_degree"]),

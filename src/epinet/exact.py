@@ -114,19 +114,20 @@ def build_joint_chain(
 
 
 def assemble_stability_matrix(
-    joint: JointChain, beta: float, dim_cap: int = JOINT_DIM_CAP
+    joint: JointChain, beta: float
 ) -> "scipy.sparse.csr_array":
     """Sparse (CSR) nN x nN mean-dynamics matrix
-    kron(Pi^T, I) + beta blockdiag(A_k)."""
+    kron(Pi^T, I) + beta blockdiag(A_k); the one place its row and nonzero
+    caps are checked."""
     from scipy import sparse
 
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     n, big_n = joint.n, joint.n_configs
     dim = n * big_n
-    if dim > dim_cap:
+    if dim > JOINT_DIM_CAP:
         raise ValueError(
-            f"stability matrix would be {dim} x {dim} (> cap {dim_cap})"
+            f"stability matrix would be {dim} x {dim} (> cap {JOINT_DIM_CAP})"
         )
     generator = sparse.csr_array(joint.rate_matrices[0])
     for q in joint.rate_matrices[1:]:
@@ -146,11 +147,11 @@ def assemble_stability_matrix(
     return (flow + blocks).tocsr()
 
 
-def mean_stability_abscissa(matrix, dim_cap: int = JOINT_DIM_CAP) -> float:
+def mean_stability_abscissa(matrix) -> float:
     """Spectral abscissa eta of a mean-dynamics matrix from
     :func:`assemble_stability_matrix`; the epidemic is mean stable exactly
     when eta < delta."""
-    return spectral_abscissa(matrix, dim_cap=dim_cap)
+    return spectral_abscissa(matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +164,23 @@ class ExactResult:
     matrix: "scipy.sparse.csr_array"
 
 
-def exact_mean_stable(
-    joint: JointChain, params: EpidemicParams, dim_cap: int = JOINT_DIM_CAP
-) -> ExactResult:
+def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     """Exact mean-stability verdict: eta < delta (strict)."""
-    matrix = assemble_stability_matrix(joint, params.beta, dim_cap=dim_cap)
-    eta = mean_stability_abscissa(matrix, dim_cap=dim_cap)
+    matrix = assemble_stability_matrix(joint, params.beta)
+    eta = mean_stability_abscissa(matrix)
     return ExactResult(
         eta=eta, delta=params.delta, mean_stable=eta < params.delta, matrix=matrix
     )
 
 
 def expected_lambda_max(joint: JointChain) -> float:
-    """Stationary expectation of lambda_max(A_G) over all configurations."""
+    """Stationary expectation of lambda_max(A_G) over all configurations.
+
+    It sits in the sandwich lambda_max(abar) <= E[lambda_max(A_G)] <=
+    lambda_max(abar) + min f, and E[lambda_max(A_G)] < delta/beta
+    certifies almost-sure extinction.  That verdict neither implies nor is
+    implied by mean stability (eta < delta).
+    """
     top = np.linalg.eigvalsh(joint.configs)[:, -1]
     return float(joint.stationary @ top)
 

@@ -16,19 +16,32 @@ stability test in this package.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-# Dense stationary moments beyond this size are refused; use the structured
-# ensembles, which never materialize n x n matrices.
-DENSE_N_CAP = 20_000
+# Explicit specs past this many vertices are refused before any n x n array
+# (stationary moments, the dense eigensolve, a simulated trial's adjacency)
+# is built; use the structured ensembles, which never materialize one.
+DENSE_N_CAP = 10_000
 
 
 class SpecFormatError(ValueError):
     """Raised when a network description (dict or JSON file) is malformed."""
+
+
+def as_integer(value, what: str) -> int:
+    """An integer-valued number from a parsed description; booleans,
+    fractions and non-numbers raise SpecFormatError instead of truncating."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise SpecFormatError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -281,38 +294,46 @@ class StationaryStats:
     """First two stationary moments of the switched adjacency matrix.
 
     ``abar`` is the expected adjacency matrix (symmetric, zero diagonal,
-    entries in [0, 1]); ``var_matrix`` holds the entrywise variances;
-    ``delta_uncertainty`` is the largest row sum of ``var_matrix``, the
-    scalar that drives the concentration penalty in the stability tests.
+    entries in [0, 1]); ``delta_uncertainty`` is the largest row sum of the
+    entrywise variances, the scalar that drives the concentration penalty
+    in the stability tests.
     """
 
     abar: np.ndarray
-    var_matrix: np.ndarray
     delta_uncertainty: float
     kind: str
+
+
+def check_dense_size(n: int) -> None:
+    """Refuse an explicit spec too large for n x n arrays (DENSE_N_CAP)."""
+    if n > DENSE_N_CAP:
+        raise ValueError(
+            f"n={n} exceeds the dense cap {DENSE_N_CAP}; use a structured "
+            "ensemble"
+        )
 
 
 def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
     """Dense stationary moments of a switched network.
 
-    Cost is O(n^2) memory; refuses n > DENSE_N_CAP.  For large structured
-    ensembles use the closed forms in :mod:`epinet.ensembles` instead.
+    Cost is O(n^2) memory; refuses n > DENSE_N_CAP before allocating.  For
+    large structured ensembles use the closed forms in
+    :mod:`epinet.ensembles` instead.  The variances are kept only as row
+    sums, accumulated in column order.
     """
-    if spec.n > DENSE_N_CAP:
-        raise ValueError(
-            f"n={spec.n} exceeds the dense cap {DENSE_N_CAP}; "
-            "use a structured ensemble"
-        )
+    check_dense_size(spec.n)
     abar = np.zeros((spec.n, spec.n))
-    var = np.zeros((spec.n, spec.n))
+    var_rows = np.zeros(spec.n)
     for edge in spec.edges:
         mean, v = edge_moments(edge)
         a, b = edge.i - 1, edge.j - 1
         abar[a, b] = abar[b, a] = mean
-        var[a, b] = var[b, a] = v
-    delta_u = float(var.sum(axis=1).max(initial=0.0))
+        var_rows[a] += v
+        var_rows[b] += v
     return StationaryStats(
-        abar=abar, var_matrix=var, delta_uncertainty=delta_u, kind=spec.kind
+        abar=abar,
+        delta_uncertainty=float(var_rows.max(initial=0.0)),
+        kind=spec.kind,
     )
 
 
@@ -323,12 +344,9 @@ def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
 def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
     if not isinstance(data, dict):
         raise SpecFormatError(f"expected a JSON object, got {type(data).__name__}")
-    try:
-        n = int(data["n"])
-    except KeyError:
-        raise SpecFormatError("missing field 'n'") from None
-    except (TypeError, ValueError):
-        raise SpecFormatError(f"field 'n' must be an integer, got {data['n']!r}") from None
+    if "n" not in data:
+        raise SpecFormatError("missing field 'n'")
+    n = as_integer(data["n"], "field 'n'")
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise SpecFormatError("field 'edges' must be a list")
@@ -338,11 +356,10 @@ def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
         if not isinstance(item, dict):
             raise SpecFormatError(f"{where}: expected an object")
         try:
-            i, j = int(item["i"]), int(item["j"])
+            i = as_integer(item["i"], f"{where}: 'i'")
+            j = as_integer(item["j"], f"{where}: 'j'")
         except KeyError as exc:
             raise SpecFormatError(f"{where}: missing field {exc}") from None
-        except (TypeError, ValueError):
-            raise SpecFormatError(f"{where}: 'i' and 'j' must be integers") from None
         try:
             if "states" in item or "generator" in item:
                 edges.append(

@@ -84,20 +84,26 @@ class TailCheck:
 
 
 def check_tail_bound(
-    joint: JointChain, delta_u: float, s_values: np.ndarray
+    stationary: np.ndarray,
+    lam_all: np.ndarray,
+    lam_bar: float,
+    n: int,
+    delta_u: float,
+    s_values: np.ndarray,
 ) -> TailCheck:
     """Compare P(lambda_max(A_G) > lambda_max(abar) + s), enumerated exactly,
-    with the bound 2 n exp(-3 s^2 / (2 s + 6 Delta)) at each requested s."""
-    abar = np.tensordot(joint.stationary, joint.configs, axes=1)
-    lam_bar = lambda_max_dense(abar)
-    lam_all = np.linalg.eigvalsh(joint.configs)[:, -1]
+    with the bound 2 n exp(-3 s^2 / (2 s + 6 Delta)) at each requested s.
+
+    ``lam_all`` holds lambda_max of every configuration, weighted by
+    ``stationary``; ``lam_bar`` is lambda_max(abar).
+    """
     s = np.asarray(s_values, dtype=float)
     exact = np.array(
-        [float(joint.stationary[lam_all > lam_bar + si].sum()) for si in s]
+        [float(stationary[lam_all > lam_bar + si].sum()) for si in s]
     )
     denom = 2.0 * s + 6.0 * delta_u
     expo = np.where(denom > 0, -3.0 * s * s / np.where(denom > 0, denom, 1.0), 0.0)
-    bound = 2.0 * joint.n * np.exp(np.maximum(expo, EXP_FLOOR))
+    bound = 2.0 * n * np.exp(np.maximum(expo, EXP_FLOOR))
     violation = float((exact - bound).max(initial=-np.inf))
     return TailCheck(
         s_values=s,
@@ -176,7 +182,12 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
 
     s_top = max(1.0, float(lam_all.max()) - lam_bar)
     tail = check_tail_bound(
-        joint, stats.delta_uncertainty, np.linspace(0.0, 1.5 * s_top, 20)
+        joint.stationary,
+        lam_all,
+        lambda_max_dense(abar_enum),
+        spec.n,
+        stats.delta_uncertainty,
+        np.linspace(0.0, 1.5 * s_top, 20),
     )
     eta = dense_abscissa(joint, beta=1.0)
     return OracleReport(

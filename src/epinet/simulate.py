@@ -10,9 +10,9 @@ instant.
 
 One lockstep core moves a batch of trials, held as (trials, n) states and
 (trials, n, n) adjacency, each to its own next breakpoint per iteration.  A
-single path is a batch of one; a decay estimate runs batches of TRIAL_CHUNK
-and keeps only the sum of grid norms, so its memory does not grow with the
-trial count.
+single path is a batch of one; a decay estimate runs batches of at most
+TRIAL_CHUNK rows and BATCH_ENTRY_CAP adjacency entries and keeps only the
+sum of grid norms, so its memory does not grow with the trial count.
 
 Determinism contract: one (spec, params, config, p0) tuple maps to one
 bit-identical trajectory.  Randomness is consumed only by the edge machinery
@@ -30,7 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from .netmodel import EpidemicParams, SwitchedNetworkSpec, edge_process
+from .netmodel import (
+    EpidemicParams,
+    SwitchedNetworkSpec,
+    check_dense_size,
+    edge_process,
+)
 
 # Linearized segments use an exact symmetric-eigendecomposition propagator up
 # to this dimension, RK4 beyond it.
@@ -39,8 +44,11 @@ EXPM_N_CAP = 64
 BOUNDS_TOL = 1e-9
 MAX_HALVINGS = 20
 
-# A decay estimate runs its trials in lockstep batches of this size.
+# A decay estimate runs its trials in lockstep batches of at most this many
+# rows, and of at most this many adjacency entries (rows * n^2, 128 MiB)
+# but never fewer than one row.
 TRIAL_CHUNK = 256
+BATCH_ENTRY_CAP = 1 << 24
 
 # Every trial integrates at least horizon / step grid steps, so this caps
 # the work of a trial; the tests and the benchmark stay below 10^4.
@@ -209,6 +217,7 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     with ``on_grid`` set, an unrequested system is None, and no array passed
     there is written to afterwards.  Slot s's jumps go to ``events[s]``.
     """
+    check_dense_size(spec.n)
     n, step, horizon = spec.n, cfg.step, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     procs = [edge_process(e) for e in spec.edges]
@@ -424,8 +433,9 @@ def estimate_decay(
 
     Runs ``cfg.trials`` independent realizations, averages ||p||_2 on the
     shared sample grid, and fits a line to the log of the average over
-    t >= horizon / 2.  Trials advance in lockstep batches of TRIAL_CHUNK and
-    only the running sum of their grid norms is kept.
+    t >= horizon / 2.  Trials advance in lockstep batches bounded by
+    TRIAL_CHUNK and BATCH_ENTRY_CAP, and only the running sum of their grid
+    norms is kept.
     """
     p0 = _check_p0(p0, spec.n)
     grid_times = _grid_times(cfg)
@@ -443,8 +453,9 @@ def estimate_decay(
         on = on_grid.nonzero()[0]
         np.add.at(norm_sum, grid_index[on], np.linalg.norm(pf[on], axis=1))
 
-    for start in range(0, cfg.trials, TRIAL_CHUNK):
-        batch = range(start, min(start + TRIAL_CHUNK, cfg.trials))
+    chunk = max(1, min(TRIAL_CHUNK, BATCH_ENTRY_CAP // spec.n**2))
+    for start in range(0, cfg.trials, chunk):
+        batch = range(start, min(start + chunk, cfg.trials))
         _lockstep(spec, params, cfg, p0, batch, sample, full=True, linear=False)
     mean_norms = norm_sum / cfg.trials
 

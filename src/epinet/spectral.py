@@ -1,11 +1,7 @@
 """Eigenvalue kernels shared by the stability tests."""
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-DENSE_EIG_CAP = 10_000
 
 
 def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -19,16 +15,12 @@ def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def lambda_max_dense(a: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix (dense solver)."""
-    a = _check_symmetric(a)
-    if a.shape[0] > DENSE_EIG_CAP:
-        raise ValueError(
-            f"dense eigensolve refused for n={a.shape[0]} > {DENSE_EIG_CAP}"
-        )
-    return float(np.linalg.eigvalsh(a)[-1])
+    """Largest eigenvalue of a symmetric matrix (dense solver); callers
+    bound the size (netmodel.DENSE_N_CAP)."""
+    return float(np.linalg.eigvalsh(_check_symmetric(a))[-1])
 
 
-def spectral_abscissa(a, dim_cap: Optional[int] = None) -> float:
+def spectral_abscissa(a) -> float:
     """Spectral abscissa of a (sparse or dense) Metzler matrix, by ARPACK.
 
     By Perron-Frobenius the rightmost eigenvalue of a Metzler matrix is
@@ -46,8 +38,6 @@ def spectral_abscissa(a, dim_cap: Optional[int] = None) -> float:
     dim = a.shape[0]
     if a.shape[1] != dim:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim_cap is not None and dim > dim_cap:
-        raise ValueError(f"eigensolve refused for n={dim} > {dim_cap}")
     scale = max(1.0, float(np.abs(a.data).max(initial=0.0)))
     negative = np.flatnonzero(a.data < -1e-12 * scale)
     rows = np.searchsorted(a.indptr, negative, side="right") - 1

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .exact import JointChain, expected_lambda_max
 from .netmodel import EpidemicParams, StationaryStats
 from .spectral import lambda_max_dense
+
+if TYPE_CHECKING:
+    from .ensembles import ExpectedDegreeStats
 
 # exp underflows to 0 below roughly exp(-745); clamping keeps f finite and
 # monotone instead of raising on extreme (n, Delta) combinations.
@@ -283,21 +285,17 @@ def spectral_penalty_report(
 
 
 def check_spectral_penalty(
-    stats: StationaryStats,
-    params: EpidemicParams,
-    lambda_max_abar: Optional[float] = None,
+    stats: StationaryStats, params: EpidemicParams
 ) -> StabilityReport:
     """Sufficient extinction test from dense stationary moments.
 
-    Works identically for binary and weighted networks; the variance matrix
-    inside ``stats`` already reflects the edge-weight laws.  Pass
-    ``lambda_max_abar`` to reuse an eigenvalue computed elsewhere.
+    Works identically for binary and weighted networks; the variance row
+    sums behind ``stats.delta_uncertainty`` already reflect the edge-weight
+    laws.
     """
-    if lambda_max_abar is None:
-        lambda_max_abar = lambda_max_dense(stats.abar)
     return spectral_penalty_report(
         n=stats.abar.shape[0],
-        lambda_max_abar=lambda_max_abar,
+        lambda_max_abar=lambda_max_dense(stats.abar),
         delta_u=stats.delta_uncertainty,
         params=params,
         network_kind=stats.kind,
@@ -401,89 +399,43 @@ def pair_probability_violations(degrees: np.ndarray) -> tuple[float, int]:
 
 
 def check_expected_degrees(
-    degrees: np.ndarray,
-    params: EpidemicParams,
-    *,
-    strict: bool = True,
+    stats: "ExpectedDegreeStats", params: EpidemicParams
 ) -> StabilityReport:
     """Sufficient extinction test for expected-degree (Chung-Lu) ensembles.
 
     Edge {i, j} is present independently with probability rho d_i d_j,
     rho = 1 / sum(d).  The expected adjacency matrix is the rank-one
     rho d d^T minus its diagonal, whose top eigenvalue is below
-    d_tilde = rho sum(d^2), so d_tilde serves as lambda_max(abar).
+    d_tilde = rho sum(d^2), so d_tilde serves as lambda_max(abar).  The
+    scalars come from :func:`epinet.ensembles.expected_degree_stats`.
 
     The construction is only a probability model when rho d_i d_j <= 1 for
-    every pair.  With ``strict=True`` a violation raises; with
-    ``strict=False`` the test proceeds formally and records the violation in
-    ``max_pair_prob`` / ``invalid_pairs`` plus a warning note: heavy-tailed
-    degree targets often break the cap at the largest hubs while the
-    resulting bound is still the quantity of interest.
+    every pair.  Heavy-tailed degree targets often break that cap at the
+    largest hubs while the bound is still the quantity of interest, so the
+    test proceeds formally and records a violation as a note; only a
+    negative Delta, where the variance model itself breaks, is refused.
     """
-    d = np.asarray(degrees, dtype=float)
-    if d.ndim != 1 or d.size < 2:
-        raise ValueError("need a 1-d array of at least two expected degrees")
-    if not np.all(np.isfinite(d)) or d.min() < 0:
-        raise ValueError("expected degrees must be finite and nonnegative")
-    d1 = float(d.sum())
-    if d1 <= 0:
-        raise ValueError("expected degrees must not all be zero")
-    n = d.size
-    rho = 1.0 / d1
-    max_pair, invalid = pair_probability_violations(d)
-    notes: tuple[str, ...] = ()
-    if max_pair > 1.0:
-        msg = (
-            f"invalid edge probabilities: max rho*d_i*d_j = {max_pair:.6g} > 1 "
-            f"({invalid} pairs); the ensemble is not a probability model"
-        )
-        if strict:
-            raise ValueError(msg + "; pass strict=False to evaluate anyway")
-        notes = notes + (msg,)
-    d_tilde = rho * float((d * d).sum())
-    delta_u = expected_degree_uncertainty(d)
-    if delta_u < 0:
+    if stats.delta_uncertainty < 0:
         raise ValueError(
-            f"variance proxy is negative ({delta_u:.6g}); edge probabilities "
-            "above 1 broke the variance model"
+            f"variance proxy is negative ({stats.delta_uncertainty:.6g}); edge "
+            "probabilities above 1 broke the variance model"
+        )
+    notes: tuple[str, ...] = ()
+    if stats.max_pair_prob > 1.0:
+        notes = (
+            "invalid edge probabilities: max rho*d_i*d_j = "
+            f"{stats.max_pair_prob:.6g} > 1 ({stats.invalid_pairs} pairs); the "
+            "ensemble is not a probability model",
         )
     return spectral_penalty_report(
-        n=n,
-        lambda_max_abar=d_tilde,
-        delta_u=delta_u,
+        n=stats.n,
+        lambda_max_abar=stats.d_tilde,
+        delta_u=stats.delta_uncertainty,
         params=params,
         network_kind="expected-degree",
         test="expected-degree",
-        d_tilde=d_tilde,
-        max_pair_prob=max_pair,
-        invalid_pairs=invalid,
+        d_tilde=stats.d_tilde,
+        max_pair_prob=stats.max_pair_prob,
+        invalid_pairs=stats.invalid_pairs,
         notes=notes,
-    )
-
-
-@dataclass(frozen=True)
-class MeanLambdaResult:
-    """E[lambda_max(A_G)] < delta/beta certifies almost-sure extinction."""
-
-    e_lambda_max: float
-    threshold: float
-    stable: bool
-
-
-def check_mean_lambda_max(
-    joint: JointChain, params: EpidemicParams
-) -> MeanLambdaResult:
-    """Extinction test from the exact expectation of lambda_max.
-
-    Needs the enumerated joint chain, so it scales no better than the exact
-    test; its role is to sandwich the concentration bound in the oracle:
-    lambda_max(abar) <= E[lambda_max(A_G)] <= lambda_max(abar) + min f.
-    It certifies almost-sure extinction only: it neither implies nor is
-    implied by mean stability (eta < delta).
-    """
-    expected = expected_lambda_max(joint)
-    return MeanLambdaResult(
-        e_lambda_max=expected,
-        threshold=params.threshold,
-        stable=expected < params.threshold,
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from scipy.io import mmread
 
 import epinet.cli
+import epinet.ensembles
 import epinet.exact
+import epinet.stability
 from epinet.cli import main
+from epinet.ensembles import expected_degree_stats
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -132,6 +136,41 @@ def test_analyze_malformed_spec(tmp_path, capsys):
     code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
     assert code == 1
     assert "edges[0]" in capsys.readouterr().err
+    # non-integral ids and booleans used to be truncated (3.9 -> 3, true -> 1)
+    community = {"ensemble": "community", "n1": 2, "n2": 2,
+                 "theta1": 0.6, "theta2": 0.4, "phi": 0.2}
+    for data, name in (
+        ({"n": 3.9, "edges": [{"i": 1.7, "j": 3.2, "p": 1, "q": 1}]}, "'n'"),
+        ({"n": 3, "edges": [{"i": 1.7, "j": 3, "p": 1, "q": 1}]}, "'i'"),
+        ({"n": 3, "edges": [{"i": 1, "j": 3.2, "p": 1, "q": 1}]}, "'j'"),
+        ({"n": True, "edges": []}, "'n'"),
+        ({**community, "n1": 2.5}, "'n1'"),
+        ({**community, "n2": True}, "'n2'"),
+        ({"ensemble": "power-law", "n": 50.5, "exponent": 2.5,
+          "max_degree": 10.0, "avg_degree": 2.0}, "'n'"),
+    ):
+        bad.write_text(json.dumps(data))
+        code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
+        assert code == 1
+        assert f"{name} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_dense_cap_refused_before_allocating(command, tmp_path, capsys):
+    # one n x n array of 10 001 vertices is 800 MB; the refusal comes first
+    spec = tmp_path / "big.json"
+    spec.write_text(
+        json.dumps({"n": 10_001, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]})
+    )
+    tracemalloc.start()
+    try:
+        code = main([command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "dense cap 10000" in capsys.readouterr().err
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -408,3 +447,58 @@ def test_analyze_expected_degree_ensemble(tmp_path, capsys):
     payload = json.loads(stdout[stdout.index("{"):])
     assert payload["sufficient"]["network_kind"] == "expected-degree"
     assert payload["exact"]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "degrees", [[2.0, 2.0, 1.5, 0.5], [1.0, 1.0, 50.0, 60.0], [3.0, 0.0, 1.0]]
+)
+def test_analyze_expected_degree_matches_stats(degrees, tmp_path, capsys):
+    spec = tmp_path / "ens.json"
+    spec.write_text(json.dumps({"ensemble": "expected-degree", "degrees": degrees}))
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.1", "--delta", "3.0"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout[stdout.index("{"):])["sufficient"]
+    stats = expected_degree_stats(np.array(degrees))
+    assert report["d_tilde"] == report["lambda_max_abar"] == stats.d_tilde
+    assert report["delta_uncertainty"] == stats.delta_uncertainty
+    assert report["max_pair_prob"] == stats.max_pair_prob
+    assert report["invalid_pairs"] == stats.invalid_pairs
+
+
+def test_analyze_never_computes_secular_root(tmp_path, monkeypatch):
+    calls = []
+    root = epinet.stability.expected_degree_lambda_max
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return root(*args, **kwargs)
+
+    # patched in every namespace that could reach it
+    for module in (epinet.stability, epinet.ensembles, epinet.cli):
+        monkeypatch.setattr(module, "expected_degree_lambda_max", counting, raising=False)
+    specs = (
+        {"ensemble": "expected-degree", "degrees": [2.0, 2.0, 1.5, 0.5]},
+        {"ensemble": "power-law", "n": 5000, "exponent": 2.5,
+         "max_degree": 50.0, "avg_degree": 5.0},
+    )
+    for k, data in enumerate(specs):
+        spec = tmp_path / f"ens{k}.json"
+        spec.write_text(json.dumps(data))
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.1", "--delta", "3.0"])
+        assert code == 0
+    assert calls == []
+
+
+def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
+    # lambda_max is 0 or 1 with stationary probability 3/4 and 1/4, so
+    # E[lambda_max] = 1/4, and the comparison with delta/beta is strict
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "p": 1, "q": 3}]}))
+    for delta, stable in (("0.3", True), ("0.25", False)):
+        code = main(["analyze", "--spec", str(spec), "--beta", "1", "--delta", delta])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        exact = json.loads(stdout[stdout.index("{"):])["exact"]
+        assert exact["e_lambda_max"] == pytest.approx(0.25, abs=1e-13)
+        assert exact["e_lambda_max_stable"] is stable

@@ -15,6 +15,7 @@ from epinet.ensembles import (
 )
 from epinet.netmodel import stationary_stats
 from epinet.spectral import lambda_max_dense
+from epinet.stability import expected_degree_lambda_max
 
 
 def small_community():
@@ -71,10 +72,11 @@ def test_expected_degree_stats_small():
     assert stats.delta_uncertainty == pytest.approx(
         (abar * (1 - abar)).sum(axis=1).max(), rel=1e-12
     )
-    assert stats.lambda_max == pytest.approx(lambda_max_dense(abar), rel=1e-12)
+    lam = expected_degree_lambda_max(d)
+    assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
     # rank-one bound sandwiches the true eigenvalue
-    assert stats.lambda_max <= stats.d_tilde
-    assert stats.lambda_max >= stats.d_tilde - stats.rho * 9.0
+    assert lam <= stats.d_tilde
+    assert lam >= stats.d_tilde - stats.rho * 9.0
 
 
 def _random_degrees(seed: int) -> np.ndarray:
@@ -100,8 +102,8 @@ def _random_degrees(seed: int) -> np.ndarray:
 def test_expected_degree_lambda_max_matches_dense(degrees):
     abar = np.outer(degrees, degrees) / degrees.sum()
     np.fill_diagonal(abar, 0.0)
-    stats = expected_degree_stats(degrees)
-    assert stats.lambda_max == pytest.approx(lambda_max_dense(abar), rel=1e-12, abs=1e-300)
+    lam = expected_degree_lambda_max(degrees)
+    assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12, abs=1e-300)
 
 
 def test_power_law_calibration_targets():

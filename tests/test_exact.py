@@ -196,8 +196,12 @@ def test_perfect_matching_eta_is_golden_ratio():
 
 def test_stability_matrix_dim_cap(monkeypatch):
     joint = build_joint_chain(single_edge_spec())
-    with pytest.raises(ValueError, match="cap"):
-        assemble_stability_matrix(joint, 1.0, dim_cap=3)
+    monkeypatch.setattr(exact, "JOINT_DIM_CAP", 3)
+    with pytest.raises(ValueError, match="4 x 4"):
+        assemble_stability_matrix(joint, 1.0)
+    with pytest.raises(ValueError, match="cap 3"):
+        exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0))
+    monkeypatch.undo()
     # 4 generator entries x 2 vertices + 2 adjacency entries = 10 nonzeros
     monkeypatch.setattr(exact, "JOINT_NNZ_CAP", 9)
     with pytest.raises(ValueError, match="10 nonzeros"):
@@ -252,8 +256,35 @@ def test_eta_invariant_under_vertex_relabeling(seed):
 
 
 def test_expected_lambda_max_single_edge():
+    # lambda_max is 0 or 1 with stationary probability 3/4 and 1/4
     joint = build_joint_chain(single_edge_spec(p=1.0, q=3.0))
     assert expected_lambda_max(joint) == pytest.approx(0.25, abs=1e-13)
+
+
+def test_expected_lambda_max_is_not_a_mean_stability_test():
+    # E[lambda_max] < delta/beta (equivalently the matrix-measure form
+    # beta E[lambda_max] - delta < 0) certifies almost-sure extinction only.
+    # It does not imply mean stability: on a symmetric edge
+    # E[lambda_max] = 1/2 < 0.55 while eta = 0.618... > 0.55.  Nor is it
+    # implied by it: under fast switching eta approaches
+    # beta lambda_max(abar), which sits below beta E[lambda_max].
+    sym = build_joint_chain(single_edge_spec())
+    params = EpidemicParams(beta=1.0, delta=0.55)
+    assert expected_lambda_max(sym) < params.threshold
+    assert not exact_mean_stable(sym, params).mean_stable
+    fast = build_joint_chain(
+        SwitchedNetworkSpec(
+            n=3,
+            edges=(
+                EdgeChain(i=1, j=2, p_rate=50.0, q_rate=50.0),
+                EdgeChain(i=2, j=3, p_rate=50.0, q_rate=50.0),
+            ),
+        )
+    )
+    # lambda_max(abar) = 1/sqrt(2) ~ 0.707 < 0.72 < E[lambda_max] = 0.853...
+    params = EpidemicParams(beta=1.0, delta=0.72)
+    assert not expected_lambda_max(fast) < params.threshold
+    assert exact_mean_stable(fast, params).mean_stable
 
 
 def test_enumerate_expectation_edge_count():

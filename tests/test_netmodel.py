@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epinet.netmodel import (
+    DENSE_N_CAP,
     EdgeChain,
     EpidemicParams,
     SpecFormatError,
@@ -178,8 +180,18 @@ def test_stationary_stats_edgeless():
 
 
 def test_stationary_stats_dense_cap():
-    with pytest.raises(ValueError, match="dense cap"):
-        stationary_stats(SwitchedNetworkSpec(n=20_001, edges=()))
+    # refused before any n x n array: a 10 001-vertex abar alone is 800 MB
+    spec = SwitchedNetworkSpec(
+        n=DENSE_N_CAP + 1, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense cap 10000"):
+            stationary_stats(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,6 +261,20 @@ def test_spec_from_dict_diagnostics():
         )
     with pytest.raises(SpecFormatError):
         spec_from_dict({"n": "many", "edges": []})
+    # non-integral numbers and booleans are refused, not truncated
+    edge = {"i": 1, "j": 3, "p": 1, "q": 1}
+    for bad, where in (
+        ({"n": 3.9, "edges": [edge]}, "'n'"),
+        ({"n": True, "edges": []}, "'n'"),
+        ({"n": 3, "edges": [{**edge, "i": 1.7}]}, "'i'"),
+        ({"n": 3, "edges": [{**edge, "j": 3.2}]}, "'j'"),
+        ({"n": 3, "edges": [{**edge, "i": True}]}, "'i'"),
+        ({"n": float("inf"), "edges": []}, "'n'"),
+    ):
+        with pytest.raises(SpecFormatError, match=f"{where} must be an integer"):
+            spec_from_dict(bad)
+    spec = spec_from_dict({"n": 3.0, "edges": [{**edge, "i": 1.0, "j": 3}]})
+    assert spec.n == 3 and (spec.edges[0].i, spec.edges[0].j) == (1, 3)
     with pytest.raises(SpecFormatError):
         spec_from_dict([1, 2, 3])
 

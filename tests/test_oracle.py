@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from epinet.exact import JointChain, build_joint_chain
 from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
 from epinet.oracle import (
     check_instance,
@@ -36,6 +35,26 @@ def test_single_edge_report_values():
     assert d["sandwich_ok"] is True and d["tail_ok"] is True
 
 
+def test_check_instance_eigensolves_configurations_once(monkeypatch):
+    # the per-configuration eigenvalues feed E[lambda_max], the sandwich and
+    # the tail check; they are computed once per instance
+    batched = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            batched.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        spec = random_small_spec(rng)
+        batched.clear()
+        assert check_instance(spec).passed
+        assert len(batched) == 1
+
+
 def test_sandwich_ordering_holds_on_instance():
     report = check_instance(single_edge_spec())
     tol = 1e-8
@@ -49,9 +68,10 @@ def test_tail_bound_hand_arithmetic():
     # lambda_max(abar) = 1/2.  At s = 0.25 the exact tail is
     # P(lambda > 0.75) = 1/2, the bound 2n exp(-3 s^2 / (2 s + 6 Delta))
     # with n = 2 and Delta = 1/4 (Bernoulli(1/2) variance fills one row)
-    joint = build_joint_chain(single_edge_spec())
     delta_u = 0.25
-    tail = check_tail_bound(joint, delta_u, np.array([0.25]))
+    tail = check_tail_bound(
+        np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.5, 2, delta_u, np.array([0.25])
+    )
     exact = 0.5
     bound = 4.0 * math.exp(-3.0 * 0.0625 / (0.5 + 6.0 * delta_u))
     assert tail.exact_tail[0] == pytest.approx(exact, abs=1e-12)
@@ -60,18 +80,14 @@ def test_tail_bound_hand_arithmetic():
 
 
 def test_tail_bound_flags_violation():
-    # hand-built chain whose top value sits far above the mean: with a tiny
-    # claimed fluctuation scale the bound dips below the exact tail and the
-    # checker must notice.  (Real binary chains cannot trip this: the 2n
-    # prefactor keeps the bound above any tail a 2-4 vertex graph produces.)
-    fake = JointChain(
-        n=1,
-        edge_order=(),
-        configs=np.array([[[0.0]], [[10.0]]]),
-        rate_matrices=(np.array([[-1.0, 1.0], [1.0, -1.0]]),),
-        stationary=np.array([0.5, 0.5]),
+    # hand-made law on one vertex whose top value sits far above the mean:
+    # with a tiny claimed fluctuation scale the bound dips below the exact
+    # tail and the checker must notice.  (Real binary chains cannot trip
+    # this: the 2n prefactor keeps the bound above any tail a 2-4 vertex
+    # graph produces.)
+    tail = check_tail_bound(
+        np.array([0.5, 0.5]), np.array([0.0, 10.0]), 5.0, 1, 1e-6, np.array([1.0])
     )
-    tail = check_tail_bound(fake, 1e-6, np.array([1.0]))
     # exact P(lambda > 5 + 1) = 1/2, bound ~ 2 exp(-3/2) ~ 0.446
     assert tail.exact_tail[0] == pytest.approx(0.5, abs=1e-12)
     assert tail.bound[0] < 0.5

@@ -384,6 +384,29 @@ def test_estimate_decay_needs_enough_window_points(monkeypatch):
     assert ran == []  # refused before any trial ran
 
 
+@pytest.mark.parametrize("n, rows", [(3, 256), (256, 256), (800, 26), (5000, 1)])
+def test_estimate_decay_batch_memory_bound(n, rows, monkeypatch):
+    # rows * n^2 adjacency entries per batch stay under BATCH_ENTRY_CAP
+    # (one row at least); counted, not allocated
+    spec = SwitchedNetworkSpec(
+        n=n,
+        edges=(
+            EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),
+            EdgeChain(i=2, j=3, p_rate=1.0, q_rate=1.0),
+        ),
+    )
+    batches = []
+    monkeypatch.setattr(
+        simulate, "_lockstep", lambda spec, params, cfg, p0, trials, *a, **kw:
+        batches.append(list(trials))
+    )
+    cfg = SimConfig(horizon=2.0, step=0.5, trials=300, seed=0)
+    estimate_decay(spec, EpidemicParams(beta=0.5, delta=1.0), cfg)
+    assert max(len(b) for b in batches) == rows
+    assert rows * n * n <= max(simulate.BATCH_ENTRY_CAP, n * n)
+    assert [k for b in batches for k in b] == list(range(cfg.trials))
+
+
 def test_csv_writers(tmp_path):
     spec = switching_spec()
     params = EpidemicParams(beta=1.0, delta=1.0)

@@ -60,8 +60,3 @@ def test_spectral_abscissa_metzler_no_warning(recwarn):
     a = np.array([[-2.0, 1.0], [0.5, -1.0]])
     spectral_abscissa(a)
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
-
-
-def test_spectral_abscissa_dim_cap():
-    with pytest.raises(ValueError, match="refused"):
-        spectral_abscissa(np.zeros((11, 11)), dim_cap=10)

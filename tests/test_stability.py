@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epinet.exact import build_joint_chain, exact_mean_stable
+from epinet.ensembles import expected_degree_stats
 from epinet.netmodel import (
     EdgeChain,
     EpidemicParams,
@@ -16,7 +16,6 @@ from epinet.netmodel import (
 )
 from epinet.stability import (
     check_expected_degrees,
-    check_mean_lambda_max,
     check_spectral_penalty,
     concentration_penalty,
     convexity_onset,
@@ -318,7 +317,7 @@ def test_weighted_fractional_chain_report():
 def test_uniform_degrees_closed_form():
     n, c = 50, 5.0
     d = np.full(n, c)
-    rep = check_expected_degrees(d, _params(delta=100.0))
+    rep = check_expected_degrees(expected_degree_stats(d), _params(delta=100.0))
     assert rep.d_tilde == pytest.approx(c, rel=1e-14)
     # abar_ij = c/n off-diagonal; row sum of variances has n-1 terms
     expected_delta = (n - 1) * (c / n) * (1 - c / n)
@@ -356,23 +355,27 @@ def test_pair_violations_match_bruteforce():
     assert pair_probability_violations(valid) == (pytest.approx(6.0 / 8.0), 0)
 
 
-def test_strict_mode_rejects_invalid_probabilities():
+def test_invalid_probabilities_recorded_as_note():
     d = np.array([1.0, 1.0, 50.0, 60.0])
-    with pytest.raises(ValueError, match="rho"):
-        check_expected_degrees(d, _params(), strict=True)
-    rep = check_expected_degrees(d, _params(), strict=False)
+    rep = check_expected_degrees(expected_degree_stats(d), _params())
     assert rep.max_pair_prob > 1.0
     assert rep.invalid_pairs >= 1
     assert any("invalid edge probabilities" in note for note in rep.notes)
+    valid = check_expected_degrees(
+        expected_degree_stats(np.array([1.0, 2.0, 3.0, 2.0])), _params()
+    )
+    assert valid.invalid_pairs == 0 and not any("invalid" in n for n in valid.notes)
 
 
 def test_expected_degrees_input_validation():
-    with pytest.raises(ValueError):
-        check_expected_degrees(np.array([1.0]), _params())
-    with pytest.raises(ValueError):
-        check_expected_degrees(np.array([1.0, -2.0]), _params())
-    with pytest.raises(ValueError):
-        check_expected_degrees(np.array([0.0, 0.0]), _params())
+    for bad in ([1.0], [1.0, -2.0], [0.0, 0.0], [1.0, np.nan], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            check_expected_degrees(expected_degree_stats(np.array(bad)), _params())
+    # a negative Delta (edge probabilities far above 1) is refused
+    stats = expected_degree_stats(np.array([1e6, 1e6]))
+    assert stats.delta_uncertainty < 0
+    with pytest.raises(ValueError, match="variance proxy is negative"):
+        check_expected_degrees(stats, _params())
 
 
 def test_expected_degree_verdict_against_dense_test():
@@ -381,53 +384,10 @@ def test_expected_degree_verdict_against_dense_test():
     # dense eigenvalue from above
     rng = np.random.default_rng(17)
     d = rng.uniform(0.5, 3.0, size=25)
-    rep = check_expected_degrees(d, _params(delta=50.0))
+    rep = check_expected_degrees(expected_degree_stats(d), _params(delta=50.0))
     abar = np.outer(d, d) / d.sum()
     np.fill_diagonal(abar, 0.0)
     lam_dense = float(np.linalg.eigvalsh(abar)[-1])
     assert lam_dense <= rep.d_tilde + 1e-12
     dense_delta = (abar * (1.0 - abar)).sum(axis=1).max()
     assert rep.delta_uncertainty == pytest.approx(dense_delta, rel=1e-12)
-
-
-# --- expected lambda_max test -------------------------------------------------
-
-def test_check_mean_lambda_max_single_edge():
-    spec = SwitchedNetworkSpec(
-        n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=3.0),)
-    )
-    joint = build_joint_chain(spec)
-    res = check_mean_lambda_max(joint, _params(beta=1.0, delta=0.3))
-    # lambda_max is 0 or 1 with stationary probability 3/4 and 1/4
-    assert res.e_lambda_max == pytest.approx(0.25, abs=1e-12)
-    assert res.stable  # 0.25 < 0.3
-    res2 = check_mean_lambda_max(joint, _params(beta=1.0, delta=0.25))
-    assert not res2.stable  # strict comparison at the boundary
-
-
-def test_check_mean_lambda_max_is_not_a_mean_stability_test():
-    # The verdict E[lambda_max] < delta/beta (equivalently the matrix-measure
-    # form beta E[lambda_max] - delta < 0) certifies almost-sure extinction
-    # only.  It does not imply mean stability: on a symmetric edge
-    # E[lambda_max] = 1/2 < 0.55 while eta = 0.618... > 0.55.  Nor is it
-    # implied by it: under fast switching eta approaches
-    # beta lambda_max(abar), which sits below beta E[lambda_max].
-    sym = build_joint_chain(
-        SwitchedNetworkSpec(n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),))
-    )
-    params = _params(beta=1.0, delta=0.55)
-    assert check_mean_lambda_max(sym, params).stable
-    assert not exact_mean_stable(sym, params).mean_stable
-    fast = build_joint_chain(
-        SwitchedNetworkSpec(
-            n=3,
-            edges=(
-                EdgeChain(i=1, j=2, p_rate=50.0, q_rate=50.0),
-                EdgeChain(i=2, j=3, p_rate=50.0, q_rate=50.0),
-            ),
-        )
-    )
-    # lambda_max(abar) = 1/sqrt(2) ~ 0.707 < 0.72 < E[lambda_max] = 0.853...
-    params = _params(beta=1.0, delta=0.72)
-    assert not check_mean_lambda_max(fast, params).stable
-    assert exact_mean_stable(fast, params).mean_stable

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epinet.ensembles import expected_degree_stats
+from epinet.exact import build_joint_chain, expected_lambda_max
 from epinet.netmodel import (
     EdgeChain,
     EpidemicParams,
@@ -391,3 +392,15 @@ def test_expected_degree_verdict_against_dense_test():
     assert lam_dense <= rep.d_tilde + 1e-12
     dense_delta = (abar * (1.0 - abar)).sum(axis=1).max()
     assert rep.delta_uncertainty == pytest.approx(dense_delta, rel=1e-12)
+
+
+def test_check_mean_lambda_max_single_edge():
+    spec = SwitchedNetworkSpec(
+        n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=3.0),)
+    )
+    e_lam = expected_lambda_max(build_joint_chain(spec))
+    # lambda_max is 0 or 1 with stationary probability 3/4 and 1/4
+    assert e_lam == pytest.approx(0.25, abs=1e-12)
+    assert e_lam < _params(beta=1.0, delta=0.3).threshold  # 0.25 < 0.3
+    # strict comparison at the boundary
+    assert not e_lam < _params(beta=1.0, delta=0.25).threshold

@@ -37,8 +37,6 @@ from .netmodel import (
     EpidemicParams,
     SwitchedNetworkSpec,
     WeightedEdgeChain,
-    load_spec,
-    save_spec,
     stationary_edge_prob,
     stationary_stats,
 )
@@ -82,12 +80,10 @@ __all__ = [
     "estimate_decay",
     "exact_mean_stable",
     "expected_degree_stats",
-    "load_spec",
     "mean_stability_abscissa",
     "minimize_penalty",
     "power_law_degrees",
     "realize_switched_spec",
-    "save_spec",
     "simulate_coupled",
     "simulate_linear_path",
     "simulate_path",

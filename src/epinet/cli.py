@@ -14,14 +14,12 @@ import numpy as np
 from . import __version__
 from .ensembles import (
     CommunitySpec,
-    ExpectedDegreeSpec,
     PowerLawSpec,
-    community_abar_dense,
+    as_switched_network,
     community_stats,
-    ensemble_from_dict,
     expected_degree_stats,
+    load_network,
     power_law_degrees,
-    realize_switched_spec,
 )
 from .exact import (
     CONFIG_CAP,
@@ -34,7 +32,6 @@ from .netmodel import (
     EpidemicParams,
     SpecFormatError,
     SwitchedNetworkSpec,
-    spec_from_dict,
     stationary_stats,
 )
 from .oracle import run_sandwich_suite, suite_summary
@@ -75,10 +72,6 @@ POWERLAW_REFERENCE = {
     "lhs": (3.35e4, 0.02),
 }
 
-# An ensemble must be realizable as an explicit edge list before it can be
-# simulated or analyzed exactly; cap the materialized size.
-REALIZE_N_CAP = 200
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for failed
@@ -113,80 +106,11 @@ def _write_json(path: Path, obj) -> None:
     tmp.replace(path)
 
 
-def _out_dir(args) -> Optional[Path]:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Optional[Path], args, started: float) -> None:
-    if out is None:
-        return
-    manifest = {
-        "tool": "epinet",
-        "version": __version__,
-        "command": args.command,
-        "argv": sys.argv[1:],
-        "elapsed_s": time.perf_counter() - started,
-    }
-    _write_json(out / "manifest.json", manifest)
-
-
-def _load_json_file(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise SpecFormatError(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _expected_degree_abar(degrees: np.ndarray) -> np.ndarray:
-    d = np.asarray(degrees, dtype=float)
-    abar = np.outer(d, d) / float(d.sum())
-    np.fill_diagonal(abar, 0.0)
-    if abar.max(initial=0.0) > 1.0:
-        raise ValueError(
-            "edge probabilities rho*d_i*d_j exceed 1; this ensemble cannot "
-            "be realized as a switched network"
-        )
-    return abar
-
-
-def _realize_ensemble(ens) -> SwitchedNetworkSpec:
-    """Materialize a small ensemble as an explicit switched network."""
-    if not isinstance(ens, (CommunitySpec, ExpectedDegreeSpec, PowerLawSpec)):
-        raise TypeError(f"not an ensemble: {ens!r}")
-    if ens.n > REALIZE_N_CAP:
-        raise ValueError(
-            f"ensemble has n={ens.n} > {REALIZE_N_CAP}; too large to "
-            "materialize as an edge list"
-        )
-    if isinstance(ens, CommunitySpec):
-        return realize_switched_spec(community_abar_dense(ens), ens.switch_scale)
-    if isinstance(ens, PowerLawSpec):
-        ens = ExpectedDegreeSpec(degrees=power_law_degrees(ens))
-    return realize_switched_spec(
-        _expected_degree_abar(ens.degrees), ens.switch_scale
-    )
-
-
 def _attempt_exact(
-    spec: Optional[SwitchedNetworkSpec],
-    params: EpidemicParams,
-    config_cap: int,
-    dump_path: Optional[Path] = None,
-    reason: str = "",
+    model, params: EpidemicParams, config_cap: int, dump_path: Optional[Path]
 ) -> dict:
-    if spec is None:
-        return {"status": "skipped-too-large", "reason": reason or "no edge list"}
     try:
-        joint = build_joint_chain(spec, config_cap=config_cap)
+        joint = build_joint_chain(as_switched_network(model), config_cap=config_cap)
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
         if dump_path is not None:
@@ -203,38 +127,26 @@ def _attempt_exact(
         return {"status": "skipped-too-large", "reason": str(exc)}
 
 
-def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
-    data = _load_json_file(args.spec)
-    out = _out_dir(args)
-    dump_path = out / "stability_matrix.mtx" if (out and args.dump_matrix) else None
-
-    if "ensemble" in data:
-        ens = ensemble_from_dict(data)
-        if isinstance(ens, CommunitySpec):
-            cs = community_stats(ens)
-            report = spectral_penalty_report(
-                n=ens.n,
-                lambda_max_abar=cs.lambda_max,
-                delta_u=cs.delta_uncertainty,
-                params=params,
-                network_kind="binary",
-                notes=("two-community closed form (exact quotient eigenvalue)",),
-            )
-        else:
-            degrees = power_law_degrees(ens) if isinstance(ens, PowerLawSpec) else ens
-            report = check_expected_degrees(expected_degree_stats(degrees), params)
-        try:
-            realized = _realize_ensemble(ens)
-            exact_info = _attempt_exact(realized, params, args.exact_cap, dump_path)
-        except ValueError as exc:
-            exact_info = {"status": "skipped-too-large", "reason": str(exc)}
+    model = load_network(args.spec)
+    if isinstance(model, SwitchedNetworkSpec):
+        report = check_spectral_penalty(stationary_stats(model), params)
+    elif isinstance(model, CommunitySpec):
+        cs = community_stats(model)
+        report = spectral_penalty_report(
+            n=model.n,
+            lambda_max_abar=cs.lambda_max,
+            delta_u=cs.delta_uncertainty,
+            params=params,
+            network_kind="binary",
+            notes=("two-community closed form (exact quotient eigenvalue)",),
+        )
     else:
-        spec = spec_from_dict(data)
-        stats = stationary_stats(spec)
-        report = check_spectral_penalty(stats, params)
-        exact_info = _attempt_exact(spec, params, args.exact_cap, dump_path)
+        degrees = power_law_degrees(model) if isinstance(model, PowerLawSpec) else model
+        report = check_expected_degrees(expected_degree_stats(degrees), params)
+    dump_path = out / "stability_matrix.mtx" if (out and args.dump_matrix) else None
+    exact_info = _attempt_exact(model, params, args.exact_cap, dump_path)
 
     result = {
         "beta": params.beta,
@@ -258,100 +170,66 @@ def _cmd_analyze(args) -> int:
         print(f"note: {note}")
     if out:
         _write_json(out / "report.json", result)
-        _write_manifest(out, args, started)
     else:
         print(json.dumps(_jsonable(result), indent=2))
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(args, out: Optional[Path], started: float) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
-    data = _load_json_file(args.spec)
-    if "ensemble" in data:
-        spec = _realize_ensemble(ensemble_from_dict(data))
-    else:
-        spec = spec_from_dict(data)
+    spec = as_switched_network(load_network(args.spec))
     step = args.step if args.step is not None else default_step(spec, params)
     cfg = SimConfig(
         horizon=args.horizon, step=step, trials=args.trials, seed=args.seed
     )
-    out = _out_dir(args)
+    common = {"step": cfg.step, "horizon": cfg.horizon, "seed": cfg.seed}
 
     if args.trials > 1:
         if args.linearized or args.coupled:
-            print(
-                "error: decay estimation (--trials > 1) runs the full dynamics",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError("decay estimation (--trials > 1) runs the full dynamics")
         est = estimate_decay(spec, params, cfg)
-        summary = {
-            "mode": "decay",
-            "trials": est.trials,
-            "rate": est.rate,
-            "half_width": est.half_width,
-            "window_start": est.window_start,
-            "step": cfg.step,
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "grid_times": est.grid_times,
-            "mean_norms": est.mean_norms,
-        }
         hw = "n/a" if est.half_width is None else f"{est.half_width:.3g}"
         print(
             f"decay rate = {est.rate:.6g} (95% half-width {hw}) "
             f"from {est.trials} trials"
         )
         if out:
+            summary = {
+                "mode": "decay",
+                "trials": est.trials,
+                "rate": est.rate,
+                "half_width": est.half_width,
+                "window_start": est.window_start,
+                **common,
+                "grid_times": est.grid_times,
+                "mean_norms": est.mean_norms,
+            }
             _write_json(out / "decay.json", summary)
-            _write_manifest(out, args, started)
         return 0
 
     if args.coupled:
         res = simulate_coupled(spec, params, cfg)
-        summary = {
-            "mode": "coupled",
-            "min_margin": res.min_margin,
-            "samples": int(res.full.times.size),
-            "events": len(res.full.events),
-            "step": cfg.step,
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-        }
-        print(
-            f"coupled run: {summary['samples']} samples, "
-            f"{summary['events']} events, min l1 margin = {res.min_margin:.3g}"
-        )
-        if out:
-            write_trajectory_csv(res.full, out / "trajectory.csv")
-            write_trajectory_csv(res.linear, out / "trajectory_linear.csv")
-            write_events_csv(res.full, out / "events.csv")
-            _write_json(out / "summary.json", summary)
-            _write_manifest(out, args, started)
-        return 0
-
-    runner = simulate_linear_path if args.linearized else simulate_path
-    traj = runner(spec, params, cfg)
-    final_l1 = float(np.abs(traj.p[-1]).sum())
-    summary = {
-        "mode": "linearized" if args.linearized else "full",
-        "final_l1": final_l1,
-        "samples": int(traj.times.size),
-        "events": len(traj.events),
-        "step": cfg.step,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-    }
+        traj, linear = res.full, res.linear
+        summary = {"mode": "coupled", "min_margin": res.min_margin}
+        outcome = f"min l1 margin = {res.min_margin:.3g}"
+    else:
+        runner = simulate_linear_path if args.linearized else simulate_path
+        traj, linear = runner(spec, params, cfg), None
+        final_l1 = float(np.abs(traj.p[-1]).sum())
+        summary = {"mode": "linearized" if args.linearized else "full",
+                   "final_l1": final_l1}
+        outcome = f"final l1 = {final_l1:.6g}"
+    summary.update(samples=int(traj.times.size), events=len(traj.events), **common)
     print(
         f"{summary['mode']} run: {summary['samples']} samples, "
-        f"{summary['events']} events, final l1 = {final_l1:.6g}"
+        f"{summary['events']} events, {outcome}"
     )
     if out:
         write_trajectory_csv(traj, out / "trajectory.csv")
+        if linear is not None:
+            write_trajectory_csv(linear, out / "trajectory_linear.csv")
         write_events_csv(traj, out / "events.csv")
         _write_json(out / "summary.json", summary)
-        _write_manifest(out, args, started)
     return 0
 
 
@@ -370,9 +248,7 @@ def _compare_reference(computed: dict, reference: dict) -> tuple[list[dict], boo
     return rows, all_ok
 
 
-def _cmd_example(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args)
+def _cmd_example(args, out: Optional[Path], started: float) -> int:
     if args.name == "community":
         ens = COMMUNITY_EXAMPLE
         cs = community_stats(ens)
@@ -453,13 +329,10 @@ def _cmd_example(args) -> int:
     }
     if out:
         _write_json(out / "report.json", result)
-        _write_manifest(out, args, started)
     return 0 if all_ok else 2
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args)
+def _cmd_oracle(args, out: Optional[Path], started: float) -> int:
     reports = run_sandwich_suite(count=args.trials, seed=args.seed)
     summary = suite_summary(reports)
     for k, rep in enumerate(reports):
@@ -479,13 +352,10 @@ def _cmd_oracle(args) -> int:
             out / "oracle.json",
             {"summary": summary, "reports": [r.to_dict() for r in reports]},
         )
-        _write_manifest(out, args, started)
     return 0 if summary["failures"] == 0 else 2
 
 
-def _cmd_minimize(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args)
+def _cmd_minimize(args, out: Optional[Path], started: float) -> int:
     pm = minimize_penalty(args.n, args.uncertainty)
     result = {
         "n": pm.n,
@@ -497,7 +367,6 @@ def _cmd_minimize(args) -> int:
     print(json.dumps(_jsonable(result), indent=2))
     if out:
         _write_json(out / "minimize.json", result)
-        _write_manifest(out, args, started)
     return 0
 
 
@@ -582,10 +451,26 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  With ``--out`` the directory is created first, and
+    ``manifest.json`` is written once the command has returned; a command
+    that raises (exit 1 or 2) leaves no manifest."""
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args, out, started)
+        if out is not None:
+            manifest = {
+                "tool": "epinet",
+                "version": __version__,
+                "command": args.command,
+                "argv": sys.argv[1:],
+                "elapsed_s": time.perf_counter() - started,
+            }
+            _write_json(out / "manifest.json", manifest)
+        return code
     except (SpecFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,20 +10,36 @@ Three families whose expected adjacency matrix never has to be materialized:
   so the largest degree and the average degree hit prescribed targets.
 
 Each family exposes the two scalars the stability tests need --
-lambda_max(abar) and the variance row-sum Delta -- plus a realization hook
-that turns a (small) expected adjacency matrix into a concrete switched
-network with edge rates p = kappa abar_ij, q = kappa (1 - abar_ij).
+lambda_max(abar) and the variance row-sum Delta -- plus a realization that
+turns a small ensemble into a concrete switched network with edge rates
+p = kappa abar_ij, q = kappa (1 - abar_ij).
+
+:func:`load_network` is the one reader of network files: it returns an
+explicit :class:`~epinet.netmodel.SwitchedNetworkSpec` or an ensemble, and
+:func:`as_switched_network` turns either into an edge list.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .netmodel import EdgeChain, SwitchedNetworkSpec, as_integer
+from .netmodel import (
+    EdgeChain,
+    SpecFormatError,
+    SwitchedNetworkSpec,
+    as_integer,
+    spec_from_dict,
+)
 from .stability import expected_degree_uncertainty, pair_probability_violations
+
+# An ensemble is realized edge by edge (an n x n abar and up to n^2 / 2 edge
+# chains) only up to this many vertices; larger ones get the closed forms.
+REALIZE_N_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -123,8 +139,17 @@ class ExpectedDegreeSpec:
             raise ValueError("need a 1-d array of at least two expected degrees")
         if not np.all(np.isfinite(d)) or d.min() < 0:
             raise ValueError("expected degrees must be finite and nonnegative")
-        if d.sum() <= 0:
-            raise ValueError("expected degrees must not all be zero")
+        if not d.sum() >= np.finfo(float).tiny:  # rho = 1 / sum(d) is finite
+            raise ValueError(
+                "expected degrees must not all be zero, and their sum must be "
+                f"at least {np.finfo(float).tiny:.6g}"
+            )
+        top = float(d.max())
+        if not math.isfinite(top * top * d.size):  # bounds sum(d^2)
+            raise ValueError(
+                f"expected degrees are too large: n * max(d)^2 overflows "
+                f"(max {top:.6g})"
+            )
         if not (self.switch_scale > 0):
             raise ValueError(f"switch_scale must be positive, got {self.switch_scale}")
         object.__setattr__(self, "degrees", d)
@@ -206,6 +231,13 @@ class PowerLawSpec:
                 "need 0 < avg_degree <= max_degree, got "
                 f"avg={self.avg_degree}, max={self.max_degree}"
             )
+        # d_1 = c (1 + i0 - 1)^(-gamma) is infinite once i0 vanishes next to 1
+        if not (1.0 + self.offset) - 1.0 > 0:
+            raise ValueError(
+                f"max_degree / avg_degree = {self.max_degree / self.avg_degree:.6g} "
+                f"is too large for exponent {self.exponent}: the offset "
+                f"i0 = {self.offset:.3g} vanishes next to 1"
+            )
 
     @property
     def coefficient(self) -> float:
@@ -245,8 +277,13 @@ def realize_switched_spec(abar: np.ndarray, kappa: float) -> SwitchedNetworkSpec
         raise ValueError("abar must be symmetric")
     if float(np.abs(np.diag(a)).max(initial=0.0)) > 0.0:
         raise ValueError("abar must have a zero diagonal")
-    if a.min() < 0.0 or a.max(initial=0.0) > 1.0:
-        raise ValueError("abar entries must lie in [0, 1]")
+    lo, hi = float(a.min(initial=0.0)), float(a.max(initial=0.0))
+    if not (lo >= 0.0 and hi <= 1.0):
+        bad = f"they exceed 1 (max {hi:.6g})" if hi > 1.0 else f"got min {lo:.6g}"
+        raise ValueError(
+            f"edge probabilities abar_ij must lie in [0, 1], but {bad}; this "
+            "ensemble cannot be realized as a switched network"
+        )
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -291,8 +328,51 @@ def ensemble_from_dict(data: dict) -> EnsembleSpec:
                 avg_degree=float(data["avg_degree"]),
             )
     except KeyError as exc:
-        raise ValueError(f"ensemble '{kind}': missing field {exc}") from None
-    raise ValueError(
+        raise SpecFormatError(f"ensemble '{kind}': missing field {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise SpecFormatError(f"ensemble '{kind}': {exc}") from None
+    raise SpecFormatError(
         f"unknown ensemble kind {kind!r}; expected 'community', "
         "'expected-degree' or 'power-law'"
     )
+
+
+def load_network(path: Union[str, Path]) -> Union[SwitchedNetworkSpec, EnsembleSpec]:
+    """Read a network file: an explicit spec ({"n", "edges"}) or, when the
+    top-level object has an "ensemble" key, a structured ensemble.
+    Unreadable files, invalid JSON and a non-object top level raise
+    SpecFormatError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise SpecFormatError(f"{path}: expected a JSON object at top level")
+    if "ensemble" in data:
+        return ensemble_from_dict(data)
+    return spec_from_dict(data)
+
+
+def as_switched_network(
+    model: Union[SwitchedNetworkSpec, EnsembleSpec]
+) -> SwitchedNetworkSpec:
+    """An explicit spec as it is; an ensemble of at most REALIZE_N_CAP
+    vertices realized by :func:`realize_switched_spec`.  The size is checked
+    before any degree sequence or abar is built."""
+    if isinstance(model, SwitchedNetworkSpec):
+        return model
+    if model.n > REALIZE_N_CAP:
+        raise ValueError(
+            f"ensemble has n={model.n} > {REALIZE_N_CAP}; too large to "
+            "materialize as an edge list"
+        )
+    if isinstance(model, CommunitySpec):
+        return realize_switched_spec(community_abar_dense(model), model.switch_scale)
+    if isinstance(model, PowerLawSpec):
+        model = ExpectedDegreeSpec(degrees=power_law_degrees(model))
+    d = model.degrees
+    abar = np.outer(d, d) / float(d.sum())
+    np.fill_diagonal(abar, 0.0)
+    return realize_switched_spec(abar, model.switch_scale)

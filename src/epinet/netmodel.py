@@ -15,10 +15,9 @@ stability test in this package.
 """
 from __future__ import annotations
 
-import json
+import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -68,10 +67,12 @@ class EdgeChain:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
-        if not (np.isfinite(self.p_rate) and np.isfinite(self.q_rate)):
+        # p + q is the chain's exit rate scale; a finite p and q whose sum
+        # overflows would turn p / (p + q) into 0.
+        if not math.isfinite(self.p_rate + self.q_rate):
             raise ValueError(
-                f"edge ({self.i}, {self.j}): rates must be finite, got "
-                f"p={self.p_rate}, q={self.q_rate}"
+                f"edge ({self.i}, {self.j}): rates must be finite, and so must "
+                f"their sum, got p={self.p_rate}, q={self.q_rate}"
             )
         if self.p_rate < 0 or self.q_rate < 0:
             raise ValueError(f"edge ({self.i}, {self.j}): rates must be nonnegative")
@@ -246,12 +247,7 @@ def _stationary_from_generator(q: np.ndarray, label: str) -> np.ndarray:
 
 def stationary_edge_prob(chain: EdgeChain) -> float:
     """Stationary probability p / (p + q) that a binary edge is present."""
-    total = chain.p_rate + chain.q_rate
-    if total <= 0:
-        raise ValueError(
-            f"edge ({chain.i}, {chain.j}): p_rate + q_rate must be positive"
-        )
-    return chain.p_rate / total
+    return chain.p_rate / (chain.p_rate + chain.q_rate)
 
 
 def edge_process(edge: AnyEdge) -> EdgeProcess:
@@ -338,7 +334,7 @@ def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip.  Binary edge: {"i", "j", "p", "q"}.  Weighted edge:
+# Parsed JSON.  Binary edge: {"i", "j", "p", "q"}.  Weighted edge:
 # {"i", "j", "states", "generator"}.  Top level: {"n", "edges"}.
 
 def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
@@ -378,40 +374,10 @@ def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
                 )
         except KeyError as exc:
             raise SpecFormatError(f"{where}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFormatError(f"{where}: {exc}") from None
     try:
         return SwitchedNetworkSpec(n=n, edges=tuple(edges))
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
 
-
-def spec_to_dict(spec: SwitchedNetworkSpec) -> dict:
-    edges: list[dict] = []
-    for e in spec.edges:
-        if isinstance(e, EdgeChain):
-            edges.append({"i": e.i, "j": e.j, "p": e.p_rate, "q": e.q_rate})
-        else:
-            edges.append(
-                {
-                    "i": e.i,
-                    "j": e.j,
-                    "states": list(e.states),
-                    "generator": [list(row) for row in e.generator],
-                }
-            )
-    return {"n": spec.n, "edges": edges}
-
-
-def load_spec(path: Union[str, Path]) -> SwitchedNetworkSpec:
-    """Read a switched-network description from a JSON file."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
-    return spec_from_dict(data)
-
-
-def save_spec(spec: SwitchedNetworkSpec, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n")

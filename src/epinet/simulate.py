@@ -11,8 +11,9 @@ instant.
 One lockstep core moves a batch of trials, held as (trials, n) states and
 (trials, n, n) adjacency, each to its own next breakpoint per iteration.  A
 single path is a batch of one; a decay estimate runs batches of at most
-TRIAL_CHUNK rows and BATCH_ENTRY_CAP adjacency entries and keeps only the
-sum of grid norms, so its memory does not grow with the trial count.
+TRIAL_CHUNK rows and BATCH_ENTRY_CAP adjacency or norm entries and keeps
+only the sum of grid norms, added in trial order, so its memory does not
+grow with the trial count and its sums do not depend on the batch split.
 
 Determinism contract: one (spec, params, config, p0) tuple maps to one
 bit-identical trajectory.  Randomness is consumed only by the edge machinery
@@ -45,14 +46,18 @@ BOUNDS_TOL = 1e-9
 MAX_HALVINGS = 20
 
 # A decay estimate runs its trials in lockstep batches of at most this many
-# rows, and of at most this many adjacency entries (rows * n^2, 128 MiB)
-# but never fewer than one row.
+# rows, and of at most this many adjacency entries (rows * n^2, 128 MiB) and
+# buffered grid norms (rows * grid points), but never fewer than one row.
 TRIAL_CHUNK = 256
 BATCH_ENTRY_CAP = 1 << 24
 
 # Every trial integrates at least horizon / step grid steps, so this caps
 # the work of a trial; the tests and the benchmark stay below 10^4.
 GRID_STEP_CAP = 1_000_000
+# Every switching event is one more segment, sample and recorded jump, so
+# the expected event count of a trial, horizon * sum_e sum_k pi_k (-Q_kk),
+# is capped too; the tests and the benchmark stay below 10^3.
+EVENT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,15 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     n, step, horizon = spec.n, cfg.step, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     procs = [edge_process(e) for e in spec.edges]
+    expected_events = horizon * sum(
+        float(proc.stationary @ -np.diag(proc.rate_matrix)) for proc in procs
+    )
+    if not expected_events <= EVENT_CAP:
+        raise ValueError(
+            f"expected {expected_events:.3g} switching events per trial "
+            f"exceeds the cap of {EVENT_CAP}; shorten the horizon or slow "
+            "the edge chains"
+        )
     rngs = [
         np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
         for k in trials
@@ -434,8 +448,8 @@ def estimate_decay(
     Runs ``cfg.trials`` independent realizations, averages ||p||_2 on the
     shared sample grid, and fits a line to the log of the average over
     t >= horizon / 2.  Trials advance in lockstep batches bounded by
-    TRIAL_CHUNK and BATCH_ENTRY_CAP, and only the running sum of their grid
-    norms is kept.
+    TRIAL_CHUNK and BATCH_ENTRY_CAP; a batch's grid norms are added to the
+    running sum in trial order.
     """
     p0 = _check_p0(p0, spec.n)
     grid_times = _grid_times(cfg)
@@ -447,16 +461,20 @@ def estimate_decay(
             "raise the horizon"
         )
 
+    width = max(spec.n**2, grid_times.size)
+    chunk = max(1, min(TRIAL_CHUNK, BATCH_ENTRY_CAP // width))
+    norms = np.zeros((min(chunk, cfg.trials), grid_times.size))
     norm_sum = np.zeros(grid_times.size)
 
     def sample(slots, t, on_grid, grid_index, pf, pl):
         on = on_grid.nonzero()[0]
-        np.add.at(norm_sum, grid_index[on], np.linalg.norm(pf[on], axis=1))
+        norms[slots[on], grid_index[on]] = np.linalg.norm(pf[on], axis=1)
 
-    chunk = max(1, min(TRIAL_CHUNK, BATCH_ENTRY_CAP // spec.n**2))
     for start in range(0, cfg.trials, chunk):
         batch = range(start, min(start + chunk, cfg.trials))
         _lockstep(spec, params, cfg, p0, batch, sample, full=True, linear=False)
+        for row in norms[: len(batch)]:
+            norm_sum += row
     mean_norms = norm_sum / cfg.trials
 
     tw = grid_times[sel]

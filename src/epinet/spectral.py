@@ -4,13 +4,22 @@ from __future__ import annotations
 import numpy as np
 
 
+# The symmetry check compares a against a.T in row blocks of about this many
+# entries, so it needs no n x n temporary.
+SYMMETRY_BLOCK = 1 << 16
+
+
 def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > tol * scale:
-        raise ValueError("matrix is not symmetric")
+    n = a.shape[0]
+    scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    rows = max(1, SYMMETRY_BLOCK // max(n, 1))
+    for start in range(0, n, rows):
+        gap = a[start:start + rows] - a[:, start:start + rows].T
+        if float(np.abs(gap, out=gap).max(initial=0.0)) > tol * scale:
+            raise ValueError("matrix is not symmetric")
     return a
 
 

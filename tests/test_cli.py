@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import mmread
 
 import epinet.cli
@@ -130,6 +138,16 @@ def test_analyze_missing_file(tmp_path):
     assert code == 1
 
 
+def test_analyze_invalid_json(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    for text, message in (("{not json", "invalid JSON"),
+                          ("[1, 2]", "expected a JSON object")):
+        bad.write_text(text)
+        code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
 def test_analyze_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "edges": [{"i": 1, "j": 2, "p": 2.0}]}))
@@ -188,6 +206,23 @@ def test_non_finite_rate_rejected(command, rate, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "edge (2, 3)" in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_rate_sum_overflow_rejected(command, tmp_path, capsys):
+    # p = q = 1e308 are finite but p + q is not; p / (p + q) read 0 instead
+    # of 1/2, so analyze --exact-cap 1 certified with lambda_max(abar) = 0.5
+    # against the true 0.707, and without the cap ARPACK failed (exit 2)
+    spec = tmp_path / "path.json"
+    spec.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "p": 1e308, "q": 1e308},
+        {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
+    ]}))
+    argv = [command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"]
+    for extra in ([], ["--exact-cap", "1"]) if command == "analyze" else ([],):
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert "edge (1, 2)" in err and "their sum" in err
 
 
 def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
@@ -303,7 +338,7 @@ def test_simulate_conflicting_modes(triangle_spec):
     assert exc.value.code == 1
 
 
-def test_simulate_refuses_unbounded_work(triangle_spec, capsys):
+def test_simulate_refuses_unbounded_work(triangle_spec, tmp_path, capsys):
     code = main(
         [
             "simulate",
@@ -316,6 +351,17 @@ def test_simulate_refuses_unbounded_work(triangle_spec, capsys):
     )
     assert code == 1
     assert "grid steps per trial exceeds the cap" in capsys.readouterr().err
+    # 2 edges switching at rate 1e4 over horizon 10 expect 2e5 events; that
+    # run used to take 13 s and 146 MB, and rates of 1e5 over 100 s
+    fast = tmp_path / "fast.json"
+    fast.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "p": 1e4, "q": 1e4},
+        {"i": 2, "j": 3, "p": 1e4, "q": 1e4},
+    ]}))
+    code = main(["simulate", "--spec", str(fast), "--beta", "0.5",
+                 "--delta", "1.0", "--horizon", "10"])
+    assert code == 1
+    assert "switching events per trial exceeds the cap" in capsys.readouterr().err
 
 
 def test_simulate_decay_mode(triangle_spec, tmp_path):
@@ -458,12 +504,19 @@ def test_analyze_expected_degree_matches_stats(degrees, tmp_path, capsys):
     code = main(["analyze", "--spec", str(spec), "--beta", "0.1", "--delta", "3.0"])
     assert code == 0
     stdout = capsys.readouterr().out
-    report = json.loads(stdout[stdout.index("{"):])["sufficient"]
+    payload = json.loads(stdout[stdout.index("{"):])
+    report = payload["sufficient"]
     stats = expected_degree_stats(np.array(degrees))
     assert report["d_tilde"] == report["lambda_max_abar"] == stats.d_tilde
     assert report["delta_uncertainty"] == stats.delta_uncertainty
     assert report["max_pair_prob"] == stats.max_pair_prob
     assert report["invalid_pairs"] == stats.invalid_pairs
+    # the realization refuses the same pairs the report counts
+    if stats.max_pair_prob > 1.0:
+        assert payload["exact"]["status"] == "skipped-too-large"
+        assert "exceed 1" in payload["exact"]["reason"]
+    else:
+        assert payload["exact"]["status"] == "ok"
 
 
 def test_analyze_never_computes_secular_root(tmp_path, monkeypatch):
@@ -502,3 +555,133 @@ def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
         exact = json.loads(stdout[stdout.index("{"):])["exact"]
         assert exact["e_lambda_max"] == pytest.approx(0.25, abs=1e-13)
         assert exact["e_lambda_max_stable"] is stable
+
+
+def test_every_command_writes_one_manifest(triangle_spec, tmp_path):
+    runs = {
+        "analyze": ["--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"],
+        "simulate": ["--spec", str(triangle_spec), "--beta", "0.5",
+                     "--delta", "1.0", "--horizon", "1.0"],
+        "example": ["community"],
+        "oracle": ["--trials", "2"],
+        "minimize-f": ["--n", "10", "--uncertainty", "2.0"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert main([command, *args, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["argv", "command", "elapsed_s", "tool", "version"]
+        assert manifest["command"] == command
+    # a run that exits 1 writes no manifest
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3}) + "x")
+    for argv in (
+        ["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"],
+        ["simulate", "--spec", str(triangle_spec), "--beta", "0.2", "--delta",
+         "1.5", "--trials", "3", "--linearized"],
+    ):
+        out = tmp_path / "failed"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
+
+
+# Arbitrary spec JSON for the CLI: a well-formed explicit spec (binary or
+# weighted chains) or ensemble on at most 4 vertices, with up to two fields
+# deleted or replaced by wrong types, fractional ids, or negative, huge and
+# non-finite numbers.
+_ODD_NUMBERS = (0, -1.0, 1.5, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.nan,
+                10**400)
+_JUNK = (None, True, "", "x", [], [1, 2], {})
+_RATE = st.floats(min_value=0.0, max_value=10.0)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _edge(draw, i, j, weighted):
+    if not weighted:
+        return {"i": i, "j": j, "p": draw(_RATE), "q": draw(_RATE)}
+    k = draw(st.integers(1, 3))
+    rates = [[draw(_RATE) if a != b else 0.0 for b in range(k)] for a in range(k)]
+    return {
+        "i": i, "j": j,
+        "states": [draw(_UNIT) for _ in range(k)],
+        "generator": [[-sum(row) if a == b else x for b, x in enumerate(row)]
+                      for a, row in enumerate(rates)],
+    }
+
+
+@st.composite
+def _spec_json(draw):
+    kind = draw(st.sampled_from(["explicit", "community", "expected-degree",
+                                 "power-law"]))
+    if kind == "explicit":
+        n = draw(st.integers(1, 4))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)
+                      if pairs else st.just([]))
+        weighted = draw(st.booleans())
+        data = {"n": n, "edges": [_edge(draw, i, j, weighted) for i, j in chosen]}
+    elif kind == "community":
+        data = {"ensemble": kind, "n1": draw(st.integers(1, 2)),
+                "n2": draw(st.integers(1, 2)), "theta1": draw(_UNIT),
+                "theta2": draw(_UNIT), "phi": draw(_UNIT),
+                "switch_scale": draw(st.floats(0.1, 10.0))}
+    elif kind == "expected-degree":
+        data = {"ensemble": kind,
+                "degrees": draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=4))}
+    else:
+        avg = draw(st.floats(0.1, 5.0))
+        data = {"ensemble": kind, "n": draw(st.integers(2, 4)),
+                "exponent": draw(st.floats(2.01, 4.0)),
+                "max_degree": avg + draw(st.floats(0.0, 5.0)), "avg_degree": avg}
+    data = {"root": data}
+    rng = draw(st.randoms(use_true_random=False))  # uniform over the slots
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        slots = []
+        stack = [data]
+        while stack:
+            node = stack.pop()
+            for key in (range(len(node)) if isinstance(node, list) else list(node)):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(node[key])
+        if not slots:
+            break
+        node, key = rng.choice(slots)
+        if rng.random() < 0.3:
+            del node[key]
+        elif isinstance(node[key], (int, float)) and rng.random() < 0.8:
+            node[key] = rng.choice(_ODD_NUMBERS)
+        else:
+            node[key] = copy.deepcopy(rng.choice(_JUNK))
+    return data.get("root", {})
+
+
+_NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=200, derandomize=True, deadline=2000)
+@given(
+    data=_spec_json(),
+    beta=st.floats(min_value=1e-3, max_value=1e3),
+    delta=st.floats(min_value=1e-3, max_value=1e3),
+    command=st.sampled_from(["analyze", "simulate"]),
+)
+def test_cli_fuzz_exits_cleanly(data, beta, delta, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        spec.write_text(json.dumps(data))
+        argv = [command, "--spec", str(spec), "--beta", repr(beta),
+                "--delta", repr(delta), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--horizon", "0.01"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if code == 0:
+            texts = [stdout.getvalue()] + [f.read_text() for f in out.iterdir()]
+            assert not any(_NON_FINITE.search(text) for text in texts), texts
+        elif code == 1:
+            assert stderr.getvalue().startswith("error:")
+        else:
+            assert code == 2
+            assert stderr.getvalue().startswith("internal check failed:")

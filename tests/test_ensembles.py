@@ -13,7 +13,7 @@ from epinet.ensembles import (
     power_law_degrees,
     realize_switched_spec,
 )
-from epinet.netmodel import stationary_stats
+from epinet.netmodel import SpecFormatError, stationary_stats
 from epinet.spectral import lambda_max_dense
 from epinet.stability import expected_degree_lambda_max
 
@@ -131,6 +131,9 @@ def test_power_law_validation():
         PowerLawSpec(n=100, exponent=2.5, max_degree=1.0, avg_degree=5.0)
     with pytest.raises(ValueError, match="n >= 2"):
         PowerLawSpec(n=1, exponent=2.5, max_degree=10.0, avg_degree=1.0)
+    # i0 = 1.1e-304 made the first degree c * 0^(-gamma) = inf
+    with pytest.raises(ValueError, match="offset"):
+        PowerLawSpec(n=4, exponent=2.01, max_degree=1e300, avg_degree=3.0)
 
 
 def test_realize_switched_spec_round_trip():
@@ -186,3 +189,10 @@ def test_ensemble_from_dict_dispatch():
         ensemble_from_dict({"ensemble": "smallworld"})
     with pytest.raises(ValueError, match="missing field"):
         ensemble_from_dict({"ensemble": "community", "n1": 3})
+    # wrong types and floats out of range are format errors, not crashes
+    community = {"ensemble": "community", "n1": 3, "n2": 4,
+                 "theta1": 0.5, "theta2": 0.25, "phi": 0.1}
+    for bad in ({**community, "phi": [0.1]}, {**community, "theta1": 10**400},
+                {"ensemble": "expected-degree", "degrees": {"a": 1}}):
+        with pytest.raises(SpecFormatError, match="ensemble '"):
+            ensemble_from_dict(bad)

@@ -16,10 +16,7 @@ from epinet.netmodel import (
     WeightedEdgeChain,
     edge_moments,
     edge_process,
-    load_spec,
-    save_spec,
     spec_from_dict,
-    spec_to_dict,
     stationary_edge_prob,
     stationary_stats,
 )
@@ -46,6 +43,9 @@ def test_edge_chain_rejects_bad_input():
             EdgeChain(i=1, j=2, p_rate=bad, q_rate=1.0)
         with pytest.raises(ValueError, match="finite"):
             EdgeChain(i=1, j=2, p_rate=1.0, q_rate=bad)
+    # each rate is finite but p + q overflows, which made p / (p + q) = 0
+    with pytest.raises(ValueError, match="their sum"):
+        EdgeChain(i=1, j=2, p_rate=1e308, q_rate=1e308)
 
 
 def test_stationary_edge_prob_hand_value():
@@ -216,7 +216,7 @@ def test_delta_uncertainty_is_permutation_invariant(data):
     assert s1.delta_uncertainty == pytest.approx(s2.delta_uncertainty, rel=1e-12)
 
 
-def test_json_round_trip_binary(tmp_path):
+def test_json_round_trip_binary():
     spec = SwitchedNetworkSpec(
         n=3,
         edges=(
@@ -224,12 +224,12 @@ def test_json_round_trip_binary(tmp_path):
             EdgeChain(i=2, j=3, p_rate=0.25, q_rate=2.0),
         ),
     )
-    path = tmp_path / "spec.json"
-    save_spec(spec, path)
-    assert load_spec(path) == spec
+    data = {"n": 3, "edges": [{"i": 2, "j": 3, "p": 0.25, "q": 2.0},
+                              {"i": 2, "j": 1, "p": 1.5, "q": 0.5}]}
+    assert spec_from_dict(json.loads(json.dumps(data))) == spec
 
 
-def test_json_round_trip_weighted(tmp_path):
+def test_json_round_trip_weighted():
     spec = SwitchedNetworkSpec(
         n=2,
         edges=(
@@ -245,9 +245,9 @@ def test_json_round_trip_weighted(tmp_path):
             ),
         ),
     )
-    path = tmp_path / "spec.json"
-    save_spec(spec, path)
-    assert load_spec(path) == spec
+    data = {"n": 2, "edges": [{"i": 1, "j": 2, "states": [0.0, 0.5, 1.0],
+                               "generator": [[-2, 2, 0], [1, -2, 1], [0, 2, -2]]}]}
+    assert spec_from_dict(json.loads(json.dumps(data))) == spec
 
 
 def test_spec_from_dict_diagnostics():
@@ -277,19 +277,6 @@ def test_spec_from_dict_diagnostics():
     assert spec.n == 3 and (spec.edges[0].i, spec.edges[0].j) == (1, 3)
     with pytest.raises(SpecFormatError):
         spec_from_dict([1, 2, 3])
-
-
-def test_load_spec_invalid_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(SpecFormatError, match="invalid JSON"):
-        load_spec(path)
-
-
-def test_spec_to_dict_shape():
-    spec = SwitchedNetworkSpec(
-        n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=2.0),)
-    )
-    data = spec_to_dict(spec)
-    assert data == {"n": 2, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 2.0}]}
-    assert json.dumps(data)  # serializable
+    # a JSON integer too large for a float
+    with pytest.raises(SpecFormatError, match="edges\\[0\\]"):
+        spec_from_dict({"n": 2, "edges": [{"i": 1, "j": 2, "p": 10**400, "q": 1}]})

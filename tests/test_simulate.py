@@ -407,6 +407,34 @@ def test_estimate_decay_batch_memory_bound(n, rows, monkeypatch):
     assert [k for b in batches for k in b] == list(range(cfg.trials))
 
 
+def test_estimate_decay_independent_of_batch_split(monkeypatch):
+    # the README triangle; grid norms used to be summed in arrival order,
+    # so mean_norms moved in the last digits with TRIAL_CHUNK
+    params = EpidemicParams(beta=0.2, delta=1.5)
+    cfg = SimConfig(horizon=6.0, step=0.05, trials=60, seed=0)
+    runs = []
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(simulate, "TRIAL_CHUNK", chunk)
+        runs.append(estimate_decay(switching_spec(), params, cfg))
+    for est in runs[1:]:
+        assert np.array_equal(est.mean_norms, runs[0].mean_norms)
+        assert est.rate == runs[0].rate
+
+
+def test_estimate_decay_norm_buffer_bound(monkeypatch):
+    # a batch buffers rows * grid points norms, kept under BATCH_ENTRY_CAP
+    batches = []
+    monkeypatch.setattr(
+        simulate, "_lockstep", lambda spec, params, cfg, p0, trials, *a, **kw:
+        batches.append(len(trials))
+    )
+    monkeypatch.setattr(simulate, "BATCH_ENTRY_CAP", 1 << 16)
+    cfg = SimConfig(horizon=1024.0, step=1.0, trials=300, seed=0)
+    estimate_decay(switching_spec(), EpidemicParams(beta=0.5, delta=1.0), cfg)
+    assert max(batches) == (1 << 16) // 1025  # grid points 0..1023 and 1024
+    assert sum(batches) == cfg.trials
+
+
 def test_csv_writers(tmp_path):
     spec = switching_spec()
     params = EpidemicParams(beta=1.0, delta=1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,24 @@ def test_lambda_max_dense_rejects_asymmetric():
         lambda_max_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         lambda_max_dense(np.zeros((2, 3)))
+
+
+def test_lambda_max_dense_symmetry_check_memory():
+    # the check used to build a - a.T and its abs, two n x n temporaries
+    # (61 MiB at n = 2000, beside a 30.5 MiB abar)
+    rng = np.random.default_rng(0)
+    a = np.triu(rng.random((2000, 2000)), 1)
+    a += a.T
+    tracemalloc.start()
+    try:
+        lambda_max_dense(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+    a[1999, 0] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        lambda_max_dense(a)
 
 
 def test_spectral_abscissa_triangular():

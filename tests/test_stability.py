@@ -369,8 +369,10 @@ def test_invalid_probabilities_recorded_as_note():
 
 
 def test_expected_degrees_input_validation():
-    for bad in ([1.0], [1.0, -2.0], [0.0, 0.0], [1.0, np.nan], [[1.0, 2.0]]):
-        with pytest.raises(ValueError):
+    for bad in ([1.0], [1.0, -2.0], [0.0, 0.0], [1.0, np.nan], [[1.0, 2.0]],
+                [1e308, 1.0], [1e-311, 0.0]):
+        # the last two made d^2 or 1 / sum(d) overflow into a NaN Delta
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="degrees"):
             check_expected_degrees(expected_degree_stats(np.array(bad)), _params())
     # a negative Delta (edge probabilities far above 1) is refused
     stats = expected_degree_stats(np.array([1e6, 1e6]))

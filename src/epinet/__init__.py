@@ -6,7 +6,8 @@ die out?
 * :mod:`epinet.exact` enumerates the joint edge-configuration chain and
   decides mean stability exactly (exponential in the edge count);
 * :mod:`epinet.stability` certifies almost-sure extinction from two scalars
-  of the stationary edge law, at any scale;
+  of the stationary edge law, at any scale: :func:`epinet.summarize` gives
+  them for any model and :func:`epinet.check_sufficient` decides;
 * :mod:`epinet.simulate` integrates sample paths and estimates decay rates
   empirically.
 
@@ -24,6 +25,7 @@ from .ensembles import (
     expected_degree_stats,
     power_law_degrees,
     realize_switched_spec,
+    summarize,
 )
 from .exact import (
     ExactResult,
@@ -49,9 +51,9 @@ from .simulate import (
     simulate_path,
 )
 from .stability import (
+    AbarSummary,
     StabilityReport,
-    check_expected_degrees,
-    check_spectral_penalty,
+    check_sufficient,
     concentration_penalty,
     convexity_onset,
     minimize_penalty,
@@ -59,6 +61,7 @@ from .stability import (
 
 __all__ = [
     "__version__",
+    "AbarSummary",
     "CommunitySpec",
     "EdgeChain",
     "EpidemicParams",
@@ -72,8 +75,7 @@ __all__ = [
     "Trajectory",
     "WeightedEdgeChain",
     "build_joint_chain",
-    "check_expected_degrees",
-    "check_spectral_penalty",
+    "check_sufficient",
     "community_stats",
     "concentration_penalty",
     "convexity_onset",
@@ -89,4 +91,5 @@ __all__ = [
     "simulate_path",
     "stationary_edge_prob",
     "stationary_stats",
+    "summarize",
 ]

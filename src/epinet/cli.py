@@ -20,6 +20,7 @@ from .ensembles import (
     expected_degree_stats,
     load_network,
     power_law_degrees,
+    summarize,
 )
 from .exact import (
     CONFIG_CAP,
@@ -28,12 +29,7 @@ from .exact import (
     exact_mean_stable,
     expected_lambda_max,
 )
-from .netmodel import (
-    EpidemicParams,
-    SpecFormatError,
-    SwitchedNetworkSpec,
-    stationary_stats,
-)
+from .netmodel import EpidemicParams, SpecFormatError
 from .oracle import run_sandwich_suite, suite_summary
 from .simulate import (
     SimConfig,
@@ -46,11 +42,10 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .stability import (
-    check_expected_degrees,
-    check_spectral_penalty,
+    check_sufficient,
     expected_degree_lambda_max,
     minimize_penalty,
-    spectral_penalty_report,
+    sufficient_lhs,
 )
 
 # Built-in worked examples with rounded reference values and the relative
@@ -130,21 +125,7 @@ def _attempt_exact(
 def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
     model = load_network(args.spec)
-    if isinstance(model, SwitchedNetworkSpec):
-        report = check_spectral_penalty(stationary_stats(model), params)
-    elif isinstance(model, CommunitySpec):
-        cs = community_stats(model)
-        report = spectral_penalty_report(
-            n=model.n,
-            lambda_max_abar=cs.lambda_max,
-            delta_u=cs.delta_uncertainty,
-            params=params,
-            network_kind="binary",
-            notes=("two-community closed form (exact quotient eigenvalue)",),
-        )
-    else:
-        degrees = power_law_degrees(model) if isinstance(model, PowerLawSpec) else model
-        report = check_expected_degrees(expected_degree_stats(degrees), params)
+    report = check_sufficient(summarize(model), params)
     dump_path = out / "stability_matrix.mtx" if (out and args.dump_matrix) else None
     exact_info = _attempt_exact(model, params, args.exact_cap, dump_path)
 
@@ -251,14 +232,14 @@ def _compare_reference(computed: dict, reference: dict) -> tuple[list[dict], boo
 def _cmd_example(args, out: Optional[Path], started: float) -> int:
     if args.name == "community":
         ens = COMMUNITY_EXAMPLE
-        cs = community_stats(ens)
-        pm = minimize_penalty(ens.n, cs.delta_uncertainty)
+        summary = community_stats(ens)
+        pm, lhs = sufficient_lhs(summary)
         computed = {
-            "lambda_max": cs.lambda_max,
-            "delta_uncertainty": cs.delta_uncertainty,
+            "lambda_max": summary.lambda_max_abar,
+            "delta_uncertainty": summary.delta_uncertainty,
             "f_min": pm.f_min,
             "s_star": pm.s_star,
-            "lhs": cs.lambda_max + pm.f_min,
+            "lhs": lhs,
         }
         parameters = {
             "n1": ens.n1, "n2": ens.n2,
@@ -266,29 +247,28 @@ def _cmd_example(args, out: Optional[Path], started: float) -> int:
         }
         reference = COMMUNITY_REFERENCE
         notes = [
-            "lambda_max(abar) from the exact 2x2 quotient of the community "
-            "partition",
+            *summary.notes,
             "the reference penalty value is the global minimum of f over "
             "s >= 0 (the only reading that yields a meaningful threshold)",
         ]
     else:
         ens = POWERLAW_EXAMPLE
         degrees = power_law_degrees(ens)
-        stats = expected_degree_stats(degrees)
-        pm = minimize_penalty(ens.n, stats.delta_uncertainty)
+        summary = expected_degree_stats(degrees)
+        pm, lhs = sufficient_lhs(summary)
         computed = {
             "coefficient": ens.coefficient,
             "offset": ens.offset,
             "max_degree": float(degrees[0]),
             "mean_degree": float(degrees.mean()),
-            "d_tilde": stats.d_tilde,
+            "d_tilde": summary.d_tilde,
             "lambda_max": expected_degree_lambda_max(degrees),
-            "delta_uncertainty": stats.delta_uncertainty,
+            "delta_uncertainty": summary.delta_uncertainty,
             "f_min": pm.f_min,
             "s_star": pm.s_star,
-            "lhs": stats.d_tilde + pm.f_min,
-            "max_pair_prob": stats.max_pair_prob,
-            "invalid_pairs": stats.invalid_pairs,
+            "lhs": lhs,
+            "max_pair_prob": summary.max_pair_prob,
+            "invalid_pairs": summary.invalid_pairs,
         }
         parameters = {
             "n": ens.n, "exponent": ens.exponent,
@@ -299,13 +279,8 @@ def _cmd_example(args, out: Optional[Path], started: float) -> int:
             "variance proxy Delta taken as the largest row sum of "
             "abar*(1-abar) with abar_ij = rho d_i d_j; this reading "
             "reproduces the reference f_min",
+            *summary.notes,
         ]
-        if stats.max_pair_prob > 1.0:
-            notes.append(
-                f"edge probabilities exceed 1 at the hubs (max rho*d_i*d_j = "
-                f"{stats.max_pair_prob:.4g}, {stats.invalid_pairs} pairs); "
-                "the bound is evaluated formally"
-            )
     rows, all_ok = _compare_reference(computed, reference)
     elapsed = time.perf_counter() - started
     for row in rows:

@@ -15,8 +15,10 @@ turns a small ensemble into a concrete switched network with edge rates
 p = kappa abar_ij, q = kappa (1 - abar_ij).
 
 :func:`load_network` is the one reader of network files: it returns an
-explicit :class:`~epinet.netmodel.SwitchedNetworkSpec` or an ensemble, and
-:func:`as_switched_network` turns either into an edge list.
+explicit :class:`~epinet.netmodel.SwitchedNetworkSpec` or an ensemble.
+:func:`summarize` turns either into the
+:class:`~epinet.stability.AbarSummary` the sufficient test reads, and
+:func:`as_switched_network` into an edge list.
 """
 from __future__ import annotations
 
@@ -34,12 +36,21 @@ from .netmodel import (
     SwitchedNetworkSpec,
     as_integer,
     spec_from_dict,
+    stationary_stats,
 )
-from .stability import expected_degree_uncertainty, pair_probability_violations
+from .spectral import lambda_max_dense
+from .stability import (
+    AbarSummary,
+    expected_degree_uncertainty,
+    pair_probability_violations,
+)
 
 # An ensemble is realized edge by edge (an n x n abar and up to n^2 / 2 edge
 # chains) only up to this many vertices; larger ones get the closed forms.
 REALIZE_N_CAP = 200
+# A power-law ensemble materializes its degree sequence and a few n-arrays
+# for Delta and the hub pairs: about 1 GB at this many vertices.
+POWER_LAW_N_CAP = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -71,21 +82,6 @@ class CommunitySpec:
         return self.n1 + self.n2
 
 
-@dataclass(frozen=True, eq=False)
-class CommunityStats:
-    """Closed-form stationary summary of a two-community ensemble.
-
-    The partition into communities is equitable for abar, so the top
-    eigenvalue of the 2x2 quotient matrix equals lambda_max(abar) exactly;
-    the remaining eigenvalues are -theta1 and -theta2, which never compete.
-    """
-
-    spec: CommunitySpec
-    quotient: np.ndarray
-    lambda_max: float
-    delta_uncertainty: float
-
-
 def community_quotient(spec: CommunitySpec) -> np.ndarray:
     """2x2 quotient of abar over the community partition (zero diagonal)."""
     return np.array(
@@ -96,8 +92,13 @@ def community_quotient(spec: CommunitySpec) -> np.ndarray:
     )
 
 
-def community_stats(spec: CommunitySpec) -> CommunityStats:
-    """lambda_max(abar) and Delta for a two-community ensemble, in O(1)."""
+def community_stats(spec: CommunitySpec) -> AbarSummary:
+    """lambda_max(abar) and Delta for a two-community ensemble, in O(1).
+
+    The partition into communities is equitable for abar, so the top
+    eigenvalue of the 2x2 quotient matrix equals lambda_max(abar) exactly;
+    the remaining eigenvalues are -theta1 and -theta2, which never compete.
+    """
     q = community_quotient(spec)
     half_tr = 0.5 * (q[0, 0] + q[1, 1])
     half_gap = 0.5 * (q[0, 0] - q[1, 1])
@@ -108,11 +109,16 @@ def community_stats(spec: CommunitySpec) -> CommunityStats:
     row2 = (spec.n2 - 1) * spec.theta2 * (1 - spec.theta2) + spec.n1 * spec.phi * (
         1 - spec.phi
     )
-    return CommunityStats(
-        spec=spec,
-        quotient=q,
-        lambda_max=float(lam),
+    return AbarSummary(
+        n=spec.n,
+        lambda_max_abar=float(lam),
         delta_uncertainty=float(max(row1, row2)),
+        network_kind="binary",
+        test="spectral-penalty",
+        d_tilde=None,
+        max_pair_prob=None,
+        invalid_pairs=0,
+        notes=("two-community closed form (exact quotient eigenvalue)",),
     )
 
 
@@ -159,48 +165,55 @@ class ExpectedDegreeSpec:
         return self.degrees.size
 
 
-@dataclass(frozen=True, eq=False)
-class ExpectedDegreeStats:
-    """Stationary summary of a Chung-Lu ensemble.
-
-    ``d_tilde`` = sum(d^2)/sum(d) plays the role of lambda_max(abar): abar is
-    the rank-one rho d d^T minus its diagonal, so lambda_max(abar) lies in
-    [d_tilde - rho max(d)^2, d_tilde]; the eigenvalue itself is
-    :func:`epinet.stability.expected_degree_lambda_max`, which the
-    certificate does not need.  ``max_pair_prob`` > 1 flags parameter
-    choices that break the probability model; the counts are recorded
-    rather than silently clipped.
-    """
-
-    n: int
-    rho: float
-    d_tilde: float
-    delta_uncertainty: float
-    max_pair_prob: float
-    invalid_pairs: int
-
-
 def expected_degree_stats(
     spec: Union[ExpectedDegreeSpec, np.ndarray]
-) -> ExpectedDegreeStats:
+) -> AbarSummary:
     """Validated O(n) summary of a Chung-Lu ensemble: d_tilde, Delta and the
-    pairs whose edge probability exceeds 1."""
+    pairs whose edge probability exceeds 1.
+
+    Edge {i, j} is present independently with probability rho d_i d_j,
+    rho = 1 / sum(d).  abar is the rank-one rho d d^T minus its diagonal, so
+    lambda_max(abar) lies in [d_tilde - rho max(d)^2, d_tilde] with
+    d_tilde = rho sum(d^2), and d_tilde serves as lambda_max(abar); the
+    eigenvalue itself is :func:`epinet.stability.expected_degree_lambda_max`,
+    which the certificate does not need.
+
+    The construction is a probability model only when rho d_i d_j <= 1 for
+    every pair.  Heavy-tailed degree targets often break that cap at the
+    largest hubs while the bound is still the quantity of interest, so the
+    summary proceeds formally and records a violation as a note; only a
+    negative Delta, where the variance model itself breaks, is refused.
+    """
     if isinstance(spec, ExpectedDegreeSpec):
         d = spec.degrees
     else:
         d = ExpectedDegreeSpec(degrees=np.asarray(spec, dtype=float)).degrees
-    d1 = float(d.sum())
-    rho = 1.0 / d1
+    rho = 1.0 / float(d.sum())
     d_tilde = rho * float((d * d).sum())
     delta_u = expected_degree_uncertainty(d)
+    if delta_u < 0:
+        raise ValueError(
+            f"variance proxy is negative ({delta_u:.6g}); edge probabilities "
+            "above 1 broke the variance model"
+        )
     max_pair, invalid = pair_probability_violations(d)
-    return ExpectedDegreeStats(
+    notes: tuple[str, ...] = ()
+    if max_pair > 1.0:
+        notes = (
+            f"invalid edge probabilities: rho*d_i*d_j exceed 1 for {invalid} "
+            f"pairs (max {max_pair:.6g}); the ensemble is not a probability "
+            "model, so the bound is evaluated formally",
+        )
+    return AbarSummary(
         n=d.size,
-        rho=rho,
+        lambda_max_abar=d_tilde,
+        delta_uncertainty=delta_u,
+        network_kind="expected-degree",
+        test="expected-degree",
         d_tilde=d_tilde,
-        delta_uncertainty=float(delta_u),
         max_pair_prob=max_pair,
         invalid_pairs=invalid,
+        notes=notes,
     )
 
 
@@ -222,6 +235,11 @@ class PowerLawSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2 vertices, got {self.n}")
+        if self.n > POWER_LAW_N_CAP:
+            raise ValueError(
+                f"n={self.n} exceeds the power-law cap {POWER_LAW_N_CAP}; the "
+                "degree sequence is materialized"
+            )
         if not (self.exponent > 2):
             raise ValueError(
                 f"exponent must exceed 2 for a finite mean, got {self.exponent}"
@@ -376,3 +394,26 @@ def as_switched_network(
     abar = np.outer(d, d) / float(d.sum())
     np.fill_diagonal(abar, 0.0)
     return realize_switched_spec(abar, model.switch_scale)
+
+
+def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:
+    """The sufficient test's inputs for any model: an explicit spec from its
+    dense stationary moments, an ensemble from its closed form."""
+    if isinstance(model, SwitchedNetworkSpec):
+        stats = stationary_stats(model)
+        return AbarSummary(
+            n=model.n,
+            lambda_max_abar=lambda_max_dense(stats.abar),
+            delta_uncertainty=stats.delta_uncertainty,
+            network_kind=stats.kind,
+            test="spectral-penalty",
+            d_tilde=None,
+            max_pair_prob=None,
+            invalid_pairs=0,
+            notes=(),
+        )
+    if isinstance(model, CommunitySpec):
+        return community_stats(model)
+    if isinstance(model, PowerLawSpec):
+        return expected_degree_stats(power_law_degrees(model))
+    return expected_degree_stats(model)

@@ -20,7 +20,7 @@ import numpy as np
 from .exact import JointChain, build_joint_chain
 from .netmodel import EdgeChain, SwitchedNetworkSpec, stationary_stats
 from .spectral import lambda_max_dense
-from .stability import EXP_FLOOR, minimize_penalty
+from .stability import _tail_exponent, minimize_penalty
 
 REL_TOL = 1e-8
 
@@ -101,9 +101,7 @@ def check_tail_bound(
     exact = np.array(
         [float(stationary[lam_all > lam_bar + si].sum()) for si in s]
     )
-    denom = 2.0 * s + 6.0 * delta_u
-    expo = np.where(denom > 0, -3.0 * s * s / np.where(denom > 0, denom, 1.0), 0.0)
-    bound = 2.0 * n * np.exp(np.maximum(expo, EXP_FLOOR))
+    bound = 2.0 * n * np.exp(_tail_exponent(s, delta_u))
     violation = float((exact - bound).max(initial=-np.inf))
     return TailCheck(
         s_values=s,

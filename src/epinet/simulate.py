@@ -107,14 +107,10 @@ class Trajectory:
     times: np.ndarray
     p: np.ndarray
     events: tuple[SwitchEvent, ...]
-    seed: int
     grid_mask: np.ndarray
 
     def grid_times(self) -> np.ndarray:
         return self.times[self.grid_mask]
-
-    def grid_values(self) -> np.ndarray:
-        return self.p[self.grid_mask]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +365,7 @@ def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
               events=events)
     times, mask, jumps = np.array(times), np.array(flags, dtype=bool), tuple(events[0])
     return tuple(
-        Trajectory(times, np.array(path), jumps, cfg.seed, mask) if wanted else None
+        Trajectory(times, np.array(path), jumps, mask) if wanted else None
         for path, wanted in zip(paths, (full, linear))
     )
 

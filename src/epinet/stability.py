@@ -18,21 +18,19 @@ computable onset s0 and concave before it, so the global minimum is the
 smaller of f(0) and a golden-section minimum over the convex piece.  The
 same machinery covers weighted networks (variances of the weight chains) and
 expected-degree ensembles, where lambda_max(abar) collapses to the ratio
-d_tilde = sum(d^2) / sum(d).
+d_tilde = sum(d^2) / sum(d).  Every model reaches the test as an
+:class:`AbarSummary` (see :func:`epinet.ensembles.summarize`), and
+:func:`check_sufficient` is the one test.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
-from .netmodel import EpidemicParams, StationaryStats
-from .spectral import lambda_max_dense
-
-if TYPE_CHECKING:
-    from .ensembles import ExpectedDegreeStats
+from .netmodel import EpidemicParams
 
 # exp underflows to 0 below roughly exp(-745); clamping keeps f finite and
 # monotone instead of raising on extreme (n, Delta) combinations.
@@ -43,6 +41,15 @@ GOLDEN_TOL = 1e-10
 
 VERDICT_STABLE = "stable-a.s."
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+
+def _tail_exponent(s: np.ndarray, delta_u: float) -> np.ndarray:
+    """-3 s^2 / (2 s + 6 Delta), read as 0 where s = Delta = 0 and clamped at
+    EXP_FLOOR: the exponent of the tail bound behind the penalty."""
+    denom = 2.0 * s + 6.0 * delta_u
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expo = np.where(denom > 0, -3.0 * s * s / np.where(denom > 0, denom, 1.0), 0.0)
+    return np.maximum(expo, EXP_FLOOR)
 
 
 def concentration_penalty(
@@ -61,11 +68,7 @@ def concentration_penalty(
     s_arr = np.asarray(s, dtype=float)
     if s_arr.min(initial=np.inf) < 0 and s_arr.size:
         raise ValueError("penalty is only defined for s >= 0")
-    denom = 2.0 * s_arr + 6.0 * delta_u
-    with np.errstate(invalid="ignore", divide="ignore"):
-        expo = np.where(denom > 0, -3.0 * s_arr * s_arr / np.where(denom > 0, denom, 1.0), 0.0)
-    expo = np.maximum(expo, EXP_FLOOR)
-    out = s_arr + 2.0 * float(n) * float(n) * np.exp(expo)
+    out = s_arr + 2.0 * float(n) * float(n) * np.exp(_tail_exponent(s_arr, delta_u))
     if np.isscalar(s) or np.ndim(s) == 0:
         return float(out)
     return out
@@ -177,6 +180,31 @@ def minimize_penalty(n: int, delta_u: float) -> PenaltyMinimum:
 
 
 @dataclass(frozen=True)
+class AbarSummary:
+    """The inputs of the sufficient test for one network model.
+
+    ``lambda_max_abar`` and ``delta_uncertainty`` (Delta) are the two
+    scalars of the certificate, and ``n`` sets the penalty's 2 n^2.  They
+    come from :func:`epinet.ensembles.summarize`, for an explicit spec from
+    its dense moments and for an ensemble from a closed form.  An
+    expected-degree summary also carries ``d_tilde`` (its lambda_max_abar),
+    the largest pair probability and the number of pairs above 1; the other
+    models leave them None, None and 0.  ``notes`` record how the scalars
+    were obtained.
+    """
+
+    n: int
+    lambda_max_abar: float
+    delta_uncertainty: float
+    network_kind: str
+    test: str
+    d_tilde: Optional[float]
+    max_pair_prob: Optional[float]
+    invalid_pairs: int
+    notes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class StabilityReport:
     """Outcome of one sufficient stability test.
 
@@ -199,10 +227,10 @@ class StabilityReport:
     s0: float
     lhs: float
     stable: bool
-    d_tilde: Optional[float] = None
-    max_pair_prob: Optional[float] = None
-    invalid_pairs: int = 0
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    d_tilde: Optional[float]
+    max_pair_prob: Optional[float]
+    invalid_pairs: int
+    notes: tuple[str, ...]
 
     @property
     def verdict(self) -> str:
@@ -231,74 +259,50 @@ class StabilityReport:
         }
 
 
-def spectral_penalty_report(
-    n: int,
-    lambda_max_abar: float,
-    delta_u: float,
-    params: EpidemicParams,
-    *,
-    network_kind: str = "binary",
-    test: str = "spectral-penalty",
-    d_tilde: Optional[float] = None,
-    max_pair_prob: Optional[float] = None,
-    invalid_pairs: int = 0,
-    notes: tuple[str, ...] = (),
-) -> StabilityReport:
-    """Assemble a report from precomputed scalars.
+def sufficient_lhs(summary: AbarSummary) -> tuple[PenaltyMinimum, float]:
+    """The penalty minimum for the summary's (n, Delta) and the left-hand
+    side lambda_max(abar) + f_min of the certificate.
 
-    This is the single entry point behind all the scalable tests: binary,
-    weighted, and expected-degree inputs differ only in how lambda_max(abar)
-    and Delta are produced.
+    A frozen graph (Delta = 0) has no randomness to price: its penalty is
+    zero and lambda_max(abar) is the graph's own eigenvalue.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    threshold = params.threshold
-    if delta_u == 0.0:
-        f_min, s_star, s0 = 0.0, 0.0, 0.0
-        notes = notes + (
+    if summary.delta_uncertainty == 0.0:
+        pm = PenaltyMinimum(
+            n=summary.n, delta_uncertainty=0.0, f_min=0.0, s_star=0.0, s0=0.0
+        )
+    else:
+        pm = minimize_penalty(summary.n, summary.delta_uncertainty)
+    return pm, summary.lambda_max_abar + pm.f_min
+
+
+def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityReport:
+    """The sufficient extinction test lambda_max(abar) + min f < delta / beta
+    (strict), for every network model alike."""
+    pm, lhs = sufficient_lhs(summary)
+    notes = summary.notes
+    if summary.delta_uncertainty == 0.0:
+        notes += (
             "frozen graph: the eigenvalue comparison is exact, not merely "
             "sufficient",
         )
-    else:
-        bound = minimize_penalty(n, delta_u)
-        f_min, s_star, s0 = bound.f_min, bound.s_star, bound.s0
-    lhs = lambda_max_abar + f_min
     return StabilityReport(
-        test=test,
-        network_kind=network_kind,
-        n=n,
+        test=summary.test,
+        network_kind=summary.network_kind,
+        n=summary.n,
         beta=params.beta,
         delta=params.delta,
-        threshold=threshold,
-        lambda_max_abar=lambda_max_abar,
-        delta_uncertainty=delta_u,
-        f_min=f_min,
-        s_star=s_star,
-        s0=s0,
+        threshold=params.threshold,
+        lambda_max_abar=summary.lambda_max_abar,
+        delta_uncertainty=summary.delta_uncertainty,
+        f_min=pm.f_min,
+        s_star=pm.s_star,
+        s0=pm.s0,
         lhs=lhs,
-        stable=bool(lhs < threshold),
-        d_tilde=d_tilde,
-        max_pair_prob=max_pair_prob,
-        invalid_pairs=invalid_pairs,
+        stable=bool(lhs < params.threshold),
+        d_tilde=summary.d_tilde,
+        max_pair_prob=summary.max_pair_prob,
+        invalid_pairs=summary.invalid_pairs,
         notes=notes,
-    )
-
-
-def check_spectral_penalty(
-    stats: StationaryStats, params: EpidemicParams
-) -> StabilityReport:
-    """Sufficient extinction test from dense stationary moments.
-
-    Works identically for binary and weighted networks; the variance row
-    sums behind ``stats.delta_uncertainty`` already reflect the edge-weight
-    laws.
-    """
-    return spectral_penalty_report(
-        n=stats.abar.shape[0],
-        lambda_max_abar=lambda_max_dense(stats.abar),
-        delta_u=stats.delta_uncertainty,
-        params=params,
-        network_kind=stats.kind,
     )
 
 
@@ -396,46 +400,3 @@ def pair_probability_violations(degrees: np.ndarray) -> tuple[float, int]:
     ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
     self_pairs = int((hubs > cutoffs).sum())
     return max_pair, (ordered - self_pairs) // 2
-
-
-def check_expected_degrees(
-    stats: "ExpectedDegreeStats", params: EpidemicParams
-) -> StabilityReport:
-    """Sufficient extinction test for expected-degree (Chung-Lu) ensembles.
-
-    Edge {i, j} is present independently with probability rho d_i d_j,
-    rho = 1 / sum(d).  The expected adjacency matrix is the rank-one
-    rho d d^T minus its diagonal, whose top eigenvalue is below
-    d_tilde = rho sum(d^2), so d_tilde serves as lambda_max(abar).  The
-    scalars come from :func:`epinet.ensembles.expected_degree_stats`.
-
-    The construction is only a probability model when rho d_i d_j <= 1 for
-    every pair.  Heavy-tailed degree targets often break that cap at the
-    largest hubs while the bound is still the quantity of interest, so the
-    test proceeds formally and records a violation as a note; only a
-    negative Delta, where the variance model itself breaks, is refused.
-    """
-    if stats.delta_uncertainty < 0:
-        raise ValueError(
-            f"variance proxy is negative ({stats.delta_uncertainty:.6g}); edge "
-            "probabilities above 1 broke the variance model"
-        )
-    notes: tuple[str, ...] = ()
-    if stats.max_pair_prob > 1.0:
-        notes = (
-            "invalid edge probabilities: max rho*d_i*d_j = "
-            f"{stats.max_pair_prob:.6g} > 1 ({stats.invalid_pairs} pairs); the "
-            "ensemble is not a probability model",
-        )
-    return spectral_penalty_report(
-        n=stats.n,
-        lambda_max_abar=stats.d_tilde,
-        delta_u=stats.delta_uncertainty,
-        params=params,
-        network_kind="expected-degree",
-        test="expected-degree",
-        d_tilde=stats.d_tilde,
-        max_pair_prob=stats.max_pair_prob,
-        invalid_pairs=stats.invalid_pairs,
-        notes=notes,
-    )

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -21,8 +22,10 @@ import epinet.cli
 import epinet.ensembles
 import epinet.exact
 import epinet.stability
-from epinet.cli import main
-from epinet.ensembles import expected_degree_stats
+from epinet.cli import COMMUNITY_EXAMPLE, POWERLAW_EXAMPLE, main
+from epinet.ensembles import expected_degree_stats, load_network, summarize
+from epinet.netmodel import EpidemicParams
+from epinet.stability import check_sufficient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -462,9 +465,11 @@ def test_analyze_large_ensemble_skips_exact(tmp_path, capsys):
 
 def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkeypatch):
     calls = []
-    original = epinet.cli.power_law_degrees
+    original = epinet.ensembles.power_law_degrees
     monkeypatch.setattr(
-        epinet.cli, "power_law_degrees", lambda ens: calls.append(ens) or original(ens)
+        epinet.ensembles,
+        "power_law_degrees",
+        lambda ens: calls.append(ens) or original(ens),
     )
     spec = tmp_path / "ens.json"
     spec.write_text(
@@ -555,6 +560,86 @@ def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
         exact = json.loads(stdout[stdout.index("{"):])["exact"]
         assert exact["e_lambda_max"] == pytest.approx(0.25, abs=1e-13)
         assert exact["e_lambda_max_stable"] is stable
+
+
+# One model of each kind; the community and power-law ones are the built-in
+# examples' ensembles.
+_MODELS = {
+    "binary": {"n": 3, "edges": [{"i": 1, "j": 2, "p": 2.0, "q": 1.0},
+                                 {"i": 1, "j": 3, "p": 0.5, "q": 1.5},
+                                 {"i": 2, "j": 3, "p": 1.0, "q": 1.0}]},
+    "weighted": {"n": 3, "edges": [
+        {"i": 1, "j": 2, "states": [0.0, 0.4, 1.0],
+         "generator": [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]},
+        {"i": 2, "j": 3, "states": [0.0, 0.5, 1.0],
+         "generator": [[-1, 1, 0], [0.5, -1, 0.5], [0, 2, -2]]},
+    ]},
+    "frozen": {"n": 3, "edges": [
+        {"i": 1, "j": 2, "states": [0.7], "generator": [[0.0]]},
+        {"i": 2, "j": 3, "states": [0.3], "generator": [[0.0]]},
+    ]},
+    "community": {"ensemble": "community", **dataclasses.asdict(COMMUNITY_EXAMPLE)},
+    "expected-degree": {"ensemble": "expected-degree",
+                        "degrees": [1.0, 1.0, 50.0, 60.0]},
+    "power-law": {"ensemble": "power-law", **dataclasses.asdict(POWERLAW_EXAMPLE)},
+}
+_EXAMPLE_OF = {"community": "community", "power-law": "powerlaw"}
+
+
+@pytest.mark.parametrize("kind", list(_MODELS))
+def test_one_sufficient_path_for_every_model(kind, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_MODELS[kind]))
+    out = tmp_path / "analyze"
+    argv = ["analyze", "--spec", str(spec), "--beta", "0.25", "--delta", "1.5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    sufficient = json.loads((out / "report.json").read_text())["sufficient"]
+    expected = check_sufficient(
+        summarize(load_network(spec)), EpidemicParams(beta=0.25, delta=1.5)
+    ).to_dict()
+    assert sufficient == json.loads(json.dumps(expected))
+    assert ("frozen graph" in " ".join(sufficient["notes"])) == (kind == "frozen")
+    if kind in _EXAMPLE_OF:
+        example = tmp_path / "example"
+        assert main(["example", _EXAMPLE_OF[kind], "--out", str(example)]) == 0
+        computed = json.loads((example / "report.json").read_text())["computed"]
+        # JSON floats round-trip exactly, so == is bit for bit
+        for key in ("f_min", "s_star", "lhs"):
+            assert computed[key] == sufficient[key]
+
+
+@pytest.mark.parametrize("n", [30_000_001, 10_000_000_000_000])
+def test_power_law_cap_refused_before_allocating(n, tmp_path, capsys):
+    # n = 1e13 used to die in power_law_degrees asking numpy for 72.8 TiB
+    spec = tmp_path / "ens.json"
+    spec.write_text(json.dumps({"ensemble": "power-law", "n": n, "exponent": 2.2,
+                                "max_degree": 5e5, "avg_degree": 1e3}))
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.1", "--delta", "1.0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "power-law cap 30000000" in capsys.readouterr().err
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("rate", [1e16, 1e20])
+def test_analyze_refuses_stiff_abscissa(rate, tmp_path, capsys):
+    # on this path eta <= beta * (largest column sum) = 0.5 * 2 = 1, but
+    # ARPACK's error grows with the largest rate and its value lands above 1
+    # (2.0 and 16384).  At 1e100 the value changes from run to run and is
+    # sometimes 0, under the bound, so that rate is not a reliable case.
+    spec = tmp_path / "path.json"
+    spec.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "p": rate, "q": rate},
+        {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
+    ]}))
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:") and "exceeds its bound 1" in err
 
 
 def test_every_command_writes_one_manifest(triangle_spec, tmp_path):

@@ -26,7 +26,7 @@ def test_quotient_matches_dense_eigenvalue():
     spec = small_community()
     stats = community_stats(spec)
     dense = community_abar_dense(spec)
-    assert stats.lambda_max == pytest.approx(lambda_max_dense(dense), rel=1e-12)
+    assert stats.lambda_max_abar == pytest.approx(lambda_max_dense(dense), rel=1e-12)
     # quotient layout
     q = community_quotient(spec)
     assert q[0, 0] == pytest.approx(0.6 * 6)
@@ -47,7 +47,7 @@ def test_community_frozen_reference_values():
     spec = CommunitySpec(n1=10_000, n2=100_000, theta1=0.5, theta2=0.3, phi=0.1)
     stats = community_stats(spec)
     # frozen from the closed form evaluated independently
-    assert stats.lambda_max == pytest.approx(30393.493904092742, rel=1e-12)
+    assert stats.lambda_max_abar == pytest.approx(30393.493904092742, rel=1e-12)
     assert stats.delta_uncertainty == pytest.approx(21899.79, rel=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_community_edge_cases():
     # single-vertex communities: no within-community edges at all
     spec = CommunitySpec(n1=1, n2=1, theta1=0.9, theta2=0.8, phi=0.5)
     stats = community_stats(spec)
-    assert stats.lambda_max == pytest.approx(0.5, abs=1e-14)
+    assert stats.lambda_max_abar == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(ValueError):
         CommunitySpec(n1=0, n2=5, theta1=0.5, theta2=0.5, phi=0.5)
     with pytest.raises(ValueError):
@@ -65,8 +65,7 @@ def test_community_edge_cases():
 def test_expected_degree_stats_small():
     d = np.array([3.0, 2.0, 1.0])
     stats = expected_degree_stats(ExpectedDegreeSpec(degrees=d))
-    assert stats.rho == pytest.approx(1.0 / 6.0)
-    assert stats.d_tilde == pytest.approx(14.0 / 6.0)
+    assert stats.d_tilde == stats.lambda_max_abar == pytest.approx(14.0 / 6.0)
     abar = np.outer(d, d) / 6.0
     np.fill_diagonal(abar, 0.0)
     assert stats.delta_uncertainty == pytest.approx(
@@ -76,7 +75,7 @@ def test_expected_degree_stats_small():
     assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
     # rank-one bound sandwiches the true eigenvalue
     assert lam <= stats.d_tilde
-    assert lam >= stats.d_tilde - stats.rho * 9.0
+    assert lam >= stats.d_tilde - 9.0 / 6.0
 
 
 def _random_degrees(seed: int) -> np.ndarray:

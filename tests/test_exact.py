@@ -59,9 +59,11 @@ def test_joint_chain_structure_two_edges():
     )
     joint = build_joint_chain(spec)
     assert joint.n_configs == 4
-    assert joint.edge_order == ((1, 2), (2, 3))
-    # enumeration: config index k has mixed-radix digits over edge states,
-    # last edge fastest; config 1 = first edge absent, second present
+    # enumeration: config index k has mixed-radix digits over edge states in
+    # the order of spec.edges, last edge fastest; config 1 = first edge
+    # absent, second present
+    for k, edge in zip((2, 1), spec.edges):
+        assert joint.configs[k][edge.i - 1, edge.j - 1] == 1.0
     assert joint.configs[1][1, 2] == 1.0 and joint.configs[1][0, 1] == 0.0
     assert joint.configs[2][0, 1] == 1.0 and joint.configs[2][1, 2] == 0.0
     assert joint.configs[3][0, 1] == 1.0 and joint.configs[3][1, 2] == 1.0
@@ -229,6 +231,31 @@ def test_eta_scales_with_beta_on_static_graph():
     for beta in (0.5, 1.0, 2.0):
         eta = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0)).eta
         assert eta == pytest.approx(beta * (n - 1), rel=1e-10)
+
+
+def test_eta_past_column_sum_bound_is_refused():
+    # eta <= beta * max_k max_v sum_u A_k[u, v] = 1 on this path, and
+    # ARPACK's value for p = q = 1e20 on edge (1, 2) is rounding noise above it
+    stiff = SwitchedNetworkSpec(
+        n=3,
+        edges=(
+            EdgeChain(i=1, j=2, p_rate=1e20, q_rate=1e20),
+            EdgeChain(i=2, j=3, p_rate=1.0, q_rate=1.0),
+        ),
+    )
+    with pytest.raises(RuntimeError, match="exceeds its bound 1"):
+        exact_mean_stable(build_joint_chain(stiff), EpidemicParams(beta=0.5, delta=1.0))
+    # a frozen complete graph is regular and sits on the bound; fast rates put
+    # ARPACK's value a little above it, within the slack
+    for n in (3, 4, 5):
+        edges = tuple(
+            EdgeChain(i=i, j=j, p_rate=1e6, q_rate=0.0)
+            for i, j in itertools.combinations(range(1, n + 1), 2)
+        )
+        joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
+        for beta in (1e-3, 0.5, 7.3):
+            eta = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0)).eta
+            assert eta == pytest.approx(beta * (n - 1), rel=1e-6)
 
 
 @settings(max_examples=25, deadline=None)

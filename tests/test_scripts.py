@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,14 @@ def test_decay_experiment_script(tmp_path):
     assert "fitted decay rate" in proc.stdout
     lines = (tmp_path / "decay_norms.csv").read_text().splitlines()
     assert lines[0] == "t,mean_norm" and len(lines) > 3
+
+
+def test_reproduce_examples_script(tmp_path):
+    proc = run_script("reproduce_examples.py", [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("community", "powerlaw"):
+        report = json.loads(
+            (tmp_path / "example_reports" / name / "report.json").read_text()
+        )
+        assert report["example"] == name
+        assert report["all_within_tolerance"] is True

@@ -99,10 +99,10 @@ def community_stats(spec: CommunitySpec) -> AbarSummary:
     eigenvalue of the 2x2 quotient matrix equals lambda_max(abar) exactly;
     the remaining eigenvalues are -theta1 and -theta2, which never compete.
     """
-    q = community_quotient(spec)
-    half_tr = 0.5 * (q[0, 0] + q[1, 1])
-    half_gap = 0.5 * (q[0, 0] - q[1, 1])
-    lam = half_tr + math.sqrt(half_gap * half_gap + q[0, 1] * q[1, 0])
+    (q11, q12), (q21, q22) = community_quotient(spec).tolist()
+    half_tr = 0.5 * (q11 + q22)
+    half_gap = 0.5 * (q11 - q22)
+    lam = half_tr + math.sqrt(half_gap * half_gap + q12 * q21)
     row1 = (spec.n1 - 1) * spec.theta1 * (1 - spec.theta1) + spec.n2 * spec.phi * (
         1 - spec.phi
     )

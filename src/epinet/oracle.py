@@ -13,7 +13,7 @@ needs numpy only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -130,20 +130,7 @@ class OracleReport:
     abar_consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "lambda_max_abar": self.lambda_max_abar,
-            "delta_uncertainty": self.delta_uncertainty,
-            "f_min": self.f_min,
-            "lhs_upper": self.lhs_upper,
-            "e_lambda_max": self.e_lambda_max,
-            "eta_beta1": self.eta_beta1,
-            "sandwich_ok": self.sandwich_ok,
-            "tail_ok": self.tail_ok,
-            "tail_max_violation": self.tail_max_violation,
-            "abar_consistent": self.abar_consistent,
-        }
+        return asdict(self)
 
     @property
     def passed(self) -> bool:

@@ -15,7 +15,7 @@ and the epidemic dies out almost surely whenever
 
 f is not convex near the origin, but it is convex on [s0, infinity) for a
 computable onset s0 and concave before it, so the global minimum is the
-smaller of f(0) and a golden-section minimum over the convex piece.  The
+smaller of f(0) and the convex piece's minimum, where f' changes sign.  The
 same machinery covers weighted networks (variances of the weight chains) and
 expected-degree ensembles, where lambda_max(abar) collapses to the ratio
 d_tilde = sum(d^2) / sum(d).  Every model reaches the test as an
@@ -36,8 +36,11 @@ from .netmodel import EpidemicParams
 # monotone instead of raising on extreme (n, Delta) combinations.
 EXP_FLOOR = -745.0
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_TOL = 1e-10
+# The onset polynomial's sqrt(27 Delta^2 t) reaches 135 Delta^3 at the first
+# bracket end t = 5 Delta, which overflows past Delta ~ 1.1e102; 2 n^2
+# overflows past n ~ 9.5e153.
+DELTA_CAP = 1e100
+PENALTY_N_CAP = 1e150
 
 VERDICT_STABLE = "stable-a.s."
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -52,6 +55,26 @@ def _tail_exponent(s: np.ndarray, delta_u: float) -> np.ndarray:
     return np.maximum(expo, EXP_FLOOR)
 
 
+def _check_uncertainty(delta_u: float) -> None:
+    if not (0 <= delta_u <= DELTA_CAP):
+        raise ValueError(
+            f"delta_u must be finite, >= 0 and <= {DELTA_CAP:g}, got {delta_u}"
+        )
+
+
+def _bisect(pred, lo: float, hi: float) -> float:
+    """Halve [lo, hi], with ``pred`` false at lo and true at hi, until lo and
+    hi are adjacent floats; return hi, the first float where ``pred`` holds."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def concentration_penalty(
     s: Union[float, np.ndarray], n: int, delta_u: float
 ) -> Union[float, np.ndarray]:
@@ -61,10 +84,9 @@ def concentration_penalty(
     ``delta_u`` may be zero (frozen graph), in which case the exponent is
     read as its limit -3 s / 2 and f(0) = 2 n^2.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (delta_u >= 0 and np.isfinite(delta_u)):
-        raise ValueError(f"delta_u must be finite and >= 0, got {delta_u}")
+    if not 1 <= n <= PENALTY_N_CAP:
+        raise ValueError(f"n must be >= 1 and <= {PENALTY_N_CAP:g}, got {n}")
+    _check_uncertainty(delta_u)
     s_arr = np.asarray(s, dtype=float)
     if s_arr.min(initial=np.inf) < 0 and s_arr.size:
         raise ValueError("penalty is only defined for s >= 0")
@@ -90,8 +112,7 @@ def convexity_onset(delta_u: float) -> float:
     single sign change on t >= 3 Delta.  h(3 Delta) < 0 always, so the root
     is bracketed by doubling and then bisected to machine precision.
     """
-    if not (delta_u >= 0 and np.isfinite(delta_u)):
-        raise ValueError(f"delta_u must be finite and >= 0, got {delta_u}")
+    _check_uncertainty(delta_u)
     if delta_u == 0.0:
         return 0.0
     c3 = 13.5 * delta_u * delta_u
@@ -99,7 +120,6 @@ def convexity_onset(delta_u: float) -> float:
     def h(t: float) -> float:
         return 1.5 * t * t - c3 - math.sqrt(2.0 * c3 * t)
 
-    lo = 3.0 * delta_u
     hi = 5.0 * delta_u
     for _ in range(4000):
         if h(hi) > 0.0:
@@ -107,15 +127,8 @@ def convexity_onset(delta_u: float) -> float:
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the convexity onset")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return max(hi - 3.0 * delta_u, 0.0)
+    t_root = _bisect(lambda t: h(t) > 0.0, 3.0 * delta_u, hi)
+    return max(t_root - 3.0 * delta_u, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,49 +142,30 @@ class PenaltyMinimum:
     s0: float
 
 
-def _golden_min(func, a: float, b: float, tol: float) -> tuple[float, float]:
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(500):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = func(d)
-    x = 0.5 * (a + b)
-    return x, func(x)
-
-
 def minimize_penalty(n: int, delta_u: float) -> PenaltyMinimum:
     """Global minimum of f over s >= 0.
 
     f is concave between 0 and the convexity onset s0, so its minimum is
-    either at s = 0 or inside the convex tail.  The tail minimum is bracketed
-    by doubling until f' > 0 and pinned by golden-section search.
+    either at s = 0 or inside the convex tail.  There f' increases, so the
+    tail minimum is where f' changes sign: bracketed by doubling until
+    f' > 0 and bisected to adjacent floats.  f itself is evaluated twice,
+    at 0 and at the tail minimum.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (delta_u >= 0 and np.isfinite(delta_u)):
-        raise ValueError(f"delta_u must be finite and >= 0, got {delta_u}")
+    f0 = concentration_penalty(0.0, n, delta_u)
     s0 = convexity_onset(delta_u)
-    f0 = float(concentration_penalty(0.0, n, delta_u))
+
+    def rising(s: float) -> bool:
+        return _penalty_derivative(s, n, delta_u) > 0.0
 
     hi = s0 + max(delta_u, 1.0)
     for _ in range(300):
-        if _penalty_derivative(hi, n, delta_u) > 0.0:
+        if rising(hi):
             break
         hi = s0 + 2.0 * (hi - s0)
     else:
         raise RuntimeError("could not bracket the penalty minimum")
-    s_star, f_star = _golden_min(
-        lambda s: float(concentration_penalty(s, n, delta_u)), s0, hi, GOLDEN_TOL
-    )
+    s_star = _bisect(rising, s0, hi)
+    f_star = concentration_penalty(s_star, n, delta_u)
     if f0 <= f_star:
         s_star, f_star = 0.0, f0
     return PenaltyMinimum(
@@ -204,61 +198,6 @@ class AbarSummary:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of one sufficient stability test.
-
-    ``stable=True`` certifies almost-sure extinction; ``stable=False`` means
-    the test was inconclusive, not that the epidemic survives.  The one
-    exception is a frozen graph (delta_uncertainty == 0), where the
-    comparison is exact and a note says so.
-    """
-
-    test: str
-    network_kind: str
-    n: int
-    beta: float
-    delta: float
-    threshold: float
-    lambda_max_abar: float
-    delta_uncertainty: float
-    f_min: float
-    s_star: float
-    s0: float
-    lhs: float
-    stable: bool
-    d_tilde: Optional[float]
-    max_pair_prob: Optional[float]
-    invalid_pairs: int
-    notes: tuple[str, ...]
-
-    @property
-    def verdict(self) -> str:
-        return VERDICT_STABLE if self.stable else VERDICT_INCONCLUSIVE
-
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "network_kind": self.network_kind,
-            "n": self.n,
-            "beta": self.beta,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "lambda_max_abar": self.lambda_max_abar,
-            "delta_uncertainty": self.delta_uncertainty,
-            "f_min": self.f_min,
-            "s_star": self.s_star,
-            "s0": self.s0,
-            "lhs": self.lhs,
-            "stable": self.stable,
-            "verdict": self.verdict,
-            "d_tilde": self.d_tilde,
-            "max_pair_prob": self.max_pair_prob,
-            "invalid_pairs": self.invalid_pairs,
-            "notes": list(self.notes),
-        }
-
-
 def sufficient_lhs(summary: AbarSummary) -> tuple[PenaltyMinimum, float]:
     """The penalty minimum for the summary's (n, Delta) and the left-hand
     side lambda_max(abar) + f_min of the certificate.
@@ -266,6 +205,10 @@ def sufficient_lhs(summary: AbarSummary) -> tuple[PenaltyMinimum, float]:
     A frozen graph (Delta = 0) has no randomness to price: its penalty is
     zero and lambda_max(abar) is the graph's own eigenvalue.
     """
+    if not math.isfinite(summary.lambda_max_abar):
+        raise ValueError(
+            f"lambda_max(abar) must be finite, got {summary.lambda_max_abar}"
+        )
     if summary.delta_uncertainty == 0.0:
         pm = PenaltyMinimum(
             n=summary.n, delta_uncertainty=0.0, f_min=0.0, s_star=0.0, s0=0.0
@@ -275,35 +218,71 @@ def sufficient_lhs(summary: AbarSummary) -> tuple[PenaltyMinimum, float]:
     return pm, summary.lambda_max_abar + pm.f_min
 
 
+@dataclass(frozen=True)
+class StabilityReport:
+    """Outcome of one sufficient stability test: the model's summary, the
+    penalty minimum priced for it and the epidemic parameters.
+
+    ``stable=True`` certifies almost-sure extinction; ``stable=False`` means
+    the test was inconclusive, not that the epidemic survives.  The one
+    exception is a frozen graph (delta_uncertainty == 0), where the
+    comparison is exact and a note says so.
+    """
+
+    summary: AbarSummary
+    penalty: PenaltyMinimum
+    params: EpidemicParams
+
+    @property
+    def lhs(self) -> float:
+        return self.summary.lambda_max_abar + self.penalty.f_min
+
+    @property
+    def stable(self) -> bool:
+        return bool(self.lhs < self.params.threshold)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_STABLE if self.stable else VERDICT_INCONCLUSIVE
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if self.summary.delta_uncertainty == 0.0:
+            return self.summary.notes + (
+                "frozen graph: the eigenvalue comparison is exact, not merely "
+                "sufficient",
+            )
+        return self.summary.notes
+
+    def to_dict(self) -> dict:
+        sm, pm = self.summary, self.penalty
+        return {
+            "test": sm.test,
+            "network_kind": sm.network_kind,
+            "n": sm.n,
+            "beta": self.params.beta,
+            "delta": self.params.delta,
+            "threshold": self.params.threshold,
+            "lambda_max_abar": sm.lambda_max_abar,
+            "delta_uncertainty": sm.delta_uncertainty,
+            "f_min": pm.f_min,
+            "s_star": pm.s_star,
+            "s0": pm.s0,
+            "lhs": self.lhs,
+            "stable": self.stable,
+            "verdict": self.verdict,
+            "d_tilde": sm.d_tilde,
+            "max_pair_prob": sm.max_pair_prob,
+            "invalid_pairs": sm.invalid_pairs,
+            "notes": list(self.notes),
+        }
+
+
 def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityReport:
     """The sufficient extinction test lambda_max(abar) + min f < delta / beta
     (strict), for every network model alike."""
-    pm, lhs = sufficient_lhs(summary)
-    notes = summary.notes
-    if summary.delta_uncertainty == 0.0:
-        notes += (
-            "frozen graph: the eigenvalue comparison is exact, not merely "
-            "sufficient",
-        )
-    return StabilityReport(
-        test=summary.test,
-        network_kind=summary.network_kind,
-        n=summary.n,
-        beta=params.beta,
-        delta=params.delta,
-        threshold=params.threshold,
-        lambda_max_abar=summary.lambda_max_abar,
-        delta_uncertainty=summary.delta_uncertainty,
-        f_min=pm.f_min,
-        s_star=pm.s_star,
-        s0=pm.s0,
-        lhs=lhs,
-        stable=bool(lhs < params.threshold),
-        d_tilde=summary.d_tilde,
-        max_pair_prob=summary.max_pair_prob,
-        invalid_pairs=summary.invalid_pairs,
-        notes=notes,
-    )
+    pm, _ = sufficient_lhs(summary)
+    return StabilityReport(summary=summary, penalty=pm, params=params)
 
 
 def expected_degree_uncertainty(degrees: np.ndarray) -> float:

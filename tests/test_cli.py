@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_analyze_respects_exact_cap(triangle_spec, capsys):
     stdout = capsys.readouterr().out
     assert "exact test skipped" in stdout
     payload = stdout[stdout.index("{"):]
-    assert json.loads(payload)["exact"]["status"] == "skipped-too-large"
+    assert json.loads(payload)["exact"]["status"] == "skipped"
 
 
 def test_analyze_missing_file(tmp_path):
@@ -429,6 +430,44 @@ def test_minimize_f_stdout_json(capsys):
     assert result["f_min"] == pytest.approx(983.8336, abs=1e-3)
 
 
+def test_non_finite_certificate_inputs_exit_one(tmp_path, capsys):
+    # a community whose lambda_max(abar) overflows, a Delta too large for
+    # the convexity onset to be evaluated and an n whose 2 n^2 overflows
+    spec = tmp_path / "huge.json"
+    spec.write_text(
+        json.dumps(
+            {"ensemble": "community", "n1": 1e200, "n2": 1e200,
+             "theta1": 1, "theta2": 1, "phi": 1}
+        )
+    )
+    runs = {
+        "lambda_max(abar) must be finite": [
+            "analyze", "--spec", str(spec), "--beta", "1", "--delta", "1"],
+        "delta_u must be finite": [
+            "minimize-f", "--n", "5", "--uncertainty", "1e150"],
+        "n must be": ["minimize-f", "--n", str(10**400), "--uncertainty", "1"],
+    }
+    for message, argv in runs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_analyze_edgeless_spec_skips_exact(tmp_path, capsys):
+    spec = tmp_path / "edgeless.json"
+    spec.write_text(json.dumps({"n": 3, "edges": []}))
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout[stdout.index("{"):])["exact"] == {
+        "status": "skipped",
+        "reason": "spec has no edges; the joint chain would be trivial",
+    }
+
+
 def test_analyze_small_community_ensemble(tmp_path, capsys):
     spec = tmp_path / "ens.json"
     spec.write_text(
@@ -460,7 +499,7 @@ def test_analyze_large_ensemble_skips_exact(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     payload = json.loads(stdout[stdout.index("{"):])
-    assert payload["exact"]["status"] == "skipped-too-large"
+    assert payload["exact"]["status"] == "skipped"
 
 
 def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkeypatch):
@@ -482,7 +521,7 @@ def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkey
     assert code == 0
     stdout = capsys.readouterr().out
     payload = json.loads(stdout[stdout.index("{"):])
-    assert payload["exact"]["status"] == "skipped-too-large"
+    assert payload["exact"]["status"] == "skipped"
     assert "n=5000" in payload["exact"]["reason"]
     assert len(calls) == 1  # the sufficient test's sequence only
 
@@ -518,7 +557,7 @@ def test_analyze_expected_degree_matches_stats(degrees, tmp_path, capsys):
     assert report["invalid_pairs"] == stats.invalid_pairs
     # the realization refuses the same pairs the report counts
     if stats.max_pair_prob > 1.0:
-        assert payload["exact"]["status"] == "skipped-too-large"
+        assert payload["exact"]["status"] == "skipped"
         assert "exceed 1" in payload["exact"]["reason"]
     else:
         assert payload["exact"]["status"] == "ok"

@@ -15,8 +15,10 @@ from epinet.netmodel import (
     WeightedEdgeChain,
     stationary_stats,
 )
+from epinet import stability
 from epinet.stability import (
     AbarSummary,
+    _penalty_derivative,
     check_sufficient,
     concentration_penalty,
     convexity_onset,
@@ -66,10 +68,19 @@ def test_penalty_rejects_bad_inputs():
         concentration_penalty(-1.0, 5, 1.0)
     with pytest.raises(ValueError):
         concentration_penalty(1.0, 0, 1.0)
+    for huge_n in (10**160, 10**400):  # 2 n^2 overflows, or float(n) does
+        with pytest.raises(ValueError, match="n must be"):
+            minimize_penalty(huge_n, 1.0)
     with pytest.raises(ValueError):
         concentration_penalty(1.0, 5, -0.5)
     with pytest.raises(ValueError):
         concentration_penalty(1.0, 5, math.inf)
+    for bad in (math.nan, -1e-300, 1e101):
+        for call in (lambda: concentration_penalty(1.0, 5, bad),
+                     lambda: convexity_onset(bad),
+                     lambda: minimize_penalty(5, bad)):
+            with pytest.raises(ValueError, match="delta_u"):
+                call()
 
 
 # --- convexity onset ---------------------------------------------------------
@@ -98,6 +109,27 @@ def test_onset_is_a_sign_change_of_the_convexity_polynomial():
 
         t_root = convexity_onset(delta_u) + 3.0 * delta_u
         assert h(t_root * (1.0 - 1e-9)) <= 0.0 <= h(t_root * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize(
+    "delta_u, s0",
+    [
+        (0.0, 0.0),
+        (1e-300, 1.2833103623588056e-162),
+        (1e-12, 2.2891285113140776e-08),
+        (1e-2, 0.0817039311729928),
+        (0.234375, 0.4687500000000002),
+        (1.0, 0.9899209252796481),
+        (42.0, 6.4787046424877985),
+        (21899.79, 147.98568270182295),
+        (1e6, 999.9999861163087),
+        (1e100, 3.885337784451458e84),
+    ],
+)
+def test_onset_pinned_values(delta_u, s0):
+    # bit-exact values of the doubling bracket and bisection; the last one
+    # is rounding in t - 3 Delta, pinned so a change to it is deliberate
+    assert convexity_onset(delta_u) == s0
 
 
 def test_onset_exceeds_2delta_for_small_delta():
@@ -187,8 +219,39 @@ def test_minimize_delta_zero_closed_form():
         if s_star <= 0:  # n = 1: boundary wins
             assert pm.s_star >= 0.0
             continue
-        assert pm.s_star == pytest.approx(s_star, rel=1e-6)
+        assert pm.s_star == pytest.approx(s_star, rel=1e-12)
         assert pm.f_min == pytest.approx(f_star, rel=1e-9)
+
+
+def test_minimize_evaluates_the_penalty_twice(monkeypatch):
+    calls = []
+    original = stability.concentration_penalty
+    monkeypatch.setattr(
+        stability,
+        "concentration_penalty",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    for n, delta_u in ((110_000, 21899.79), (3, 0.0), (10, 1e5), (2, 0.25)):
+        calls.clear()
+        pm = minimize_penalty(n, delta_u)
+        assert len(calls) == 2 and calls[0][0] == 0.0
+        assert pm.s_star in (0.0, calls[1][0])
+
+
+def test_tail_minimum_is_the_sign_change_of_the_derivative():
+    # criterion 7's draws: f'(previous float) <= 0 < f'(s_star)
+    rng = np.random.default_rng(2024)
+    interior = 0
+    for _ in range(50):
+        n = int(10.0 ** rng.uniform(1.0, 7.0))
+        delta_u = 10.0 ** rng.uniform(-2.0, 5.0)
+        pm = minimize_penalty(n, delta_u)
+        if pm.s_star == 0.0:
+            continue
+        interior += 1
+        below = _penalty_derivative(math.nextafter(pm.s_star, 0.0), n, delta_u)
+        assert below <= 0.0 < _penalty_derivative(pm.s_star, n, delta_u)
+    assert interior >= 40
 
 
 def test_boundary_candidate_wins_for_huge_delta_small_n():
@@ -236,7 +299,8 @@ def _summary(n, lambda_max_abar, delta_u):
 
 def test_frozen_graph_report_is_exact_branch():
     rep = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=2.0))
-    assert rep.f_min == 0.0 and rep.s_star == 0.0 and rep.s0 == 0.0
+    pm = rep.penalty
+    assert pm.f_min == 0.0 and pm.s_star == 0.0 and pm.s0 == 0.0
     assert rep.lhs == 1.5
     assert rep.stable
     assert any("exact" in note for note in rep.notes)
@@ -266,9 +330,9 @@ def test_check_sufficient_small_network():
         n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),)
     )
     rep = check_sufficient(summarize(spec), _params())
-    assert rep.lambda_max_abar == pytest.approx(0.5, abs=1e-14)
-    assert rep.delta_uncertainty == pytest.approx(0.25, abs=1e-14)
-    assert rep.network_kind == "binary"
+    assert rep.summary.lambda_max_abar == pytest.approx(0.5, abs=1e-14)
+    assert rep.summary.delta_uncertainty == pytest.approx(0.25, abs=1e-14)
+    assert rep.summary.network_kind == "binary"
     assert rep.lhs == pytest.approx(0.5 + minimize_penalty(2, 0.25).f_min, rel=1e-12)
 
 
@@ -289,11 +353,12 @@ def test_weighted_binary_valued_chain_matches_binary_test():
     )
     rb = check_sufficient(summarize(binary), _params())
     rw = check_sufficient(summarize(weighted), _params())
-    assert rw.lambda_max_abar == pytest.approx(rb.lambda_max_abar, abs=1e-12)
-    assert rw.delta_uncertainty == pytest.approx(rb.delta_uncertainty, abs=1e-12)
-    assert rw.f_min == pytest.approx(rb.f_min, rel=1e-12)
+    sw, sb = rw.summary, rb.summary
+    assert sw.lambda_max_abar == pytest.approx(sb.lambda_max_abar, abs=1e-12)
+    assert sw.delta_uncertainty == pytest.approx(sb.delta_uncertainty, abs=1e-12)
+    assert rw.penalty.f_min == pytest.approx(rb.penalty.f_min, rel=1e-12)
     assert rw.stable == rb.stable
-    assert rw.network_kind == "weighted" and rb.network_kind == "binary"
+    assert sw.network_kind == "weighted" and sb.network_kind == "binary"
 
 
 def test_weighted_fractional_chain_report():
@@ -311,8 +376,8 @@ def test_weighted_fractional_chain_report():
     assert stats.abar[0, 1] == pytest.approx(mean, abs=1e-12)
     assert stats.delta_uncertainty == pytest.approx(var, abs=1e-12)
     rep = check_sufficient(summarize(spec), _params())
-    assert rep.network_kind == "weighted"
-    assert rep.lambda_max_abar == pytest.approx(mean, abs=1e-12)
+    assert rep.summary.network_kind == "weighted"
+    assert rep.summary.lambda_max_abar == pytest.approx(mean, abs=1e-12)
 
 
 # --- expected-degree test ----------------------------------------------------
@@ -321,12 +386,12 @@ def test_uniform_degrees_closed_form():
     n, c = 50, 5.0
     d = np.full(n, c)
     rep = check_sufficient(expected_degree_stats(d), _params(delta=100.0))
-    assert rep.d_tilde == pytest.approx(c, rel=1e-14)
+    assert rep.summary.d_tilde == pytest.approx(c, rel=1e-14)
     # abar_ij = c/n off-diagonal; row sum of variances has n-1 terms
     expected_delta = (n - 1) * (c / n) * (1 - c / n)
-    assert rep.delta_uncertainty == pytest.approx(expected_delta, rel=1e-12)
-    assert rep.max_pair_prob == pytest.approx(c / n, rel=1e-12)
-    assert rep.invalid_pairs == 0
+    assert rep.summary.delta_uncertainty == pytest.approx(expected_delta, rel=1e-12)
+    assert rep.summary.max_pair_prob == pytest.approx(c / n, rel=1e-12)
+    assert rep.summary.invalid_pairs == 0
 
 
 def test_expected_degree_uncertainty_matches_dense():
@@ -361,13 +426,14 @@ def test_pair_violations_match_bruteforce():
 def test_invalid_probabilities_recorded_as_note():
     d = np.array([1.0, 1.0, 50.0, 60.0])
     rep = check_sufficient(expected_degree_stats(d), _params())
-    assert rep.max_pair_prob > 1.0
-    assert rep.invalid_pairs >= 1
+    assert rep.summary.max_pair_prob > 1.0
+    assert rep.summary.invalid_pairs >= 1
     assert any("invalid edge probabilities" in note for note in rep.notes)
     valid = check_sufficient(
         expected_degree_stats(np.array([1.0, 2.0, 3.0, 2.0])), _params()
     )
-    assert valid.invalid_pairs == 0 and not any("invalid" in n for n in valid.notes)
+    assert valid.summary.invalid_pairs == 0
+    assert not any("invalid" in n for n in valid.notes)
 
 
 def test_expected_degrees_input_validation():
@@ -392,9 +458,9 @@ def test_expected_degree_verdict_against_dense_test():
     abar = np.outer(d, d) / d.sum()
     np.fill_diagonal(abar, 0.0)
     lam_dense = float(np.linalg.eigvalsh(abar)[-1])
-    assert lam_dense <= rep.d_tilde + 1e-12
+    assert lam_dense <= rep.summary.d_tilde + 1e-12
     dense_delta = (abar * (1.0 - abar)).sum(axis=1).max()
-    assert rep.delta_uncertainty == pytest.approx(dense_delta, rel=1e-12)
+    assert rep.summary.delta_uncertainty == pytest.approx(dense_delta, rel=1e-12)
 
 
 def test_check_mean_lambda_max_single_edge():

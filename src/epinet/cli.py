@@ -17,9 +17,9 @@ from .ensembles import (
     PowerLawSpec,
     as_switched_network,
     community_stats,
+    degree_sequence,
     expected_degree_stats,
     load_network,
-    power_law_degrees,
     summarize,
 )
 from .exact import (
@@ -253,14 +253,14 @@ def _cmd_example(args, out: Optional[Path], started: float) -> int:
         ]
     else:
         ens = POWERLAW_EXAMPLE
-        degrees = power_law_degrees(ens)
+        degrees = degree_sequence(ens)
         summary = expected_degree_stats(degrees)
         pm, lhs = sufficient_lhs(summary)
         computed = {
             "coefficient": ens.coefficient,
             "offset": ens.offset,
-            "max_degree": float(degrees[0]),
-            "mean_degree": float(degrees.mean()),
+            "max_degree": float(degrees.block(0, 1)[0]),
+            "mean_degree": degrees.d1 / degrees.n,
             "d_tilde": summary.d_tilde,
             "lambda_max": expected_degree_lambda_max(degrees),
             "delta_uncertainty": summary.delta_uncertainty,

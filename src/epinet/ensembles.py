@@ -7,7 +7,8 @@ Three families whose expected adjacency matrix never has to be materialized:
 * expected-degree (Chung-Lu) networks: edge probability rho d_i d_j for a
   prescribed degree sequence d;
 * power-law degree sequences feeding the expected-degree model, calibrated
-  so the largest degree and the average degree hit prescribed targets.
+  so the largest degree and the average degree hit prescribed targets, and
+  read in blocks from their closed form so that no n-array is built.
 
 Each family exposes the two scalars the stability tests need --
 lambda_max(abar) and the variance row-sum Delta -- plus a realization that
@@ -41,6 +42,7 @@ from .netmodel import (
 from .spectral import lambda_max_dense
 from .stability import (
     AbarSummary,
+    DegreeSequence,
     expected_degree_uncertainty,
     pair_probability_violations,
 )
@@ -48,9 +50,10 @@ from .stability import (
 # An ensemble is realized edge by edge (an n x n abar and up to n^2 / 2 edge
 # chains) only up to this many vertices; larger ones get the closed forms.
 REALIZE_N_CAP = 200
-# A power-law ensemble materializes its degree sequence and a few n-arrays
-# for Delta and the hub pairs: about 1 GB at this many vertices.
-POWER_LAW_N_CAP = 30_000_000
+# A power-law ensemble is streamed in blocks, so its statistics need O(block)
+# memory at any n; this caps their O(n) work (`analyze` at 1e9 vertices
+# takes about 20 s of CPU on one core).
+POWER_LAW_N_CAP = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,26 @@ class ExpectedDegreeSpec:
         return self.degrees.size
 
 
+def degree_sequence(
+    model: Union[ExpectedDegreeSpec, PowerLawSpec, DegreeSequence, np.ndarray]
+) -> DegreeSequence:
+    """The descending degree stream of an expected-degree model: a power law
+    from its closed form block by block, an explicit array (validated as an
+    :class:`ExpectedDegreeSpec`) sorted once."""
+    if isinstance(model, DegreeSequence):
+        return model
+    if isinstance(model, PowerLawSpec):
+        return DegreeSequence.of(model.n, model.degree_block)
+    if not isinstance(model, ExpectedDegreeSpec):
+        model = ExpectedDegreeSpec(degrees=np.asarray(model, dtype=float))
+    return DegreeSequence.from_array(model.degrees)
+
+
 def expected_degree_stats(
-    spec: Union[ExpectedDegreeSpec, np.ndarray]
+    model: Union[ExpectedDegreeSpec, PowerLawSpec, DegreeSequence, np.ndarray]
 ) -> AbarSummary:
-    """Validated O(n) summary of a Chung-Lu ensemble: d_tilde, Delta and the
-    pairs whose edge probability exceeds 1.
+    """Validated O(n)-time, O(block)-memory summary of a Chung-Lu ensemble:
+    d_tilde, Delta and the pairs whose edge probability exceeds 1.
 
     Edge {i, j} is present independently with probability rho d_i d_j,
     rho = 1 / sum(d).  abar is the rank-one rho d d^T minus its diagonal, so
@@ -184,19 +202,15 @@ def expected_degree_stats(
     summary proceeds formally and records a violation as a note; only a
     negative Delta, where the variance model itself breaks, is refused.
     """
-    if isinstance(spec, ExpectedDegreeSpec):
-        d = spec.degrees
-    else:
-        d = ExpectedDegreeSpec(degrees=np.asarray(spec, dtype=float)).degrees
-    rho = 1.0 / float(d.sum())
-    d_tilde = rho * float((d * d).sum())
-    delta_u = expected_degree_uncertainty(d)
+    seq = degree_sequence(model)
+    d_tilde = (1.0 / seq.d1) * seq.d2  # rho D2
+    delta_u = expected_degree_uncertainty(seq)
     if delta_u < 0:
         raise ValueError(
             f"variance proxy is negative ({delta_u:.6g}); edge probabilities "
             "above 1 broke the variance model"
         )
-    max_pair, invalid = pair_probability_violations(d)
+    max_pair, invalid = pair_probability_violations(seq)
     notes: tuple[str, ...] = ()
     if max_pair > 1.0:
         notes = (
@@ -205,7 +219,7 @@ def expected_degree_stats(
             "model, so the bound is evaluated formally",
         )
     return AbarSummary(
-        n=d.size,
+        n=seq.n,
         lambda_max_abar=d_tilde,
         delta_uncertainty=delta_u,
         network_kind="expected-degree",
@@ -238,7 +252,7 @@ class PowerLawSpec:
         if self.n > POWER_LAW_N_CAP:
             raise ValueError(
                 f"n={self.n} exceeds the power-law cap {POWER_LAW_N_CAP}; the "
-                "degree sequence is materialized"
+                "statistics take O(n) work"
             )
         if not (self.exponent > 2):
             raise ValueError(
@@ -256,6 +270,22 @@ class PowerLawSpec:
                 f"is too large for exponent {self.exponent}: the offset "
                 f"i0 = {self.offset:.3g} vanishes next to 1"
             )
+        # The refusals of ExpectedDegreeSpec, from the closed form before any
+        # block: every degree lies in (0, d_1], so n d_1^2 bounds sum(d^2)
+        # and d_1 bounds sum(d) from below.
+        top = float(self.degree_block(0, 1)[0])
+        if not math.isfinite(top):
+            raise ValueError(f"expected degrees must be finite, got d_1 = {top}")
+        if not math.isfinite(top * top * self.n):
+            raise ValueError(
+                f"expected degrees are too large: n * max(d)^2 overflows "
+                f"(max {top:.6g})"
+            )
+        if not top >= np.finfo(float).tiny:
+            raise ValueError(
+                f"expected degrees are too small: the largest, {top:.6g}, is "
+                f"below {np.finfo(float).tiny:.6g}, so sum(d) may vanish"
+            )
 
     @property
     def coefficient(self) -> float:
@@ -268,13 +298,21 @@ class PowerLawSpec:
         ratio = self.avg_degree * (b - 2.0) / (self.max_degree * (b - 1.0))
         return self.n * ratio ** (b - 1.0)
 
+    def degree_block(self, lo: int, hi: int) -> np.ndarray:
+        """d[lo:hi] (0-based) of the descending sequence, from the closed
+        form d_i = c ((i + i0) - 1)^(-gamma) with a float index i."""
+        x = np.arange(lo + 1, hi + 1, dtype=float)
+        x += self.offset
+        x -= 1.0
+        np.power(x, -1.0 / (self.exponent - 1.0), out=x)
+        x *= self.coefficient
+        return x
+
 
 def power_law_degrees(spec: PowerLawSpec) -> np.ndarray:
-    """Materialized degree sequence (descending), O(n) memory."""
-    c, i0 = spec.coefficient, spec.offset
-    gamma = 1.0 / (spec.exponent - 1.0)
-    idx = np.arange(1, spec.n + 1, dtype=float)
-    return c * (idx + i0 - 1.0) ** (-gamma)
+    """Materialized degree sequence (descending), O(n) memory: only for
+    realizing an ensemble of at most REALIZE_N_CAP vertices."""
+    return spec.degree_block(0, spec.n)
 
 
 def realize_switched_spec(abar: np.ndarray, kappa: float) -> SwitchedNetworkSpec:
@@ -414,6 +452,4 @@ def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:
         )
     if isinstance(model, CommunitySpec):
         return community_stats(model)
-    if isinstance(model, PowerLawSpec):
-        return expected_degree_stats(power_law_degrees(model))
     return expected_degree_stats(model)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -36,11 +36,16 @@ from .netmodel import EpidemicParams
 # monotone instead of raising on extreme (n, Delta) combinations.
 EXP_FLOOR = -745.0
 
-# The onset polynomial's sqrt(27 Delta^2 t) reaches 135 Delta^3 at the first
-# bracket end t = 5 Delta, which overflows past Delta ~ 1.1e102; 2 n^2
-# overflows past n ~ 9.5e153.
+# f' squares 2 s + 6 Delta, which overflows past Delta ~ 2e153; Delta is
+# capped well below that.  2 n^2 overflows past n ~ 9.5e153.
 DELTA_CAP = 1e100
 PENALTY_N_CAP = 1e150
+
+# Expected-degree sequences are read in blocks of this many entries, so
+# every expected-degree statistic needs O(block) memory at any n.
+DEGREE_BLOCK = 1 << 16
+
+SQRT27 = math.sqrt(27.0)
 
 VERDICT_STABLE = "stable-a.s."
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -107,28 +112,35 @@ def _penalty_derivative(s: float, n: int, delta_u: float) -> float:
 def convexity_onset(delta_u: float) -> float:
     """Smallest s0 with f convex on [s0, infinity), independent of n.
 
-    After the change of variable t = s + 3 Delta, convexity reduces to
-    h(t) = 1.5 t^2 - 13.5 Delta^2 - sqrt(27 Delta^2 t) >= 0, which has a
-    single sign change on t >= 3 Delta.  h(3 Delta) < 0 always, so the root
-    is bracketed by doubling and then bisected to machine precision.
+    Convexity reduces to h(t) = 1.5 t^2 - 13.5 Delta^2 - sqrt(27 Delta^2 t)
+    >= 0 with t = s + 3 Delta, which has a single sign change on t >= 3
+    Delta.  For large Delta the root in s is near sqrt(Delta), far below
+    3 Delta, so s is solved for directly rather than as t - 3 Delta:
+    h(s + 3 Delta) / Delta is
+
+        g(s) = 9 s + 1.5 s (s / Delta) - sqrt(27) sqrt(3 Delta + s),
+
+    whose terms neither overflow nor underflow for Delta in [1e-300, 1e100].
+    g(0) < 0, and the root stays below hi = 2 min(sqrt(Delta), 3
+    Delta^(2/3)), since its asymptotes are sqrt(Delta) for large Delta and
+    12^(1/3) Delta^(2/3) for small; hi is doubled if need be and [0, hi]
+    bisected to adjacent floats.
     """
     _check_uncertainty(delta_u)
     if delta_u == 0.0:
         return 0.0
-    c3 = 13.5 * delta_u * delta_u
 
-    def h(t: float) -> float:
-        return 1.5 * t * t - c3 - math.sqrt(2.0 * c3 * t)
+    def g(s: float) -> float:
+        return 9.0 * s + 1.5 * s * (s / delta_u) - SQRT27 * math.sqrt(3.0 * delta_u + s)
 
-    hi = 5.0 * delta_u
-    for _ in range(4000):
-        if h(hi) > 0.0:
+    hi = 2.0 * min(math.sqrt(delta_u), 3.0 * delta_u ** (2.0 / 3.0))
+    for _ in range(64):
+        if g(hi) > 0.0:
             break
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the convexity onset")
-    t_root = _bisect(lambda t: h(t) > 0.0, 3.0 * delta_u, hi)
-    return max(t_root - 3.0 * delta_u, 0.0)
+    return _bisect(lambda s: g(s) > 0.0, 0.0, hi)
 
 
 @dataclass(frozen=True)
@@ -285,7 +297,63 @@ def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityR
     return StabilityReport(summary=summary, penalty=pm, params=params)
 
 
-def expected_degree_uncertainty(degrees: np.ndarray) -> float:
+def _block_bounds(n: int) -> Iterator[tuple[int, int]]:
+    for lo in range(0, n, DEGREE_BLOCK):
+        yield lo, min(lo + DEGREE_BLOCK, n)
+
+
+def _fsums(
+    blocks: Iterator[np.ndarray], terms: Callable[[np.ndarray], tuple]
+) -> list[float]:
+    """Correctly rounded totals of the per-block partial sums ``terms(d)``;
+    one tuple per block is kept, about 15 000 at a billion degrees."""
+    parts = [terms(d) for d in blocks]
+    return [math.fsum(column) for column in zip(*parts)]
+
+
+@dataclass(frozen=True, eq=False)
+class DegreeSequence:
+    """A descending expected-degree sequence d_1 >= ... >= d_n, read in
+    blocks, with the sums D1 = sum(d) and D2 = sum(d^2) of a first pass.
+
+    ``block(lo, hi)`` returns d[lo:hi] (0-based) as a fresh or read-only
+    array; callers ask for at most DEGREE_BLOCK entries at a time, so a
+    closed-form sequence is never built whole.  :meth:`of` makes the first
+    pass; :meth:`from_array` serves an explicit array, sorted descending
+    once, through the same blocks.
+    """
+
+    n: int
+    block: Callable[[int, int], np.ndarray]
+    d1: float
+    d2: float
+
+    @classmethod
+    def of(cls, n: int, block: Callable[[int, int], np.ndarray]) -> "DegreeSequence":
+        d1, d2 = _fsums(
+            (block(lo, hi) for lo, hi in _block_bounds(n)),
+            lambda d: (float(d.sum()), float((d * d).sum())),
+        )
+        return cls(n=n, block=block, d1=d1, d2=d2)
+
+    @classmethod
+    def from_array(cls, degrees: np.ndarray) -> "DegreeSequence":
+        d = np.sort(np.asarray(degrees, dtype=float))[::-1].copy()
+        d.flags.writeable = False
+        return cls.of(d.size, lambda lo, hi: d[lo:hi])
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        for lo, hi in _block_bounds(self.n):
+            yield self.block(lo, hi)
+
+
+def _as_sequence(degrees: Union[DegreeSequence, np.ndarray]) -> DegreeSequence:
+    if isinstance(degrees, DegreeSequence):
+        return degrees
+    return DegreeSequence.from_array(degrees)
+
+
+def expected_degree_uncertainty(degrees: Union[DegreeSequence, np.ndarray]) -> float:
     """Variance proxy Delta_d for an expected-degree ensemble.
 
     With abar_ij = rho d_i d_j (zero diagonal), row i of the entrywise
@@ -293,25 +361,33 @@ def expected_degree_uncertainty(degrees: np.ndarray) -> float:
 
         rho d_i (D1 - d_i) - rho^2 d_i^2 (D2 - d_i^2),
 
-    with D1 = sum(d) and D2 = sum(d^2), so the maximum over rows costs O(n)
-    and never materializes the matrix.  The row sums are formed in three
-    reused n-buffers.
+    with D1 = sum(d) and D2 = sum(d^2), so the maximum over rows is one pass
+    over the blocks and never materializes the matrix.
     """
-    d = np.asarray(degrees, dtype=float)
-    sq = d * d
-    d1, d2 = float(d.sum()), float(sq.sum())
-    a = (1.0 / d1) * d  # rho d
-    rows = d1 - d
-    rows *= a  # rho d (D1 - d)
-    a *= a  # (rho d)^2
-    np.subtract(d2, sq, out=sq)
-    sq *= a  # (rho d)^2 (D2 - d^2)
-    rows -= sq
-    return float(rows.max())
+    seq = _as_sequence(degrees)
+    d1, d2 = seq.d1, seq.d2
+    rho = 1.0 / d1
+    # one set of buffers for every block: fresh block-sized temporaries
+    # return their pages to the system and fault them in again each block
+    buffers = np.empty((3, min(seq.n, DEGREE_BLOCK)))
+    top = -math.inf
+    for d in seq.blocks():
+        sq, a, rows = buffers[:, : d.size]
+        np.multiply(d, d, out=sq)
+        np.multiply(rho, d, out=a)
+        np.subtract(d1, d, out=rows)
+        rows *= a  # rho d (D1 - d)
+        a *= a  # (rho d)^2
+        np.subtract(d2, sq, out=sq)
+        sq *= a  # (rho d)^2 (D2 - d^2)
+        rows -= sq
+        top = max(top, float(rows.max()))
+    return top
 
 
-def expected_degree_lambda_max(degrees: np.ndarray) -> float:
-    """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n).
+def expected_degree_lambda_max(degrees: Union[DegreeSequence, np.ndarray]) -> float:
+    """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n) time and
+    O(block) memory.
 
     abar is a rank-one update of the diagonal -diag(w), w_i = rho d_i^2, so
     lambda_max(abar) is the root, right of every pole, of the secular
@@ -327,21 +403,37 @@ def expected_degree_lambda_max(degrees: np.ndarray) -> float:
     root from above.  A step that leaves the bracket of evaluated points is
     replaced by bisection, and the iteration stops when a step no longer
     changes lambda.  With r_i = w_i / (lambda + w_i) a step needs only
-    sum(r) and sum(r^2).  Fewer than two nonzero degrees leave abar zero.
+    sum(r) and sum(r^2), one pass over the blocks.  Fewer than two nonzero
+    degrees leave abar zero.
     """
-    d = np.asarray(degrees, dtype=float)
-    w = d * d
-    w /= float(d.sum())
-    if np.count_nonzero(w) < 2:
+    seq = _as_sequence(degrees)
+    buffers = np.empty((2, min(seq.n, DEGREE_BLOCK)))  # reused by every block
+
+    def weights(d: np.ndarray) -> np.ndarray:
+        w = buffers[0, : d.size]
+        np.multiply(d, d, out=w)
+        w /= seq.d1
+        return w
+
+    def moments(d: np.ndarray) -> tuple[float, float, int]:
+        w = weights(d)
+        return float(w.sum()), float(w @ w), int(np.count_nonzero(w))
+
+    hi, sum_ww, nonzero = _fsums(seq.blocks(), moments)
+    if nonzero < 2:
         return 0.0
-    lo, hi = 0.0, float(w.sum())
-    lam = hi - float(w @ w) / hi
-    r = np.empty_like(w)
-    while True:
+    lo = 0.0
+    lam = hi - sum_ww / hi
+
+    def ratios(d: np.ndarray) -> tuple[float, float]:
+        w = weights(d)
+        r = buffers[1, : d.size]
         np.add(w, lam, out=r)
         np.divide(w, r, out=r)
-        s1 = float(r.sum())
-        s2 = float(r @ r)
+        return float(r.sum()), float(r @ r)
+
+    while True:
+        s1, s2 = _fsums(seq.blocks(), ratios)
         if s1 >= 1.0:
             lo = lam
         else:
@@ -356,26 +448,51 @@ def expected_degree_lambda_max(degrees: np.ndarray) -> float:
         lam = step
 
 
-def pair_probability_violations(degrees: np.ndarray) -> tuple[float, int]:
+def pair_probability_violations(
+    degrees: Union[DegreeSequence, np.ndarray]
+) -> tuple[float, int]:
     """Largest pairwise edge probability rho d_i d_j (i != j) and the number
-    of unordered pairs where it exceeds 1.
+    of unordered pairs where it exceeds 1, in O(block) memory.
 
-    A pair can exceed 1 only if both ends are hubs, d_i > sum(d) / max(d),
-    so only the hubs are sorted and searched.
+    rho d_i d_j > 1 means d_j > D1 / d_i, so a pair needs two hubs,
+    d_i > D1 / d_1: a prefix of the descending sequence.  With k(i) the
+    number of j where d_j > D1 / d_i, the count is (sum of k(i) over hubs,
+    less the hubs where d_i > D1 / d_i) / 2.  k falls as i rises, so the
+    hubs are read forward in blocks while a window of degrees moves back
+    from the last hub: every degree before the window exceeds the cutoffs
+    below the window's first degree, and none after it exceeds a later
+    cutoff.
     """
-    d = np.asarray(degrees, dtype=float)
-    d1 = float(d.sum())
+    seq = _as_sequence(degrees)
+    d1 = seq.d1
     rho = 1.0 / d1
-    top = int(np.argmax(d))
-    d_max = float(d[top])
-    second = max(d[:top].max(initial=-np.inf), d[top + 1:].max(initial=-np.inf))
-    max_pair = float(rho * second * d_max)
+    d_max, second = seq.block(0, 2).tolist()
+    max_pair = rho * second * d_max
     if max_pair <= 1.0:
         return max_pair, 0
-    # rho d_i d_j > 1 <=> d_j > d1 / d_i; count ordered hub pairs, drop
-    # self-pairings, halve.
-    hubs = np.sort(d[d > d1 / d_max])
-    cutoffs = d1 / hubs
-    ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
-    self_pairs = int((hubs > cutoffs).sum())
+    cut = d1 / d_max
+    hubs = 0
+    for d in seq.blocks():
+        above = int(np.count_nonzero(d > cut))
+        hubs += above
+        if above < d.size:
+            break
+    ordered = self_pairs = 0
+    jlo = hubs
+    window = np.empty(0)  # -d[jlo:jhi], ascending
+    for lo, hi in _block_bounds(hubs):
+        d = seq.block(lo, hi)
+        cutoffs = d1 / d  # ascending
+        self_pairs += int(np.count_nonzero(d > cutoffs))
+        start = 0
+        while True:
+            if window.size:
+                end = start + int(np.searchsorted(cutoffs[start:], -window[0]))
+                part = cutoffs[start:end]
+                ordered += jlo * part.size + int(np.searchsorted(window, -part).sum())
+                start = end
+            if start == cutoffs.size or jlo == 0:
+                break
+            jlo, jhi = max(0, jlo - DEGREE_BLOCK), jlo
+            window = -seq.block(jlo, jhi)
     return max_pair, (ordered - self_pairs) // 2

@@ -503,17 +503,22 @@ def test_analyze_large_ensemble_skips_exact(tmp_path, capsys):
 
 
 def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkeypatch):
-    calls = []
-    original = epinet.ensembles.power_law_degrees
+    # neither the sufficient test nor the exact attempt builds the sequence
+    # whole: power_law_degrees is never called, and no block is larger than
+    # DEGREE_BLOCK, a third of this n
+    calls, sizes = [], []
+    monkeypatch.setattr(epinet.ensembles, "power_law_degrees",
+                        lambda ens: calls.append(ens))
+    original = epinet.ensembles.PowerLawSpec.degree_block
     monkeypatch.setattr(
-        epinet.ensembles,
-        "power_law_degrees",
-        lambda ens: calls.append(ens) or original(ens),
+        epinet.ensembles.PowerLawSpec, "degree_block",
+        lambda self, lo, hi: sizes.append(hi - lo) or original(self, lo, hi),
     )
+    n = 3 * epinet.stability.DEGREE_BLOCK + 5
     spec = tmp_path / "ens.json"
     spec.write_text(
         json.dumps(
-            {"ensemble": "power-law", "n": 5000, "exponent": 2.5,
+            {"ensemble": "power-law", "n": n, "exponent": 2.5,
              "max_degree": 50.0, "avg_degree": 5.0}
         )
     )
@@ -522,8 +527,9 @@ def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkey
     stdout = capsys.readouterr().out
     payload = json.loads(stdout[stdout.index("{"):])
     assert payload["exact"]["status"] == "skipped"
-    assert "n=5000" in payload["exact"]["reason"]
-    assert len(calls) == 1  # the sufficient test's sequence only
+    assert f"n={n}" in payload["exact"]["reason"]
+    assert calls == []
+    assert sizes and max(sizes) <= epinet.stability.DEGREE_BLOCK
 
 
 def test_analyze_expected_degree_ensemble(tmp_path, capsys):
@@ -647,9 +653,10 @@ def test_one_sufficient_path_for_every_model(kind, tmp_path):
             assert computed[key] == sufficient[key]
 
 
-@pytest.mark.parametrize("n", [30_000_001, 10_000_000_000_000])
+@pytest.mark.parametrize("n", [1_000_000_001, 10_000_000_000_000])
 def test_power_law_cap_refused_before_allocating(n, tmp_path, capsys):
-    # n = 1e13 used to die in power_law_degrees asking numpy for 72.8 TiB
+    # n = 1e13 used to die in power_law_degrees asking numpy for 72.8 TiB;
+    # the cap now bounds work, and it is checked before any block
     spec = tmp_path / "ens.json"
     spec.write_text(json.dumps({"ensemble": "power-law", "n": n, "exponent": 2.2,
                                 "max_degree": 5e5, "avg_degree": 1e3}))
@@ -660,8 +667,34 @@ def test_power_law_cap_refused_before_allocating(n, tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 1
-    assert "power-law cap 30000000" in capsys.readouterr().err
+    assert "power-law cap 1000000000" in capsys.readouterr().err
     assert peak < 16 << 20
+
+
+# Two 2e6-vertex power laws: the 5e5 / 1e3 example's shape with 2e7 invalid
+# pairs among 1e4 hubs, and one where every vertex is a hub.
+_STREAMED = (
+    epinet.ensembles.PowerLawSpec(n=2_000_000, exponent=2.2, max_degree=5e5,
+                                  avg_degree=1e3),
+    epinet.ensembles.PowerLawSpec(n=2_000_000, exponent=2.05, max_degree=1e7,
+                                  avg_degree=2e6),
+)
+
+
+@pytest.mark.parametrize("spec", _STREAMED, ids=["example-shape", "all-hub"])
+def test_expected_degree_statistics_run_in_block_memory(spec, monkeypatch, capsys):
+    # one n-array of 2e6 degrees alone is 16 MB; the blocks keep every
+    # traced peak under 4 MiB
+    monkeypatch.setattr(epinet.cli, "POWERLAW_EXAMPLE", spec)
+    for run in (lambda: summarize(spec), lambda: main(["example", "powerlaw"])):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+    assert "invalid edge probabilities" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rate", [1e16, 1e20])

@@ -8,14 +8,21 @@ from epinet.ensembles import (
     community_abar_dense,
     community_quotient,
     community_stats,
+    degree_sequence,
     ensemble_from_dict,
     expected_degree_stats,
     power_law_degrees,
     realize_switched_spec,
+    summarize,
 )
 from epinet.netmodel import SpecFormatError, stationary_stats
 from epinet.spectral import lambda_max_dense
-from epinet.stability import expected_degree_lambda_max
+from epinet.stability import (
+    DEGREE_BLOCK,
+    expected_degree_lambda_max,
+    expected_degree_uncertainty,
+    pair_probability_violations,
+)
 
 
 def small_community():
@@ -195,3 +202,145 @@ def test_ensemble_from_dict_dispatch():
                 {"ensemble": "expected-degree", "degrees": {"a": 1}}):
         with pytest.raises(SpecFormatError, match="ensemble '"):
             ensemble_from_dict(bad)
+
+
+def test_power_law_refusals_from_the_closed_form():
+    # the refusals of an explicit degree array, made before any block
+    with pytest.raises(ValueError, match=r"n \* max\(d\)\^2 overflows"):
+        PowerLawSpec(n=100, exponent=2.5, max_degree=1e200, avg_degree=1e199)
+    with pytest.raises(ValueError, match="sum\\(d\\) may vanish"):
+        PowerLawSpec(n=10, exponent=2.5, max_degree=1e-310, avg_degree=1e-310)
+    with pytest.raises(ValueError, match="power-law cap 1000000000"):
+        PowerLawSpec(n=10**9 + 1, exponent=2.2, max_degree=5e5, avg_degree=1e3)
+    # the materialized path refused both too
+    for top in (1e200, 1e-310):
+        with pytest.raises(ValueError, match="degrees"):
+            ExpectedDegreeSpec(degrees=np.array([top] * 10))
+
+
+# --- streamed statistics against the materialized formulas -------------------
+
+def _reference_stats(degrees: np.ndarray) -> tuple[float, float, float, int, float]:
+    """d_tilde, Delta, the largest pair probability, the invalid pairs and
+    the secular root from whole-array formulas on the materialized sequence."""
+    d = np.asarray(degrees, dtype=float)
+    d1, sq = float(d.sum()), d * d
+    d2 = float(sq.sum())
+    rho = 1.0 / d1
+    a = rho * d
+    delta_u = float(((d1 - d) * a - a * a * (d2 - sq)).max())
+    top = int(np.argmax(d))
+    d_max = float(d[top])
+    second = max(d[:top].max(initial=-np.inf), d[top + 1:].max(initial=-np.inf))
+    max_pair = float(rho * second * d_max)
+    invalid = 0
+    if max_pair > 1.0:
+        hubs = np.sort(d[d > d1 / d_max])
+        cutoffs = d1 / hubs
+        ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
+        invalid = (ordered - int((hubs > cutoffs).sum())) // 2
+    w = sq / d1
+    lam = 0.0
+    if np.count_nonzero(w) >= 2:
+        lo, hi = 0.0, float(w.sum())
+        lam = hi - float(w @ w) / hi
+        while True:
+            r = w / (w + lam)
+            s1, s2 = float(r.sum()), float(r @ r)
+            lo, hi = (lam, hi) if s1 >= 1.0 else (lo, lam)
+            step = lam * (1.0 - s1 * (1.0 - s1) / (s1 - s2))
+            if step == lam:
+                break
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+                if not lo < step < hi:
+                    break
+            lam = step
+    return rho * d2, delta_u, max_pair, invalid, lam
+
+
+def _assert_streamed_matches(model, degrees: np.ndarray) -> None:
+    d_tilde, delta_u, max_pair, invalid, lam = _reference_stats(degrees)
+    seq = degree_sequence(model)
+    assert seq.d2 / seq.d1 == pytest.approx(d_tilde, rel=1e-13)
+    assert expected_degree_uncertainty(seq) == pytest.approx(delta_u, rel=1e-13)
+    assert pair_probability_violations(seq) == (pytest.approx(max_pair, rel=1e-13), invalid)
+    assert expected_degree_lambda_max(seq) == pytest.approx(lam, rel=1e-13)
+    if delta_u >= 0:
+        summary = expected_degree_stats(model)
+        assert summary.d_tilde == pytest.approx(d_tilde, rel=1e-13)
+        assert summary.delta_uncertainty == pytest.approx(delta_u, rel=1e-13)
+        assert summary.invalid_pairs == invalid
+
+
+def _random_power_law(seed: int) -> PowerLawSpec:
+    rng = np.random.default_rng(seed)
+    while True:
+        avg = 10.0 ** rng.uniform(-1.0, 3.0)
+        try:
+            return PowerLawSpec(
+                n=int(rng.integers(2, 4 * DEGREE_BLOCK)),
+                exponent=float(rng.uniform(2.01, 4.0)),
+                max_degree=avg * 10.0 ** rng.uniform(0.0, 5.0),
+                avg_degree=avg,
+            )
+        except ValueError:  # an offset that vanishes next to 1
+            continue
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *[PowerLawSpec(n=n, exponent=2.2, max_degree=m, avg_degree=a)
+          for n in (2, DEGREE_BLOCK - 1, DEGREE_BLOCK, DEGREE_BLOCK + 1,
+                    3 * DEGREE_BLOCK + 5)
+          for m, a in ((50.0, 5.0), (1e9, 1e3))],
+        *[_random_power_law(seed) for seed in range(30)],
+        # every vertex a hub: 10^6 hubs, and a negative Delta
+        PowerLawSpec(n=1_000_000, exponent=2.2, max_degree=1e9, avg_degree=1e3),
+        # every vertex a hub with a valid Delta, across 31 blocks
+        PowerLawSpec(n=2_000_000, exponent=2.05, max_degree=1e7, avg_degree=2e6),
+    ],
+    ids=lambda spec: f"{spec.n}-{spec.exponent:.3g}-{spec.max_degree:.3g}-{spec.avg_degree:.3g}",
+)
+def test_streamed_power_law_matches_materialized(spec):
+    _assert_streamed_matches(spec, power_law_degrees(spec))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_streamed_explicit_array_matches_materialized(seed):
+    # unsorted input, with zeros, across block boundaries
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 7, DEGREE_BLOCK + 1, 2 * DEGREE_BLOCK + 3]))
+    d = rng.pareto(rng.uniform(1.2, 3.0), size=n) + rng.uniform(0.0, 1.0)
+    d[rng.random(n) < 0.25] = 0.0
+    d[rng.integers(n)] += 1.0
+    d[: min(n, 5)] *= 10.0 ** rng.uniform(0.0, 4.0)  # unsorted hubs
+    _assert_streamed_matches(ExpectedDegreeSpec(degrees=d), d)
+
+
+def test_explicit_array_and_power_law_are_one_stream():
+    # the sorted array is the closed form bit for bit, so every statistic is
+    spec = PowerLawSpec(n=3 * DEGREE_BLOCK + 5, exponent=2.2, max_degree=1e5,
+                        avg_degree=50.0)
+    shuffled = np.random.default_rng(0).permutation(power_law_degrees(spec))
+    assert summarize(spec) == summarize(ExpectedDegreeSpec(degrees=shuffled))
+    assert expected_degree_lambda_max(degree_sequence(spec)) == (
+        expected_degree_lambda_max(shuffled)
+    )
+
+
+def test_power_law_blocks_are_never_larger_than_a_block(monkeypatch):
+    spec = PowerLawSpec(n=3 * DEGREE_BLOCK + 5, exponent=2.2, max_degree=1e9,
+                        avg_degree=1e3)
+    sizes = []
+    original = PowerLawSpec.degree_block
+    monkeypatch.setattr(
+        PowerLawSpec, "degree_block",
+        lambda self, lo, hi: sizes.append(hi - lo) or original(self, lo, hi),
+    )
+    expected_degree_lambda_max(degree_sequence(spec))
+    pair_probability_violations(degree_sequence(spec))
+    with pytest.raises(ValueError, match="variance proxy is negative"):
+        summarize(spec)
+    assert sizes and max(sizes) <= DEGREE_BLOCK

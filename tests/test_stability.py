@@ -115,21 +115,46 @@ def test_onset_is_a_sign_change_of_the_convexity_polynomial():
     "delta_u, s0",
     [
         (0.0, 0.0),
-        (1e-300, 1.2833103623588056e-162),
+        (1e-300, 2.2894284851066644e-200),
         (1e-12, 2.2891285113140776e-08),
         (1e-2, 0.0817039311729928),
-        (0.234375, 0.4687500000000002),
-        (1.0, 0.9899209252796481),
-        (42.0, 6.4787046424877985),
-        (21899.79, 147.98568270182295),
-        (1e6, 999.9999861163087),
-        (1e100, 3.885337784451458e84),
+        (0.234375, 0.46875000000000006),
+        (1.0, 0.9899209252796483),
+        (42.0, 6.478704642487789),
+        (21899.79, 147.98568270180837),
+        (1e6, 999.9999861157402),
+        (1e20, 10000000000.000002),
+        (1e40, 1.0000000000000003e20),
+        (1e100, 1.0000000000000003e50),
     ],
 )
 def test_onset_pinned_values(delta_u, s0):
-    # bit-exact values of the doubling bracket and bisection; the last one
-    # is rounding in t - 3 Delta, pinned so a change to it is deliberate
+    # bit-exact values of the bracket and bisection, each within 3 ulps of
+    # an 80-digit mpmath root of g(s) = 9 s + 1.5 s^2 / Delta
+    # - sqrt(27 (3 Delta + s)); pinned so a change to them is deliberate
     assert convexity_onset(delta_u) == s0
+
+
+@pytest.mark.parametrize("delta_u", [1e-300, 1e-12, 1e20, 1e40, 1e100])
+def test_onset_tracks_its_asymptotes(delta_u):
+    # s0 ~ 12^(1/3) Delta^(2/3) for small Delta and ~ sqrt(Delta) for large:
+    # the old t - 3 Delta form read 1.3e-162 at 1e-300 and 3.9e84 at 1e100
+    approx = (12.0 * delta_u * delta_u) ** (1.0 / 3.0) if delta_u < 1 else math.sqrt(delta_u)
+    assert convexity_onset(delta_u) == pytest.approx(approx, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "n, delta_u", [(1e30, 1e20), (1e60, 1e40), (1e149, 1e100)]
+)
+def test_minimize_below_dense_grid_for_large_delta(n, delta_u):
+    # a tail bracket started at a wrong onset gave f_min = 4.84e24 at
+    # (1e60, 1e40) and 3.89e84 at (1e149, 1e100) against grid minima of
+    # 2.17e21 and 3.39e51; the grid stops at 1e150, where 3 s^2 is finite
+    pm = minimize_penalty(n, delta_u)
+    s = np.concatenate([[0.0], np.logspace(-8, 150, 400_000)])
+    f = concentration_penalty(s, n, delta_u)
+    assert pm.f_min <= f.min() * (1.0 + 1e-15)
+    assert pm.f_min == pytest.approx(f.min(), rel=1e-4)
 
 
 def test_onset_exceeds_2delta_for_small_delta():

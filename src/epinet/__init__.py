@@ -32,7 +32,6 @@ from .exact import (
     JointChain,
     build_joint_chain,
     exact_mean_stable,
-    mean_stability_abscissa,
 )
 from .netmodel import (
     EdgeChain,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_decay",
     "exact_mean_stable",
     "expected_degree_stats",
-    "mean_stability_abscissa",
     "minimize_penalty",
     "power_law_degrees",
     "realize_switched_spec",

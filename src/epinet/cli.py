@@ -23,7 +23,6 @@ from .ensembles import (
     summarize,
 )
 from .exact import (
-    CONFIG_CAP,
     build_joint_chain,
     dump_stability_matrix,
     exact_mean_stable,
@@ -101,11 +100,9 @@ def _write_json(path: Path, obj) -> None:
     tmp.replace(path)
 
 
-def _attempt_exact(
-    model, params: EpidemicParams, config_cap: int, dump_path: Optional[Path]
-) -> dict:
+def _attempt_exact(model, params: EpidemicParams, dump_path: Optional[Path]) -> dict:
     try:
-        joint = build_joint_chain(as_switched_network(model), config_cap=config_cap)
+        joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
         if dump_path is not None:
@@ -127,7 +124,7 @@ def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
     model = load_network(args.spec)
     report = check_sufficient(summarize(model), params)
     dump_path = out / "stability_matrix.mtx" if (out and args.dump_matrix) else None
-    exact_info = _attempt_exact(model, params, args.exact_cap, dump_path)
+    exact_info = _attempt_exact(model, params, dump_path)
 
     result = {
         "beta": params.beta,
@@ -364,12 +361,6 @@ def _build_parser() -> _Parser:
     pa.add_argument("--spec", required=True, help="JSON network spec or ensemble")
     pa.add_argument("--beta", type=float, required=True, help="infection rate")
     pa.add_argument("--delta", type=float, required=True, help="recovery rate")
-    pa.add_argument(
-        "--exact-cap",
-        type=int,
-        default=CONFIG_CAP,
-        help="max joint-chain configurations for the exact test",
-    )
     pa.add_argument(
         "--dump-matrix",
         action="store_true",

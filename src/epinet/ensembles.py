@@ -168,26 +168,19 @@ class ExpectedDegreeSpec:
         return self.degrees.size
 
 
-def degree_sequence(
-    model: Union[ExpectedDegreeSpec, PowerLawSpec, DegreeSequence, np.ndarray]
-) -> DegreeSequence:
+def degree_sequence(model: Union[ExpectedDegreeSpec, PowerLawSpec]) -> DegreeSequence:
     """The descending degree stream of an expected-degree model: a power law
-    from its closed form block by block, an explicit array (validated as an
-    :class:`ExpectedDegreeSpec`) sorted once."""
-    if isinstance(model, DegreeSequence):
-        return model
+    from its closed form block by block, an explicit (validated) array
+    sorted once."""
     if isinstance(model, PowerLawSpec):
         return DegreeSequence.of(model.n, model.degree_block)
-    if not isinstance(model, ExpectedDegreeSpec):
-        model = ExpectedDegreeSpec(degrees=np.asarray(model, dtype=float))
     return DegreeSequence.from_array(model.degrees)
 
 
-def expected_degree_stats(
-    model: Union[ExpectedDegreeSpec, PowerLawSpec, DegreeSequence, np.ndarray]
-) -> AbarSummary:
-    """Validated O(n)-time, O(block)-memory summary of a Chung-Lu ensemble:
-    d_tilde, Delta and the pairs whose edge probability exceeds 1.
+def expected_degree_stats(seq: DegreeSequence) -> AbarSummary:
+    """O(n)-time, O(block)-memory summary of a Chung-Lu ensemble from its
+    degree stream: d_tilde, Delta and the pairs whose edge probability
+    exceeds 1.
 
     Edge {i, j} is present independently with probability rho d_i d_j,
     rho = 1 / sum(d).  abar is the rank-one rho d d^T minus its diagonal, so
@@ -202,7 +195,6 @@ def expected_degree_stats(
     summary proceeds formally and records a violation as a note; only a
     negative Delta, where the variance model itself breaks, is refused.
     """
-    seq = degree_sequence(model)
     d_tilde = (1.0 / seq.d1) * seq.d2  # rho D2
     delta_u = expected_degree_uncertainty(seq)
     if delta_u < 0:
@@ -452,4 +444,4 @@ def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:
         )
     if isinstance(model, CommunitySpec):
         return community_stats(model)
-    return expected_degree_stats(model)
+    return expected_degree_stats(degree_sequence(model))

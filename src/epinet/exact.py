@@ -12,9 +12,11 @@ configuration k.  The epidemic is mean stable exactly when the spectral
 abscissa of that matrix stays below the recovery rate delta.  The matrix is
 assembled sparse (Pi is a Kronecker sum of the per-edge generators) and its
 abscissa found by ARPACK, so neither Pi nor the nN x nN matrix is ever
-dense.  The size is still exponential in m, so this is capped; it is the
-ground truth the scalable bounds are checked against.  The dense reference
-for all of this lives in :mod:`epinet.oracle`.
+dense.  The size is still exponential in m, so :func:`build_joint_chain`
+refuses, before it builds anything, an instance past a cap on the rows, the
+nonzeros or the stored adjacency entries.  It is the ground truth the
+scalable bounds are checked against.  The dense reference for all of this
+lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -27,12 +29,13 @@ import numpy as np
 from .netmodel import EpidemicParams, SwitchedNetworkSpec, edge_process
 from .spectral import spectral_abscissa
 
-CONFIG_CAP = 65_536
-# Caps on the arrays of the exact route, which together keep every instance
-# they admit under 1 GB peak: the rows n * N of the mean-dynamics matrix
-# (ARPACK keeps 20 vectors of that length), its stored nonzeros (about 40
-# bytes each while it is assembled), and the entries N * n^2 of the
-# adjacency matrices in ``JointChain.configs``.
+# Caps on the arrays of the exact route, all checked in build_joint_chain
+# from the edge chains before any array of N = prod_e K_e entries is built:
+# the rows n * N of the mean-dynamics matrix (ARPACK keeps 20 vectors of that
+# length), its stored nonzeros (about 40 bytes each while it is assembled),
+# and the entries N * n^2 of the adjacency matrices in ``JointChain.configs``.
+# Every array the route builds is bounded by one of them.  A binary spec
+# meets the row cap first: 17 edges need 7 vertices, and 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
 JOINT_NNZ_CAP = 1 << 24
 CONFIG_ENTRY_CAP = 1 << 24
@@ -65,34 +68,54 @@ class JointChain:
         return self.configs.shape[0]
 
 
-def build_joint_chain(
-    spec: SwitchedNetworkSpec, config_cap: int = CONFIG_CAP
-) -> JointChain:
+def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
-    The configuration count is the product of the per-edge state counts
-    (2^m for m binary edges) and is capped because it grows exponentially;
-    instances past the cap must fall back to the spectral bounds.  The
-    stationary law is the tensor product of the per-edge laws, which holds
-    because the edges switch independently.
+    The configuration count N is the product of the per-edge state counts
+    (2^m for m binary edges) and grows exponentially, so the three caps are
+    checked first, in integer arithmetic on the edge chains; instances past
+    a cap must fall back to the spectral bounds.  The stationary law is the
+    tensor product of the per-edge laws, which holds because the edges
+    switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
+    n = spec.n
     procs = [edge_process(e) for e in spec.edges]
     n_configs = 1
     for proc in procs:
         n_configs *= len(proc.values)
-        if n_configs > config_cap:
+        if n * n_configs > JOINT_DIM_CAP:
             raise ValueError(
-                f"joint chain needs more than {config_cap} configurations "
-                f"({len(spec.edges)} edges; the count grows exponentially "
-                "with the edge count); use the spectral bounds instead"
+                f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
+                f"({len(procs)} edges; the count grows exponentially with the "
+                "edge count), so the stability matrix would exceed "
+                f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
             )
-    if n_configs * spec.n**2 > CONFIG_ENTRY_CAP:
+    if n_configs * n * n > CONFIG_ENTRY_CAP:
         raise ValueError(
             f"joint chain would store {n_configs} adjacency matrices of "
-            f"{spec.n} x {spec.n} (> {CONFIG_ENTRY_CAP} entries); use the "
-            "spectral bounds instead"
+            f"{n} x {n} (> {CONFIG_ENTRY_CAP} entries); use the spectral "
+            "bounds instead"
+        )
+    # Nonzeros of kron(Pi^T, I_n) + beta blockdiag(A_k): each off-diagonal
+    # rate and each nonzero weight of edge e recurs in N / K_e configurations,
+    # and the diagonal rate of a configuration, the sum of its edges', is
+    # zero only where every one of them is.
+    off = weights = 0
+    zero_diagonal = 1
+    for proc in procs:
+        rates = proc.rate_matrix
+        repeats = n_configs // rates.shape[0]
+        diagonal = int(np.count_nonzero(np.diag(rates)))
+        off += repeats * (int(np.count_nonzero(rates)) - diagonal)
+        weights += repeats * int(np.count_nonzero(proc.values))
+        zero_diagonal *= rates.shape[0] - diagonal
+    nnz = n * (off + n_configs - zero_diagonal) + 2 * weights
+    if nnz > JOINT_NNZ_CAP:
+        raise ValueError(
+            f"stability matrix would hold {nnz} nonzeros (> {JOINT_NNZ_CAP}); "
+            "use the spectral bounds instead"
         )
 
     stationary = procs[0].stationary
@@ -101,14 +124,14 @@ def build_joint_chain(
 
     dims = [len(p.values) for p in procs]
     digits = np.unravel_index(np.arange(n_configs), dims)
-    configs = np.zeros((n_configs, spec.n, spec.n))
+    configs = np.zeros((n_configs, n, n))
     for proc, digit in zip(procs, digits):
         vals = proc.values[digit]
         configs[:, proc.i - 1, proc.j - 1] = vals
         configs[:, proc.j - 1, proc.i - 1] = vals
 
     return JointChain(
-        n=spec.n,
+        n=n,
         configs=configs,
         rate_matrices=tuple(p.rate_matrix for p in procs),
         stationary=stationary,
@@ -119,41 +142,25 @@ def assemble_stability_matrix(
     joint: JointChain, beta: float
 ) -> "scipy.sparse.csr_array":
     """Sparse (CSR) nN x nN mean-dynamics matrix
-    kron(Pi^T, I) + beta blockdiag(A_k); the one place its row and nonzero
-    caps are checked."""
+    kron(Pi^T, I) + beta blockdiag(A_k), whose rows and nonzeros
+    :func:`build_joint_chain` has already capped."""
     from scipy import sparse
 
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    n, big_n = joint.n, joint.n_configs
-    dim = n * big_n
-    if dim > JOINT_DIM_CAP:
-        raise ValueError(
-            f"stability matrix would be {dim} x {dim} (> cap {JOINT_DIM_CAP})"
-        )
+    n = joint.n
+    dim = n * joint.n_configs
     generator = sparse.csr_array(joint.rate_matrices[0])
     for q in joint.rate_matrices[1:]:
         generator = sparse.kron(
             generator, sparse.eye_array(q.shape[0]), format="csr"
         ) + sparse.kron(sparse.eye_array(generator.shape[0]), q, format="csr")
     k, i, j = np.nonzero(joint.configs)
-    nnz = generator.nnz * n + k.size
-    if nnz > JOINT_NNZ_CAP:
-        raise ValueError(
-            f"stability matrix would hold {nnz} nonzeros (> cap {JOINT_NNZ_CAP})"
-        )
     flow = sparse.kron(generator.T, sparse.eye_array(n), format="csr")
     blocks = sparse.coo_array(
         (beta * joint.configs[k, i, j], (k * n + i, k * n + j)), shape=(dim, dim)
     )
     return (flow + blocks).tocsr()
-
-
-def mean_stability_abscissa(matrix) -> float:
-    """Spectral abscissa eta of a mean-dynamics matrix from
-    :func:`assemble_stability_matrix`; the epidemic is mean stable exactly
-    when eta < delta."""
-    return spectral_abscissa(matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +182,7 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     past it by more than ETA_BOUND_RTOL is noise and raises RuntimeError.
     """
     matrix = assemble_stability_matrix(joint, params.beta)
-    eta = mean_stability_abscissa(matrix)
+    eta = spectral_abscissa(matrix)
     bound = params.beta * float(joint.configs.sum(axis=1).max())
     if eta > bound + ETA_BOUND_RTOL * max(bound, params.delta):
         raise RuntimeError(

@@ -17,10 +17,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .ensembles import summarize
 from .exact import JointChain, build_joint_chain
 from .netmodel import EdgeChain, SwitchedNetworkSpec, stationary_stats
 from .spectral import lambda_max_dense
-from .stability import _tail_exponent, minimize_penalty
+from .stability import _tail_exponent, sufficient_lhs
 
 REL_TOL = 1e-8
 
@@ -68,7 +69,7 @@ def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
 
 def dense_abscissa(joint: JointChain, beta: float) -> float:
     """Mean-stability abscissa eta by dense eigvals: the reference for
-    :func:`epinet.exact.mean_stability_abscissa`."""
+    :func:`epinet.exact.exact_mean_stable`."""
     return float(np.linalg.eigvals(dense_stability_matrix(joint, beta)).real.max())
 
 
@@ -151,19 +152,23 @@ def random_small_spec(rng: np.random.Generator) -> SwitchedNetworkSpec:
 
 
 def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
-    """Run every cross-check on one small instance."""
-    stats = stationary_stats(spec)
-    lam_bar = lambda_max_dense(stats.abar)
-    pm = minimize_penalty(spec.n, stats.delta_uncertainty)
+    """Run every cross-check on one small instance; the certificate checked
+    is the one ``analyze`` reports, from :func:`epinet.ensembles.summarize`
+    and :func:`epinet.stability.sufficient_lhs`."""
+    summary = summarize(spec)
+    pm, lhs = sufficient_lhs(summary)
+    lam_bar = summary.lambda_max_abar
     joint = build_joint_chain(spec)
 
     abar_enum = np.tensordot(joint.stationary, joint.configs, axes=1)
-    abar_consistent = float(np.abs(abar_enum - stats.abar).max()) <= 1e-10
+    abar_consistent = (
+        float(np.abs(abar_enum - stationary_stats(spec).abar).max()) <= 1e-10
+    )
 
     lam_all = np.linalg.eigvalsh(joint.configs)[:, -1]
     e_lam = float(joint.stationary @ lam_all)
     tol = REL_TOL * max(1.0, abs(lam_bar), abs(e_lam))
-    sandwich_ok = (lam_bar - tol <= e_lam) and (e_lam <= lam_bar + pm.f_min + tol)
+    sandwich_ok = (lam_bar - tol <= e_lam) and (e_lam <= lhs + tol)
 
     s_top = max(1.0, float(lam_all.max()) - lam_bar)
     tail = check_tail_bound(
@@ -171,7 +176,7 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
         lam_all,
         lambda_max_dense(abar_enum),
         spec.n,
-        stats.delta_uncertainty,
+        summary.delta_uncertainty,
         np.linspace(0.0, 1.5 * s_top, 20),
     )
     eta = dense_abscissa(joint, beta=1.0)
@@ -179,9 +184,9 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
         n=spec.n,
         m=len(spec.edges),
         lambda_max_abar=lam_bar,
-        delta_uncertainty=stats.delta_uncertainty,
+        delta_uncertainty=summary.delta_uncertainty,
         f_min=pm.f_min,
-        lhs_upper=lam_bar + pm.f_min,
+        lhs_upper=lhs,
         e_lambda_max=e_lam,
         eta_beta1=eta,
         sandwich_ok=bool(sandwich_ok),

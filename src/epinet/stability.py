@@ -347,13 +347,7 @@ class DegreeSequence:
             yield self.block(lo, hi)
 
 
-def _as_sequence(degrees: Union[DegreeSequence, np.ndarray]) -> DegreeSequence:
-    if isinstance(degrees, DegreeSequence):
-        return degrees
-    return DegreeSequence.from_array(degrees)
-
-
-def expected_degree_uncertainty(degrees: Union[DegreeSequence, np.ndarray]) -> float:
+def expected_degree_uncertainty(seq: DegreeSequence) -> float:
     """Variance proxy Delta_d for an expected-degree ensemble.
 
     With abar_ij = rho d_i d_j (zero diagonal), row i of the entrywise
@@ -364,7 +358,6 @@ def expected_degree_uncertainty(degrees: Union[DegreeSequence, np.ndarray]) -> f
     with D1 = sum(d) and D2 = sum(d^2), so the maximum over rows is one pass
     over the blocks and never materializes the matrix.
     """
-    seq = _as_sequence(degrees)
     d1, d2 = seq.d1, seq.d2
     rho = 1.0 / d1
     # one set of buffers for every block: fresh block-sized temporaries
@@ -385,7 +378,7 @@ def expected_degree_uncertainty(degrees: Union[DegreeSequence, np.ndarray]) -> f
     return top
 
 
-def expected_degree_lambda_max(degrees: Union[DegreeSequence, np.ndarray]) -> float:
+def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n) time and
     O(block) memory.
 
@@ -406,7 +399,6 @@ def expected_degree_lambda_max(degrees: Union[DegreeSequence, np.ndarray]) -> fl
     sum(r) and sum(r^2), one pass over the blocks.  Fewer than two nonzero
     degrees leave abar zero.
     """
-    seq = _as_sequence(degrees)
     buffers = np.empty((2, min(seq.n, DEGREE_BLOCK)))  # reused by every block
 
     def weights(d: np.ndarray) -> np.ndarray:
@@ -448,9 +440,7 @@ def expected_degree_lambda_max(degrees: Union[DegreeSequence, np.ndarray]) -> fl
         lam = step
 
 
-def pair_probability_violations(
-    degrees: Union[DegreeSequence, np.ndarray]
-) -> tuple[float, int]:
+def pair_probability_violations(seq: DegreeSequence) -> tuple[float, int]:
     """Largest pairwise edge probability rho d_i d_j (i != j) and the number
     of unordered pairs where it exceeds 1, in O(block) memory.
 
@@ -463,7 +453,6 @@ def pair_probability_violations(
     below the window's first degree, and none after it exceeds a later
     cutoff.
     """
-    seq = _as_sequence(degrees)
     d1 = seq.d1
     rho = 1.0 / d1
     d_max, second = seq.block(0, 2).tolist()

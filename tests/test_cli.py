@@ -24,7 +24,13 @@ import epinet.ensembles
 import epinet.exact
 import epinet.stability
 from epinet.cli import COMMUNITY_EXAMPLE, POWERLAW_EXAMPLE, main
-from epinet.ensembles import expected_degree_stats, load_network, summarize
+from epinet.ensembles import (
+    ExpectedDegreeSpec,
+    degree_sequence,
+    expected_degree_stats,
+    load_network,
+    summarize,
+)
 from epinet.netmodel import EpidemicParams
 from epinet.stability import check_sufficient
 
@@ -113,21 +119,57 @@ def test_analyze_dump_matrix(triangle_spec, tmp_path, monkeypatch):
     assert np.array_equal(mat.toarray(), built[0].toarray())
 
 
-def test_analyze_respects_exact_cap(triangle_spec, capsys):
-    code = main(
-        [
-            "analyze",
-            "--spec", str(triangle_spec),
-            "--beta", "0.2",
-            "--delta", "1.5",
-            "--exact-cap", "4",
-        ]
-    )
+def test_exact_cap_option_is_gone(triangle_spec):
+    # the caps of the exact route are fixed and checked from the edge chains
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--spec", str(triangle_spec), "--beta", "0.2",
+              "--delta", "1.5", "--exact-cap", "4"])
+    assert exc.value.code == 1
+
+
+def _cycle_spec(n: int) -> dict:
+    return {"n": n, "edges": [{"i": k, "j": k % n + 1, "p": 1.0, "q": 1.0}
+                              for k in range(1, n + 1)]}
+
+
+def _dense_weighted_spec(states: int) -> dict:
+    rates = np.ones((states, states))
+    np.fill_diagonal(rates, 1.0 - states)
+    chain = {"states": np.linspace(0.0, 1.0, states).tolist(),
+             "generator": rates.tolist()}
+    return {"n": 3, "edges": [{"i": 1, "j": 2, **chain}, {"i": 2, "j": 3, **chain}]}
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        # 16 binary edges on 16 vertices: 2^16 configurations, 2^20 rows
+        (_cycle_spec(16), "more than 32768 configurations"),
+        # two dense 256-state chains on 3 vertices: 1.0e8 nonzeros
+        (_dense_weighted_spec(256), "100727808 nonzeros"),
+    ],
+    ids=["binary-16x16", "weighted-dense-256"],
+)
+def test_exact_refused_before_building(data, reason, tmp_path, capsys, monkeypatch):
+    # both were refused only after the configurations had been stored (and,
+    # for the binary spec, E[lambda_max] computed): 181 MB and 834 MB peak
+    calls = []
+    for module in (epinet.exact, epinet.cli):
+        monkeypatch.setattr(module, "expected_lambda_max", calls.append)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "exact test skipped" in stdout
-    payload = stdout[stdout.index("{"):]
-    assert json.loads(payload)["exact"]["status"] == "skipped"
+    exact = json.loads(stdout[stdout.index("{"):])["exact"]
+    assert exact["status"] == "skipped" and reason in exact["reason"]
+    assert calls == []
+    assert peak < 32 << 20
 
 
 def test_analyze_missing_file(tmp_path):
@@ -215,18 +257,16 @@ def test_non_finite_rate_rejected(command, rate, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 def test_rate_sum_overflow_rejected(command, tmp_path, capsys):
     # p = q = 1e308 are finite but p + q is not; p / (p + q) read 0 instead
-    # of 1/2, so analyze --exact-cap 1 certified with lambda_max(abar) = 0.5
-    # against the true 0.707, and without the cap ARPACK failed (exit 2)
+    # of 1/2, so the sufficient test used lambda_max(abar) = 0.5 against the
+    # true 0.707, and the exact test's ARPACK failed (exit 2)
     spec = tmp_path / "path.json"
     spec.write_text(json.dumps({"n": 3, "edges": [
         {"i": 1, "j": 2, "p": 1e308, "q": 1e308},
         {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
     ]}))
-    argv = [command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"]
-    for extra in ([], ["--exact-cap", "1"]) if command == "analyze" else ([],):
-        assert main(argv + extra) == 1
-        err = capsys.readouterr().err
-        assert "edge (1, 2)" in err and "their sum" in err
+    assert main([command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert "edge (1, 2)" in err and "their sum" in err
 
 
 def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
@@ -556,7 +596,9 @@ def test_analyze_expected_degree_matches_stats(degrees, tmp_path, capsys):
     stdout = capsys.readouterr().out
     payload = json.loads(stdout[stdout.index("{"):])
     report = payload["sufficient"]
-    stats = expected_degree_stats(np.array(degrees))
+    stats = expected_degree_stats(
+        degree_sequence(ExpectedDegreeSpec(degrees=np.array(degrees)))
+    )
     assert report["d_tilde"] == report["lambda_max_abar"] == stats.d_tilde
     assert report["delta_uncertainty"] == stats.delta_uncertainty
     assert report["max_pair_prob"] == stats.max_pair_prob

@@ -25,6 +25,11 @@ from epinet.stability import (
 )
 
 
+def stream(degrees):
+    """The validated degree stream of an explicit expected-degree array."""
+    return degree_sequence(ExpectedDegreeSpec(degrees=np.asarray(degrees, dtype=float)))
+
+
 def small_community():
     return CommunitySpec(n1=7, n2=5, theta1=0.6, theta2=0.3, phi=0.15)
 
@@ -71,14 +76,14 @@ def test_community_edge_cases():
 
 def test_expected_degree_stats_small():
     d = np.array([3.0, 2.0, 1.0])
-    stats = expected_degree_stats(ExpectedDegreeSpec(degrees=d))
+    stats = expected_degree_stats(stream(d))
     assert stats.d_tilde == stats.lambda_max_abar == pytest.approx(14.0 / 6.0)
     abar = np.outer(d, d) / 6.0
     np.fill_diagonal(abar, 0.0)
     assert stats.delta_uncertainty == pytest.approx(
         (abar * (1 - abar)).sum(axis=1).max(), rel=1e-12
     )
-    lam = expected_degree_lambda_max(d)
+    lam = expected_degree_lambda_max(stream(d))
     assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
     # rank-one bound sandwiches the true eigenvalue
     assert lam <= stats.d_tilde
@@ -108,7 +113,7 @@ def _random_degrees(seed: int) -> np.ndarray:
 def test_expected_degree_lambda_max_matches_dense(degrees):
     abar = np.outer(degrees, degrees) / degrees.sum()
     np.fill_diagonal(abar, 0.0)
-    lam = expected_degree_lambda_max(degrees)
+    lam = expected_degree_lambda_max(stream(degrees))
     assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12, abs=1e-300)
 
 
@@ -267,7 +272,7 @@ def _assert_streamed_matches(model, degrees: np.ndarray) -> None:
     assert pair_probability_violations(seq) == (pytest.approx(max_pair, rel=1e-13), invalid)
     assert expected_degree_lambda_max(seq) == pytest.approx(lam, rel=1e-13)
     if delta_u >= 0:
-        summary = expected_degree_stats(model)
+        summary = expected_degree_stats(seq)
         assert summary.d_tilde == pytest.approx(d_tilde, rel=1e-13)
         assert summary.delta_uncertainty == pytest.approx(delta_u, rel=1e-13)
         assert summary.invalid_pairs == invalid
@@ -326,7 +331,7 @@ def test_explicit_array_and_power_law_are_one_stream():
     shuffled = np.random.default_rng(0).permutation(power_law_degrees(spec))
     assert summarize(spec) == summarize(ExpectedDegreeSpec(degrees=shuffled))
     assert expected_degree_lambda_max(degree_sequence(spec)) == (
-        expected_degree_lambda_max(shuffled)
+        expected_degree_lambda_max(stream(shuffled))
     )
 
 

@@ -15,7 +15,12 @@ from epinet.exact import (
     exact_mean_stable,
     expected_lambda_max,
 )
-from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
+from epinet.netmodel import (
+    EdgeChain,
+    EpidemicParams,
+    SwitchedNetworkSpec,
+    WeightedEdgeChain,
+)
 from epinet.oracle import (
     dense_abscissa,
     dense_generator,
@@ -123,7 +128,7 @@ def test_config_cap_raises():
     with pytest.raises(ValueError, match="configurations"):
         build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
     # 200 vertices, 9 edges: 512 adjacency matrices of 200 x 200 would
-    # exceed the stored-entry cap long before the configuration cap
+    # exceed the stored-entry cap long before the row cap
     many = SwitchedNetworkSpec(
         n=200,
         edges=tuple(EdgeChain(i=1, j=k, p_rate=1.0, q_rate=1.0) for k in range(2, 11)),
@@ -131,6 +136,95 @@ def test_config_cap_raises():
     assert 512 * 200**2 > CONFIG_ENTRY_CAP
     with pytest.raises(ValueError, match="entries"):
         build_joint_chain(many)
+
+
+def _binary_spec(n, m):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))[:m]
+    return SwitchedNetworkSpec(
+        n=n, edges=tuple(EdgeChain(i=i, j=j, p_rate=1.0, q_rate=1.0) for i, j in pairs)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, refusal",
+    [
+        (8, 16, None),  # 2^19 rows, exactly the cap
+        (7, 16, None),
+        (9, 16, "configurations"),
+        (7, 17, "configurations"),  # 2^17 configurations: the lone cap on them is gone
+        (16, 16, "configurations"),
+        (200, 9, "entries"),
+    ],
+)
+def test_binary_admission_boundary(n, m, refusal):
+    spec = _binary_spec(n, m)
+    if refusal is None:
+        assert build_joint_chain(spec).n_configs == 2**m
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            build_joint_chain(spec)
+
+
+def _random_chain(rng, i, j):
+    """A weighted edge chain with 1-4 states, some zero weights and some zero
+    rates (absorbing states among them), redrawn until its stationary law is
+    unique."""
+    while True:
+        k = int(rng.integers(1, 5))
+        states = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(0.0, 1.0, k))
+        rates = np.where(rng.random((k, k)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (k, k)))
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        try:
+            return WeightedEdgeChain(i=i, j=j, states=tuple(states),
+                                     generator=tuple(map(tuple, rates)))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_nonzero_count_matches_assembly(seed, monkeypatch):
+    # the nonzero cap is checked from the edge chains alone: a cap equal to
+    # the assembled count admits the spec, one less refuses it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    pairs = [pair for pair in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < 0.7] or [(1, 2)]
+    if seed % 2:
+        edges = tuple(_random_chain(rng, i, j) for i, j in pairs)
+    else:
+        edges = tuple(
+            EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
+            for (i, j), (p, q) in zip(
+                pairs, rng.choice([0.0, 0.5, 2.0], size=(len(pairs), 2), p=[0.3, 0.35, 0.35])
+            )
+            if p + q > 0
+        ) or (EdgeChain(i=1, j=2, p_rate=0.0, q_rate=1.0),)
+    spec = SwitchedNetworkSpec(n=n, edges=edges)
+    nnz = assemble_stability_matrix(build_joint_chain(spec), 0.7).nnz
+    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", nnz)
+    build_joint_chain(spec)
+    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", nnz - 1)
+    with pytest.raises(ValueError, match=f"hold {nnz} nonzeros"):
+        build_joint_chain(spec)
+
+
+def test_caps_admit_more_than_65536_weighted_configurations():
+    # three 41-state birth-death chains on a triangle: 68 921 configurations,
+    # 206 763 rows and about 2e6 nonzeros, all under the caps
+    k = 41
+    rates = np.diag(np.ones(k - 1), 1) + np.diag(np.ones(k - 1), -1)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    chain = {"states": tuple(np.linspace(0.0, 1.0, k)),
+             "generator": tuple(map(tuple, rates))}
+    spec = SwitchedNetworkSpec(
+        n=3,
+        edges=tuple(WeightedEdgeChain(i=i, j=j, **chain)
+                    for i, j in ((1, 2), (1, 3), (2, 3))),
+    )
+    joint = build_joint_chain(spec)
+    assert joint.n_configs == 68_921
+    assert joint.stationary.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_no_edges_rejected():
@@ -197,17 +291,22 @@ def test_perfect_matching_eta_is_golden_ratio():
 
 
 def test_stability_matrix_dim_cap(monkeypatch):
-    joint = build_joint_chain(single_edge_spec())
+    # one edge: 2 configurations x 2 vertices = 4 rows
+    spec = single_edge_spec()
     monkeypatch.setattr(exact, "JOINT_DIM_CAP", 3)
-    with pytest.raises(ValueError, match="4 x 4"):
-        assemble_stability_matrix(joint, 1.0)
-    with pytest.raises(ValueError, match="cap 3"):
-        exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0))
-    monkeypatch.undo()
+    with pytest.raises(ValueError, match="exceed 3 rows"):
+        build_joint_chain(spec)
+    monkeypatch.setattr(exact, "JOINT_DIM_CAP", 4)
+    build_joint_chain(spec)
     # 4 generator entries x 2 vertices + 2 adjacency entries = 10 nonzeros
     monkeypatch.setattr(exact, "JOINT_NNZ_CAP", 9)
     with pytest.raises(ValueError, match="10 nonzeros"):
-        assemble_stability_matrix(joint, 1.0)
+        build_joint_chain(spec)
+    monkeypatch.undo()
+    # 2 configurations x 2 x 2 stored adjacency entries = 8 entries
+    monkeypatch.setattr(exact, "CONFIG_ENTRY_CAP", 7)
+    with pytest.raises(ValueError, match="> 7 entries"):
+        build_joint_chain(spec)
 
 
 def test_exact_mean_stable_strictness():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epinet.ensembles import expected_degree_stats, summarize
+from epinet.ensembles import (
+    ExpectedDegreeSpec,
+    degree_sequence,
+    expected_degree_stats,
+    summarize,
+)
 from epinet.exact import build_joint_chain, expected_lambda_max
 from epinet.netmodel import (
     EdgeChain,
@@ -22,10 +27,16 @@ from epinet.stability import (
     check_sufficient,
     concentration_penalty,
     convexity_onset,
+    expected_degree_lambda_max,
     expected_degree_uncertainty,
     minimize_penalty,
     pair_probability_violations,
 )
+
+
+def stream(degrees):
+    """The validated degree stream of an explicit expected-degree array."""
+    return degree_sequence(ExpectedDegreeSpec(degrees=np.asarray(degrees, dtype=float)))
 
 
 def grid_min(n: int, delta_u: float, points: int = 400_000) -> tuple[float, float]:
@@ -410,7 +421,7 @@ def test_weighted_fractional_chain_report():
 def test_uniform_degrees_closed_form():
     n, c = 50, 5.0
     d = np.full(n, c)
-    rep = check_sufficient(expected_degree_stats(d), _params(delta=100.0))
+    rep = check_sufficient(expected_degree_stats(stream(d)), _params(delta=100.0))
     assert rep.summary.d_tilde == pytest.approx(c, rel=1e-14)
     # abar_ij = c/n off-diagonal; row sum of variances has n-1 terms
     expected_delta = (n - 1) * (c / n) * (1 - c / n)
@@ -426,7 +437,7 @@ def test_expected_degree_uncertainty_matches_dense():
     np.fill_diagonal(abar, 0.0)
     assert abar.max() < 1.0
     dense_delta = (abar * (1.0 - abar)).sum(axis=1).max()
-    delta_u = expected_degree_uncertainty(d)
+    delta_u = expected_degree_uncertainty(stream(d))
     assert delta_u == pytest.approx(dense_delta, rel=1e-12)
 
 
@@ -440,22 +451,22 @@ def test_pair_violations_match_bruteforce():
     assert brute > 3
     # unsorted, descending and shuffled input
     for order in (d, np.sort(d)[::-1], rng.permutation(d)):
-        max_pair, invalid = pair_probability_violations(order)
+        max_pair, invalid = pair_probability_violations(stream(order))
         assert invalid == brute
         assert max_pair == pytest.approx(rho * top_two[0] * top_two[1], rel=1e-12)
     assert max_pair > 1.0
     valid = np.array([1.0, 2.0, 3.0, 2.0])
-    assert pair_probability_violations(valid) == (pytest.approx(6.0 / 8.0), 0)
+    assert pair_probability_violations(stream(valid)) == (pytest.approx(6.0 / 8.0), 0)
 
 
 def test_invalid_probabilities_recorded_as_note():
     d = np.array([1.0, 1.0, 50.0, 60.0])
-    rep = check_sufficient(expected_degree_stats(d), _params())
+    rep = check_sufficient(expected_degree_stats(stream(d)), _params())
     assert rep.summary.max_pair_prob > 1.0
     assert rep.summary.invalid_pairs >= 1
     assert any("invalid edge probabilities" in note for note in rep.notes)
     valid = check_sufficient(
-        expected_degree_stats(np.array([1.0, 2.0, 3.0, 2.0])), _params()
+        expected_degree_stats(stream([1.0, 2.0, 3.0, 2.0])), _params()
     )
     assert valid.summary.invalid_pairs == 0
     assert not any("invalid" in n for n in valid.notes)
@@ -466,11 +477,18 @@ def test_expected_degrees_input_validation():
                 [1e308, 1.0], [1e-311, 0.0]):
         # the last two made d^2 or 1 / sum(d) overflow into a NaN Delta
         with np.errstate(all="raise"), pytest.raises(ValueError, match="degrees"):
-            expected_degree_stats(np.array(bad))
+            stream(bad)
+    # the kernels read only a validated stream: a bare array gave Delta -inf
+    # for [nan, 1, 2] and -1.5 for [-1, 2, 3], and [0, 0] divided by zero
+    for kernel in (expected_degree_uncertainty, expected_degree_lambda_max,
+                   pair_probability_violations):
+        for bad in ([np.nan, 1.0, 2.0], [-1.0, 2.0, 3.0], [0.0, 0.0]):
+            with pytest.raises(AttributeError):
+                kernel(np.array(bad))
     # a negative Delta (edge probabilities far above 1) is refused
-    assert expected_degree_uncertainty(np.array([1e6, 1e6])) < 0
+    assert expected_degree_uncertainty(stream([1e6, 1e6])) < 0
     with pytest.raises(ValueError, match="variance proxy is negative"):
-        expected_degree_stats(np.array([1e6, 1e6]))
+        expected_degree_stats(stream([1e6, 1e6]))
 
 
 def test_expected_degree_verdict_against_dense_test():
@@ -479,7 +497,7 @@ def test_expected_degree_verdict_against_dense_test():
     # dense eigenvalue from above
     rng = np.random.default_rng(17)
     d = rng.uniform(0.5, 3.0, size=25)
-    rep = check_sufficient(expected_degree_stats(d), _params(delta=50.0))
+    rep = check_sufficient(expected_degree_stats(stream(d)), _params(delta=50.0))
     abar = np.outer(d, d) / d.sum()
     np.fill_diagonal(abar, 0.0)
     lam_dense = float(np.linalg.eigvalsh(abar)[-1])

@@ -24,7 +24,6 @@ from .ensembles import (
 )
 from .exact import (
     build_joint_chain,
-    dump_stability_matrix,
     exact_mean_stable,
     expected_lambda_max,
 )
@@ -100,13 +99,11 @@ def _write_json(path: Path, obj) -> None:
     tmp.replace(path)
 
 
-def _attempt_exact(model, params: EpidemicParams, dump_path: Optional[Path]) -> dict:
+def _attempt_exact(model, params: EpidemicParams) -> dict:
     try:
         joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
-        if dump_path is not None:
-            dump_stability_matrix(res.matrix, dump_path)
         return {
             "status": "ok",
             "n_configs": joint.n_configs,
@@ -123,8 +120,7 @@ def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
     model = load_network(args.spec)
     report = check_sufficient(summarize(model), params)
-    dump_path = out / "stability_matrix.mtx" if (out and args.dump_matrix) else None
-    exact_info = _attempt_exact(model, params, dump_path)
+    exact_info = _attempt_exact(model, params)
 
     result = {
         "beta": params.beta,
@@ -361,11 +357,6 @@ def _build_parser() -> _Parser:
     pa.add_argument("--spec", required=True, help="JSON network spec or ensemble")
     pa.add_argument("--beta", type=float, required=True, help="infection rate")
     pa.add_argument("--delta", type=float, required=True, help="recovery rate")
-    pa.add_argument(
-        "--dump-matrix",
-        action="store_true",
-        help="write the mean-dynamics matrix in Matrix Market format",
-    )
     pa.add_argument("--out", help="directory for report.json and manifest.json")
     pa.set_defaults(func=_cmd_analyze)
 

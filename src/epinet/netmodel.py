@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -88,14 +88,15 @@ class WeightedEdgeChain:
 
     ``states`` lists the possible edge weights, each in [0, 1]; ``generator``
     is the matching conservative rate matrix (rows sum to zero, off-diagonal
-    entries nonnegative).  The chain must have a unique stationary law,
-    which is checked at construction time.
+    entries nonnegative).  Its unique stationary law is solved for once, at
+    construction time, and kept read-only as ``stationary``.
     """
 
     i: int
     j: int
     states: tuple[float, ...]
     generator: tuple[tuple[float, ...], ...]
+    stationary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i == self.j:
@@ -140,7 +141,9 @@ class WeightedEdgeChain:
                 f"edge ({self.i}, {self.j}): generator rows must sum to zero"
             )
         # Fails loudly here rather than deep inside an analysis run.
-        _stationary_from_generator(q, label=f"edge ({self.i}, {self.j})")
+        pi = _stationary_from_generator(q, label=f"edge ({self.i}, {self.j})")
+        pi.flags.writeable = False
+        object.__setattr__(self, "stationary", pi)
 
 
 AnyEdge = Union[EdgeChain, WeightedEdgeChain]
@@ -264,15 +267,9 @@ def edge_process(edge: AnyEdge) -> EdgeProcess:
             stationary=np.array([1.0 - prob, prob]),
         )
     if isinstance(edge, WeightedEdgeChain):
-        q = np.asarray(edge.generator, dtype=float)
-        pi = _stationary_from_generator(q, label=f"edge ({edge.i}, {edge.j})")
-        return EdgeProcess(
-            i=edge.i,
-            j=edge.j,
-            values=np.asarray(edge.states, dtype=float),
-            rate_matrix=q,
-            stationary=pi,
-        )
+        values = np.asarray(edge.states, dtype=float)
+        rates = np.asarray(edge.generator, dtype=float)
+        return EdgeProcess(edge.i, edge.j, values, rates, edge.stationary)
     raise TypeError(f"not an edge chain: {edge!r}")
 
 

@@ -6,10 +6,10 @@ end: the sandwich lambda_max(abar) <= E[lambda_max(A_G)] <= lambda_max(abar)
 + min f, the probability tail bound behind the penalty, and the agreement
 between the enumerated stationary law and the closed-form edge moments.
 
-It also holds the dense reference for the exact test: the N x N joint
-generator, the direct solve of its stationary law, the dense nN x nN
-mean-dynamics matrix and its eigenvalues.  Like the rest of this module it
-needs numpy only.
+It also holds the dense reference for the exact test: the adjacency
+matrices of all N configurations, the N x N joint generator, the direct
+solve of its stationary law, the dense nN x nN mean-dynamics matrix and its
+eigenvalues.  Like the rest of this module it needs numpy only.
 """
 from __future__ import annotations
 
@@ -26,6 +26,15 @@ from .stability import _tail_exponent, sufficient_lhs
 REL_TOL = 1e-8
 
 
+def dense_configs(joint: JointChain) -> np.ndarray:
+    """The N x n x n adjacency matrices of all configurations, in order."""
+    digits = np.unravel_index(np.arange(joint.n_configs), joint.dims)
+    configs = np.zeros((joint.n_configs, joint.n, joint.n))
+    for p, digit in zip(joint.processes, digits):
+        configs[:, p.i - 1, p.j - 1] = configs[:, p.j - 1, p.i - 1] = p.values[digit]
+    return configs
+
+
 def dense_generator(joint: JointChain) -> np.ndarray:
     """Dense N x N joint generator, the Kronecker sum
     sum_e I x ... x Q_e x ... x I of the edge generators.
@@ -34,7 +43,7 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     of pi Pi = 0 to 1e-12, which guards the enumeration order and the
     solver both.
     """
-    mats = joint.rate_matrices
+    mats = [p.rate_matrix for p in joint.processes]
     gen = mats[0]
     for q in mats[1:]:
         gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)
@@ -61,9 +70,8 @@ def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
     """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
     n = joint.n
     mat = np.kron(dense_generator(joint).T, np.eye(n))
-    for k in range(joint.n_configs):
-        block = slice(k * n, (k + 1) * n)
-        mat[block, block] += beta * joint.configs[k]
+    for k, config in enumerate(dense_configs(joint)):
+        mat[k * n:(k + 1) * n, k * n:(k + 1) * n] += beta * config
     return mat
 
 
@@ -160,12 +168,13 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     lam_bar = summary.lambda_max_abar
     joint = build_joint_chain(spec)
 
-    abar_enum = np.tensordot(joint.stationary, joint.configs, axes=1)
+    configs = dense_configs(joint)
+    abar_enum = np.tensordot(joint.stationary, configs, axes=1)
     abar_consistent = (
         float(np.abs(abar_enum - stationary_stats(spec).abar).max()) <= 1e-10
     )
 
-    lam_all = np.linalg.eigvalsh(joint.configs)[:, -1]
+    lam_all = np.linalg.eigvalsh(configs)[:, -1]
     e_lam = float(joint.stationary @ lam_all)
     tol = REL_TOL * max(1.0, abs(lam_bar), abs(e_lam))
     sandwich_ok = (lam_bar - tol <= e_lam) and (e_lam <= lhs + tol)

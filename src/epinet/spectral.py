@@ -30,33 +30,37 @@ def lambda_max_dense(a: np.ndarray) -> float:
 
 
 def spectral_abscissa(a) -> float:
-    """Spectral abscissa of a (sparse or dense) Metzler matrix, by ARPACK.
+    """Spectral abscissa of a Metzler matrix, by ARPACK.
 
-    By Perron-Frobenius the rightmost eigenvalue of a Metzler matrix is
-    real, so the Ritz value of largest real part from implicitly restarted
-    Arnoldi (``which="LR"``) is the abscissa.  The start vector is fixed
+    ``a`` is a dense matrix or an operator such as
+    :class:`epinet.exact.StabilityOperator`, which reads ``offdiagonal_min``
+    and ``entry_max`` from its factors.  By Perron-Frobenius the rightmost
+    eigenvalue of a Metzler matrix is real, so the Ritz value of largest
+    real part (``which="LR"``) is the abscissa.  The start vector is fixed
     (all ones, never orthogonal to a nonnegative left Perron vector), so
     reruns are bit-identical.  Refuses matrices with negative off-diagonal
     entries; raises RuntimeError if ARPACK does not converge or returns a
     value that is not real.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-    a = sparse.csr_array(a, dtype=float)
+    if hasattr(a, "matvec"):
+        low, top_entry = a.offdiagonal_min, a.entry_max
+    else:
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        low = float(a[~np.eye(a.shape[0], dtype=bool)].min(initial=0.0))
+        top_entry = float(np.abs(a).max(initial=0.0))
     dim = a.shape[0]
-    if a.shape[1] != dim:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a.data).max(initial=0.0)))
-    negative = np.flatnonzero(a.data < -1e-12 * scale)
-    rows = np.searchsorted(a.indptr, negative, side="right") - 1
-    if np.any(a.indices[negative] != rows):
+    scale = max(1.0, top_entry)
+    if low < -1e-12 * scale:
         raise ValueError(
             "matrix has negative off-diagonal entries (not Metzler); its "
             "rightmost eigenvalue need not be real"
         )
     if dim < 3:  # ARPACK needs k = 1 < dim - 1
-        vals = np.linalg.eigvals(a.toarray())
+        vals = np.linalg.eigvals(a @ np.eye(dim))
     else:
         try:
             vals = eigs(

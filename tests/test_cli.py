@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.io import mmread
 
 import epinet.cli
 import epinet.ensembles
 import epinet.exact
+import epinet.netmodel
 import epinet.stability
 from epinet.cli import COMMUNITY_EXAMPLE, POWERLAW_EXAMPLE, main
 from epinet.ensembles import (
@@ -90,33 +90,14 @@ def test_analyze_stdout_json_without_out(triangle_spec, capsys):
     assert report["exact"]["status"] == "ok"
 
 
-def test_analyze_dump_matrix(triangle_spec, tmp_path, monkeypatch):
-    built = []
-    assemble = epinet.exact.assemble_stability_matrix
-
-    def counting(*args, **kwargs):
-        built.append(assemble(*args, **kwargs))
-        return built[-1]
-
-    # patched in both namespaces, so a second assembly anywhere is counted
-    monkeypatch.setattr(epinet.exact, "assemble_stability_matrix", counting)
-    monkeypatch.setattr(epinet.cli, "assemble_stability_matrix", counting, raising=False)
-    out = tmp_path / "run"
-    code = main(
-        [
-            "analyze",
-            "--spec", str(triangle_spec),
-            "--beta", "0.2",
-            "--delta", "1.5",
-            "--dump-matrix",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    mat = mmread(out / "stability_matrix.mtx")
-    assert mat.shape == (24, 24)  # 8 configurations x 3 vertices
-    assert len(built) == 1
-    assert np.array_equal(mat.toarray(), built[0].toarray())
+def test_dump_matrix_option_is_gone(triangle_spec, tmp_path):
+    # the exact operator is matrix-free, so there is no matrix to write;
+    # oracle.dense_stability_matrix builds it for small specs
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--spec", str(triangle_spec), "--beta", "0.2",
+              "--delta", "1.5", "--dump-matrix", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_exact_cap_option_is_gone(triangle_spec):
@@ -140,22 +121,8 @@ def _dense_weighted_spec(states: int) -> dict:
     return {"n": 3, "edges": [{"i": 1, "j": 2, **chain}, {"i": 2, "j": 3, **chain}]}
 
 
-@pytest.mark.parametrize(
-    "data, reason",
-    [
-        # 16 binary edges on 16 vertices: 2^16 configurations, 2^20 rows
-        (_cycle_spec(16), "more than 32768 configurations"),
-        # two dense 256-state chains on 3 vertices: 1.0e8 nonzeros
-        (_dense_weighted_spec(256), "100727808 nonzeros"),
-    ],
-    ids=["binary-16x16", "weighted-dense-256"],
-)
-def test_exact_refused_before_building(data, reason, tmp_path, capsys, monkeypatch):
-    # both were refused only after the configurations had been stored (and,
-    # for the binary spec, E[lambda_max] computed): 181 MB and 834 MB peak
-    calls = []
-    for module in (epinet.exact, epinet.cli):
-        monkeypatch.setattr(module, "expected_lambda_max", calls.append)
+def _analyze_traced(data, tmp_path, capsys):
+    """The exact block of ``analyze`` on ``data`` and the traced peak."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(data))
     tracemalloc.start()
@@ -166,10 +133,68 @@ def test_exact_refused_before_building(data, reason, tmp_path, capsys, monkeypat
         tracemalloc.stop()
     assert code == 0
     stdout = capsys.readouterr().out
-    exact = json.loads(stdout[stdout.index("{"):])["exact"]
-    assert exact["status"] == "skipped" and reason in exact["reason"]
-    assert calls == []
-    assert peak < 32 << 20
+    return json.loads(stdout[stdout.index("{"):])["exact"], peak
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        # 16 binary edges on 16 vertices: 2^16 configurations, 2^20 rows
+        (_cycle_spec(16), "more than 32768 configurations"),
+        # two dense 256-state chains on 3 vertices: 196 608 rows, refused on
+        # its 1.0e8 nonzeros while the matrix was stored; now admitted
+        (_dense_weighted_spec(256), None),
+    ],
+    ids=["binary-16x16", "weighted-dense-256"],
+)
+def test_exact_refused_before_building(data, reason, tmp_path, capsys, monkeypatch):
+    # a refusal comes before E[lambda_max] or any configuration: the
+    # binary spec was refused at 181 MB, after both
+    calls = []
+    expected = epinet.exact.expected_lambda_max
+
+    def counting(joint):
+        calls.append(joint)
+        return expected(joint)
+
+    for module in (epinet.exact, epinet.cli):
+        monkeypatch.setattr(module, "expected_lambda_max", counting)
+    exact, peak = _analyze_traced(data, tmp_path, capsys)
+    if reason is None:
+        assert exact["status"] == "ok" and exact["n_configs"] == 256 ** 2
+        assert len(calls) == 1
+        assert peak < 64 << 20
+    else:
+        assert exact["status"] == "skipped" and reason in exact["reason"]
+        assert calls == []
+        assert peak < 32 << 20
+
+
+def test_dense_weighted_exact_runs_in_vector_memory(tmp_path, capsys):
+    # two dense 128-state chains: 49 152 rows and 1.26e7 nonzeros, which
+    # peaked at 583 MB while the matrix and the configurations were stored
+    exact, peak = _analyze_traced(_dense_weighted_spec(128), tmp_path, capsys)
+    assert exact["status"] == "ok" and exact["n_configs"] == 128 ** 2
+    assert 0.0 < exact["eta"] < 1.0
+    assert peak < 64 << 20
+
+
+def test_analyze_solves_each_stationary_law_once(tmp_path, capsys, monkeypatch):
+    # a weighted edge's law is solved (a K x K SVD) when the chain is
+    # validated and read from it afterwards, by summarize and the exact route
+    calls = []
+    solve = epinet.netmodel._stationary_from_generator
+
+    def counting(q, label):
+        calls.append(label)
+        return solve(q, label)
+
+    monkeypatch.setattr(epinet.netmodel, "_stationary_from_generator", counting)
+    data = _dense_weighted_spec(5)
+    data["edges"].append({**data["edges"][0], "i": 1, "j": 3})
+    exact, _ = _analyze_traced(data, tmp_path, capsys)
+    assert exact["status"] == "ok"
+    assert sorted(calls) == ["edge (1, 2)", "edge (1, 3)", "edge (2, 3)"]
 
 
 def test_analyze_missing_file(tmp_path):

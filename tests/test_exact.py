@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import strategies as st
 
 from epinet import exact
 from epinet.exact import (
-    CONFIG_ENTRY_CAP,
+    StabilityOperator,
     build_joint_chain,
-    assemble_stability_matrix,
-    dump_stability_matrix,
     exact_mean_stable,
     expected_lambda_max,
 )
@@ -23,6 +22,7 @@ from epinet.netmodel import (
 )
 from epinet.oracle import (
     dense_abscissa,
+    dense_configs,
     dense_generator,
     dense_stability_matrix,
     random_small_spec,
@@ -63,15 +63,16 @@ def test_joint_chain_structure_two_edges():
         ),
     )
     joint = build_joint_chain(spec)
-    assert joint.n_configs == 4
+    assert joint.n_configs == 4 and joint.dims == (2, 2)
     # enumeration: config index k has mixed-radix digits over edge states in
     # the order of spec.edges, last edge fastest; config 1 = first edge
     # absent, second present
+    configs = dense_configs(joint)
     for k, edge in zip((2, 1), spec.edges):
-        assert joint.configs[k][edge.i - 1, edge.j - 1] == 1.0
-    assert joint.configs[1][1, 2] == 1.0 and joint.configs[1][0, 1] == 0.0
-    assert joint.configs[2][0, 1] == 1.0 and joint.configs[2][1, 2] == 0.0
-    assert joint.configs[3][0, 1] == 1.0 and joint.configs[3][1, 2] == 1.0
+        assert configs[k][edge.i - 1, edge.j - 1] == 1.0
+    assert configs[1][1, 2] == 1.0 and configs[1][0, 1] == 0.0
+    assert configs[2][0, 1] == 1.0 and configs[2][1, 2] == 0.0
+    assert configs[3][0, 1] == 1.0 and configs[3][1, 2] == 1.0
     # product-form stationary law
     pi12, pi23 = 2.0 / 3.0, 0.25
     expected = np.array(
@@ -83,7 +84,7 @@ def test_joint_chain_structure_two_edges():
         ]
     )
     assert joint.stationary == pytest.approx(expected, abs=1e-14)
-    mean_edges = joint.stationary @ joint.configs.sum(axis=(1, 2)) / 2.0
+    mean_edges = joint.stationary @ configs.sum(axis=(1, 2)) / 2.0
     assert mean_edges == pytest.approx(pi12 + pi23, abs=1e-14)
     # generator invariants
     gen = dense_generator(joint)
@@ -127,15 +128,6 @@ def test_config_cap_raises():
     )
     with pytest.raises(ValueError, match="configurations"):
         build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
-    # 200 vertices, 9 edges: 512 adjacency matrices of 200 x 200 would
-    # exceed the stored-entry cap long before the row cap
-    many = SwitchedNetworkSpec(
-        n=200,
-        edges=tuple(EdgeChain(i=1, j=k, p_rate=1.0, q_rate=1.0) for k in range(2, 11)),
-    )
-    assert 512 * 200**2 > CONFIG_ENTRY_CAP
-    with pytest.raises(ValueError, match="entries"):
-        build_joint_chain(many)
 
 
 def _binary_spec(n, m):
@@ -153,7 +145,7 @@ def _binary_spec(n, m):
         (9, 16, "configurations"),
         (7, 17, "configurations"),  # 2^17 configurations: the lone cap on them is gone
         (16, 16, "configurations"),
-        (200, 9, "entries"),
+        (200, 9, None),  # once refused on 512 stored 200 x 200 matrices
     ],
 )
 def test_binary_admission_boundary(n, m, refusal):
@@ -183,30 +175,39 @@ def _random_chain(rng, i, j):
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_nonzero_count_matches_assembly(seed, monkeypatch):
-    # the nonzero cap is checked from the edge chains alone: a cap equal to
-    # the assembled count admits the spec, one less refuses it
+def test_nonzero_count_matches_assembly(seed):
+    # the operator applied to the identity is the oracle's dense Kronecker
+    # assembly, nonzero for nonzero and entry for entry, on binary and
+    # weighted specs with absorbing states, p = 0 chains, single-state chains
+    # and zero weights; its column-sum bound is the largest column sum over
+    # the enumerated configurations, bit for bit
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    pairs = [pair for pair in itertools.combinations(range(1, n + 1), 2)
-             if rng.random() < 0.7] or [(1, 2)]
-    if seed % 2:
-        edges = tuple(_random_chain(rng, i, j) for i, j in pairs)
-    else:
-        edges = tuple(
-            EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
-            for (i, j), (p, q) in zip(
-                pairs, rng.choice([0.0, 0.5, 2.0], size=(len(pairs), 2), p=[0.3, 0.35, 0.35])
-            )
-            if p + q > 0
-        ) or (EdgeChain(i=1, j=2, p_rate=0.0, q_rate=1.0),)
-    spec = SwitchedNetworkSpec(n=n, edges=edges)
-    nnz = assemble_stability_matrix(build_joint_chain(spec), 0.7).nnz
-    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", nnz)
-    build_joint_chain(spec)
-    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", nnz - 1)
-    with pytest.raises(ValueError, match=f"hold {nnz} nonzeros"):
-        build_joint_chain(spec)
+    while True:
+        n = int(rng.integers(2, 5))
+        pairs = [pair for pair in itertools.combinations(range(1, n + 1), 2)
+                 if rng.random() < 0.7] or [(1, 2)]
+        if seed % 2:
+            edges = tuple(_random_chain(rng, i, j) for i, j in pairs)
+        else:
+            edges = tuple(
+                EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
+                for (i, j), (p, q) in zip(
+                    pairs,
+                    rng.choice([0.0, 0.5, 2.0], size=(len(pairs), 2), p=[0.3, 0.35, 0.35]),
+                )
+                if p + q > 0
+            ) or (EdgeChain(i=1, j=2, p_rate=0.0, q_rate=1.0),)
+        joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
+        if n * joint.n_configs <= 1024:
+            break
+    op = StabilityOperator(joint, 0.7)
+    mat = op @ np.eye(op.shape[0])
+    dense = dense_stability_matrix(joint, 0.7)
+    assert np.count_nonzero(mat) == np.count_nonzero(dense)
+    assert np.abs(mat - dense).max() <= 1e-14 * max(1.0, op.entry_max)
+    assert op.entry_max == pytest.approx(np.abs(dense).max(), rel=1e-14)
+    assert op.offdiagonal_min == 0.0
+    assert op.column_sum_max == 0.7 * float(dense_configs(joint).sum(axis=1).max())
 
 
 def test_caps_admit_more_than_65536_weighted_configurations():
@@ -232,26 +233,46 @@ def test_no_edges_rejected():
         build_joint_chain(SwitchedNetworkSpec(n=3, edges=()))
 
 
+def _birth_death_chain(i, j, states):
+    rates = np.diag(np.linspace(0.5, 2.0, states - 1), 1) + np.diag(np.ones(states - 1), -1)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return WeightedEdgeChain(i=i, j=j, states=tuple(np.linspace(0.0, 1.0, states)),
+                             generator=tuple(map(tuple, rates)))
+
+
 def test_stability_matrix_against_bruteforce_kron():
     spec = single_edge_spec(p=1.0, q=1.0)
-    joint = build_joint_chain(spec)
     beta = 1.0
-    mat = assemble_stability_matrix(joint, beta)
+    op = StabilityOperator(build_joint_chain(spec), beta)
     pi_gen = np.array([[-1.0, 1.0], [1.0, -1.0]])
     a_off = np.zeros((2, 2))
     a_on = np.array([[0.0, 1.0], [1.0, 0.0]])
     brute = np.kron(pi_gen.T, np.eye(2))
     brute[0:2, 0:2] += beta * a_off
     brute[2:4, 2:4] += beta * a_on
-    assert mat.format == "csr"
-    assert np.array_equal(mat.toarray(), brute)
-    # the sparse assembly equals the oracle's dense reference on random
-    # instances, entry for entry
+    assert op.shape == (4, 4)
+    assert np.array_equal(op @ np.eye(4), brute)
+    # random instances, and an edge of 17 or 20 states (a generator group of
+    # its own) first, between or after binary edges
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        joint = build_joint_chain(random_small_spec(rng))
-        sparse_mat = assemble_stability_matrix(joint, 0.7)
-        assert np.array_equal(sparse_mat.toarray(), dense_stability_matrix(joint, 0.7))
+    specs = [random_small_spec(rng) for _ in range(10)]
+    for big in ((1, 2), (1, 3), (2, 3)):
+        edges = [_birth_death_chain(i, j, 17 if (i, j) == big else 2)
+                 for i, j in ((1, 2), (1, 3), (2, 3))]
+        specs.append(SwitchedNetworkSpec(n=3, edges=tuple(edges)))
+    specs.append(SwitchedNetworkSpec(n=3, edges=(_birth_death_chain(1, 2, 20),
+                                                 _birth_death_chain(2, 3, 3))))
+    for spec in specs:
+        joint = build_joint_chain(spec)
+        op = StabilityOperator(joint, 0.7)
+        dense = dense_stability_matrix(joint, 0.7)
+        x = rng.standard_normal((op.shape[0], 3))
+        assert np.abs(op @ np.eye(op.shape[0]) - dense).max() <= 1e-14 * op.entry_max
+        # a block of columns is the product with each column
+        block = op @ x
+        for c in range(3):
+            assert np.allclose(block[:, c], op.matvec(x[:, c]), rtol=0, atol=1e-13)
+        assert np.allclose(block, dense @ x, rtol=0, atol=1e-12)
 
 
 def test_krylov_eta_matches_dense_reference():
@@ -298,15 +319,6 @@ def test_stability_matrix_dim_cap(monkeypatch):
         build_joint_chain(spec)
     monkeypatch.setattr(exact, "JOINT_DIM_CAP", 4)
     build_joint_chain(spec)
-    # 4 generator entries x 2 vertices + 2 adjacency entries = 10 nonzeros
-    monkeypatch.setattr(exact, "JOINT_NNZ_CAP", 9)
-    with pytest.raises(ValueError, match="10 nonzeros"):
-        build_joint_chain(spec)
-    monkeypatch.undo()
-    # 2 configurations x 2 x 2 stored adjacency entries = 8 entries
-    monkeypatch.setattr(exact, "CONFIG_ENTRY_CAP", 7)
-    with pytest.raises(ValueError, match="> 7 entries"):
-        build_joint_chain(spec)
 
 
 def test_exact_mean_stable_strictness():
@@ -424,17 +436,48 @@ def test_enumerate_expectation_edge_count():
         ),
     )
     joint = build_joint_chain(spec)
-    edge_counts = np.array([a.sum() / 2.0 for a in joint.configs])
+    edge_counts = np.array([a.sum() / 2.0 for a in dense_configs(joint)])
     mean_edges = float(joint.stationary @ edge_counts)
     assert mean_edges == pytest.approx(0.5 + 0.75, abs=1e-13)
 
 
-def test_dump_stability_matrix_round_trip(tmp_path):
-    from scipy import io
+@pytest.mark.parametrize("block", [1, 7, exact.CONFIG_BLOCK])
+def test_expected_lambda_max_blocks_match_dense(block, monkeypatch):
+    # configurations built block by block on the vertices that carry an edge
+    # give the enumerated expectation over all n x n matrices, with isolated
+    # vertices and with several blocks
+    monkeypatch.setattr(exact, "CONFIG_BLOCK", block)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        pairs = [pair for pair in itertools.combinations(range(1, n + 1), 2)
+                 if rng.random() < 0.3] or [(1, n)]
+        edges = tuple(_random_chain(rng, i, j) for i, j in pairs[:4])
+        joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
+        dense = float(joint.stationary @ np.linalg.eigvalsh(dense_configs(joint))[:, -1])
+        assert expected_lambda_max(joint) == pytest.approx(dense, abs=1e-14)
 
-    joint = build_joint_chain(single_edge_spec())
-    mat = assemble_stability_matrix(joint, 1.0)
-    path = tmp_path / "stability_matrix.mtx"
-    dump_stability_matrix(mat, path)
-    back = io.mmread(path).toarray()
-    assert np.allclose(back, mat.toarray(), atol=1e-15)
+
+def test_many_vertices_few_edges_decided_in_block_memory():
+    # 1500 vertices and 4 edges: 16 configurations and 24 000 rows, once
+    # refused on its 16 stored 1500 x 1500 adjacency matrices (3.6e7
+    # entries).  E[lambda_max] reads only the 5 vertices that carry an edge,
+    # so it equals that of the same star on 5 vertices, bit for bit
+    rates = ((0.5, 1.0), (2.0, 1.0), (1.0, 3.0), (0.3, 0.3))
+    big = SwitchedNetworkSpec(n=1500, edges=tuple(
+        EdgeChain(i=1, j=k, p_rate=p, q_rate=q) for k, (p, q) in zip((2, 3, 700, 1500), rates)))
+    small = SwitchedNetworkSpec(n=5, edges=tuple(
+        EdgeChain(i=1, j=k, p_rate=p, q_rate=q) for k, (p, q) in zip((2, 3, 4, 5), rates)))
+    joint = build_joint_chain(big)
+    assert joint.n_configs * joint.n == 24_000
+    tracemalloc.start()
+    try:
+        e_lam = expected_lambda_max(joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert e_lam == expected_lambda_max(build_joint_chain(small))
+    params = EpidemicParams(beta=1.0, delta=1.0)
+    eta = exact_mean_stable(joint, params).eta
+    assert eta == pytest.approx(dense_abscissa(build_joint_chain(small), 1.0), abs=1e-10)

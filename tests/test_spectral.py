@@ -79,3 +79,17 @@ def test_spectral_abscissa_metzler_no_warning(recwarn):
     a = np.array([[-2.0, 1.0], [0.5, -1.0]])
     spectral_abscissa(a)
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def test_spectral_abscissa_operator_metzler_guard():
+    # a matrix-free operator is checked on its factors: a negative weight or
+    # a negative off-diagonal rate, which no validated spec has, is refused
+    from epinet.exact import JointChain, StabilityOperator
+    from epinet.netmodel import EdgeProcess
+
+    rates = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    for values, rate in ((np.array([0.0, -0.5]), rates), (np.array([0.0, 1.0]), -rates)):
+        proc = EdgeProcess(1, 2, values, rate, np.array([0.5, 0.5]))
+        joint = JointChain(n=3, processes=(proc,), stationary=proc.stationary)
+        with pytest.raises(ValueError, match="Metzler"):
+            spectral_abscissa(StabilityOperator(joint, 1.0))

@@ -23,7 +23,6 @@ from .ensembles import (
     PowerLawSpec,
     community_stats,
     expected_degree_stats,
-    power_law_degrees,
     realize_switched_spec,
     summarize,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "exact_mean_stable",
     "expected_degree_stats",
     "minimize_penalty",
-    "power_law_degrees",
     "realize_switched_spec",
     "simulate_coupled",
     "simulate_linear_path",

@@ -301,12 +301,6 @@ class PowerLawSpec:
         return x
 
 
-def power_law_degrees(spec: PowerLawSpec) -> np.ndarray:
-    """Materialized degree sequence (descending), O(n) memory: only for
-    realizing an ensemble of at most REALIZE_N_CAP vertices."""
-    return spec.degree_block(0, spec.n)
-
-
 def realize_switched_spec(abar: np.ndarray, kappa: float) -> SwitchedNetworkSpec:
     """Turn an expected adjacency matrix into a concrete switched network.
 
@@ -419,7 +413,7 @@ def as_switched_network(
     if isinstance(model, CommunitySpec):
         return realize_switched_spec(community_abar_dense(model), model.switch_scale)
     if isinstance(model, PowerLawSpec):
-        model = ExpectedDegreeSpec(degrees=power_law_degrees(model))
+        model = ExpectedDegreeSpec(degrees=model.degree_block(0, model.n))
     d = model.degrees
     abar = np.outer(d, d) / float(d.sum())
     np.fill_diagonal(abar, 0.0)

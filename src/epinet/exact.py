@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import EdgeProcess, EpidemicParams, SwitchedNetworkSpec, edge_process
+from .netmodel import (EdgeProcess, EpidemicParams, SwitchedNetworkSpec,
+                       edge_process, max_vertex_weight)
 from .spectral import spectral_abscissa
 
 # Cap on the rows n * N, the length of the 20 vectors ARPACK keeps; every
@@ -71,26 +72,26 @@ def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
     The configuration count N = prod_e K_e grows exponentially, so the row
-    cap is checked first, in integer arithmetic on the edge chains.  The
+    cap is checked first, in integer arithmetic, while the edge chains are
+    normalized: a refusal stops at the edge that crosses it.  The
     stationary law is the tensor product of the per-edge laws, because the
     edges switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
-    n = spec.n
-    procs = tuple(edge_process(e) for e in spec.edges)
-    n_configs = 1
-    for proc in procs:
-        n_configs *= len(proc.values)
+    n, procs, n_configs = spec.n, [], 1
+    for edge in spec.edges:
+        procs.append(edge_process(edge))
+        n_configs *= len(procs[-1].values)
         if n * n_configs > JOINT_DIM_CAP:
             raise ValueError(
                 f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
-                f"({len(procs)} edges; the count grows exponentially with the "
+                f"({len(spec.edges)} edges; the count grows exponentially with the "
                 "edge count), so the stability matrix would exceed "
                 f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
             )
     stationary = functools.reduce(np.kron, [p.stationary for p in procs])
-    return JointChain(n=n, processes=procs, stationary=stationary)
+    return JointChain(n=n, processes=tuple(procs), stationary=stationary)
 
 
 class StabilityOperator:
@@ -131,10 +132,7 @@ class StabilityOperator:
         self.offdiagonal_min = min(0.0, float(off.min()))
         self.entry_max = max(float(np.abs(off).max()),
                              sum(float(np.abs(np.diag(g)).max()) for g in gens))
-        column = np.zeros(self.n)
-        for p in procs:
-            column[[p.i - 1, p.j - 1]] += p.values.max()
-        self.column_sum_max = beta * float(column.max())
+        self.column_sum_max = beta * max_vertex_weight(self.n, procs)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product with ``shape[0]`` rows: a vector or a block of columns."""

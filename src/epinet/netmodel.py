@@ -273,6 +273,15 @@ def edge_process(edge: AnyEdge) -> EdgeProcess:
     raise TypeError(f"not an edge chain: {edge!r}")
 
 
+def max_vertex_weight(n: int, procs) -> float:
+    """max_v sum_{e on v} max_a w_e(a), the largest row sum any
+    configuration can reach; weights are added in edge order."""
+    total = np.zeros(n)
+    for p in procs:
+        total[[p.i - 1, p.j - 1]] += p.values.max()
+    return float(total.max(initial=0.0))
+
+
 def edge_moments(edge: AnyEdge) -> tuple[float, float]:
     """Stationary mean and variance of one edge weight."""
     proc = edge_process(edge)

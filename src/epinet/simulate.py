@@ -36,6 +36,7 @@ from .netmodel import (
     SwitchedNetworkSpec,
     check_dense_size,
     edge_process,
+    max_vertex_weight,
 )
 
 # Linearized segments use an exact symmetric-eigendecomposition propagator up
@@ -99,18 +100,12 @@ class Trajectory:
     """Sampled path of one realization.
 
     ``times`` contains t = 0, every k * step up to the horizon, the horizon
-    itself, and every switching instant; ``grid_mask`` flags the uniform-grid
-    samples (the horizon counts as a grid point), which are the ones shared
-    across trials.
+    itself, and every switching instant in ``events``.
     """
 
     times: np.ndarray
     p: np.ndarray
     events: tuple[SwitchEvent, ...]
-    grid_mask: np.ndarray
-
-    def grid_times(self) -> np.ndarray:
-        return self.times[self.grid_mask]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +124,8 @@ class CoupledResult:
 
 def default_step(spec: SwitchedNetworkSpec, params: EpidemicParams) -> float:
     """A tenth of the fastest time constant delta + beta * (max row weight)."""
-    row_weight = np.zeros(spec.n)
-    for edge in spec.edges:
-        proc = edge_process(edge)
-        w = float(proc.values.max())
-        row_weight[proc.i - 1] += w
-        row_weight[proc.j - 1] += w
-    rate = params.delta + params.beta * float(row_weight.max(initial=0.0))
+    procs = map(edge_process, spec.edges)
+    rate = params.delta + params.beta * max_vertex_weight(spec.n, procs)
     return 0.1 / rate
 
 
@@ -174,36 +164,27 @@ def _inside01(q: np.ndarray, axis=None):
     return (q.min(axis=axis) >= -BOUNDS_TOL) & (q.max(axis=axis) <= 1.0 + BOUNDS_TOL)
 
 
-def _rk4_span(f, a, q, span, hmax: float, clamp01: bool, fits: bool) -> np.ndarray:
-    """Fixed-step RK4 over each row's switching segment (span is per entry).
-
-    Row i takes the fewest equal substeps with h <= hmax; ``fits`` says
-    that every span is known to need only one.  When ``clamp01`` is set
-    every row must stay inside [-BOUNDS_TOL, 1 + BOUNDS_TOL]; a row that
-    leaves it halves its substep and retries, erroring out after
+def _rk4_span(f, a, q, span, clamp01: bool) -> np.ndarray:
+    """One RK4 step over each row's switching segment (span is per entry),
+    which never exceeds the grid gap it lies in.  When ``clamp01`` is set
+    every row must stay inside [-BOUNDS_TOL, 1 + BOUNDS_TOL]; only the rows
+    that leave it retry, with 2, 4, ... equal substeps, erroring out after
     MAX_HALVINGS halvings.
     """
-    if fits or span.max() / hmax - 1e-12 <= 1.0:
-        out = _rk4(f, a, q, span, 1)
-        if not clamp01 or _inside01(out):
-            return out
-    nsub = np.maximum(1.0, np.ceil(span[:, 0] / hmax - 1e-12))
-    out = np.empty_like(q)
-    rows = np.arange(len(q))
-    for _ in range(MAX_HALVINGS + 1):
-        for v in np.unique(nsub[rows]):
-            sel = rows[nsub[rows] == v]
-            out[sel] = _rk4(f, a[sel], q[sel], span[sel] / v, int(v))
-        if not clamp01:
-            return out
+    out = _rk4(f, a, q, span, 1)
+    if not clamp01 or _inside01(out):
+        return out
+    rows, nsub = (~_inside01(out, axis=1)).nonzero()[0], 1
+    while rows.size:
+        if nsub == 1 << MAX_HALVINGS:
+            raise RuntimeError(
+                f"state left [0, 1] even after {MAX_HALVINGS} step halvings; "
+                "the configured step is far too coarse for these rates"
+            )
+        nsub *= 2
+        out[rows] = _rk4(f, a[rows], q[rows], span[rows] / nsub, nsub)
         rows = rows[~_inside01(out[rows], axis=1)]
-        if rows.size == 0:
-            return out
-        nsub[rows] *= 2.0
-    raise RuntimeError(
-        f"state left [0, 1] even after {MAX_HALVINGS} step halvings; "
-        "the configured step is far too coarse for these rates"
-    )
+    return out
 
 
 def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=None):
@@ -219,7 +200,7 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     there is written to afterwards.  Slot s's jumps go to ``events[s]``.
     """
     check_dense_size(spec.n)
-    n, step, horizon = spec.n, cfg.step, cfg.horizon
+    n, horizon = spec.n, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     procs = [edge_process(e) for e in spec.edges]
     expected_events = horizon * sum(
@@ -280,8 +261,6 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     t = np.zeros(rows)
     te = next_time.min(axis=1, initial=math.inf)
     grid = _grid_times(cfg)
-    # a span never exceeds the grid gap it lies in
-    fits = bool(np.diff(grid).max(initial=0.0) / step - 1e-12 <= 1.0)
     grid_k = np.ones(rows, dtype=np.int64)
     stale = slots  # rows whose eigendecomposition is out of date
     sample(slots, t, t == 0.0, np.zeros(rows, dtype=np.int64), p_full, p_lin)
@@ -290,16 +269,17 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     while rows:
         tg = grid[grid_k]
         t_next = np.minimum(te, tg)
+        # per entry: a same-shape product is faster than broadcasting a column
         span = (t_next - t).repeat(n).reshape(rows, n)
         if full:
-            p_full = _rk4_span(rhs_full, adj, p_full, span, step, True, fits)
+            p_full = _rk4_span(rhs_full, adj, p_full, span, True)
         if use_expm:
             if stale.size:
                 w[stale], vecs[stale] = np.linalg.eigh(beta * adj[stale] - shift)
             p_lin = np.exp(w * span) * np.matvec(vecs.swapaxes(1, 2), p_lin)
             p_lin = np.matvec(vecs, p_lin)
         elif linear:
-            p_lin = _rk4_span(rhs_linear, adj, p_lin, span, step, False, fits)
+            p_lin = _rk4_span(rhs_linear, adj, p_lin, span, False)
         on_grid = t_next == tg
         sample(slots, t_next, on_grid, grid_k, p_full, p_lin)
         t = t_next
@@ -349,11 +329,10 @@ def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
 
 def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
     """Trial 0 alone, as a (full, linearized) pair of trajectories or None."""
-    times, flags, paths = [], [], ([], [])
+    times, paths = [], ([], [])
 
     def sample(slots, t, on_grid, grid_index, pf, pl):
         times.append(t[0])
-        flags.append(on_grid[0])
         if full:
             paths[0].append(pf[0])
         if linear:
@@ -363,9 +342,9 @@ def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
     p0 = _check_p0(p0, spec.n)
     _lockstep(spec, params, cfg, p0, [0], sample, full=full, linear=linear,
               events=events)
-    times, mask, jumps = np.array(times), np.array(flags, dtype=bool), tuple(events[0])
+    times, jumps = np.array(times), tuple(events[0])
     return tuple(
-        Trajectory(times, np.array(path), jumps, mask) if wanted else None
+        Trajectory(times, np.array(path), jumps) if wanted else None
         for path, wanted in zip(paths, (full, linear))
     )
 

@@ -30,28 +30,22 @@ def lambda_max_dense(a: np.ndarray) -> float:
 
 
 def spectral_abscissa(a) -> float:
-    """Spectral abscissa of a Metzler matrix, by ARPACK.
+    """Spectral abscissa of a Metzler operator, by ARPACK.
 
-    ``a`` is a dense matrix or an operator such as
-    :class:`epinet.exact.StabilityOperator`, which reads ``offdiagonal_min``
-    and ``entry_max`` from its factors.  By Perron-Frobenius the rightmost
-    eigenvalue of a Metzler matrix is real, so the Ritz value of largest
-    real part (``which="LR"``) is the abscissa.  The start vector is fixed
-    (all ones, never orthogonal to a nonnegative left Perron vector), so
-    reruns are bit-identical.  Refuses matrices with negative off-diagonal
-    entries; raises RuntimeError if ARPACK does not converge or returns a
-    value that is not real.
+    ``a`` is a matrix-free operator such as
+    :class:`epinet.exact.StabilityOperator`, with ``shape``, ``dtype``,
+    ``matvec``, ``@`` and the ``offdiagonal_min`` and ``entry_max`` of its
+    factors.  By Perron-Frobenius the rightmost eigenvalue of a Metzler
+    matrix is real, so the Ritz value of largest real part (``which="LR"``)
+    is the abscissa.  The start vector is fixed (all ones, never orthogonal
+    to a nonnegative left Perron vector), so reruns are bit-identical.
+    Refuses operators with negative off-diagonal entries; raises
+    RuntimeError if ARPACK does not converge or returns a value that is not
+    real.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-    if hasattr(a, "matvec"):
-        low, top_entry = a.offdiagonal_min, a.entry_max
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        low = float(a[~np.eye(a.shape[0], dtype=bool)].min(initial=0.0))
-        top_entry = float(np.abs(a).max(initial=0.0))
+    low, top_entry = a.offdiagonal_min, a.entry_max
     dim = a.shape[0]
     scale = max(1.0, top_entry)
     if low < -1e-12 * scale:

@@ -308,6 +308,14 @@ def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
     assert "ARPACK" in capsys.readouterr().err
 
 
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from epinet import *", namespace)
+    assert epinet.__all__
+    for name in epinet.__all__:
+        assert namespace[name] is getattr(epinet, name)
+
+
 def test_import_cli_loads_no_scipy():
     # scipy is imported inside the functions that need it; importing it at
     # module level would add its import time to every command.  The oracle
@@ -569,11 +577,8 @@ def test_analyze_large_ensemble_skips_exact(tmp_path, capsys):
 
 def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkeypatch):
     # neither the sufficient test nor the exact attempt builds the sequence
-    # whole: power_law_degrees is never called, and no block is larger than
-    # DEGREE_BLOCK, a third of this n
-    calls, sizes = [], []
-    monkeypatch.setattr(epinet.ensembles, "power_law_degrees",
-                        lambda ens: calls.append(ens))
+    # whole: no block is larger than DEGREE_BLOCK, a third of this n
+    sizes = []
     original = epinet.ensembles.PowerLawSpec.degree_block
     monkeypatch.setattr(
         epinet.ensembles.PowerLawSpec, "degree_block",
@@ -593,7 +598,6 @@ def test_analyze_power_law_checks_size_before_realizing(tmp_path, capsys, monkey
     payload = json.loads(stdout[stdout.index("{"):])
     assert payload["exact"]["status"] == "skipped"
     assert f"n={n}" in payload["exact"]["reason"]
-    assert calls == []
     assert sizes and max(sizes) <= epinet.stability.DEGREE_BLOCK
 
 
@@ -722,7 +726,7 @@ def test_one_sufficient_path_for_every_model(kind, tmp_path):
 
 @pytest.mark.parametrize("n", [1_000_000_001, 10_000_000_000_000])
 def test_power_law_cap_refused_before_allocating(n, tmp_path, capsys):
-    # n = 1e13 used to die in power_law_degrees asking numpy for 72.8 TiB;
+    # n = 1e13 used to die materializing the sequence, asking numpy for 72.8 TiB;
     # the cap now bounds work, and it is checked before any block
     spec = tmp_path / "ens.json"
     spec.write_text(json.dumps({"ensemble": "power-law", "n": n, "exponent": 2.2,

@@ -11,7 +11,6 @@ from epinet.ensembles import (
     degree_sequence,
     ensemble_from_dict,
     expected_degree_stats,
-    power_law_degrees,
     realize_switched_spec,
     summarize,
 )
@@ -119,7 +118,7 @@ def test_expected_degree_lambda_max_matches_dense(degrees):
 
 def test_power_law_calibration_targets():
     spec = PowerLawSpec(n=200_000, exponent=2.5, max_degree=2e4, avg_degree=10.0)
-    d = power_law_degrees(spec)
+    d = spec.degree_block(0, spec.n)
     assert d[0] == pytest.approx(spec.max_degree, rel=1e-12)
     assert np.all(np.diff(d) <= 0)
     assert d.min() > 0
@@ -309,7 +308,7 @@ def _random_power_law(seed: int) -> PowerLawSpec:
     ids=lambda spec: f"{spec.n}-{spec.exponent:.3g}-{spec.max_degree:.3g}-{spec.avg_degree:.3g}",
 )
 def test_streamed_power_law_matches_materialized(spec):
-    _assert_streamed_matches(spec, power_law_degrees(spec))
+    _assert_streamed_matches(spec, spec.degree_block(0, spec.n))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -328,7 +327,7 @@ def test_explicit_array_and_power_law_are_one_stream():
     # the sorted array is the closed form bit for bit, so every statistic is
     spec = PowerLawSpec(n=3 * DEGREE_BLOCK + 5, exponent=2.2, max_degree=1e5,
                         avg_degree=50.0)
-    shuffled = np.random.default_rng(0).permutation(power_law_degrees(spec))
+    shuffled = np.random.default_rng(0).permutation(spec.degree_block(0, spec.n))
     assert summarize(spec) == summarize(ExpectedDegreeSpec(degrees=shuffled))
     assert expected_degree_lambda_max(degree_sequence(spec)) == (
         expected_degree_lambda_max(stream(shuffled))

@@ -157,6 +157,19 @@ def test_binary_admission_boundary(n, m, refusal):
             build_joint_chain(spec)
 
 
+def test_refusal_stops_at_the_edge_that_crosses_the_cap(monkeypatch):
+    # 50 * 2^14 rows pass the cap at the 14th of 1000 edges, so the refusal
+    # normalizes no edge chain past it; the message still counts all 1000
+    spec = _binary_spec(50, 1000)
+    calls = []
+    original = exact.edge_process
+    monkeypatch.setattr(exact, "edge_process",
+                        lambda edge: calls.append(edge) or original(edge))
+    with pytest.raises(ValueError, match=r"\(1000 edges;"):
+        build_joint_chain(spec)
+    assert len(calls) <= 20
+
+
 def _random_chain(rng, i, j):
     """A weighted edge chain with 1-4 states, some zero weights and some zero
     rates (absorbing states among them), redrawn until its stationary law is

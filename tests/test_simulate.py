@@ -158,11 +158,12 @@ def test_sample_grid_structure():
     # strictly increasing times, first sample at 0, last at the horizon
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    # the samples are the uniform grid plus every event instant, no others
     expected_grid = [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
-    assert np.allclose(traj.grid_times(), expected_grid, atol=0)
-    # every event instant appears among the samples
+    event_times = [ev.time for ev in traj.events]
+    assert traj.events and not set(event_times) & set(expected_grid)
+    assert np.array_equal(traj.times, np.union1d(expected_grid, event_times))
     for ev in traj.events:
-        assert ev.time in traj.times
         assert 0.0 < ev.time <= 1.0
     # events carry valid endpoints and binary values
     for ev in traj.events:
@@ -336,24 +337,55 @@ def test_trial_path_same_alone_and_in_batch(monkeypatch):
     assert traj.events == tuple(batch[0][3])
 
 
-def test_rk4_span_rows_are_independent():
-    # rows needing 1, 2 and 5 substeps share one call, and the stiff ones
-    # leave [0, 1] and halve; each row must come out as it does alone
+def test_rk4_span_rows_are_independent(monkeypatch):
+    # three rows share one call; the stiff ones leave [0, 1] after one step
+    # and halve, the stiffest more often, and only they take substeps.  Each
+    # row must come out as it does alone.
     rng = np.random.default_rng(3)
     a = rng.uniform(0.0, 1.0, size=(3, 2, 2))
     a = a + a.swapaxes(1, 2)
     q = rng.uniform(0.0, 1.0, size=(3, 2))
     span = np.repeat([0.05, 0.15, 0.5], 2).reshape(3, 2)
+    calls = []
+    rk4 = simulate._rk4
+
+    def counting_rk4(f, a, q, h, nsub):
+        calls.append((len(q), nsub))
+        return rk4(f, a, q, h, nsub)
 
     def rhs(a, q):
         infect = np.matvec(a, q)
         return infect - 40.0 * q - q * infect
 
-    together = simulate._rk4_span(rhs, a, q, span, 0.1, True, False)
+    monkeypatch.setattr(simulate, "_rk4", counting_rk4)
+    together = simulate._rk4_span(rhs, a, q, span, True)
+    assert calls[0] == (3, 1) and calls[1] == (2, 2) and calls[-1][0] == 1
+    assert calls[-1][1] > 2
     for i in range(3):
         row = slice(i, i + 1)
-        alone = simulate._rk4_span(rhs, a[row], q[row], span[row], 0.1, True, False)
+        alone = simulate._rk4_span(rhs, a[row], q[row], span[row], True)
         assert np.array_equal(alone, together[row])
+
+
+def test_one_rk4_step_per_span(monkeypatch):
+    # one isolated vertex: 10 000 grid spans, one RK4 substep each, although
+    # some grid gaps k * step - (k - 1) * step exceed step by rounding
+    spec = SwitchedNetworkSpec(n=1, edges=())
+    params = EpidemicParams(beta=1.0, delta=0.7)
+    cfg = SimConfig(horizon=10.0, step=0.001, seed=0)
+    substeps = []
+    rk4 = simulate._rk4
+
+    def counting_rk4(f, a, q, h, nsub):
+        substeps.append(nsub)
+        return rk4(f, a, q, h, nsub)
+
+    monkeypatch.setattr(simulate, "_rk4", counting_rk4)
+    traj = simulate_path(spec, params, cfg, p0=np.array([0.9]))
+    assert traj.times.size == 10_001 and not traj.events
+    assert sum(substeps) == 10_000
+    exact = 0.9 * np.exp(-0.7 * traj.times)
+    assert np.abs(traj.p[:, 0] - exact).max() <= 1e-10
 
 
 def test_estimate_decay_mean_of_single_trials(monkeypatch):

@@ -7,6 +7,23 @@ import pytest
 from epinet.spectral import lambda_max_dense, spectral_abscissa
 
 
+class DenseOperator:
+    """A small dense matrix behind the operator interface that
+    spectral_abscissa reads; the library passes only StabilityOperator."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        self.shape, self.dtype = self.a.shape, self.a.dtype
+        off = self.a[~np.eye(len(self.a), dtype=bool)]
+        self.offdiagonal_min = min(0.0, float(off.min(initial=0.0)))
+        self.entry_max = float(np.abs(self.a).max(initial=0.0))
+
+    def matvec(self, x):
+        return self.a @ x
+
+    __matmul__ = matvec
+
+
 def test_lambda_max_dense_known_graphs():
     edge = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert lambda_max_dense(edge) == pytest.approx(1.0, abs=1e-14)
@@ -42,7 +59,8 @@ def test_lambda_max_dense_symmetry_check_memory():
 
 
 def test_spectral_abscissa_triangular():
-    a = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    # two rows: below ARPACK's minimum, solved densely
+    a = DenseOperator([[-1.0, 2.0], [0.0, -3.0]])
     assert spectral_abscissa(a) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -51,17 +69,17 @@ def test_spectral_abscissa_complex_pair():
     # rightmost eigenvalue need not be real and the Krylov abscissa refuses it
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="Metzler"):
-        spectral_abscissa(a)
+        spectral_abscissa(DenseOperator(a))
     with pytest.raises(ValueError, match="Metzler"):
-        spectral_abscissa(np.kron(np.eye(3), a))
+        spectral_abscissa(DenseOperator(np.kron(np.eye(3), a)))
 
 
 def test_spectral_abscissa_arpack_guards(monkeypatch):
     import scipy.sparse.linalg as sla
 
-    a = np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 1.0], [0.0, 1.0, -3.0]])
+    a = DenseOperator([[-2.0, 1.0, 0.0], [0.5, -1.0, 1.0], [0.0, 1.0, -3.0]])
     assert spectral_abscissa(a) == pytest.approx(
-        np.linalg.eigvals(a).real.max(), abs=1e-13
+        np.linalg.eigvals(a.a).real.max(), abs=1e-13
     )
 
     def no_convergence(*args, **kwargs):
@@ -76,8 +94,7 @@ def test_spectral_abscissa_arpack_guards(monkeypatch):
 
 
 def test_spectral_abscissa_metzler_no_warning(recwarn):
-    a = np.array([[-2.0, 1.0], [0.5, -1.0]])
-    spectral_abscissa(a)
+    spectral_abscissa(DenseOperator([[-2.0, 1.0], [0.5, -1.0]]))
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 

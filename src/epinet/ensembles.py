@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -137,13 +137,18 @@ def community_abar_dense(spec: CommunitySpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExpectedDegreeSpec:
-    """Chung-Lu ensemble: edge {i, j} present with probability rho d_i d_j."""
+    """Chung-Lu ensemble: edge {i, j} present with probability rho d_i d_j.
+
+    ``degrees`` is a read-only copy in the caller's vertex order, which a
+    realization keeps; :meth:`degree_block` reads them sorted descending.
+    """
 
     degrees: np.ndarray
     switch_scale: float = 1.0
+    _descending: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.degrees, dtype=float)
+        d = np.array(self.degrees, dtype=float)  # never the caller's array
         if d.ndim != 1 or d.size < 2:
             raise ValueError("need a 1-d array of at least two expected degrees")
         if not np.all(np.isfinite(d)) or d.min() < 0:
@@ -161,20 +166,23 @@ class ExpectedDegreeSpec:
             )
         if not (self.switch_scale > 0):
             raise ValueError(f"switch_scale must be positive, got {self.switch_scale}")
+        descending = np.sort(d)[::-1].copy()
+        d.flags.writeable = descending.flags.writeable = False
         object.__setattr__(self, "degrees", d)
+        object.__setattr__(self, "_descending", descending)
 
     @property
     def n(self) -> int:
         return self.degrees.size
 
+    def degree_block(self, lo: int, hi: int) -> np.ndarray:
+        """d[lo:hi] (0-based) of the degrees sorted descending, read-only."""
+        return self._descending[lo:hi]
+
 
 def degree_sequence(model: Union[ExpectedDegreeSpec, PowerLawSpec]) -> DegreeSequence:
-    """The descending degree stream of an expected-degree model: a power law
-    from its closed form block by block, an explicit (validated) array
-    sorted once."""
-    if isinstance(model, PowerLawSpec):
-        return DegreeSequence.of(model.n, model.degree_block)
-    return DegreeSequence.from_array(model.degrees)
+    """The descending degree stream of an expected-degree model."""
+    return DegreeSequence.of(model.n, model.degree_block)
 
 
 def expected_degree_stats(seq: DegreeSequence) -> AbarSummary:

@@ -297,8 +297,8 @@ def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityR
     return StabilityReport(summary=summary, penalty=pm, params=params)
 
 
-def _block_bounds(n: int) -> Iterator[tuple[int, int]]:
-    for lo in range(0, n, DEGREE_BLOCK):
+def _block_bounds(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    for lo in range(start, n, DEGREE_BLOCK):
         yield lo, min(lo + DEGREE_BLOCK, n)
 
 
@@ -314,36 +314,32 @@ def _fsums(
 @dataclass(frozen=True, eq=False)
 class DegreeSequence:
     """A descending expected-degree sequence d_1 >= ... >= d_n, read in
-    blocks, with the sums D1 = sum(d) and D2 = sum(d^2) of a first pass.
+    blocks, with the sums D1 = sum(d), D2 = sum(d^2) and d4 = sum((d / d_1)^4)
+    (in [1, n], so it cannot overflow) of one first pass.
 
-    ``block(lo, hi)`` returns d[lo:hi] (0-based) as a fresh or read-only
-    array; callers ask for at most DEGREE_BLOCK entries at a time, so a
-    closed-form sequence is never built whole.  :meth:`of` makes the first
-    pass; :meth:`from_array` serves an explicit array, sorted descending
-    once, through the same blocks.
-    """
+    ``block(lo, hi)``, a model's ``degree_block``, returns d[lo:hi] (0-based),
+    fresh or read-only, for at most DEGREE_BLOCK entries at a time."""
 
     n: int
     block: Callable[[int, int], np.ndarray]
     d1: float
     d2: float
+    d4: float
 
     @classmethod
     def of(cls, n: int, block: Callable[[int, int], np.ndarray]) -> "DegreeSequence":
-        d1, d2 = _fsums(
-            (block(lo, hi) for lo, hi in _block_bounds(n)),
-            lambda d: (float(d.sum()), float((d * d).sum())),
-        )
-        return cls(n=n, block=block, d1=d1, d2=d2)
+        top = float(block(0, 1)[0])
 
-    @classmethod
-    def from_array(cls, degrees: np.ndarray) -> "DegreeSequence":
-        d = np.sort(np.asarray(degrees, dtype=float))[::-1].copy()
-        d.flags.writeable = False
-        return cls.of(d.size, lambda lo, hi: d[lo:hi])
+        def sums(d: np.ndarray) -> tuple[float, float, float]:
+            x = d / top
+            x *= x
+            return float(d.sum()), float((d * d).sum()), float(x @ x)
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(self.n):
+        d1, d2, d4 = _fsums((block(lo, hi) for lo, hi in _block_bounds(n)), sums)
+        return cls(n=n, block=block, d1=d1, d2=d2, d4=d4)
+
+    def blocks(self, start: int = 0) -> Iterator[np.ndarray]:
+        for lo, hi in _block_bounds(self.n, start):
             yield self.block(lo, hi)
 
 
@@ -380,63 +376,54 @@ def expected_degree_uncertainty(seq: DegreeSequence) -> float:
 
 def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n) time and
-    O(block) memory.
-
-    abar is a rank-one update of the diagonal -diag(w), w_i = rho d_i^2, so
-    lambda_max(abar) is the root, right of every pole, of the secular
-    equation (Golub, SIAM Rev. 1973; Bunch, Nielsen & Sorensen, Numer.
-    Math. 1978)
-
-        g(lambda) = sum_i w_i / (lambda + w_i) = 1.
+    O(block) memory: the root, right of every pole, of the secular equation
+    g(lambda) = sum_i r_i = 1, r_i = w_i / (lambda + w_i), w_i = rho d_i^2
+    (Golub, SIAM Rev. 1973; Bunch, Nielsen & Sorensen, Numer. Math. 1978).
 
     1/g is concave and increasing there, so Newton on 1/g - 1 started left
-    of the root climbs to it without overshooting.  The start is the
-    Rayleigh quotient of d, d_tilde - sum(w^2) / d_tilde, which lies between
-    Weyl's bound d_tilde - max(w) and the root; d_tilde = sum(w) bounds the
-    root from above.  A step that leaves the bracket of evaluated points is
-    replaced by bisection, and the iteration stops when a step no longer
-    changes lambda.  With r_i = w_i / (lambda + w_i) a step needs only
-    sum(r) and sum(r^2), one pass over the blocks.  Fewer than two nonzero
-    degrees leave abar zero.
+    of the root only climbs, by inc = lambda s1 (s1 - 1) / (s1 - s2), with
+    s1 = sum(r) = g and s2 = sum(r^2).  It starts, from the first pass, at
+    the larger of two lower bounds: the largest entry rho d_1 d_2 of abar and
+    the Rayleigh quotient of d.  Then r_i <= 1/2 for i >= 2, so a pass sums
+    r_i and r_i^2 over i >= 2 only (A, B) and the top degree enters through
+    q = 1 - r_1 = lambda / (lambda + w_1): s1 - 1 = A - q and s1 - s2 =
+    A - B + r_1 q do not cancel when one hub dominates.  inc >= (g - 1)
+    lambda, and -g' >= (s1 - s2) / root >= q / root up to the root, so the
+    root is within inc / (q lambda) of lambda, relative.  Newton stops once
+    that is 4 eps, or at the first step that does not increase lambda or
+    that reaches d_tilde = sum(w).
     """
-    buffers = np.empty((2, min(seq.n, DEGREE_BLOCK)))  # reused by every block
-
-    def weights(d: np.ndarray) -> np.ndarray:
-        w = buffers[0, : d.size]
-        np.multiply(d, d, out=w)
-        w /= seq.d1
-        return w
-
-    def moments(d: np.ndarray) -> tuple[float, float, int]:
-        w = weights(d)
-        return float(w.sum()), float(w @ w), int(np.count_nonzero(w))
-
-    hi, sum_ww, nonzero = _fsums(seq.blocks(), moments)
-    if nonzero < 2:
+    d_top, d_next = seq.block(0, 2).tolist()
+    d1 = seq.d1
+    lam = d_top * d_next / d1
+    if lam == 0.0:  # at most one nonzero degree (or products that underflow)
         return 0.0
-    lo = 0.0
-    lam = hi - sum_ww / hi
+    w_top = d_top * d_top / d1
+    d_tilde = seq.d2 / d1
+    # Rayleigh quotient d_tilde - sum(w^2) / d_tilde.  D1, D2 and d4 each sum
+    # at most B = DEGREE_BLOCK nonnegative terms a block, in any order, after
+    # at most 7 roundings a term, and fsum rounds once: each is within (B + 7) u
+    # (u = eps / 2; d4's underflowed terms are negligible next to its term 1).
+    # The rest adds 10 u d_tilde: in all, (5 B + 24) u d_tilde < 3 B eps d_tilde.
+    rayleigh = d_tilde - seq.d4 * w_top * (d_top * d_top / seq.d2)
+    lam = max(lam, rayleigh - 3 * DEGREE_BLOCK * math.ulp(1.0) * d_tilde)
+    buffers = np.empty((2, min(seq.n - 1, DEGREE_BLOCK)))  # reused by every block
 
     def ratios(d: np.ndarray) -> tuple[float, float]:
-        w = weights(d)
-        r = buffers[1, : d.size]
-        np.add(w, lam, out=r)
-        np.divide(w, r, out=r)
+        w, r = buffers[:, : d.size]
+        np.divide(np.multiply(d, d, out=w), d1, out=w)
+        np.divide(w, np.add(w, lam, out=r), out=r)
         return float(r.sum()), float(r @ r)
 
     while True:
-        s1, s2 = _fsums(seq.blocks(), ratios)
-        if s1 >= 1.0:
-            lo = lam
-        else:
-            hi = lam
-        step = lam * (1.0 - s1 * (1.0 - s1) / (s1 - s2))
-        if step == lam:
+        a, b = _fsums(seq.blocks(start=1), ratios)
+        r_top, q = w_top / (lam + w_top), lam / (lam + w_top)
+        slope = a - b + r_top * q  # s1 - s2; zero only if every r underflows
+        step = lam + lam * (r_top + a) * (a - q) / slope if slope else lam
+        if not lam < step < d_tilde:
             return lam
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if not lo < step < hi:
-                return lam
+        if step - lam <= 4 * math.ulp(1.0) * q * lam:
+            return step
         lam = step
 
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from epinet.cli import POWERLAW_EXAMPLE
 from epinet.ensembles import (
     CommunitySpec,
     ExpectedDegreeSpec,
@@ -107,13 +110,27 @@ def _random_degrees(seed: int) -> np.ndarray:
         np.full(50, 3.0),
         np.array([1000.0, 1.0, 1.0]),
         *[_random_degrees(seed) for seed in range(40)],
+        # one dominant hub: the top pole sits next to the root
+        np.array([2.0, 1e-9]),
+        np.array([1.0, 1e-8]),
+        np.array([1.0, 1e-150, 0.0]),
+        np.array([1e8] + [1.0] * 10),
+        np.array([1e6] + [0.1] * 1000),
+        # r_1 (1 - r_1) underflows; every product d_i d_j underflows
+        np.array([1e150, 1e-200]),
+        np.array([1e-170, 1e-170]),
     ],
 )
 def test_expected_degree_lambda_max_matches_dense(degrees):
-    abar = np.outer(degrees, degrees) / degrees.sum()
+    total = degrees.sum()
+    abar = np.outer(degrees, degrees) / total
     np.fill_diagonal(abar, 0.0)
     lam = expected_degree_lambda_max(stream(degrees))
     assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12, abs=1e-300)
+    # between the largest entry rho d_1 d_2 and d_tilde
+    second, first = np.sort(degrees)[-2:]
+    assert first * second / total * (1 - 1e-14) <= lam
+    assert lam <= (degrees @ degrees) / total * (1 + 1e-14)
 
 
 def test_power_law_calibration_targets():
@@ -243,24 +260,26 @@ def _reference_stats(degrees: np.ndarray) -> tuple[float, float, float, int, flo
         cutoffs = d1 / hubs
         ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
         invalid = (ordered - int((hubs > cutoffs).sum())) // 2
-    w = sq / d1
-    lam = 0.0
-    if np.count_nonzero(w) >= 2:
-        lo, hi = 0.0, float(w.sum())
-        lam = hi - float(w @ w) / hi
-        while True:
-            r = w / (w + lam)
-            s1, s2 = float(r.sum()), float(r @ r)
-            lo, hi = (lam, hi) if s1 >= 1.0 else (lo, lam)
-            step = lam * (1.0 - s1 * (1.0 - s1) / (s1 - s2))
-            if step == lam:
-                break
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-                if not lo < step < hi:
-                    break
-            lam = step
-    return rho * d2, delta_u, max_pair, invalid, lam
+    return rho * d2, delta_u, max_pair, invalid, _reference_root(d)
+
+
+def _reference_root(d: np.ndarray) -> float:
+    """lambda_max(abar) by dense eigvalsh up to 2000 vertices, and above by
+    bisection on the secular function with the top pole kept apart,
+    sum_{i >= 2} w_i / (lambda + w_i) - lambda / (lambda + w_1), which is
+    positive left of the root, between rho d_1 d_2 and d_tilde."""
+    if d.size <= 2000:
+        abar = np.outer(d, d) / d.sum()
+        np.fill_diagonal(abar, 0.0)
+        return lambda_max_dense(abar)
+    w = np.sort(d)[::-1] ** 2 / d.sum()
+    lo, hi = float(np.sqrt(w[0] * w[1])), float(w.sum())
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (w[1:] / (mid + w[1:])).sum() > mid / (mid + w[0]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _assert_streamed_matches(model, degrees: np.ndarray) -> None:
@@ -348,3 +367,29 @@ def test_power_law_blocks_are_never_larger_than_a_block(monkeypatch):
     with pytest.raises(ValueError, match="variance proxy is negative"):
         summarize(spec)
     assert sizes and max(sizes) <= DEGREE_BLOCK
+
+
+def test_secular_root_reads_the_stream_twice():
+    # example powerlaw's 10^7-vertex stream: the root starts from the sums
+    # of the first pass, so it needs no moment pass; its first Newton step
+    # lands within rounding of the root and the second confirms it (2n)
+    seq = degree_sequence(POWERLAW_EXAMPLE)
+    read = []
+    counted = dataclasses.replace(
+        seq, block=lambda lo, hi: read.append(hi - lo) or seq.block(lo, hi)
+    )
+    assert expected_degree_lambda_max(counted) == pytest.approx(31523.961006291152, rel=1e-15)
+    assert sum(read) <= 2 * seq.n
+
+
+def test_expected_degree_spec_keeps_its_own_degrees():
+    d = np.array([3.0, 0.5, 2.0, 1.0])
+    spec = ExpectedDegreeSpec(degrees=d)
+    before = summarize(spec)
+    d[0] = np.nan  # the caller's array, after validation
+    assert summarize(spec) == before
+    assert spec.degrees.tolist() == [3.0, 0.5, 2.0, 1.0]  # vertex order kept
+    assert spec.degree_block(0, 4).tolist() == [3.0, 2.0, 1.0, 0.5]
+    for view in (spec.degrees, spec.degree_block(0, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0

@@ -222,6 +222,35 @@ def test_rk4_fourth_order_convergence():
     assert e2 < 1e-6
 
 
+def test_linearized_rk4_matches_eigendecomposition(monkeypatch):
+    # past EXPM_N_CAP the linearized path takes RK4 steps; with the cap
+    # raised, the same switching sequence runs the exact propagator
+    n = 70
+    spec = SwitchedNetworkSpec(
+        n=n,
+        edges=tuple(
+            EdgeChain(i=k + 1, j=(k + 1) % n + 1, p_rate=0.1, q_rate=0.1)
+            for k in range(n)
+        ),
+    )
+    params = EpidemicParams(beta=0.5, delta=1.0)
+    p0 = np.linspace(0.1, 1.0, n)
+    assert n > simulate.EXPM_N_CAP
+
+    def gap(step):
+        cfg = SimConfig(horizon=2.0, step=step, seed=1)
+        rk4 = simulate_linear_path(spec, params, cfg, p0)
+        monkeypatch.setattr(simulate, "EXPM_N_CAP", 100)
+        exact = simulate_linear_path(spec, params, cfg, p0)
+        monkeypatch.undo()
+        assert rk4.events and np.array_equal(rk4.times, exact.times)
+        return np.abs(rk4.p - exact.p).max()
+
+    coarse, fine = gap(0.05), gap(0.025)
+    assert coarse < 1e-6
+    assert coarse / fine >= 8.0  # fourth order: halving the step cuts ~16x
+
+
 def test_default_step_hand_value():
     spec = frozen_triangle()
     params = EpidemicParams(beta=2.0, delta=3.0)

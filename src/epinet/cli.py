@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +338,9 @@ def _cmd_minimize(args, out: Optional[Path], started: float) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built at the first call to main."""
     parser = _Parser(
         prog="epinet",
         description=(

@@ -36,6 +36,7 @@ from .netmodel import (
     SpecFormatError,
     SwitchedNetworkSpec,
     as_integer,
+    read_fields,
     spec_from_dict,
     stationary_stats,
 )
@@ -65,7 +66,6 @@ class CommunitySpec:
     theta1: float
     theta2: float
     phi: float
-    switch_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n1 < 1 or self.n2 < 1:
@@ -77,8 +77,6 @@ class CommunitySpec:
         ):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not (self.switch_scale > 0):
-            raise ValueError(f"switch_scale must be positive, got {self.switch_scale}")
 
     @property
     def n(self) -> int:
@@ -144,7 +142,6 @@ class ExpectedDegreeSpec:
     """
 
     degrees: np.ndarray
-    switch_scale: float = 1.0
     _descending: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -153,19 +150,7 @@ class ExpectedDegreeSpec:
             raise ValueError("need a 1-d array of at least two expected degrees")
         if not np.all(np.isfinite(d)) or d.min() < 0:
             raise ValueError("expected degrees must be finite and nonnegative")
-        if not d.sum() >= np.finfo(float).tiny:  # rho = 1 / sum(d) is finite
-            raise ValueError(
-                "expected degrees must not all be zero, and their sum must be "
-                f"at least {np.finfo(float).tiny:.6g}"
-            )
-        top = float(d.max())
-        if not math.isfinite(top * top * d.size):  # bounds sum(d^2)
-            raise ValueError(
-                f"expected degrees are too large: n * max(d)^2 overflows "
-                f"(max {top:.6g})"
-            )
-        if not (self.switch_scale > 0):
-            raise ValueError(f"switch_scale must be positive, got {self.switch_scale}")
+        check_degree_scale(float(d.max()), d.size)
         descending = np.sort(d)[::-1].copy()
         d.flags.writeable = descending.flags.writeable = False
         object.__setattr__(self, "degrees", d)
@@ -178,6 +163,23 @@ class ExpectedDegreeSpec:
     def degree_block(self, lo: int, hi: int) -> np.ndarray:
         """d[lo:hi] (0-based) of the degrees sorted descending, read-only."""
         return self._descending[lo:hi]
+
+
+def check_degree_scale(top: float, n: int) -> None:
+    """The one scale rule of both expected-degree models, on n degrees whose
+    largest is d_1 = ``top``: n d_1^2, a bound on sum(d^2), must not
+    overflow, and d_1, a lower bound on sum(d), must be at least the
+    smallest normal double, so that rho = 1 / sum(d) is finite."""
+    if not math.isfinite(top * top * n):
+        raise ValueError(
+            f"expected degrees are too large: n * max(d)^2 overflows "
+            f"(max {top:.6g})"
+        )
+    if not top >= np.finfo(float).tiny:
+        raise ValueError(
+            f"expected degrees are too small: the largest, {top:.6g}, is "
+            f"below {np.finfo(float).tiny:.6g}, so sum(d) may vanish"
+        )
 
 
 def degree_sequence(model: Union[ExpectedDegreeSpec, PowerLawSpec]) -> DegreeSequence:
@@ -270,22 +272,8 @@ class PowerLawSpec:
                 f"is too large for exponent {self.exponent}: the offset "
                 f"i0 = {self.offset:.3g} vanishes next to 1"
             )
-        # The refusals of ExpectedDegreeSpec, from the closed form before any
-        # block: every degree lies in (0, d_1], so n d_1^2 bounds sum(d^2)
-        # and d_1 bounds sum(d) from below.
-        top = float(self.degree_block(0, 1)[0])
-        if not math.isfinite(top):
-            raise ValueError(f"expected degrees must be finite, got d_1 = {top}")
-        if not math.isfinite(top * top * self.n):
-            raise ValueError(
-                f"expected degrees are too large: n * max(d)^2 overflows "
-                f"(max {top:.6g})"
-            )
-        if not top >= np.finfo(float).tiny:
-            raise ValueError(
-                f"expected degrees are too small: the largest, {top:.6g}, is "
-                f"below {np.finfo(float).tiny:.6g}, so sum(d) may vanish"
-            )
+        # from the closed form, before any block
+        check_degree_scale(float(self.degree_block(0, 1)[0]), self.n)
 
     @property
     def coefficient(self) -> float:
@@ -353,34 +341,27 @@ EnsembleSpec = Union[CommunitySpec, ExpectedDegreeSpec, PowerLawSpec]
 
 
 def ensemble_from_dict(data: dict) -> EnsembleSpec:
-    """Parse an ensemble description ({"ensemble": "community" | ...})."""
+    """Parse an ensemble description ({"ensemble": "community" | ...}); a
+    field the kind does not list is refused, and so is a missing one."""
     kind = data.get("ensemble")
+    where = f"ensemble {kind!r}"
     try:
         if kind == "community":
-            return CommunitySpec(
-                n1=as_integer(data["n1"], "field 'n1'"),
-                n2=as_integer(data["n2"], "field 'n2'"),
-                theta1=float(data["theta1"]),
-                theta2=float(data["theta2"]),
-                phi=float(data["phi"]),
-                switch_scale=float(data.get("switch_scale", 1.0)),
+            _, n1, n2, *probs = read_fields(
+                data, ("ensemble", "n1", "n2", "theta1", "theta2", "phi"), where
             )
+            return CommunitySpec(as_integer(n1, "field 'n1'"),
+                                 as_integer(n2, "field 'n2'"), *map(float, probs))
         if kind == "expected-degree":
-            return ExpectedDegreeSpec(
-                degrees=np.asarray(data["degrees"], dtype=float),
-                switch_scale=float(data.get("switch_scale", 1.0)),
-            )
+            _, degrees = read_fields(data, ("ensemble", "degrees"), where)
+            return ExpectedDegreeSpec(degrees=np.asarray(degrees, dtype=float))
         if kind == "power-law":
-            return PowerLawSpec(
-                n=as_integer(data["n"], "field 'n'"),
-                exponent=float(data["exponent"]),
-                max_degree=float(data["max_degree"]),
-                avg_degree=float(data["avg_degree"]),
+            _, n, *shape = read_fields(
+                data, ("ensemble", "n", "exponent", "max_degree", "avg_degree"), where
             )
-    except KeyError as exc:
-        raise SpecFormatError(f"ensemble '{kind}': missing field {exc}") from None
+            return PowerLawSpec(as_integer(n, "field 'n'"), *map(float, shape))
     except (TypeError, OverflowError) as exc:
-        raise SpecFormatError(f"ensemble '{kind}': {exc}") from None
+        raise SpecFormatError(f"{where}: {exc}") from None
     raise SpecFormatError(
         f"unknown ensemble kind {kind!r}; expected 'community', "
         "'expected-degree' or 'power-law'"
@@ -419,13 +400,13 @@ def as_switched_network(
             "materialize as an edge list"
         )
     if isinstance(model, CommunitySpec):
-        return realize_switched_spec(community_abar_dense(model), model.switch_scale)
+        return realize_switched_spec(community_abar_dense(model), 1.0)
     if isinstance(model, PowerLawSpec):
         model = ExpectedDegreeSpec(degrees=model.degree_block(0, model.n))
     d = model.degrees
     abar = np.outer(d, d) / float(d.sum())
     np.fill_diagonal(abar, 0.0)
-    return realize_switched_spec(abar, model.switch_scale)
+    return realize_switched_spec(abar, 1.0)
 
 
 def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:

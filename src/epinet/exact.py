@@ -103,13 +103,18 @@ class StabilityOperator:
     states is one product with its dense Kronecker sum.  ``offdiagonal_min``
     (at most 0) and ``entry_max`` come from the factors, for the Metzler
     guard of :func:`epinet.spectral.spectral_abscissa`; ``column_sum_max``,
-    beta max_v sum_{e on v} max_a w_e(a), is the largest column sum.
+    beta max_v sum_{e on v} max_a w_e(a), is the largest column sum; one
+    that overflows is refused.
     """
 
     def __init__(self, joint: JointChain, beta: float) -> None:
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
         procs, dims, self.n = joint.processes, joint.dims, joint.n
+        self.column_sum_max = beta * max_vertex_weight(self.n, procs)
+        if not math.isfinite(self.column_sum_max):
+            raise ValueError(
+                f"beta = {beta:.6g} times the heaviest vertex weight overflows: "
+                "the stability matrix would hold infinite entries"
+            )
         self.shape = (joint.n * joint.n_configs,) * 2
         self.dtype = np.dtype(float)
         self._edges = [(math.prod(dims[:e]), dims[e], p.i - 1, p.j - 1,
@@ -132,7 +137,6 @@ class StabilityOperator:
         self.offdiagonal_min = min(0.0, float(off.min()))
         self.entry_max = max(float(np.abs(off).max()),
                              sum(float(np.abs(np.diag(g)).max()) for g in gens))
-        self.column_sum_max = beta * max_vertex_weight(self.n, procs)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product with ``shape[0]`` rows: a vector or a block of columns."""

@@ -43,20 +43,32 @@ def as_integer(value, what: str) -> int:
     raise SpecFormatError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EdgeChain:
-    """On/off Markov chain attached to one potential edge {i, j}.
+def read_fields(data, fields: tuple[str, ...], where: str) -> list:
+    """The values of ``fields``, in that order, of one object of a parsed
+    description.  A non-object, the first field not in ``fields`` and the
+    first one missing raise SpecFormatError naming ``where``."""
+    if not isinstance(data, dict):
+        raise SpecFormatError(
+            f"{where}: expected an object, got {type(data).__name__}"
+        )
+    for key in data:
+        if key not in fields:
+            raise SpecFormatError(
+                f"{where}: unknown field {key!r}; expected {', '.join(fields)}"
+            )
+    for key in fields:
+        if key not in data:
+            raise SpecFormatError(f"{where}: missing field {key!r}")
+    return [data[key] for key in fields]
 
-    ``p_rate`` is the appearance rate (0 -> 1), ``q_rate`` the disappearance
-    rate (1 -> 0).  Vertex indices are 1-based and stored with i < j; the
-    constructor swaps them if needed.  ``p_rate + q_rate`` must be positive
-    so the chain has a unique stationary law.
-    """
+
+@dataclass(frozen=True)
+class _Endpoints:
+    """The two 1-based vertices of a potential edge, stored with i < j (the
+    constructor swaps them if needed); self-loops are refused."""
 
     i: int
     j: int
-    p_rate: float
-    q_rate: float
 
     def __post_init__(self) -> None:
         if self.i == self.j:
@@ -67,6 +79,22 @@ class EdgeChain:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
+
+
+@dataclass(frozen=True)
+class EdgeChain(_Endpoints):
+    """On/off Markov chain attached to one potential edge {i, j}.
+
+    ``p_rate`` is the appearance rate (0 -> 1), ``q_rate`` the disappearance
+    rate (1 -> 0).  ``p_rate + q_rate`` must be positive so the chain has a
+    unique stationary law.
+    """
+
+    p_rate: float
+    q_rate: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         # p + q is the chain's exit rate scale; a finite p and q whose sum
         # overflows would turn p / (p + q) into 0.
         if not math.isfinite(self.p_rate + self.q_rate):
@@ -83,7 +111,7 @@ class EdgeChain:
 
 
 @dataclass(frozen=True)
-class WeightedEdgeChain:
+class WeightedEdgeChain(_Endpoints):
     """Finite-state weight process attached to one potential edge {i, j}.
 
     ``states`` lists the possible edge weights, each in [0, 1]; ``generator``
@@ -92,21 +120,12 @@ class WeightedEdgeChain:
     construction time, and kept read-only as ``stationary``.
     """
 
-    i: int
-    j: int
     states: tuple[float, ...]
     generator: tuple[tuple[float, ...], ...]
     stationary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError(f"self-loop edge ({self.i}, {self.j}) is not allowed")
-        if self.i < 1 or self.j < 1:
-            raise ValueError(f"vertex indices must be >= 1, got ({self.i}, {self.j})")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
+        super().__post_init__()
         states = tuple(float(w) for w in self.states)
         object.__setattr__(self, "states", states)
         if len(states) < 1:
@@ -340,50 +359,32 @@ def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
 
 
 # ---------------------------------------------------------------------------
-# Parsed JSON.  Binary edge: {"i", "j", "p", "q"}.  Weighted edge:
-# {"i", "j", "states", "generator"}.  Top level: {"n", "edges"}.
+# Parsed JSON.  Top level: {"n", "edges"}.  Binary edge: {"i", "j", "p", "q"};
+# weighted edge, one with "states" or "generator": {"i", "j", "states",
+# "generator"}.  Any other field is refused, and so is a missing one.
 
 def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
-    if not isinstance(data, dict):
-        raise SpecFormatError(f"expected a JSON object, got {type(data).__name__}")
-    if "n" not in data:
-        raise SpecFormatError("missing field 'n'")
-    n = as_integer(data["n"], "field 'n'")
-    raw_edges = data.get("edges", [])
+    n, raw_edges = read_fields(data, ("n", "edges"), "top level")
+    n = as_integer(n, "field 'n'")
     if not isinstance(raw_edges, list):
         raise SpecFormatError("field 'edges' must be a list")
     edges: list[AnyEdge] = []
     for idx, item in enumerate(raw_edges):
         where = f"edges[{idx}]"
-        if not isinstance(item, dict):
-            raise SpecFormatError(f"{where}: expected an object")
+        weighted = isinstance(item, dict) and ("states" in item or "generator" in item)
+        fields = ("i", "j", "states", "generator") if weighted else ("i", "j", "p", "q")
+        i, j, a, b = read_fields(item, fields, where)
+        i, j = as_integer(i, f"{where}: 'i'"), as_integer(j, f"{where}: 'j'")
         try:
-            i = as_integer(item["i"], f"{where}: 'i'")
-            j = as_integer(item["j"], f"{where}: 'j'")
-        except KeyError as exc:
-            raise SpecFormatError(f"{where}: missing field {exc}") from None
-        try:
-            if "states" in item or "generator" in item:
-                edges.append(
-                    WeightedEdgeChain(
-                        i=i,
-                        j=j,
-                        states=tuple(item["states"]),
-                        generator=tuple(tuple(row) for row in item["generator"]),
-                    )
-                )
+            if weighted:
+                edges.append(WeightedEdgeChain(
+                    i=i, j=j, states=tuple(a), generator=tuple(tuple(row) for row in b)
+                ))
             else:
-                edges.append(
-                    EdgeChain(
-                        i=i, j=j, p_rate=float(item["p"]), q_rate=float(item["q"])
-                    )
-                )
-        except KeyError as exc:
-            raise SpecFormatError(f"{where}: missing field {exc}") from None
+                edges.append(EdgeChain(i=i, j=j, p_rate=float(a), q_rate=float(b)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFormatError(f"{where}: {exc}") from None
     try:
         return SwitchedNetworkSpec(n=n, edges=tuple(edges))
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None
-

@@ -242,6 +242,31 @@ def test_analyze_malformed_spec(tmp_path, capsys):
         code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
         assert code == 1
         assert f"{name} must be an integer" in capsys.readouterr().err
+    # a misspelled, extra or missing field used to be dropped or defaulted:
+    # the "edge" typo read as an edgeless graph certified stable, exit 0
+    edge = {"i": 1, "j": 2, "p": 2.0, "q": 1.0}
+    generator = {"states": [0.0, 1.0], "generator": [[-1.0, 1.0], [1.0, -1.0]]}
+    power_law = {"ensemble": "power-law", "n": 50, "exponent": 2.5,
+                 "max_degree": 10.0, "avg_degree": 2.0}
+    degrees = {"ensemble": "expected-degree", "degrees": [1.0, 2.0, 3.0]}
+    for data, message in (
+        ({"n": 3, "edge": [edge]}, "top level: unknown field 'edge'"),
+        ({"n": 3, "edges": [{**edge, "weight": 0.5}]},
+         "edges[0]: unknown field 'weight'"),
+        ({"n": 3, "edges": [{**edge, **generator}]}, "edges[0]: unknown field 'p'"),
+        ({"n": 3}, "top level: missing field 'edges'"),
+        ({**community, "switch_scale": 1.0},
+         "ensemble 'community': unknown field 'switch_scale'"),
+        ({**degrees, "switch_scale": 1.0},
+         "ensemble 'expected-degree': unknown field 'switch_scale'"),
+        ({**power_law, "switch_scale": 1.0},
+         "ensemble 'power-law': unknown field 'switch_scale'"),
+        ({**community, "ensemble": ["community"]}, "unknown ensemble kind"),
+    ):
+        bad.write_text(json.dumps(data))
+        code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -339,6 +364,40 @@ def test_import_cli_loads_no_scipy():
     assert err.splitlines() == ["[]", "[]"]
 
 
+def test_analyze_beta_overflowing_the_column_sum_skips_exact(triangle_spec, capsys):
+    # beta times the heaviest vertex weight overflows: ARPACK used to fail
+    # (exit 2) after two overflow warnings; now the exact test is skipped
+    code = main(
+        ["analyze", "--spec", str(triangle_spec), "--beta", "1e308", "--delta", "1"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["exact"]["status"] == "skipped"
+    assert "heaviest vertex weight overflows" in report["exact"]["reason"]
+    assert report["sufficient"]["verdict"] == "inconclusive"
+
+
+def test_parser_is_built_once(triangle_spec, monkeypatch, capsys):
+    builds = []
+    add_subparsers = epinet.cli._Parser.add_subparsers
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        return add_subparsers(self, *args, **kwargs)
+
+    epinet.cli._build_parser.cache_clear()
+    monkeypatch.setattr(epinet.cli._Parser, "add_subparsers", counting)
+    try:
+        for _ in range(2):
+            assert main(["minimize-f", "--n", "10", "--uncertainty", "2"]) == 0
+            assert main(["analyze", "--spec", str(triangle_spec),
+                         "--beta", "0.2", "--delta", "1.5"]) == 0
+    finally:
+        epinet.cli._build_parser.cache_clear()
+    assert builds == [1]
+
+
 def test_analyze_bad_params(triangle_spec):
     code = main(
         ["analyze", "--spec", str(triangle_spec), "--beta", "-1", "--delta", "1"]
@@ -398,6 +457,21 @@ def test_simulate_coupled_outputs(triangle_spec, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "coupled"
     assert summary["min_margin"] >= -1e-7
+
+
+@pytest.mark.parametrize("mode", ["--linearized", "--coupled"])
+def test_simulate_linearized_overflow_exits_one(mode, triangle_spec, tmp_path, capsys):
+    # the linearized state overflows to inf, then NaN; both modes used to
+    # exit 0 and print "final l1 = nan" or "min l1 margin = nan"
+    code = main(
+        ["simulate", "--spec", str(triangle_spec), "--beta", "100", "--delta", "1",
+         "--horizon", "10", "--step", "0.01", mode, "--out", str(tmp_path / "run")]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the linearized state overflowed")
+    assert "nan" not in captured.out
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_simulate_conflicting_modes(triangle_spec):
@@ -821,6 +895,7 @@ _ODD_NUMBERS = (0, -1.0, 1.5, 1e-300, 1e300, 1e308, math.inf, -math.inf, math.na
                 10**400)
 _JUNK = (None, True, "", "x", [], [1, 2], {})
 _RATE = st.floats(min_value=0.0, max_value=10.0)
+_UNKNOWN_FIELDS = ("edge", "weight", "switch_scale")
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -851,8 +926,7 @@ def _spec_json(draw):
     elif kind == "community":
         data = {"ensemble": kind, "n1": draw(st.integers(1, 2)),
                 "n2": draw(st.integers(1, 2)), "theta1": draw(_UNIT),
-                "theta2": draw(_UNIT), "phi": draw(_UNIT),
-                "switch_scale": draw(st.floats(0.1, 10.0))}
+                "theta2": draw(_UNIT), "phi": draw(_UNIT)}
     elif kind == "expected-degree":
         data = {"ensemble": kind,
                 "degrees": draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=4))}
@@ -874,6 +948,10 @@ def _spec_json(draw):
                     stack.append(node[key])
         if not slots:
             break
+        objects = [node[key] for node, key in slots if isinstance(node[key], dict)]
+        if objects and rng.random() < 0.2:  # a field no record has
+            rng.choice(objects)[rng.choice(_UNKNOWN_FIELDS)] = 1.0
+            continue
         node, key = rng.choice(slots)
         if rng.random() < 0.3:
             del node[key]
@@ -908,6 +986,7 @@ def test_cli_fuzz_exits_cleanly(data, beta, delta, command):
         if code == 0:
             texts = [stdout.getvalue()] + [f.read_text() for f in out.iterdir()]
             assert not any(_NON_FINITE.search(text) for text in texts), texts
+            assert not any(f'"{key}":' in spec.read_text() for key in _UNKNOWN_FIELDS)
         elif code == 1:
             assert stderr.getvalue().startswith("error:")
         else:

@@ -223,6 +223,23 @@ def test_ensemble_from_dict_dispatch():
                 {"ensemble": "expected-degree", "degrees": {"a": 1}}):
         with pytest.raises(SpecFormatError, match="ensemble '"):
             ensemble_from_dict(bad)
+    # each kind has a fixed set of fields: switch_scale, once read by two of
+    # the three kinds and dropped by the third, is refused by all of them
+    degrees = {"ensemble": "expected-degree", "degrees": [1.0, 2.0]}
+    power_law = {"ensemble": "power-law", "n": 100, "exponent": 2.5,
+                 "max_degree": 10.0, "avg_degree": 2.0}
+    for good in (community, degrees, power_law):
+        kind = good["ensemble"]
+        for extra in ("switch_scale", "edges"):
+            message = f"ensemble '{kind}': unknown field '{extra}'"
+            with pytest.raises(SpecFormatError, match=message):
+                ensemble_from_dict({**good, extra: 1.0})
+    without_n = {k: v for k, v in power_law.items() if k != "n"}
+    with pytest.raises(SpecFormatError, match="ensemble 'power-law': missing field 'n'"):
+        ensemble_from_dict(without_n)
+    for kind in (["community"], {"kind": "community"}, None, 3):
+        with pytest.raises(SpecFormatError, match="unknown ensemble kind"):
+            ensemble_from_dict({**community, "ensemble": kind})
 
 
 def test_power_law_refusals_from_the_closed_form():
@@ -233,9 +250,11 @@ def test_power_law_refusals_from_the_closed_form():
         PowerLawSpec(n=10, exponent=2.5, max_degree=1e-310, avg_degree=1e-310)
     with pytest.raises(ValueError, match="power-law cap 1000000000"):
         PowerLawSpec(n=10**9 + 1, exponent=2.2, max_degree=5e5, avg_degree=1e3)
-    # the materialized path refused both too
-    for top in (1e200, 1e-310):
-        with pytest.raises(ValueError, match="degrees"):
+    # the materialized path refuses both by the same rule on d_1, so a sum
+    # above the smallest normal double no longer admits a smaller d_1
+    for top, message in ((1e200, "overflows"), (1e-310, "may vanish"),
+                         (1e-308, "may vanish")):
+        with pytest.raises(ValueError, match=message):
             ExpectedDegreeSpec(degrees=np.array([top] * 10))
 
 

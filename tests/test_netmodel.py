@@ -27,6 +27,19 @@ rates = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 def test_edge_chain_normalizes_vertex_order():
     e = EdgeChain(i=5, j=2, p_rate=1.0, q_rate=2.0)
     assert (e.i, e.j) == (2, 5)
+    assert repr(e) == "EdgeChain(i=2, j=5, p_rate=1.0, q_rate=2.0)"
+    assert e == EdgeChain(i=2, j=5, p_rate=1.0, q_rate=2.0)
+    assert hash(e) == hash(EdgeChain(i=2, j=5, p_rate=1.0, q_rate=2.0))
+    w = WeightedEdgeChain(i=3, j=1, states=(0.0, 1.0), generator=((-1, 1), (2, -2)))
+    assert (w.i, w.j) == (1, 3)
+    assert repr(w) == ("WeightedEdgeChain(i=1, j=3, states=(0.0, 1.0), "
+                       "generator=((-1.0, 1.0), (2.0, -2.0)))")
+    assert w == WeightedEdgeChain(i=1, j=3, states=(0, 1), generator=((-1, 1), (2, -2)))
+    assert hash(w) == hash(WeightedEdgeChain(1, 3, (0, 1), ((-1, 1), (2, -2))))
+    # the one endpoint rule holds for both kinds
+    for i, j, message in ((2, 2, "self-loop"), (0, 2, "must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            WeightedEdgeChain(i=i, j=j, states=(1.0,), generator=((0.0,),))
 
 
 def test_edge_chain_rejects_bad_input():
@@ -280,3 +293,21 @@ def test_spec_from_dict_diagnostics():
     # a JSON integer too large for a float
     with pytest.raises(SpecFormatError, match="edges\\[0\\]"):
         spec_from_dict({"n": 2, "edges": [{"i": 1, "j": 2, "p": 10**400, "q": 1}]})
+    # every object has a fixed set of fields: a misspelled, extra or missing
+    # one is refused and named, never dropped or defaulted
+    weighted = {"i": 1, "j": 3, "states": [0, 1], "generator": [[-1, 1], [1, -1]]}
+    for bad, message in (
+        ({"n": 3, "edge": [edge]}, "top level: unknown field 'edge'"),
+        ({"n": 3}, "top level: missing field 'edges'"),
+        ({"n": 3, "edges": [], "switch_scale": 1.0},
+         "top level: unknown field 'switch_scale'"),
+        ({"n": 3, "edges": [edge, {**edge, "j": 2, "weight": 0.5}]},
+         "edges\\[1\\]: unknown field 'weight'"),
+        ({"n": 3, "edges": [{**weighted, "p": 1, "q": 1}]},
+         "edges\\[0\\]: unknown field 'p'"),
+        ({"n": 3, "edges": [{"i": 1, "j": 3, "states": [1.0]}]},
+         "edges\\[0\\]: missing field 'generator'"),
+        ({"n": 3, "edges": [7]}, "edges\\[0\\]: expected an object"),
+    ):
+        with pytest.raises(SpecFormatError, match=message):
+            spec_from_dict(bad)

@@ -23,7 +23,6 @@ from .ensembles import (
     PowerLawSpec,
     community_stats,
     expected_degree_stats,
-    realize_switched_spec,
     summarize,
 )
 from .exact import (
@@ -37,7 +36,6 @@ from .netmodel import (
     EpidemicParams,
     SwitchedNetworkSpec,
     WeightedEdgeChain,
-    stationary_edge_prob,
     stationary_stats,
 )
 from .simulate import (
@@ -81,11 +79,9 @@ __all__ = [
     "exact_mean_stable",
     "expected_degree_stats",
     "minimize_penalty",
-    "realize_switched_spec",
     "simulate_coupled",
     "simulate_linear_path",
     "simulate_path",
-    "stationary_edge_prob",
     "stationary_stats",
     "summarize",
 ]

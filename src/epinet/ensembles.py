@@ -13,7 +13,7 @@ Three families whose expected adjacency matrix never has to be materialized:
 Each family exposes the two scalars the stability tests need --
 lambda_max(abar) and the variance row-sum Delta -- plus a realization that
 turns a small ensemble into a concrete switched network with edge rates
-p = kappa abar_ij, q = kappa (1 - abar_ij).
+p = abar_ij, q = 1 - abar_ij.
 
 :func:`load_network` is the one reader of network files: it returns an
 explicit :class:`~epinet.netmodel.SwitchedNetworkSpec` or an ensemble.
@@ -36,6 +36,7 @@ from .netmodel import (
     SpecFormatError,
     SwitchedNetworkSpec,
     as_integer,
+    as_real,
     read_fields,
     spec_from_dict,
     stationary_stats,
@@ -168,17 +169,23 @@ class ExpectedDegreeSpec:
 def check_degree_scale(top: float, n: int) -> None:
     """The one scale rule of both expected-degree models, on n degrees whose
     largest is d_1 = ``top``: n d_1^2, a bound on sum(d^2), must not
-    overflow, and d_1, a lower bound on sum(d), must be at least the
-    smallest normal double, so that rho = 1 / sum(d) is finite."""
+    overflow, and d_1^2 must be at least n tiny, tiny the smallest normal
+    double.  A square below tiny is subnormal and rounds with an absolute
+    error of at most 2^-1075 = (eps/2) tiny, so the n squares of sum(d^2)
+    lose at most n (eps/2) tiny <= (eps/2) d_1^2 <= (eps/2) sum(d^2) to
+    underflow, no more than one rounding of the sum.  The rule also gives
+    d_1 >= sqrt(n tiny) > tiny, so rho = 1 / sum(d) is finite."""
+    tiny = np.finfo(float).tiny
     if not math.isfinite(top * top * n):
         raise ValueError(
             f"expected degrees are too large: n * max(d)^2 overflows "
             f"(max {top:.6g})"
         )
-    if not top >= np.finfo(float).tiny:
+    if not top * top >= n * tiny:
         raise ValueError(
-            f"expected degrees are too small: the largest, {top:.6g}, is "
-            f"below {np.finfo(float).tiny:.6g}, so sum(d) may vanish"
+            f"expected degrees are too small: the square of the largest, "
+            f"{top:.6g}, is below n * {tiny:.6g}, so sum(d^2) loses digits to "
+            "underflow and sum(d) may vanish"
         )
 
 
@@ -297,46 +304,6 @@ class PowerLawSpec:
         return x
 
 
-def realize_switched_spec(abar: np.ndarray, kappa: float) -> SwitchedNetworkSpec:
-    """Turn an expected adjacency matrix into a concrete switched network.
-
-    Every nonzero abar_ij becomes a binary edge with appearance rate
-    kappa * abar_ij and disappearance rate kappa * (1 - abar_ij), so the
-    stationary edge probability is abar_ij again and kappa sets the
-    switching speed.  Entries equal to zero produce no edge.
-    """
-    if not (kappa > 0 and np.isfinite(kappa)):
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    a = np.asarray(abar, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12:
-        raise ValueError("abar must be symmetric")
-    if float(np.abs(np.diag(a)).max(initial=0.0)) > 0.0:
-        raise ValueError("abar must have a zero diagonal")
-    lo, hi = float(a.min(initial=0.0)), float(a.max(initial=0.0))
-    if not (lo >= 0.0 and hi <= 1.0):
-        bad = f"they exceed 1 (max {hi:.6g})" if hi > 1.0 else f"got min {lo:.6g}"
-        raise ValueError(
-            f"edge probabilities abar_ij must lie in [0, 1], but {bad}; this "
-            "ensemble cannot be realized as a switched network"
-        )
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > 0.0:
-                edges.append(
-                    EdgeChain(
-                        i=i + 1,
-                        j=j + 1,
-                        p_rate=kappa * a[i, j],
-                        q_rate=kappa * (1.0 - a[i, j]),
-                    )
-                )
-    return SwitchedNetworkSpec(n=n, edges=tuple(edges))
-
-
 EnsembleSpec = Union[CommunitySpec, ExpectedDegreeSpec, PowerLawSpec]
 
 
@@ -347,19 +314,30 @@ def ensemble_from_dict(data: dict) -> EnsembleSpec:
     where = f"ensemble {kind!r}"
     try:
         if kind == "community":
-            _, n1, n2, *probs = read_fields(
+            _, n1, n2, theta1, theta2, phi = read_fields(
                 data, ("ensemble", "n1", "n2", "theta1", "theta2", "phi"), where
             )
-            return CommunitySpec(as_integer(n1, "field 'n1'"),
-                                 as_integer(n2, "field 'n2'"), *map(float, probs))
+            return CommunitySpec(
+                as_integer(n1, f"{where}: field 'n1'"),
+                as_integer(n2, f"{where}: field 'n2'"),
+                as_real(theta1, f"{where}: field 'theta1'"),
+                as_real(theta2, f"{where}: field 'theta2'"),
+                as_real(phi, f"{where}: field 'phi'"),
+            )
         if kind == "expected-degree":
             _, degrees = read_fields(data, ("ensemble", "degrees"), where)
-            return ExpectedDegreeSpec(degrees=np.asarray(degrees, dtype=float))
+            degrees = [as_real(d, f"{where}: 'degrees' entry") for d in degrees]
+            return ExpectedDegreeSpec(degrees=np.array(degrees))
         if kind == "power-law":
-            _, n, *shape = read_fields(
+            _, n, exponent, max_degree, avg_degree = read_fields(
                 data, ("ensemble", "n", "exponent", "max_degree", "avg_degree"), where
             )
-            return PowerLawSpec(as_integer(n, "field 'n'"), *map(float, shape))
+            return PowerLawSpec(
+                as_integer(n, f"{where}: field 'n'"),
+                as_real(exponent, f"{where}: field 'exponent'"),
+                as_real(max_degree, f"{where}: field 'max_degree'"),
+                as_real(avg_degree, f"{where}: field 'avg_degree'"),
+            )
     except (TypeError, OverflowError) as exc:
         raise SpecFormatError(f"{where}: {exc}") from None
     raise SpecFormatError(
@@ -390,8 +368,11 @@ def as_switched_network(
     model: Union[SwitchedNetworkSpec, EnsembleSpec]
 ) -> SwitchedNetworkSpec:
     """An explicit spec as it is; an ensemble of at most REALIZE_N_CAP
-    vertices realized by :func:`realize_switched_spec`.  The size is checked
-    before any degree sequence or abar is built."""
+    vertices realized edge by edge: each pair i < j with abar_ij > 0 gets a
+    binary chain with rates p = abar_ij and q = 1 - abar_ij, whose stationary
+    edge probability is abar_ij again.  The size is checked before any
+    degree sequence or abar is built; pair probabilities above 1 (an
+    expected-degree model with large hubs) are refused."""
     if isinstance(model, SwitchedNetworkSpec):
         return model
     if model.n > REALIZE_N_CAP:
@@ -400,13 +381,23 @@ def as_switched_network(
             "materialize as an edge list"
         )
     if isinstance(model, CommunitySpec):
-        return realize_switched_spec(community_abar_dense(model), 1.0)
-    if isinstance(model, PowerLawSpec):
-        model = ExpectedDegreeSpec(degrees=model.degree_block(0, model.n))
-    d = model.degrees
-    abar = np.outer(d, d) / float(d.sum())
-    np.fill_diagonal(abar, 0.0)
-    return realize_switched_spec(abar, 1.0)
+        abar = community_abar_dense(model)
+    else:
+        if isinstance(model, PowerLawSpec):
+            model = ExpectedDegreeSpec(degrees=model.degree_block(0, model.n))
+        d = model.degrees
+        abar = np.outer(d, d) / float(d.sum())
+    rows, cols = np.triu_indices(model.n, 1)
+    probs = abar[rows, cols]
+    top = float(probs.max(initial=0.0))
+    if top > 1.0:
+        raise ValueError(
+            f"edge probabilities abar_ij must lie in [0, 1], but they exceed 1 (max "
+            f"{top:.6g}); this ensemble cannot be realized as a switched network"
+        )
+    edges = [EdgeChain(i=i + 1, j=j + 1, p_rate=a, q_rate=1.0 - a)
+             for i, j, a in zip(rows.tolist(), cols.tolist(), probs.tolist()) if a > 0.0]
+    return SwitchedNetworkSpec(n=model.n, edges=tuple(edges))
 
 
 def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:

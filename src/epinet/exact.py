@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (EdgeProcess, EpidemicParams, SwitchedNetworkSpec,
-                       edge_process, max_vertex_weight)
+from .netmodel import AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight
 from .spectral import spectral_abscissa
 
 # Cap on the rows n * N, the length of the 20 vectors ARPACK keeps; every
@@ -46,22 +45,22 @@ CONFIG_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class JointChain:
-    """Joint configuration chain of all edge processes.
+    """Joint configuration chain of all edge chains.
 
-    ``processes`` follow ``spec.edges`` and ``stationary`` is the
-    product-form stationary law.  Configuration k is the mixed-radix digits
-    of k over ``dims``, last edge fastest: A_k holds edge e's weight in
-    state digit_e(k), and the joint generator is the Kronecker sum of the
-    edge generators in this order.  No configuration is stored.
+    ``edges`` is ``spec.edges`` itself and ``stationary`` the product-form
+    stationary law.  Configuration k is the mixed-radix digits of k over
+    ``dims``, last edge fastest: A_k holds edge e's weight in state
+    digit_e(k), and the joint generator is the Kronecker sum of the edge
+    generators in this order.  No configuration is stored.
     """
 
     n: int
-    processes: tuple[EdgeProcess, ...]
+    edges: tuple[AnyEdge, ...]
     stationary: np.ndarray
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(p.values) for p in self.processes)
+        return tuple(len(e.values) for e in self.edges)
 
     @property
     def n_configs(self) -> int:
@@ -72,17 +71,15 @@ def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
     The configuration count N = prod_e K_e grows exponentially, so the row
-    cap is checked first, in integer arithmetic, while the edge chains are
-    normalized: a refusal stops at the edge that crosses it.  The
-    stationary law is the tensor product of the per-edge laws, because the
-    edges switch independently.
+    cap is checked first, in integer arithmetic, edge by edge: a refusal
+    stops at the edge that crosses it.  The stationary law is the tensor
+    product of the per-edge laws, because the edges switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
-    n, procs, n_configs = spec.n, [], 1
+    n, n_configs = spec.n, 1
     for edge in spec.edges:
-        procs.append(edge_process(edge))
-        n_configs *= len(procs[-1].values)
+        n_configs *= len(edge.values)
         if n * n_configs > JOINT_DIM_CAP:
             raise ValueError(
                 f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
@@ -90,8 +87,8 @@ def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
                 "edge count), so the stability matrix would exceed "
                 f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
             )
-    stationary = functools.reduce(np.kron, [p.stationary for p in procs])
-    return JointChain(n=n, processes=tuple(procs), stationary=stationary)
+    stationary = functools.reduce(np.kron, [e.stationary for e in spec.edges])
+    return JointChain(n=n, edges=spec.edges, stationary=stationary)
 
 
 class StabilityOperator:
@@ -108,8 +105,8 @@ class StabilityOperator:
     """
 
     def __init__(self, joint: JointChain, beta: float) -> None:
-        procs, dims, self.n = joint.processes, joint.dims, joint.n
-        self.column_sum_max = beta * max_vertex_weight(self.n, procs)
+        edges, dims, self.n = joint.edges, joint.dims, joint.n
+        self.column_sum_max = beta * max_vertex_weight(self.n, edges)
         if not math.isfinite(self.column_sum_max):
             raise ValueError(
                 f"beta = {beta:.6g} times the heaviest vertex weight overflows: "
@@ -117,22 +114,22 @@ class StabilityOperator:
             )
         self.shape = (joint.n * joint.n_configs,) * 2
         self.dtype = np.dtype(float)
-        self._edges = [(math.prod(dims[:e]), dims[e], p.i - 1, p.j - 1,
-                        [(a, beta * w) for a, w in enumerate(p.values) if w != 0.0])
-                       for e, p in enumerate(procs)]
+        self._edges = [(math.prod(dims[:k]), dims[k], e.i - 1, e.j - 1,
+                        [(a, beta * w) for a, w in enumerate(e.values) if w != 0.0])
+                       for k, e in enumerate(edges)]
         self._groups, start = [], 0
-        while start < len(procs):
+        while start < len(edges):
             stop = start + 1
-            while stop < len(procs) and math.prod(dims[start:stop + 1]) <= GROUP_STATES:
+            while stop < len(edges) and math.prod(dims[start:stop + 1]) <= GROUP_STATES:
                 stop += 1
-            gen = procs[start].rate_matrix
-            for p in procs[start + 1:stop]:
-                gen = (np.kron(gen, np.eye(len(p.values)))
-                       + np.kron(np.eye(len(gen)), p.rate_matrix))
+            gen = edges[start].rate_matrix
+            for e in edges[start + 1:stop]:
+                gen = (np.kron(gen, np.eye(len(e.values)))
+                       + np.kron(np.eye(len(gen)), e.rate_matrix))
             self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen.T)))
             start = stop
         gens = [g for _, g in self._groups]
-        off = np.concatenate([beta * np.concatenate([p.values for p in procs])]
+        off = np.concatenate([beta * np.concatenate([e.values for e in edges])]
                              + [(g - np.diag(np.diag(g))).ravel() for g in gens])
         self.offdiagonal_min = min(0.0, float(off.min()))
         self.entry_max = max(float(np.abs(off).max()),
@@ -197,7 +194,7 @@ def expected_lambda_max(joint: JointChain) -> float:
     vertices that carry an edge: an isolated vertex adds a zero eigenvalue,
     never above lambda_max of a nonnegative matrix.  Work O(N (2m)^3).
     """
-    ends = np.array([(p.i, p.j) for p in joint.processes])
+    ends = np.array([(e.i, e.j) for e in joint.edges])
     touched, local = np.unique(ends, return_inverse=True)
     size, local = len(touched), local.reshape(ends.shape)
     rows = max(1, CONFIG_BLOCK // (size * size))
@@ -206,7 +203,7 @@ def expected_lambda_max(joint: JointChain) -> float:
         index = np.arange(start, min(start + rows, joint.n_configs))
         block = np.zeros((len(index), size, size))
         digits = np.unravel_index(index, joint.dims)
-        for proc, digit, (i, j) in zip(joint.processes, digits, local):
-            block[:, i, j] = block[:, j, i] = proc.values[digit]
+        for edge, digit, (i, j) in zip(joint.edges, digits, local):
+            block[:, i, j] = block[:, j, i] = edge.values[digit]
         top[index] = np.linalg.eigvalsh(block)[:, -1]
     return float(joint.stationary @ top)

@@ -43,6 +43,15 @@ def as_integer(value, what: str) -> int:
     raise SpecFormatError(f"{what} must be an integer, got {value!r}")
 
 
+def as_real(value, what: str) -> float:
+    """A real number from a parsed description, as a float; booleans,
+    strings and other non-numbers raise SpecFormatError instead of being
+    converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise SpecFormatError(f"{what} must be a number, got {value!r}")
+
+
 def read_fields(data, fields: tuple[str, ...], where: str) -> list:
     """The values of ``fields``, in that order, of one object of a parsed
     description.  A non-object, the first field not in ``fields`` and the
@@ -63,12 +72,18 @@ def read_fields(data, fields: tuple[str, ...], where: str) -> list:
 
 
 @dataclass(frozen=True)
-class _Endpoints:
+class _Edge:
     """The two 1-based vertices of a potential edge, stored with i < j (the
-    constructor swaps them if needed); self-loops are refused."""
+    constructor swaps them if needed; self-loops are refused), and the
+    edge's chain as read-only arrays built once by the subclass: the weight
+    ``values[k]`` of state k, the generator ``rate_matrix`` and the
+    stationary law ``stationary``."""
 
     i: int
     j: int
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    rate_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    stationary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.i == self.j:
@@ -80,14 +95,23 @@ class _Endpoints:
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
 
+    def _set_chain(self, **arrays: np.ndarray) -> None:
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+
+# The state weights every binary edge shares: absent, present.
+_BINARY_VALUES = np.array([0.0, 1.0])
+
 
 @dataclass(frozen=True)
-class EdgeChain(_Endpoints):
+class EdgeChain(_Edge):
     """On/off Markov chain attached to one potential edge {i, j}.
 
     ``p_rate`` is the appearance rate (0 -> 1), ``q_rate`` the disappearance
     rate (1 -> 0).  ``p_rate + q_rate`` must be positive so the chain has a
-    unique stationary law.
+    unique stationary law, (q, p) / (p + q) over the values (0, 1).
     """
 
     p_rate: float
@@ -108,21 +132,25 @@ class EdgeChain(_Endpoints):
             raise ValueError(
                 f"edge ({self.i}, {self.j}): p_rate + q_rate must be positive"
             )
+        p, q = self.p_rate, self.q_rate
+        prob = p / (p + q)
+        self._set_chain(values=_BINARY_VALUES,
+                        rate_matrix=np.array([[-p, p], [q, -q]], dtype=float),
+                        stationary=np.array([1.0 - prob, prob]))
 
 
 @dataclass(frozen=True)
-class WeightedEdgeChain(_Endpoints):
+class WeightedEdgeChain(_Edge):
     """Finite-state weight process attached to one potential edge {i, j}.
 
     ``states`` lists the possible edge weights, each in [0, 1]; ``generator``
     is the matching conservative rate matrix (rows sum to zero, off-diagonal
     entries nonnegative).  Its unique stationary law is solved for once, at
-    construction time, and kept read-only as ``stationary``.
+    construction time.
     """
 
     states: tuple[float, ...]
     generator: tuple[tuple[float, ...], ...]
-    stationary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -161,8 +189,7 @@ class WeightedEdgeChain(_Endpoints):
             )
         # Fails loudly here rather than deep inside an analysis run.
         pi = _stationary_from_generator(q, label=f"edge ({self.i}, {self.j})")
-        pi.flags.writeable = False
-        object.__setattr__(self, "stationary", pi)
+        self._set_chain(values=np.array(states), rate_matrix=q, stationary=pi)
 
 
 AnyEdge = Union[EdgeChain, WeightedEdgeChain]
@@ -225,22 +252,6 @@ class EpidemicParams:
         return self.delta / self.beta
 
 
-@dataclass(frozen=True)
-class EdgeProcess:
-    """Uniform finite-state view of one edge chain.
-
-    ``values[k]`` is the edge weight in state k, ``rate_matrix`` the
-    generator, ``stationary`` the stationary law.  Binary chains appear here
-    as two-state processes with values (0, 1).
-    """
-
-    i: int
-    j: int
-    values: np.ndarray
-    rate_matrix: np.ndarray
-    stationary: np.ndarray
-
-
 def _stationary_from_generator(q: np.ndarray, label: str) -> np.ndarray:
     """Unique stationary law of a conservative generator, via the null space
     of q^T.  Raises if the zero eigenvalue is not simple (several recurrent
@@ -267,45 +278,19 @@ def _stationary_from_generator(q: np.ndarray, label: str) -> np.ndarray:
     return pi / pi.sum()
 
 
-def stationary_edge_prob(chain: EdgeChain) -> float:
-    """Stationary probability p / (p + q) that a binary edge is present."""
-    return chain.p_rate / (chain.p_rate + chain.q_rate)
-
-
-def edge_process(edge: AnyEdge) -> EdgeProcess:
-    """Normalize a binary or weighted edge chain into an EdgeProcess."""
-    if isinstance(edge, EdgeChain):
-        p, q = edge.p_rate, edge.q_rate
-        rate = np.array([[-p, p], [q, -q]], dtype=float)
-        prob = stationary_edge_prob(edge)
-        return EdgeProcess(
-            i=edge.i,
-            j=edge.j,
-            values=np.array([0.0, 1.0]),
-            rate_matrix=rate,
-            stationary=np.array([1.0 - prob, prob]),
-        )
-    if isinstance(edge, WeightedEdgeChain):
-        values = np.asarray(edge.states, dtype=float)
-        rates = np.asarray(edge.generator, dtype=float)
-        return EdgeProcess(edge.i, edge.j, values, rates, edge.stationary)
-    raise TypeError(f"not an edge chain: {edge!r}")
-
-
-def max_vertex_weight(n: int, procs) -> float:
+def max_vertex_weight(n: int, edges) -> float:
     """max_v sum_{e on v} max_a w_e(a), the largest row sum any
     configuration can reach; weights are added in edge order."""
     total = np.zeros(n)
-    for p in procs:
-        total[[p.i - 1, p.j - 1]] += p.values.max()
+    for e in edges:
+        total[[e.i - 1, e.j - 1]] += e.values.max()
     return float(total.max(initial=0.0))
 
 
 def edge_moments(edge: AnyEdge) -> tuple[float, float]:
     """Stationary mean and variance of one edge weight."""
-    proc = edge_process(edge)
-    mean = float(proc.stationary @ proc.values)
-    second = float(proc.stationary @ (proc.values**2))
+    mean = float(edge.stationary @ edge.values)
+    second = float(edge.stationary @ (edge.values**2))
     var = max(second - mean * mean, 0.0)
     return mean, var
 
@@ -378,10 +363,13 @@ def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
         try:
             if weighted:
                 edges.append(WeightedEdgeChain(
-                    i=i, j=j, states=tuple(a), generator=tuple(tuple(row) for row in b)
+                    i=i, j=j, states=tuple(as_real(w, "'states' entry") for w in a),
+                    generator=tuple(tuple(as_real(x, "'generator' entry") for x in row)
+                                    for row in b),
                 ))
             else:
-                edges.append(EdgeChain(i=i, j=j, p_rate=float(a), q_rate=float(b)))
+                edges.append(EdgeChain(i=i, j=j, p_rate=as_real(a, "'p'"),
+                                       q_rate=as_real(b, "'q'")))
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFormatError(f"{where}: {exc}") from None
     try:

@@ -30,8 +30,8 @@ def dense_configs(joint: JointChain) -> np.ndarray:
     """The N x n x n adjacency matrices of all configurations, in order."""
     digits = np.unravel_index(np.arange(joint.n_configs), joint.dims)
     configs = np.zeros((joint.n_configs, joint.n, joint.n))
-    for p, digit in zip(joint.processes, digits):
-        configs[:, p.i - 1, p.j - 1] = configs[:, p.j - 1, p.i - 1] = p.values[digit]
+    for e, digit in zip(joint.edges, digits):
+        configs[:, e.i - 1, e.j - 1] = configs[:, e.j - 1, e.i - 1] = e.values[digit]
     return configs
 
 
@@ -43,7 +43,7 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     of pi Pi = 0 to 1e-12, which guards the enumeration order and the
     solver both.
     """
-    mats = [p.rate_matrix for p in joint.processes]
+    mats = [e.rate_matrix for e in joint.edges]
     gen = mats[0]
     for q in mats[1:]:
         gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)

@@ -35,7 +35,6 @@ from .netmodel import (
     EpidemicParams,
     SwitchedNetworkSpec,
     check_dense_size,
-    edge_process,
     max_vertex_weight,
 )
 
@@ -124,8 +123,7 @@ class CoupledResult:
 
 def default_step(spec: SwitchedNetworkSpec, params: EpidemicParams) -> float:
     """A tenth of the fastest time constant delta + beta * (max row weight)."""
-    procs = map(edge_process, spec.edges)
-    rate = params.delta + params.beta * max_vertex_weight(spec.n, procs)
+    rate = params.delta + params.beta * max_vertex_weight(spec.n, spec.edges)
     return 0.1 / rate
 
 
@@ -202,9 +200,9 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     check_dense_size(spec.n)
     n, horizon = spec.n, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
-    procs = [edge_process(e) for e in spec.edges]
+    edges = spec.edges
     expected_events = horizon * sum(
-        float(proc.stationary @ -np.diag(proc.rate_matrix)) for proc in procs
+        float(edge.stationary @ -np.diag(edge.rate_matrix)) for edge in edges
     )
     if not expected_events <= EVENT_CAP:
         raise ValueError(
@@ -219,8 +217,8 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     rows = len(rngs)
     slots = np.arange(rows)
     adj = np.zeros((rows, n, n))
-    state = np.zeros((rows, len(procs)), dtype=int)
-    next_time = np.full((rows, len(procs)), np.inf)
+    state = np.zeros((rows, len(edges)), dtype=int)
+    next_time = np.full((rows, len(edges)), np.inf)
 
     def draw_state(rng: np.random.Generator, weights: np.ndarray) -> int:
         # Inverse-CDF draw; one uniform per call keeps the stream identical
@@ -230,19 +228,19 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
         return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
 
     def enter(b: int, e: int, k: int, t: float) -> float:
-        proc = procs[e]
+        edge = edges[e]
         state[b, e] = k
-        val = proc.values[k]
-        adj[b, proc.i - 1, proc.j - 1] = val
-        adj[b, proc.j - 1, proc.i - 1] = val
-        rate = -float(proc.rate_matrix[k, k])
+        val = edge.values[k]
+        adj[b, edge.i - 1, edge.j - 1] = val
+        adj[b, edge.j - 1, edge.i - 1] = val
+        rate = -float(edge.rate_matrix[k, k])
         hold = _positive_exponential(rngs[b], 1.0 / rate) if rate > 0.0 else math.inf
         next_time[b, e] = t + hold
         return float(val)
 
     for b, rng in enumerate(rngs):
-        for e, proc in enumerate(procs):
-            enter(b, e, draw_state(rng, proc.stationary), 0.0)
+        for e, edge in enumerate(edges):
+            enter(b, e, draw_state(rng, edge.stationary), 0.0)
 
     def rhs_full(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         infect = beta * np.matvec(a, q)
@@ -298,18 +296,18 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
         for b in jumped:
             tb = float(t[b])
             for e in (next_time[b] == tb).nonzero()[0]:
-                proc = procs[e]
+                edge = edges[e]
                 k = state[b, e]
-                if len(proc.values) == 2:
+                if len(edge.values) == 2:
                     new_k = 1 - k  # two-state chains jump deterministically
                 else:
-                    row = proc.rate_matrix[k].copy()
+                    row = edge.rate_matrix[k].copy()
                     row[k] = 0.0
                     new_k = draw_state(rngs[b], row)
                 val = enter(b, e, new_k, tb)
                 if events is not None:
                     events[slots[b]].append(
-                        SwitchEvent(time=tb, i=proc.i, j=proc.j, new_value=val)
+                        SwitchEvent(time=tb, i=edge.i, j=edge.j, new_value=val)
                     )
         if jumped.size:
             te[jumped] = next_time[jumped].min(axis=1)

@@ -262,6 +262,17 @@ def test_analyze_malformed_spec(tmp_path, capsys):
         ({**power_law, "switch_scale": 1.0},
          "ensemble 'power-law': unknown field 'switch_scale'"),
         ({**community, "ensemble": ["community"]}, "unknown ensemble kind"),
+        # strings and booleans in real-valued fields used to be converted:
+        # "2" read as 2.0, true as 1.0
+        ({"n": 3, "edges": [{**edge, "p": "2", "q": " 1.5 "}]},
+         "edges[0]: 'p' must be a number"),
+        ({"n": 3, "edges": [{**edge, "q": True}]}, "edges[0]: 'q' must be a number"),
+        ({"n": 3, "edges": [{"i": 1, "j": 2, "states": [0.0, "1"],
+                             "generator": generator["generator"]}]},
+         "edges[0]: 'states' entry must be a number"),
+        ({**community, "phi": "0.2"}, "field 'phi' must be a number"),
+        ({**power_law, "avg_degree": True}, "field 'avg_degree' must be a number"),
+        ({**degrees, "degrees": ["1", "2", True]}, "'degrees' entry must be a number"),
     ):
         bad.write_text(json.dumps(data))
         code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])

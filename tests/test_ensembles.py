@@ -8,13 +8,13 @@ from epinet.ensembles import (
     CommunitySpec,
     ExpectedDegreeSpec,
     PowerLawSpec,
+    as_switched_network,
     community_abar_dense,
     community_quotient,
     community_stats,
     degree_sequence,
     ensemble_from_dict,
     expected_degree_stats,
-    realize_switched_spec,
     summarize,
 )
 from epinet.netmodel import SpecFormatError, stationary_stats
@@ -118,7 +118,9 @@ def _random_degrees(seed: int) -> np.ndarray:
         np.array([1e6] + [0.1] * 1000),
         # r_1 (1 - r_1) underflows; every product d_i d_j underflows
         np.array([1e150, 1e-200]),
-        np.array([1e-170, 1e-170]),
+        # a tiny uniform pair just above the scale floor d_1^2 >= n * tiny;
+        # [1e-170, 1e-170] lies below it and is refused
+        np.array([1e-153, 1e-153]),
     ],
 )
 def test_expected_degree_lambda_max_matches_dense(degrees):
@@ -163,32 +165,28 @@ def test_power_law_validation():
         PowerLawSpec(n=4, exponent=2.01, max_degree=1e300, avg_degree=3.0)
 
 
-def test_realize_switched_spec_round_trip():
-    rng = np.random.default_rng(2)
-    n = 6
-    abar = np.triu(rng.uniform(0.05, 0.95, size=(n, n)), 1)
-    abar[0, 1] = 1.0  # always-on edge: q_rate = 0 must be accepted
-    abar[2, 3] = 0.0  # absent edge: no chain at all
-    abar = abar + abar.T
-    spec = realize_switched_spec(abar, kappa=2.5)
-    pairs = {(e.i, e.j) for e in spec.edges}
-    assert (3, 4) not in pairs
-    for e in spec.edges:
-        assert e.p_rate + e.q_rate == pytest.approx(2.5, rel=1e-12)
-    stats = stationary_stats(spec)
-    assert np.allclose(stats.abar, abar, atol=1e-12)
-
-
-def test_realize_switched_spec_validation():
-    ok = np.array([[0.0, 0.5], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="kappa"):
-        realize_switched_spec(ok, kappa=0.0)
-    with pytest.raises(ValueError, match="symmetric"):
-        realize_switched_spec(np.array([[0.0, 0.5], [0.4, 0.0]]), kappa=1.0)
-    with pytest.raises(ValueError, match="diagonal"):
-        realize_switched_spec(np.array([[0.1, 0.5], [0.5, 0.0]]), kappa=1.0)
-    with pytest.raises(ValueError, match="lie in"):
-        realize_switched_spec(np.array([[0.0, 1.5], [1.5, 0.0]]), kappa=1.0)
+def test_realization_round_trip():
+    # each pair with abar_ij > 0 becomes a chain with p = abar_ij and
+    # q = 1 - abar_ij, whose stationary law gives abar back; a zero entry
+    # (phi = 0 across communities, a zero degree) gives no edge, and an
+    # entry of exactly 1 (theta1 = 1) an always-on chain with q = 0
+    community = CommunitySpec(n1=2, n2=3, theta1=1.0, theta2=0.4, phi=0.0)
+    degrees = ExpectedDegreeSpec(degrees=np.array([2.0, 0.0, 1.5, 0.5, 1.0]))
+    d = degrees.degrees
+    degree_abar = np.outer(d, d) / d.sum()
+    np.fill_diagonal(degree_abar, 0.0)
+    for model, abar in ((community, community_abar_dense(community)),
+                        (degrees, degree_abar)):
+        spec = as_switched_network(model)
+        assert spec.n == model.n
+        assert {(e.i, e.j) for e in spec.edges} == {
+            (i + 1, j + 1) for i, j in zip(*np.nonzero(np.triu(abar)))
+        }
+        for e in spec.edges:
+            assert e.p_rate == abar[e.i - 1, e.j - 1]
+            assert e.p_rate + e.q_rate == 1.0
+        assert np.array_equal(stationary_stats(spec).abar, abar)
+    assert len(as_switched_network(community).edges) == 1 + 3
 
 
 def test_ensemble_from_dict_dispatch():
@@ -240,6 +238,19 @@ def test_ensemble_from_dict_dispatch():
     for kind in (["community"], {"kind": "community"}, None, 3):
         with pytest.raises(SpecFormatError, match="unknown ensemble kind"):
             ensemble_from_dict({**community, "ensemble": kind})
+    # strings and booleans in real-valued fields are refused, not converted
+    for bad, message in (
+        ({**community, "theta1": "0.5"}, "field 'theta1' must be a number"),
+        ({**community, "phi": True}, "field 'phi' must be a number"),
+        ({**power_law, "max_degree": " 10 "}, "field 'max_degree' must be a number"),
+        ({**power_law, "exponent": False}, "field 'exponent' must be a number"),
+        ({**power_law, "avg_degree": None}, "field 'avg_degree' must be a number"),
+        ({**degrees, "degrees": ["1", "2", True]}, "'degrees' entry must be a number"),
+        ({**degrees, "degrees": [1, 2, True]}, "'degrees' entry must be a number"),
+        ({**degrees, "degrees": "12"}, "'degrees' entry must be a number"),
+    ):
+        with pytest.raises(SpecFormatError, match=message):
+            ensemble_from_dict(bad)
 
 
 def test_power_law_refusals_from_the_closed_form():
@@ -256,6 +267,22 @@ def test_power_law_refusals_from_the_closed_form():
                          (1e-308, "may vanish")):
         with pytest.raises(ValueError, match=message):
             ExpectedDegreeSpec(degrees=np.array([top] * 10))
+    # d_1^2 below n times the smallest normal double: every square is
+    # subnormal, which costs d_tilde 1e-5 relative at 1e-160, or zero
+    for top in (1e-160, 1e-170):
+        with pytest.raises(ValueError, match=r"square of the largest.*below n \*"):
+            ExpectedDegreeSpec(degrees=np.array([top, top]))
+
+
+@pytest.mark.parametrize("degrees", [
+    np.array([3e-154, 2e-154, 1e-154]),
+    np.array([1.0001, 1.0, 1e-2]) * np.sqrt(3 * np.finfo(float).tiny),
+])
+def test_degrees_just_above_the_scale_floor(degrees):
+    # d_1^2 just above n * tiny, with a subnormal square among the rest, is
+    # admitted and keeps its digits: every statistic matches the materialized
+    # reference, and the secular root dense eigvalsh
+    _assert_streamed_matches(ExpectedDegreeSpec(degrees=degrees), degrees)
 
 
 # --- streamed statistics against the materialized formulas -------------------

@@ -15,9 +15,7 @@ from epinet.netmodel import (
     SwitchedNetworkSpec,
     WeightedEdgeChain,
     edge_moments,
-    edge_process,
     spec_from_dict,
-    stationary_edge_prob,
     stationary_stats,
 )
 
@@ -63,22 +61,32 @@ def test_edge_chain_rejects_bad_input():
 
 def test_stationary_edge_prob_hand_value():
     e = EdgeChain(i=1, j=2, p_rate=2.0, q_rate=3.0)
-    assert stationary_edge_prob(e) == pytest.approx(0.4, abs=0)
+    assert e.stationary[1] == pytest.approx(0.4, abs=0)
 
 
 @given(p=rates, q=rates)
 def test_stationary_edge_prob_in_unit_interval(p, q):
-    prob = stationary_edge_prob(EdgeChain(i=1, j=2, p_rate=p, q_rate=q))
+    prob = EdgeChain(i=1, j=2, p_rate=p, q_rate=q).stationary[1]
     assert 0.0 <= prob <= 1.0
     assert prob == pytest.approx(p / (p + q), rel=1e-12)
 
 
 def test_edge_process_binary_layout():
-    proc = edge_process(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=4.0))
-    assert np.array_equal(proc.values, [0.0, 1.0])
-    assert proc.stationary == pytest.approx([0.8, 0.2], abs=1e-14)
-    assert proc.rate_matrix[0, 1] == 1.0 and proc.rate_matrix[1, 0] == 4.0
-    assert np.allclose(proc.rate_matrix.sum(axis=1), 0.0)
+    edge = EdgeChain(i=1, j=2, p_rate=1.0, q_rate=4.0)
+    assert np.array_equal(edge.values, [0.0, 1.0])
+    assert edge.stationary == pytest.approx([0.8, 0.2], abs=1e-14)
+    assert edge.rate_matrix[0, 1] == 1.0 and edge.rate_matrix[1, 0] == 4.0
+    assert np.allclose(edge.rate_matrix.sum(axis=1), 0.0)
+    # every binary edge shares one values array; no edge's arrays can be
+    # written, whatever its kind
+    assert EdgeChain(i=3, j=4, p_rate=2.0, q_rate=0.5).values is edge.values
+    weighted = WeightedEdgeChain(i=1, j=2, states=(0.0, 0.5), generator=((-1, 1), (2, -2)))
+    assert weighted.values.tolist() == [0.0, 0.5]
+    assert weighted.rate_matrix.tolist() == [[-1.0, 1.0], [2.0, -2.0]]
+    for e in (edge, weighted):
+        for array in (e.values, e.rate_matrix, e.stationary):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 def test_weighted_chain_two_state_matches_binary():
@@ -95,8 +103,7 @@ def test_weighted_chain_moments_three_states():
     # detailed balance: pi_0 * 2 = pi_1 * 1, pi_1 * 1 = pi_2 * 2
     gen = ((-2.0, 2.0, 0.0), (1.0, -2.0, 1.0), (0.0, 2.0, -2.0))
     w = WeightedEdgeChain(i=1, j=2, states=(0.0, 0.5, 1.0), generator=gen)
-    proc = edge_process(w)
-    assert proc.stationary == pytest.approx([0.25, 0.5, 0.25], abs=1e-10)
+    assert w.stationary == pytest.approx([0.25, 0.5, 0.25], abs=1e-10)
     mean, var = edge_moments(w)
     assert mean == pytest.approx(0.5, abs=1e-10)
     assert var == pytest.approx(0.125, abs=1e-10)
@@ -286,6 +293,21 @@ def test_spec_from_dict_diagnostics():
     ):
         with pytest.raises(SpecFormatError, match=f"{where} must be an integer"):
             spec_from_dict(bad)
+    # strings and booleans in real-valued fields are refused, not converted
+    weighted = {"i": 1, "j": 3, "states": [0, 1], "generator": [[-1, 1], [1, -1]]}
+    for bad, where in (
+        ({**edge, "p": "2", "q": " 1.5 "}, "'p'"),
+        ({**edge, "q": " 1.5 "}, "'q'"),
+        ({**edge, "p": True}, "'p'"),
+        ({**edge, "q": None}, "'q'"),
+        ({**weighted, "states": ["0", 1]}, "'states' entry"),
+        ({**weighted, "states": "01"}, "'states' entry"),
+        ({**weighted, "states": [0, False]}, "'states' entry"),
+        ({**weighted, "generator": [[-1, "1"], [1, -1]]}, "'generator' entry"),
+        ({**weighted, "generator": [[-1, 1], [True, -1]]}, "'generator' entry"),
+    ):
+        with pytest.raises(SpecFormatError, match=f"edges\\[0\\]: {where} must be a number"):
+            spec_from_dict({"n": 3, "edges": [bad]})
     spec = spec_from_dict({"n": 3.0, "edges": [{**edge, "i": 1.0, "j": 3}]})
     assert spec.n == 3 and (spec.edges[0].i, spec.edges[0].j) == (1, 3)
     with pytest.raises(SpecFormatError):
@@ -295,7 +317,6 @@ def test_spec_from_dict_diagnostics():
         spec_from_dict({"n": 2, "edges": [{"i": 1, "j": 2, "p": 10**400, "q": 1}]})
     # every object has a fixed set of fields: a misspelled, extra or missing
     # one is refused and named, never dropped or defaulted
-    weighted = {"i": 1, "j": 3, "states": [0, 1], "generator": [[-1, 1], [1, -1]]}
     for bad, message in (
         ({"n": 3, "edge": [edge]}, "top level: unknown field 'edge'"),
         ({"n": 3}, "top level: missing field 'edges'"),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -17,9 +18,6 @@ from .ensembles import (
     CommunitySpec,
     PowerLawSpec,
     as_switched_network,
-    community_stats,
-    degree_sequence,
-    expected_degree_stats,
     load_network,
     summarize,
 )
@@ -44,7 +42,6 @@ from .stability import (
     check_sufficient,
     expected_degree_lambda_max,
     minimize_penalty,
-    sufficient_lhs,
 )
 
 # Built-in worked examples with rounded reference values and the relative
@@ -224,21 +221,20 @@ def _compare_reference(computed: dict, reference: dict) -> tuple[list[dict], boo
 
 
 def _cmd_example(args, out: Optional[Path], started: float) -> int:
-    if args.name == "community":
-        ens = COMMUNITY_EXAMPLE
-        summary = community_stats(ens)
-        pm, lhs = sufficient_lhs(summary)
-        computed = {
-            "lambda_max": summary.lambda_max_abar,
-            "delta_uncertainty": summary.delta_uncertainty,
-            "f_min": pm.f_min,
-            "s_star": pm.s_star,
-            "lhs": lhs,
-        }
-        parameters = {
-            "n1": ens.n1, "n2": ens.n2,
-            "theta1": ens.theta1, "theta2": ens.theta2, "phi": ens.phi,
-        }
+    ens = COMMUNITY_EXAMPLE if args.name == "community" else POWERLAW_EXAMPLE
+    summary = summarize(ens)
+    pm, seq = summary.penalty, summary.degrees
+    certificate = {
+        "lambda_max": (summary.lambda_max_abar if seq is None
+                       else expected_degree_lambda_max(seq)),
+        "delta_uncertainty": summary.delta_uncertainty,
+        "f_min": pm.f_min,
+        "s_star": pm.s_star,
+        "lhs": summary.lhs,
+    }
+    parameters = dataclasses.asdict(ens)
+    if seq is None:
+        computed = certificate
         reference = COMMUNITY_REFERENCE
         notes = [
             *summary.notes,
@@ -246,27 +242,15 @@ def _cmd_example(args, out: Optional[Path], started: float) -> int:
             "s >= 0 (the only reading that yields a meaningful threshold)",
         ]
     else:
-        ens = POWERLAW_EXAMPLE
-        degrees = degree_sequence(ens)
-        summary = expected_degree_stats(degrees)
-        pm, lhs = sufficient_lhs(summary)
         computed = {
             "coefficient": ens.coefficient,
             "offset": ens.offset,
-            "max_degree": float(degrees.block(0, 1)[0]),
-            "mean_degree": degrees.d1 / degrees.n,
+            "max_degree": float(seq.block(0, 1)[0]),
+            "mean_degree": seq.d1 / seq.n,
             "d_tilde": summary.d_tilde,
-            "lambda_max": expected_degree_lambda_max(degrees),
-            "delta_uncertainty": summary.delta_uncertainty,
-            "f_min": pm.f_min,
-            "s_star": pm.s_star,
-            "lhs": lhs,
+            **certificate,
             "max_pair_prob": summary.max_pair_prob,
             "invalid_pairs": summary.invalid_pairs,
-        }
-        parameters = {
-            "n": ens.n, "exponent": ens.exponent,
-            "max_degree": ens.max_degree, "avg_degree": ens.avg_degree,
         }
         reference = POWERLAW_REFERENCE
         notes = [

@@ -116,10 +116,6 @@ def community_stats(spec: CommunitySpec) -> AbarSummary:
         lambda_max_abar=float(lam),
         delta_uncertainty=float(max(row1, row2)),
         network_kind="binary",
-        test="spectral-penalty",
-        d_tilde=None,
-        max_pair_prob=None,
-        invalid_pairs=0,
         notes=("two-community closed form (exact quotient eigenvalue)",),
     )
 
@@ -232,11 +228,10 @@ def expected_degree_stats(seq: DegreeSequence) -> AbarSummary:
         lambda_max_abar=d_tilde,
         delta_uncertainty=delta_u,
         network_kind="expected-degree",
-        test="expected-degree",
-        d_tilde=d_tilde,
+        notes=notes,
         max_pair_prob=max_pair,
         invalid_pairs=invalid,
-        notes=notes,
+        degrees=seq,
     )
 
 
@@ -401,20 +396,16 @@ def as_switched_network(
 
 
 def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:
-    """The sufficient test's inputs for any model: an explicit spec from its
-    dense stationary moments, an ensemble from its closed form."""
+    """The sufficient test's certificate for any model, priced once: an
+    explicit spec from its dense stationary moments, an ensemble from its
+    closed form.  ``analyze``, ``example`` and ``oracle`` all read it."""
     if isinstance(model, SwitchedNetworkSpec):
         stats = stationary_stats(model)
         return AbarSummary(
             n=model.n,
             lambda_max_abar=lambda_max_dense(stats.abar),
             delta_uncertainty=stats.delta_uncertainty,
-            network_kind=stats.kind,
-            test="spectral-penalty",
-            d_tilde=None,
-            max_pair_prob=None,
-            invalid_pairs=0,
-            notes=(),
+            network_kind=model.kind,
         )
     if isinstance(model, CommunitySpec):
         return community_stats(model)

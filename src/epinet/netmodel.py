@@ -307,7 +307,6 @@ class StationaryStats:
 
     abar: np.ndarray
     delta_uncertainty: float
-    kind: str
 
 
 def check_dense_size(n: int) -> None:
@@ -336,11 +335,7 @@ def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
         abar[a, b] = abar[b, a] = mean
         var_rows[a] += v
         var_rows[b] += v
-    return StationaryStats(
-        abar=abar,
-        delta_uncertainty=float(var_rows.max(initial=0.0)),
-        kind=spec.kind,
-    )
+    return StationaryStats(abar, float(var_rows.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .ensembles import summarize
 from .exact import JointChain, build_joint_chain
 from .netmodel import EdgeChain, SwitchedNetworkSpec, stationary_stats
 from .spectral import lambda_max_dense
-from .stability import _tail_exponent, sufficient_lhs
+from .stability import _tail_exponent
 
 REL_TOL = 1e-8
 
@@ -161,11 +161,10 @@ def random_small_spec(rng: np.random.Generator) -> SwitchedNetworkSpec:
 
 def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     """Run every cross-check on one small instance; the certificate checked
-    is the one ``analyze`` reports, from :func:`epinet.ensembles.summarize`
-    and :func:`epinet.stability.sufficient_lhs`."""
+    is the one ``analyze`` reports: the priced summary that
+    :func:`epinet.ensembles.summarize` builds."""
     summary = summarize(spec)
-    pm, lhs = sufficient_lhs(summary)
-    lam_bar = summary.lambda_max_abar
+    lam_bar, lhs = summary.lambda_max_abar, summary.lhs
     joint = build_joint_chain(spec)
 
     configs = dense_configs(joint)
@@ -194,7 +193,7 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
         m=len(spec.edges),
         lambda_max_abar=lam_bar,
         delta_uncertainty=summary.delta_uncertainty,
-        f_min=pm.f_min,
+        f_min=summary.penalty.f_min,
         lhs_upper=lhs,
         e_lambda_max=e_lam,
         eta_beta1=eta,

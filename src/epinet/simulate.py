@@ -74,7 +74,7 @@ class SimConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.trials < 1:
+        if not self.trials >= 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.horizon / self.step > GRID_STEP_CAP:
             raise ValueError(
@@ -320,7 +320,7 @@ def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n,):
         raise ValueError(f"p0 must have shape ({n},), got {p0.shape}")
-    if p0.min() < 0.0 or p0.max() > 1.0:
+    if not ((p0 >= 0) & (p0 <= 1)).all():
         raise ValueError("p0 entries must lie in [0, 1]")
     return p0
 

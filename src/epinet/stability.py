@@ -19,13 +19,14 @@ smaller of f(0) and the convex piece's minimum, where f' changes sign.  The
 same machinery covers weighted networks (variances of the weight chains) and
 expected-degree ensembles, where lambda_max(abar) collapses to the ratio
 d_tilde = sum(d^2) / sum(d).  Every model reaches the test as an
-:class:`AbarSummary` (see :func:`epinet.ensembles.summarize`), and
-:func:`check_sufficient` is the one test.
+:class:`AbarSummary` (see :func:`epinet.ensembles.summarize`), which prices
+the penalty once, at construction, and :func:`check_sufficient` is the one
+test.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -93,7 +94,7 @@ def concentration_penalty(
         raise ValueError(f"n must be >= 1 and <= {PENALTY_N_CAP:g}, got {n}")
     _check_uncertainty(delta_u)
     s_arr = np.asarray(s, dtype=float)
-    if s_arr.min(initial=np.inf) < 0 and s_arr.size:
+    if not (s_arr >= 0).all():
         raise ValueError("penalty is only defined for s >= 0")
     out = s_arr + 2.0 * float(n) * float(n) * np.exp(_tail_exponent(s_arr, delta_u))
     if np.isscalar(s) or np.ndim(s) == 0:
@@ -187,53 +188,69 @@ def minimize_penalty(n: int, delta_u: float) -> PenaltyMinimum:
 
 @dataclass(frozen=True)
 class AbarSummary:
-    """The inputs of the sufficient test for one network model.
+    """The sufficient test's certificate for one network model, priced once.
 
     ``lambda_max_abar`` and ``delta_uncertainty`` (Delta) are the two
     scalars of the certificate, and ``n`` sets the penalty's 2 n^2.  They
     come from :func:`epinet.ensembles.summarize`, for an explicit spec from
-    its dense moments and for an ensemble from a closed form.  An
-    expected-degree summary also carries ``d_tilde`` (its lambda_max_abar),
-    the largest pair probability and the number of pairs above 1; the other
-    models leave them None, None and 0.  ``notes`` record how the scalars
-    were obtained.
+    its dense moments and for an ensemble from a closed form.  Construction
+    refuses a non-finite lambda_max(abar) and sets ``penalty``, the minimum
+    of f for (n, Delta); ``lhs`` is lambda_max(abar) + min f.  A frozen
+    graph (Delta = 0) has no randomness to price: its penalty is zero and
+    lambda_max(abar) is the graph's own eigenvalue.
+
+    An expected-degree summary also carries the largest pair probability,
+    the number of pairs above 1 and the ``degrees`` stream it was read
+    from; the other models leave them None, 0 and None.  ``notes`` record
+    how the scalars were obtained.
     """
 
     n: int
     lambda_max_abar: float
     delta_uncertainty: float
     network_kind: str
-    test: str
-    d_tilde: Optional[float]
-    max_pair_prob: Optional[float]
-    invalid_pairs: int
-    notes: tuple[str, ...]
+    notes: tuple[str, ...] = ()
+    max_pair_prob: Optional[float] = None
+    invalid_pairs: int = 0
+    degrees: Optional[DegreeSequence] = field(default=None, compare=False, repr=False)
+    penalty: PenaltyMinimum = field(init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.lambda_max_abar):
+            raise ValueError(
+                f"lambda_max(abar) must be finite, got {self.lambda_max_abar}"
+            )
+        if self.delta_uncertainty == 0.0:
+            pm = PenaltyMinimum(
+                n=self.n, delta_uncertainty=0.0, f_min=0.0, s_star=0.0, s0=0.0
+            )
+        else:
+            pm = minimize_penalty(self.n, self.delta_uncertainty)
+        object.__setattr__(self, "penalty", pm)
 
-def sufficient_lhs(summary: AbarSummary) -> tuple[PenaltyMinimum, float]:
-    """The penalty minimum for the summary's (n, Delta) and the left-hand
-    side lambda_max(abar) + f_min of the certificate.
+    @property
+    def lhs(self) -> float:
+        return self.lambda_max_abar + self.penalty.f_min
 
-    A frozen graph (Delta = 0) has no randomness to price: its penalty is
-    zero and lambda_max(abar) is the graph's own eigenvalue.
-    """
-    if not math.isfinite(summary.lambda_max_abar):
-        raise ValueError(
-            f"lambda_max(abar) must be finite, got {summary.lambda_max_abar}"
-        )
-    if summary.delta_uncertainty == 0.0:
-        pm = PenaltyMinimum(
-            n=summary.n, delta_uncertainty=0.0, f_min=0.0, s_star=0.0, s0=0.0
-        )
-    else:
-        pm = minimize_penalty(summary.n, summary.delta_uncertainty)
-    return pm, summary.lambda_max_abar + pm.f_min
+    @property
+    def test(self) -> str:
+        if self.network_kind == "expected-degree":
+            return "expected-degree"
+        return "spectral-penalty"
+
+    @property
+    def d_tilde(self) -> Optional[float]:
+        """sum(d^2) / sum(d), the lambda_max_abar of an expected-degree
+        summary; None for the other models."""
+        if self.network_kind == "expected-degree":
+            return self.lambda_max_abar
+        return None
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of one sufficient stability test: the model's summary, the
-    penalty minimum priced for it and the epidemic parameters.
+    """Outcome of one sufficient stability test: the model's priced summary
+    and the epidemic parameters.
 
     ``stable=True`` certifies almost-sure extinction; ``stable=False`` means
     the test was inconclusive, not that the epidemic survives.  The one
@@ -242,12 +259,11 @@ class StabilityReport:
     """
 
     summary: AbarSummary
-    penalty: PenaltyMinimum
     params: EpidemicParams
 
     @property
     def lhs(self) -> float:
-        return self.summary.lambda_max_abar + self.penalty.f_min
+        return self.summary.lhs
 
     @property
     def stable(self) -> bool:
@@ -267,7 +283,7 @@ class StabilityReport:
         return self.summary.notes
 
     def to_dict(self) -> dict:
-        sm, pm = self.summary, self.penalty
+        sm, pm = self.summary, self.summary.penalty
         return {
             "test": sm.test,
             "network_kind": sm.network_kind,
@@ -293,8 +309,7 @@ class StabilityReport:
 def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityReport:
     """The sufficient extinction test lambda_max(abar) + min f < delta / beta
     (strict), for every network model alike."""
-    pm, _ = sufficient_lhs(summary)
-    return StabilityReport(summary=summary, penalty=pm, params=params)
+    return StabilityReport(summary, params)
 
 
 def _block_bounds(n: int, start: int = 0) -> Iterator[tuple[int, int]]:

@@ -273,11 +273,21 @@ def test_analyze_malformed_spec(tmp_path, capsys):
         ({**community, "phi": "0.2"}, "field 'phi' must be a number"),
         ({**power_law, "avg_degree": True}, "field 'avg_degree' must be a number"),
         ({**degrees, "degrees": ["1", "2", True]}, "'degrees' entry must be a number"),
+        # the graph as a whole: its size, its edge list and its edges together
+        ({"n": 0, "edges": []}, "need at least one vertex, got n=0"),
+        ({"n": 3, "edges": {}}, "field 'edges' must be a list"),
+        ({"n": 3, "edges": [edge, {**edge, "i": 2, "j": 1}]}, "duplicate edge (1, 2)"),
+        ({"n": 2, "edges": [{**edge, "j": 3}]}, "beyond n=2"),
+        ({"n": 3, "edges": [{"i": 1, "j": 2, "states": [], "generator": []}]},
+         "edges[0]: edge (1, 2): needs at least one state"),
+        ({"n": 3, "edges": [edge, {"i": 2, "j": 3, **generator}]}, "cannot mix"),
     ):
         bad.write_text(json.dumps(data))
         code = main(["analyze", "--spec", str(bad), "--beta", "0.2", "--delta", "1.5"])
         assert code == 1
         assert message in capsys.readouterr().err
+    assert main(["oracle", "--trials", "0"]) == 1
+    assert "count must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

@@ -190,7 +190,7 @@ def test_stationary_stats_hand_example():
     assert np.all(np.diag(stats.abar) == 0.0)
     # row 1 carries both variances: 0.25 + 0.1875
     assert stats.delta_uncertainty == pytest.approx(0.4375, abs=1e-14)
-    assert stats.kind == "binary"
+    assert spec.kind == "binary"
 
 
 def test_stationary_stats_edgeless():

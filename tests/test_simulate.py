@@ -263,8 +263,9 @@ def test_config_validation():
         SimConfig(horizon=0.0, step=0.1)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, step=-0.1)
-    with pytest.raises(ValueError):
-        SimConfig(horizon=1.0, step=0.1, trials=0)
+    for trials in (0, math.nan):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            SimConfig(horizon=1.0, step=0.1, trials=trials)
     spec = switching_spec()
     params = EpidemicParams(beta=1.0, delta=1.0)
     cfg = SimConfig(horizon=1.0, step=0.1)
@@ -272,6 +273,15 @@ def test_config_validation():
         simulate_path(spec, params, cfg, p0=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="0, 1"):
         simulate_path(spec, params, cfg, p0=np.array([0.5, 1.5, 0.5]))
+    # a NaN entry is refused before it reaches the integrator
+    nan_p0 = np.array([math.nan, 0.5, 0.5])
+    decay_cfg = SimConfig(horizon=1.0, step=0.1, trials=2)
+    for run in (lambda: simulate_path(spec, params, cfg, p0=nan_p0),
+                lambda: simulate_linear_path(spec, params, cfg, p0=nan_p0),
+                lambda: simulate_coupled(spec, params, cfg, p0=nan_p0),
+                lambda: estimate_decay(spec, params, decay_cfg, p0=nan_p0)):
+        with pytest.raises(ValueError, match=r"p0 entries must lie in \[0, 1\]"):
+            run()
 
 
 def test_estimate_decay_stable_instance():

@@ -75,8 +75,9 @@ def test_penalty_underflow_clamp_keeps_finite():
 
 
 def test_penalty_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        concentration_penalty(-1.0, 5, 1.0)
+    for bad_s in (-1.0, math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="s >= 0"):
+            concentration_penalty(bad_s, 5, 1.0)
     with pytest.raises(ValueError):
         concentration_penalty(1.0, 0, 1.0)
     for huge_n in (10**160, 10**400):  # 2 n^2 overflows, or float(n) does
@@ -325,17 +326,12 @@ def _summary(n, lambda_max_abar, delta_u):
         lambda_max_abar=lambda_max_abar,
         delta_uncertainty=delta_u,
         network_kind="binary",
-        test="spectral-penalty",
-        d_tilde=None,
-        max_pair_prob=None,
-        invalid_pairs=0,
-        notes=(),
     )
 
 
 def test_frozen_graph_report_is_exact_branch():
     rep = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=2.0))
-    pm = rep.penalty
+    pm = rep.summary.penalty
     assert pm.f_min == 0.0 and pm.s_star == 0.0 and pm.s0 == 0.0
     assert rep.lhs == 1.5
     assert rep.stable
@@ -392,7 +388,7 @@ def test_weighted_binary_valued_chain_matches_binary_test():
     sw, sb = rw.summary, rb.summary
     assert sw.lambda_max_abar == pytest.approx(sb.lambda_max_abar, abs=1e-12)
     assert sw.delta_uncertainty == pytest.approx(sb.delta_uncertainty, abs=1e-12)
-    assert rw.penalty.f_min == pytest.approx(rb.penalty.f_min, rel=1e-12)
+    assert sw.penalty.f_min == pytest.approx(sb.penalty.f_min, rel=1e-12)
     assert rw.stable == rb.stable
     assert sw.network_kind == "weighted" and sb.network_kind == "binary"
 

@@ -9,7 +9,9 @@ between the enumerated stationary law and the closed-form edge moments.
 It also holds the dense reference for the exact test: the adjacency
 matrices of all N configurations, the N x N joint generator, the direct
 solve of its stationary law, the dense nN x nN mean-dynamics matrix and its
-eigenvalues.  Like the rest of this module it needs numpy only.
+abscissa: eigvalsh of the symmetrized matrix when the joint chain is
+reversible, eigvals otherwise.  Like the rest of this module it needs numpy
+only.
 """
 from __future__ import annotations
 
@@ -39,46 +41,68 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     """Dense N x N joint generator, the Kronecker sum
     sum_e I x ... x Q_e x ... x I of the edge generators.
 
-    Checks the chain's product-form stationary law against a direct solve
-    of pi Pi = 0 to 1e-12, which guards the enumeration order and the
-    solver both.
+    Checks the chain's product-form stationary law pi against a direct
+    solve of pi Pi = 0, to 1e-12 times the spread of the rates (the largest
+    |Pi| entry over the smallest positive rate), and its residual pi Pi to
+    1e-12 max|Pi|, which guards the enumeration order and the solver both.
     """
     mats = [e.rate_matrix for e in joint.edges]
     gen = mats[0]
     for q in mats[1:]:
         gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)
-    size = gen.shape[0]
+    size, scale = gen.shape[0], float(np.abs(gen).max())
     if size == 1:
-        solved = np.ones(1)
+        solved, tol = np.ones(1), 1e-12
     else:
         system = gen.T.copy()
         system[-1, :] = 1.0
         rhs = np.zeros(size)
         rhs[-1] = 1.0
         solved = np.linalg.solve(system, rhs)
-    if float(np.abs(joint.stationary - solved).max()) > 1e-12:
+        # The solve's error is about eps * cond, and cond grows with the rate
+        # spread: 1.4 r on the path whose two edges switch at rates r and 1.
+        tol = 1e-12 * scale / float(gen[gen > 0].min())
+    if float(np.abs(joint.stationary - solved).max()) > tol:
         raise RuntimeError(
             "stationary laws from the product form and the direct solve "
             "disagree; joint-chain construction is inconsistent"
         )
-    if float(np.abs(joint.stationary @ gen).max()) > 1e-12:
-        raise RuntimeError("stationary residual pi @ generator exceeds 1e-12")
+    if float(np.abs(joint.stationary @ gen).max()) > 1e-12 * scale:
+        raise RuntimeError("stationary residual pi @ generator exceeds 1e-12 max|Pi|")
     return gen
 
 
 def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
     """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
-    n = joint.n
-    mat = np.kron(dense_generator(joint).T, np.eye(n))
-    for k, config in enumerate(dense_configs(joint)):
-        mat[k * n:(k + 1) * n, k * n:(k + 1) * n] += beta * config
-    return mat
+    n, size = joint.n, joint.n_configs
+    mat = np.zeros((size, n, size, n))
+    vertex, config = np.arange(n), np.arange(size)
+    mat[:, vertex, :, vertex] = dense_generator(joint).T
+    mat[config, :, config, :] += beta * dense_configs(joint)
+    return mat.reshape(size * n, size * n)
 
 
 def dense_abscissa(joint: JointChain, beta: float) -> float:
-    """Mean-stability abscissa eta by dense eigvals: the reference for
-    :func:`epinet.exact.exact_mean_stable`."""
-    return float(np.linalg.eigvals(dense_stability_matrix(joint, beta)).real.max())
+    """Mean-stability abscissa eta: the reference for
+    :func:`epinet.exact.exact_mean_stable`.
+
+    A reversible joint chain (every binary or birth-death edge) with a
+    positive stationary law pi makes S = D^-1 M D symmetric, D = diag(sqrt
+    pi) x I, and S is similar to M, so eta is eigvalsh's top eigenvalue of
+    S.  Any other chain, or an S that overflows or is not symmetric to
+    rounding, takes the top real part of M's dense eigvals.
+    """
+    mat = dense_stability_matrix(joint, beta)
+    if joint.stationary.min() > 0:
+        root = np.repeat(np.sqrt(joint.stationary), joint.n)
+        with np.errstate(over="ignore"):
+            sym = mat * root
+            sym /= root[:, None]
+        scale = max(sym.max(), -sym.min())
+        # S - S^T is antisymmetric to the bit, so its max is its max modulus.
+        if np.isfinite(scale) and (sym - sym.T).max() <= 1e-12 * scale:
+            return float(np.linalg.eigvalsh(sym)[-1])
+    return float(np.linalg.eigvals(mat).real.max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -299,7 +299,8 @@ def test_stability_matrix_against_bruteforce_kron():
 
 def test_krylov_eta_matches_dense_reference():
     # every spec of the default oracle suite, whose eta_beta1 is the dense
-    # eigvals reference, plus one 5-vertex, 9-edge spec (2560 rows)
+    # reference (eigvalsh of the symmetrized matrix, as every spec is
+    # binary), plus one 5-vertex, 9-edge spec (2560 rows)
     reports = run_sandwich_suite(count=100, seed=0)
     rng = np.random.default_rng(0)
     params = EpidemicParams(beta=1.0, delta=1.0)

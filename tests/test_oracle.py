@@ -3,10 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from epinet.netmodel import EdgeChain, EpidemicParams, SwitchedNetworkSpec
+from epinet.exact import JointChain, build_joint_chain
+from epinet.netmodel import (
+    EdgeChain,
+    EpidemicParams,
+    SwitchedNetworkSpec,
+    WeightedEdgeChain,
+)
 from epinet.oracle import (
     check_instance,
     check_tail_bound,
+    dense_abscissa,
+    dense_generator,
+    dense_stability_matrix,
     random_small_spec,
     run_sandwich_suite,
     suite_summary,
@@ -125,3 +134,82 @@ def test_suite_summary_counts_failures():
     summary = suite_summary(reports)
     assert summary["passed"] == 2
     assert summary["failures"] == 1
+
+
+def _weighted_spec(generator):
+    # a 3-state chain on (1, 2) beside a binary-valued one on (2, 3)
+    return SwitchedNetworkSpec(n=3, edges=(
+        WeightedEdgeChain(i=1, j=2, states=(0.0, 0.5, 1.0), generator=generator),
+        WeightedEdgeChain(i=2, j=3, states=(0.0, 1.0), generator=((-1, 1), (2, -2))),
+    ))
+
+
+def _eigvals_abscissa(joint, beta):
+    return float(np.linalg.eigvals(dense_stability_matrix(joint, beta)).real.max())
+
+
+def test_dense_abscissa_symmetric_route_matches_eigvals():
+    # binary and birth-death chains are reversible, so eta comes from
+    # eigvalsh of D^-1 M D; it must match eigvals of M itself
+    rng = np.random.default_rng(3)
+    specs = [random_small_spec(rng) for _ in range(50)]
+    specs.append(_weighted_spec(((-1, 1, 0), (2, -2.5, 0.5), (0, 3, -3))))
+    for spec in specs:
+        joint = build_joint_chain(spec)
+        for beta in (0.1, 1.0, 10.0):
+            eta, ref = dense_abscissa(joint, beta), _eigvals_abscissa(joint, beta)
+            assert abs(eta - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_dense_abscissa_keeps_eigvals_off_reversible_chains():
+    # a cyclic chain is not reversible; a frozen edge (p = 0) leaves its
+    # present state transient with stationary weight 0, and that block holds
+    # eta = beta - q
+    cyclic = build_joint_chain(_weighted_spec(((-1, 1, 0), (0, -2, 2), (3, 0, -3))))
+    frozen = build_joint_chain(SwitchedNetworkSpec(
+        n=2, edges=(EdgeChain(i=1, j=2, p_rate=0.0, q_rate=0.01),)))
+    for joint in (cyclic, frozen):
+        assert dense_abscissa(joint, 0.7) == _eigvals_abscissa(joint, 0.7)
+    assert dense_abscissa(frozen, 0.7) == pytest.approx(0.69, rel=1e-12)
+
+
+def test_suite_makes_no_nonsymmetric_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called on a binary spec")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert all(r.passed for r in run_sandwich_suite(count=25, seed=0))
+
+
+def _scaled(spec, factor):
+    return SwitchedNetworkSpec(n=spec.n, edges=tuple(
+        EdgeChain(i=e.i, j=e.j, p_rate=e.p_rate * factor, q_rate=e.q_rate * factor)
+        for e in spec.edges))
+
+
+def test_dense_generator_accepts_stiff_chains():
+    # the residual check is relative to max|Pi| and the solve check grows
+    # with the rate spread, so fast but valid chains are not refused
+    rng = np.random.default_rng(0)
+    for spec in [random_small_spec(rng) for _ in range(300)]:
+        for factor in (1e-4, 1e4):
+            dense_generator(build_joint_chain(_scaled(spec, factor)))
+    for rate in (1e6, 1e8, 1e10):
+        dense_generator(build_joint_chain(SwitchedNetworkSpec(n=3, edges=(
+            EdgeChain(i=1, j=2, p_rate=rate, q_rate=rate),
+            EdgeChain(i=2, j=3, p_rate=1.0, q_rate=1.0),
+        ))))
+
+
+@pytest.mark.parametrize("rate, message", [(1.0, "disagree"), (1e13, "residual")])
+def test_dense_generator_refuses_a_misordered_stationary_law(rate, message):
+    # at a rate spread of 6e13 the solve comparison admits anything, and the
+    # residual check alone refuses
+    joint = build_joint_chain(SwitchedNetworkSpec(n=3, edges=(
+        EdgeChain(i=1, j=2, p_rate=rate, q_rate=3.0 * rate),
+        EdgeChain(i=2, j=3, p_rate=2.0, q_rate=0.5),
+    )))
+    swapped = joint.stationary[[1, 0, 2, 3]]
+    assert swapped[0] != swapped[1]
+    with pytest.raises(RuntimeError, match=message):
+        dense_generator(JointChain(n=joint.n, edges=joint.edges, stationary=swapped))

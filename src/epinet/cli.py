@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -19,14 +20,16 @@ from .ensembles import (
     PowerLawSpec,
     as_switched_network,
     load_network,
+    realized_pairs,
     summarize,
 )
 from .exact import (
     build_joint_chain,
+    check_joint_size,
     exact_mean_stable,
     expected_lambda_max,
 )
-from .netmodel import EpidemicParams, SpecFormatError
+from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec
 from .oracle import run_sandwich_suite, suite_summary
 from .simulate import (
     SimConfig,
@@ -99,6 +102,10 @@ def _write_json(path: Path, obj) -> None:
 
 def _attempt_exact(model, params: EpidemicParams) -> dict:
     try:
+        if not isinstance(model, SwitchedNetworkSpec):
+            # an ensemble is refused from its pair count, before any chain
+            count = len(realized_pairs(model)[0])
+            check_joint_size(model.n, itertools.repeat(2, count), count)
         joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
@@ -107,6 +114,8 @@ def _attempt_exact(model, params: EpidemicParams) -> dict:
             "n_configs": joint.n_configs,
             "eta": res.eta,
             "mean_stable": res.mean_stable,
+            "solver": res.solver,
+            "matvecs": res.matvecs,
             "e_lambda_max": e_lam,
             "e_lambda_max_stable": e_lam < params.threshold,
         }
@@ -114,7 +123,7 @@ def _attempt_exact(model, params: EpidemicParams) -> dict:
         return {"status": "skipped", "reason": str(exc)}
 
 
-def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
+def _cmd_analyze(args, out: Optional[Path], started: float, manifest: dict) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
     model = load_network(args.spec)
     report = check_sufficient(summarize(model), params)
@@ -127,6 +136,7 @@ def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
         "exact": exact_info,
     }
     if exact_info["status"] == "ok":
+        manifest["exact"] = {k: exact_info[k] for k in ("solver", "matvecs")}
         verdict = "mean-stable" if exact_info["mean_stable"] else "not-mean-stable"
         print(
             f"exact test: eta = {exact_info['eta']:.9g}, delta = {params.delta:g} "
@@ -147,7 +157,7 @@ def _cmd_analyze(args, out: Optional[Path], started: float) -> int:
     return 0
 
 
-def _cmd_simulate(args, out: Optional[Path], started: float) -> int:
+def _cmd_simulate(args, out: Optional[Path], started: float, manifest: dict) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
     spec = as_switched_network(load_network(args.spec))
     step = args.step if args.step is not None else default_step(spec, params)
@@ -220,7 +230,7 @@ def _compare_reference(computed: dict, reference: dict) -> tuple[list[dict], boo
     return rows, all_ok
 
 
-def _cmd_example(args, out: Optional[Path], started: float) -> int:
+def _cmd_example(args, out: Optional[Path], started: float, manifest: dict) -> int:
     ens = COMMUNITY_EXAMPLE if args.name == "community" else POWERLAW_EXAMPLE
     summary = summarize(ens)
     pm, seq = summary.penalty, summary.degrees
@@ -285,7 +295,7 @@ def _cmd_example(args, out: Optional[Path], started: float) -> int:
     return 0 if all_ok else 2
 
 
-def _cmd_oracle(args, out: Optional[Path], started: float) -> int:
+def _cmd_oracle(args, out: Optional[Path], started: float, manifest: dict) -> int:
     reports = run_sandwich_suite(count=args.trials, seed=args.seed)
     summary = suite_summary(reports)
     for k, rep in enumerate(reports):
@@ -307,7 +317,7 @@ def _cmd_oracle(args, out: Optional[Path], started: float) -> int:
     return 0 if summary["failures"] == 0 else 2
 
 
-def _cmd_minimize(args, out: Optional[Path], started: float) -> int:
+def _cmd_minimize(args, out: Optional[Path], started: float, manifest: dict) -> int:
     pm = minimize_penalty(args.n, args.uncertainty)
     result = {
         "n": pm.n,
@@ -395,23 +405,25 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     """Run one command.  With ``--out`` the directory is created first, and
-    ``manifest.json`` is written once the command has returned; a command
-    that raises (exit 1 or 2) leaves no manifest."""
+    ``manifest.json`` is written once the command has returned, with the
+    fields the command added (``analyze``: the solver that decided eta and
+    its matvec count); a command that raises (exit 1 or 2) leaves no
+    manifest."""
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         out = None if args.out is None else Path(args.out)
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        code = args.func(args, out, started)
+        manifest = {
+            "tool": "epinet",
+            "version": __version__,
+            "command": args.command,
+            "argv": sys.argv[1:],
+        }
+        code = args.func(args, out, started, manifest)
         if out is not None:
-            manifest = {
-                "tool": "epinet",
-                "version": __version__,
-                "command": args.command,
-                "argv": sys.argv[1:],
-                "elapsed_s": time.perf_counter() - started,
-            }
+            manifest["elapsed_s"] = time.perf_counter() - started
             _write_json(out / "manifest.json", manifest)
         return code
     except (SpecFormatError, ValueError, OSError) as exc:

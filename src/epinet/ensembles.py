@@ -27,13 +27,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .netmodel import (
     EdgeChain,
     SpecFormatError,
+    StationaryStats,
     SwitchedNetworkSpec,
     as_integer,
     as_real,
@@ -359,17 +360,12 @@ def load_network(path: Union[str, Path]) -> Union[SwitchedNetworkSpec, EnsembleS
     return spec_from_dict(data)
 
 
-def as_switched_network(
-    model: Union[SwitchedNetworkSpec, EnsembleSpec]
-) -> SwitchedNetworkSpec:
-    """An explicit spec as it is; an ensemble of at most REALIZE_N_CAP
-    vertices realized edge by edge: each pair i < j with abar_ij > 0 gets a
-    binary chain with rates p = abar_ij and q = 1 - abar_ij, whose stationary
-    edge probability is abar_ij again.  The size is checked before any
-    degree sequence or abar is built; pair probabilities above 1 (an
-    expected-degree model with large hubs) are refused."""
-    if isinstance(model, SwitchedNetworkSpec):
-        return model
+def realized_pairs(model: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j (0-based rows and columns) with abar_ij > 0 of an
+    ensemble of at most REALIZE_N_CAP vertices, and their abar_ij.  The
+    size is checked before any degree sequence or abar is built; pair
+    probabilities above 1 (an expected-degree model with large hubs) are
+    refused."""
     if model.n > REALIZE_N_CAP:
         raise ValueError(
             f"ensemble has n={model.n} > {REALIZE_N_CAP}; too large to "
@@ -390,17 +386,34 @@ def as_switched_network(
             f"edge probabilities abar_ij must lie in [0, 1], but they exceed 1 (max "
             f"{top:.6g}); this ensemble cannot be realized as a switched network"
         )
+    keep = probs > 0.0
+    return rows[keep], cols[keep], probs[keep]
+
+
+def as_switched_network(
+    model: Union[SwitchedNetworkSpec, EnsembleSpec]
+) -> SwitchedNetworkSpec:
+    """An explicit spec as it is; an ensemble realized edge by edge from
+    :func:`realized_pairs`: each pair with abar_ij > 0 gets a binary chain
+    with rates p = abar_ij and q = 1 - abar_ij, whose stationary edge
+    probability is abar_ij again."""
+    if isinstance(model, SwitchedNetworkSpec):
+        return model
+    rows, cols, probs = realized_pairs(model)
     edges = [EdgeChain(i=i + 1, j=j + 1, p_rate=a, q_rate=1.0 - a)
-             for i, j, a in zip(rows.tolist(), cols.tolist(), probs.tolist()) if a > 0.0]
+             for i, j, a in zip(rows.tolist(), cols.tolist(), probs.tolist())]
     return SwitchedNetworkSpec(n=model.n, edges=tuple(edges))
 
 
-def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec]) -> AbarSummary:
+def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec],
+              stats: Optional[StationaryStats] = None) -> AbarSummary:
     """The sufficient test's certificate for any model, priced once: an
-    explicit spec from its dense stationary moments, an ensemble from its
-    closed form.  ``analyze``, ``example`` and ``oracle`` all read it."""
+    explicit spec from its dense stationary moments (``stats``, when the
+    caller already holds them), an ensemble from its closed form.
+    ``analyze``, ``example`` and ``oracle`` all read it."""
     if isinstance(model, SwitchedNetworkSpec):
-        stats = stationary_stats(model)
+        if stats is None:
+            stats = stationary_stats(model)
         return AbarSummary(
             n=model.n,
             lambda_max_abar=lambda_max_dense(stats.abar),

@@ -12,30 +12,39 @@ configuration k.  The epidemic is mean stable exactly when the spectral
 abscissa of that matrix stays below the recovery rate delta.  Pi is a
 Kronecker sum of the per-edge generators and A_k a sum of per-edge terms,
 so :class:`StabilityOperator` applies the matrix from those factors without
-storing it, and ARPACK finds its abscissa.  The size is still exponential
-in m, so :func:`build_joint_chain` refuses an instance past a cap on the
-rows before it builds anything.  It is the ground truth the scalable bounds
-are checked against; the dense reference lives in :mod:`epinet.oracle`.
+storing it.  When every edge chain is reversible, the operator applies the
+symmetric matrix D^-1 M D, D = diag(sqrt pi) x I_n, which is similar to M,
+and a numpy Lanczos finds its abscissa; ARPACK finds that of any other
+chain.  The size is still exponential in m, so :func:`check_joint_size`
+refuses an instance past a cap on the rows before anything is built.  It
+is the ground truth the scalable bounds are checked against; the dense
+reference lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight
-from .spectral import spectral_abscissa
+from .spectral import lanczos_abscissa, lanczos_tolerance, spectral_abscissa
 
-# Cap on the rows n * N, the length of the 20 vectors ARPACK keeps; every
-# other array of the route is a few vectors or one block.  A binary spec
-# meets it at 17 edges, which need 7 vertices: 7 * 2^17 > 2^19.
+# Cap on the rows n * N, the length of the 21 basis vectors Lanczos keeps
+# (ARPACK keeps 20 and its workspace); every other array of the route is a
+# few vectors or one block.  A binary spec meets it at 17 edges, which need
+# 7 vertices: 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
-# ARPACK may exceed the column-sum bound on eta by this much, relative to the
-# larger of the bound and delta: a frozen regular graph sits on the bound, and
-# with rates of 1e6 its computed eta exceeds it by up to 2.5e-7 relative.
+# The eigensolver may exceed the column-sum bound on eta by this much,
+# relative to the larger of the bound and delta: a frozen regular graph sits
+# on the bound, and with rates of 1e6 its computed eta exceeds it by up to
+# 2.5e-7 relative.
 ETA_BOUND_RTOL = 1e-6
+# An edge chain is reversible when its probability fluxes pi_a Q_ab and
+# pi_b Q_ba agree to this relative tolerance and every pi_a is positive.
+BALANCE_RTOL = 1e-12
 # Consecutive edges share one dense generator while their joint state count
 # stays at most this, so a product passes over the vector once per group.
 GROUP_STATES = 16
@@ -67,28 +76,49 @@ class JointChain:
         return self.stationary.shape[0]
 
 
+def check_joint_size(n: int, dims: Iterable[int], edge_count: int) -> None:
+    """Refuse a joint chain of more than JOINT_DIM_CAP rows n * prod(dims).
+
+    The check runs in integer arithmetic, state count by state count, and
+    stops at the one that crosses the cap, so ``dims`` may be lazy;
+    ``edge_count`` is the number of edges the message names.
+    """
+    n_configs = 1
+    for states in dims:
+        n_configs *= states
+        if n * n_configs > JOINT_DIM_CAP:
+            raise ValueError(
+                f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
+                f"({edge_count} edges; the count grows exponentially with the "
+                "edge count), so the stability matrix would exceed "
+                f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
+            )
+
+
 def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
     The configuration count N = prod_e K_e grows exponentially, so the row
-    cap is checked first, in integer arithmetic, edge by edge: a refusal
-    stops at the edge that crosses it.  The stationary law is the tensor
-    product of the per-edge laws, because the edges switch independently.
+    cap is checked first (:func:`check_joint_size`), edge by edge: a
+    refusal stops at the edge that crosses it.  The stationary law is the
+    tensor product of the per-edge laws, because the edges switch
+    independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
-    n, n_configs = spec.n, 1
-    for edge in spec.edges:
-        n_configs *= len(edge.values)
-        if n * n_configs > JOINT_DIM_CAP:
-            raise ValueError(
-                f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
-                f"({len(spec.edges)} edges; the count grows exponentially with the "
-                "edge count), so the stability matrix would exceed "
-                f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
-            )
+    check_joint_size(spec.n, (len(e.values) for e in spec.edges), len(spec.edges))
     stationary = functools.reduce(np.kron, [e.stationary for e in spec.edges])
-    return JointChain(n=n, edges=spec.edges, stationary=stationary)
+    return JointChain(n=spec.n, edges=spec.edges, stationary=stationary)
+
+
+def _reversible(edge: AnyEdge) -> bool:
+    """Detailed balance pi_a Q_ab = pi_b Q_ba, to BALANCE_RTOL relative, with
+    every pi_a > 0.  Binary edges with p, q > 0 and birth-death chains pass;
+    cyclic chains and frozen edges (a state of weight 0) do not."""
+    pi = edge.stationary
+    flux = pi[:, None] * edge.rate_matrix
+    return bool(pi.min() > 0.0 and np.all(
+        np.abs(flux - flux.T) <= BALANCE_RTOL * np.maximum(np.abs(flux), np.abs(flux.T))))
 
 
 class StabilityOperator:
@@ -97,11 +127,16 @@ class StabilityOperator:
     A vector is an array of shape (K_1, ..., K_m, n) in the row order of the
     matrix.  Edge {i, j} adds beta w(state) times the entries at j to those
     at i, and back; each run of edges of at most ``GROUP_STATES`` joint
-    states is one product with its dense Kronecker sum.  ``offdiagonal_min``
-    (at most 0) and ``entry_max`` come from the factors, for the Metzler
-    guard of :func:`epinet.spectral.spectral_abscissa`; ``column_sum_max``,
-    beta max_v sum_{e on v} max_a w_e(a), is the largest column sum; one
-    that overflows is refused.
+    states is one product with its dense Kronecker sum.  When every edge
+    chain is reversible (``symmetric``), each group's G^T is replaced by the
+    symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), so the operator applies
+    D^-1 M D, D = diag(sqrt pi) x I_n, which has M's eigenvalues; the
+    adjacency adds stay, as D is a scalar on each configuration block.  The
+    scaling keeps the sign pattern, so ``offdiagonal_min`` (at most 0) and
+    ``entry_max``, the Metzler guard of :mod:`epinet.spectral`, read the
+    same from either form; ``column_sum_max``, beta max_v sum_{e on v} max_a
+    w_e(a), is M's largest column sum; one that overflows is refused.
+    ``matvecs`` counts the columns the operator has been applied to.
     """
 
     def __init__(self, joint: JointChain, beta: float) -> None:
@@ -114,6 +149,8 @@ class StabilityOperator:
             )
         self.shape = (joint.n * joint.n_configs,) * 2
         self.dtype = np.dtype(float)
+        self.symmetric = all(map(_reversible, edges))
+        self.matvecs = 0
         self._edges = [(math.prod(dims[:k]), dims[k], e.i - 1, e.j - 1,
                         [(a, beta * w) for a, w in enumerate(e.values) if w != 0.0])
                        for k, e in enumerate(edges)]
@@ -126,7 +163,13 @@ class StabilityOperator:
             for e in edges[start + 1:stop]:
                 gen = (np.kron(gen, np.eye(len(e.values)))
                        + np.kron(np.eye(len(gen)), e.rate_matrix))
-            self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen.T)))
+            gen_t = gen.T
+            if self.symmetric:
+                root = np.sqrt(functools.reduce(
+                    np.kron, [e.stationary for e in edges[start:stop]]))
+                gen_t = gen_t * root / root[:, None]
+                gen_t = (gen_t + gen_t.T) / 2.0  # symmetric to the bit
+            self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen_t)))
             start = stop
         gens = [g for _, g in self._groups]
         off = np.concatenate([beta * np.concatenate([e.values for e in edges])]
@@ -141,6 +184,7 @@ class StabilityOperator:
         y = np.zeros_like(x)
         # the adjacency terms first: the generator's grow with the rates
         cols = x.size // self.shape[0]
+        self.matvecs += cols
         for left, states, i, j, weights in self._edges:
             xs = x.reshape(left, states, -1, self.n, cols)
             ys = y.reshape(left, states, -1, self.n, cols)
@@ -156,30 +200,58 @@ class StabilityOperator:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact verdict: the abscissa eta and whether it is below delta."""
+    """Exact verdict: the abscissa eta, whether it is below delta, the
+    eigensolver that found eta (``"lanczos"`` or ``"arpack"``) and the
+    number of products with the operator it took."""
 
     eta: float
     mean_stable: bool
+    solver: str
+    matvecs: int
 
 
 def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     """Exact mean-stability verdict: eta < delta (strict).
 
-    The matrix is Metzler, so eta is at most its largest column sum.
-    ARPACK's error grows with the largest rate, so stiff rates can push its
-    value past that bound; a value past it by more than ETA_BOUND_RTOL is
-    noise and raises RuntimeError.
+    A chain whose edges are all reversible takes Lanczos on the symmetric
+    operator; any other takes ARPACK.  The matrix is Metzler, so eta is at
+    most its largest column sum, and it is at least 0, the abscissa of
+    kron(Pi^T, I_n), which it dominates entrywise.  The eigensolver's error
+    grows with the largest rate, so stiff rates can push its value out of
+    these bounds; a value past one by more than ETA_BOUND_RTOL is noise and
+    raises RuntimeError.  Lanczos resolves eta to its stop tolerance; one
+    wider than the bound would leave any value in [0, bound] equally
+    likely, so it raises RuntimeError before any product.
     """
     operator = StabilityOperator(joint, params.beta)
-    eta = spectral_abscissa(operator)
     bound = operator.column_sum_max
-    if eta > bound + ETA_BOUND_RTOL * max(bound, params.delta):
+    slack = ETA_BOUND_RTOL * max(bound, params.delta)
+    if operator.symmetric:
+        solver = "lanczos"
+        tol = lanczos_tolerance(operator)
+        if tol > bound + slack:
+            raise RuntimeError(
+                f"the {solver} tolerance {tol:.6g} on eta exceeds its bound "
+                f"{bound:.6g} (beta times the largest column sum of a "
+                "configuration); the edge rates are too stiff for the eigensolver"
+            )
+        eta = lanczos_abscissa(operator)
+    else:
+        solver, eta = "arpack", spectral_abscissa(operator)
+    if eta > bound + slack:
         raise RuntimeError(
-            f"ARPACK's abscissa {eta:.6g} exceeds its bound {bound:.6g} "
+            f"the {solver} abscissa {eta:.6g} exceeds its bound {bound:.6g} "
             "(beta times the largest column sum of a configuration); the "
             "edge rates are too stiff for the eigensolver"
         )
-    return ExactResult(eta=eta, mean_stable=eta < params.delta)
+    if eta < -slack:
+        raise RuntimeError(
+            f"the {solver} abscissa {eta:.6g} is below 0, the abscissa of the "
+            "joint generator alone; the edge rates are too stiff for the "
+            "eigensolver"
+        )
+    return ExactResult(eta=eta, mean_stable=eta < params.delta, solver=solver,
+                       matvecs=operator.matvecs)
 
 
 def expected_lambda_max(joint: JointChain) -> float:

@@ -186,16 +186,16 @@ def random_small_spec(rng: np.random.Generator) -> SwitchedNetworkSpec:
 def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     """Run every cross-check on one small instance; the certificate checked
     is the one ``analyze`` reports: the priced summary that
-    :func:`epinet.ensembles.summarize` builds."""
-    summary = summarize(spec)
+    :func:`epinet.ensembles.summarize` builds, from the same closed-form
+    moments the enumerated abar is checked against."""
+    stats = stationary_stats(spec)
+    summary = summarize(spec, stats)
     lam_bar, lhs = summary.lambda_max_abar, summary.lhs
     joint = build_joint_chain(spec)
 
     configs = dense_configs(joint)
     abar_enum = np.tensordot(joint.stationary, configs, axes=1)
-    abar_consistent = (
-        float(np.abs(abar_enum - stationary_stats(spec).abar).max()) <= 1e-10
-    )
+    abar_consistent = float(np.abs(abar_enum - stats.abar).max()) <= 1e-10
 
     lam_all = np.linalg.eigvalsh(configs)[:, -1]
     e_lam = float(joint.stationary @ lam_all)

@@ -1,5 +1,12 @@
-"""Eigenvalue kernels shared by the stability tests."""
+"""Eigenvalue kernels shared by the stability tests.
+
+The abscissa of a symmetric Metzler operator is found by a numpy Lanczos
+(:func:`lanczos_abscissa`); that of any other Metzler operator by ARPACK
+(:func:`spectral_abscissa`), the only kernel that imports scipy.
+"""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -7,6 +14,18 @@ import numpy as np
 # The symmetry check compares a against a.T in row blocks of about this many
 # entries, so it needs no n x n temporary.
 SYMMETRY_BLOCK = 1 << 16
+# Thick-restart Lanczos: at most this many basis vectors (ARPACK's own ncv),
+# and the top LANCZOS_KEEP Ritz vectors carried across each restart.
+LANCZOS_BASIS = 20
+LANCZOS_KEEP = 10
+# Lanczos stops once the top Ritz pair's residual is at most this times
+# max(1, entry_max), or the new basis vector's norm at most this times |S v|.
+LANCZOS_RTOL = 1e-14
+# Lanczos gives up (RuntimeError) after this many products with the operator.
+LANCZOS_MAX_MATVECS = 5000
+# A restart rewrites the basis in column blocks of this many entries, so it
+# needs no second copy of the kept vectors.
+RESTART_BLOCK = 1 << 14
 
 
 def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -29,6 +48,82 @@ def lambda_max_dense(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_check_symmetric(a))[-1])
 
 
+def _metzler_scale(a) -> float:
+    """max(1, ``entry_max``) of an operator whose factors are Metzler;
+    refuses one with a negative off-diagonal entry."""
+    scale = max(1.0, a.entry_max)
+    if a.offdiagonal_min < -1e-12 * scale:
+        raise ValueError(
+            "matrix has negative off-diagonal entries (not Metzler); its "
+            "rightmost eigenvalue need not be real"
+        )
+    return scale
+
+
+def lanczos_tolerance(a) -> float:
+    """The Ritz residual at which :func:`lanczos_abscissa` stops on ``a``,
+    ``LANCZOS_RTOL`` max(1, ``entry_max``): the accuracy of its value."""
+    return LANCZOS_RTOL * max(1.0, a.entry_max)
+
+
+def lanczos_abscissa(a) -> float:
+    """Spectral abscissa of a symmetric Metzler operator, by thick-restart
+    Lanczos on numpy alone.
+
+    ``a`` is read as :func:`spectral_abscissa` reads it and must be
+    symmetric.  The basis holds at most ``LANCZOS_BASIS`` vectors, each
+    orthogonalized against all the others twice (classical Gram-Schmidt);
+    a full basis restarts from its top ``LANCZOS_KEEP`` Ritz vectors and
+    the residual.  The start vector is all ones, never orthogonal to the
+    nonnegative Perron vector, so a new vector of norm at most
+    ``LANCZOS_RTOL`` |S v| means the basis spans an invariant subspace that
+    holds it.  The top Ritz value is returned at such a breakdown, or once
+    its residual |beta_m y_m| is at most :func:`lanczos_tolerance`; past
+    ``LANCZOS_MAX_MATVECS`` products it raises RuntimeError.  Reruns are
+    bit-identical.
+    """
+    # the basis works on S / max(1, entry_max), whose norms cannot overflow;
+    # there a residual of LANCZOS_RTOL is lanczos_tolerance(a) on S
+    scale = _metzler_scale(a)
+    dim = a.shape[0]
+    size = min(LANCZOS_BASIS, dim)
+    keep = min(LANCZOS_KEEP, size - 1)
+    basis = np.empty((size + 1, dim))
+    basis[0] = 1.0 / math.sqrt(dim)
+    proj = np.zeros((size, size))
+    start, matvecs = 0, 0
+    while True:
+        for j in range(start, size):
+            w = a @ basis[j]
+            w /= scale
+            matvecs += 1
+            norm = float(np.linalg.norm(w))
+            coef = basis[:j + 1] @ w
+            w -= coef @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            coef += again
+            proj[j, :j + 1] = proj[:j + 1, j] = coef
+            theta, vecs = np.linalg.eigh(proj[:j + 1, :j + 1])
+            beta = float(np.linalg.norm(w))
+            if beta <= LANCZOS_RTOL * norm or beta * abs(vecs[j, -1]) <= LANCZOS_RTOL:
+                return float(theta[-1]) * scale
+            np.divide(w, beta, out=basis[j + 1])
+        if matvecs >= LANCZOS_MAX_MATVECS:
+            raise RuntimeError(
+                f"Lanczos found no abscissa of the {dim}-row matrix in "
+                f"{matvecs} products (residual {beta * abs(vecs[-1, -1]) * scale:.3g})"
+            )
+        top = vecs[:, -keep:]
+        for col in range(0, dim, RESTART_BLOCK):
+            block = slice(col, col + RESTART_BLOCK)
+            basis[:keep, block] = top.T @ basis[:size, block]
+        basis[keep] = basis[size]
+        proj[:] = 0.0
+        proj[:keep, :keep] = np.diag(theta[-keep:])
+        start = keep
+
+
 def spectral_abscissa(a) -> float:
     """Spectral abscissa of a Metzler operator, by ARPACK.
 
@@ -45,14 +140,8 @@ def spectral_abscissa(a) -> float:
     """
     from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-    low, top_entry = a.offdiagonal_min, a.entry_max
+    scale = _metzler_scale(a)
     dim = a.shape[0]
-    scale = max(1.0, top_entry)
-    if low < -1e-12 * scale:
-        raise ValueError(
-            "matrix has negative off-diagonal entries (not Metzler); its "
-            "rightmost eigenvalue need not be real"
-        )
     if dim < 3:  # ARPACK needs k = 1 < dim - 1
         vals = np.linalg.eigvals(a @ np.eye(dim))
     else:

@@ -22,6 +22,7 @@ import epinet.cli
 import epinet.ensembles
 import epinet.exact
 import epinet.netmodel
+import epinet.spectral
 import epinet.stability
 from epinet.cli import COMMUNITY_EXAMPLE, POWERLAW_EXAMPLE, main
 from epinet.ensembles import (
@@ -340,7 +341,19 @@ def test_rate_sum_overflow_rejected(command, tmp_path, capsys):
     assert "edge (1, 2)" in err and "their sum" in err
 
 
-def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
+def _frozen_triangle(tmp_path) -> Path:
+    """The README triangle with edge (1, 3) frozen absent (p = 0): its
+    stationary law has a zero, so the exact test takes ARPACK."""
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "p": 2.0, "q": 1.0},
+        {"i": 1, "j": 3, "p": 0.0, "q": 1.5},
+        {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
+    ]}))
+    return spec
+
+
+def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg as sla
 
     def no_convergence(*args, **kwargs):
@@ -348,10 +361,93 @@ def test_analyze_arpack_failure_exits_two(triangle_spec, monkeypatch, capsys):
 
     monkeypatch.setattr(sla, "eigs", no_convergence)
     code = main(
-        ["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"]
+        ["analyze", "--spec", str(_frozen_triangle(tmp_path)), "--beta", "0.2",
+         "--delta", "1.5"]
     )
     assert code == 2
     assert "ARPACK" in capsys.readouterr().err
+
+
+def test_analyze_lanczos_failure_exits_two(triangle_spec, monkeypatch, capsys):
+    # the triangle's 24 rows need more than one basis of 20 vectors
+    monkeypatch.setattr(epinet.spectral, "LANCZOS_MAX_MATVECS", 1)
+    code = main(
+        ["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:") and "Lanczos" in err
+
+
+def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
+    # reversible chains take Lanczos, a frozen edge ARPACK; report.json and
+    # manifest.json both name the solver and its matvec count
+    for spec, solver in ((triangle_spec, "lanczos"), (_frozen_triangle(tmp_path), "arpack")):
+        out = tmp_path / solver
+        assert main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5",
+                     "--out", str(out)]) == 0
+        exact = json.loads((out / "report.json").read_text())["exact"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert exact["solver"] == solver and exact["matvecs"] > 0
+        assert manifest["exact"] == {"solver": solver, "matvecs": exact["matvecs"]}
+
+
+def _analyze_in_fresh_process(spec: Path) -> str:
+    probe = (
+        "import sys, epinet.cli\n"
+        f"code = epinet.cli.main(['analyze', '--spec', {str(spec)!r}, '--beta', '0.5', "
+        "'--delta', '1.0'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+
+
+def test_analyze_on_reversible_chains_loads_no_scipy(triangle_spec):
+    out = _analyze_in_fresh_process(triangle_spec)
+    assert out.splitlines()[-1] == "[] 0"
+    assert '"solver": "lanczos"' in out
+
+
+def test_lanczos_eta_is_identical_across_processes(triangle_spec, tmp_path):
+    # the triangle, and the stiff path at rate 1e8, each run twice
+    stiff = tmp_path / "stiff.json"
+    stiff.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "p": 1e8, "q": 1e8},
+        {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
+    ]}))
+    for spec in (triangle_spec, stiff):
+        runs = [_analyze_in_fresh_process(spec) for _ in range(2)]
+        assert '"solver": "lanczos"' in runs[0] and runs[0] == runs[1]
+
+
+def test_ensemble_refused_from_its_pair_count(tmp_path, capsys, monkeypatch):
+    # a 200-vertex community has 19 900 positive pairs; the exact test is
+    # refused before any of their edge chains is built, for the reason the
+    # joint chain gives
+    built = []
+    chain = epinet.ensembles.EdgeChain
+    monkeypatch.setattr(epinet.ensembles, "EdgeChain",
+                        lambda **kw: built.append(kw) or chain(**kw))
+    spec = tmp_path / "community.json"
+    spec.write_text(json.dumps({"ensemble": "community", "n1": 100, "n2": 100,
+                                "theta1": 0.5, "theta2": 0.3, "phi": 0.1}))
+    assert main(["analyze", "--spec", str(spec), "--beta", "0.001", "--delta", "2.0"]) == 0
+    assert built == []
+    stdout = capsys.readouterr().out
+    exact = json.loads(stdout[stdout.index("{"):])["exact"]
+    with pytest.raises(ValueError) as refusal:
+        epinet.exact.build_joint_chain(
+            epinet.ensembles.as_switched_network(load_network(spec)))
+    assert len(built) == 19_900
+    assert exact == {"status": "skipped", "reason": str(refusal.value)}
+    assert "(19900 edges;" in exact["reason"]
 
 
 def test_star_import_resolves_every_export():
@@ -866,9 +962,9 @@ def test_expected_degree_statistics_run_in_block_memory(spec, monkeypatch, capsy
 @pytest.mark.parametrize("rate", [1e16, 1e20])
 def test_analyze_refuses_stiff_abscissa(rate, tmp_path, capsys):
     # on this path eta <= beta * (largest column sum) = 0.5 * 2 = 1, but
-    # ARPACK's error grows with the largest rate and its value lands above 1
-    # (2.0 and 16384).  At 1e100 the value changes from run to run and is
-    # sometimes 0, under the bound, so that rate is not a reliable case.
+    # the eigensolver's error grows with the largest rate: Lanczos's stop
+    # tolerance, 1e-14 times the largest entry, is 100 and 1e6 here, so the
+    # route is refused before it runs
     spec = tmp_path / "path.json"
     spec.write_text(json.dumps({"n": 3, "edges": [
         {"i": 1, "j": 2, "p": rate, "q": rate},
@@ -893,7 +989,10 @@ def test_every_command_writes_one_manifest(triangle_spec, tmp_path):
         out = tmp_path / command
         assert main([command, *args, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest) == ["argv", "command", "elapsed_s", "tool", "version"]
+        # analyze adds the solver that decided eta
+        extra = ["exact"] if command == "analyze" else []
+        assert sorted(manifest) == sorted(["argv", "command", "elapsed_s", "tool",
+                                           "version", *extra])
         assert manifest["command"] == command
     # a run that exits 1 writes no manifest
     bad = tmp_path / "bad.json"

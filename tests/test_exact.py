@@ -196,13 +196,24 @@ def _random_chain(rng, i, j):
             continue
 
 
+def _operator_reference(op, joint, beta):
+    """The oracle's dense M, or D^-1 M D, D = diag(sqrt pi) x I_n, when the
+    operator applies the symmetrized form."""
+    dense = dense_stability_matrix(joint, beta)
+    if not op.symmetric:
+        return dense
+    root = np.repeat(np.sqrt(joint.stationary), joint.n)
+    return dense * root / root[:, None]
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_nonzero_count_matches_assembly(seed):
     # the operator applied to the identity is the oracle's dense Kronecker
-    # assembly, nonzero for nonzero and entry for entry, on binary and
-    # weighted specs with absorbing states, p = 0 chains, single-state chains
-    # and zero weights; its column-sum bound is the largest column sum over
-    # the enumerated configurations, bit for bit
+    # assembly (symmetrized when every edge chain is reversible), nonzero for
+    # nonzero and entry for entry, on binary and weighted specs with
+    # absorbing states, p = 0 chains, single-state chains and zero weights;
+    # its column-sum bound is the largest column sum over the enumerated
+    # configurations, bit for bit
     rng = np.random.default_rng(seed)
     while True:
         n = int(rng.integers(2, 5))
@@ -224,7 +235,12 @@ def test_nonzero_count_matches_assembly(seed):
             break
     op = StabilityOperator(joint, 0.7)
     mat = op @ np.eye(op.shape[0])
-    dense = dense_stability_matrix(joint, 0.7)
+    dense = _operator_reference(op, joint, 0.7)
+    if seed % 2 == 0:
+        # a binary edge is reversible unless it is frozen (p = 0 or q = 0)
+        assert op.symmetric == all(e.p_rate > 0 and e.q_rate > 0 for e in edges)
+    if op.symmetric:
+        assert np.array_equal(mat, mat.T)
     assert np.count_nonzero(mat) == np.count_nonzero(dense)
     assert np.abs(mat - dense).max() <= 1e-14 * max(1.0, op.entry_max)
     assert op.entry_max == pytest.approx(np.abs(dense).max(), rel=1e-14)
@@ -287,7 +303,10 @@ def test_stability_matrix_against_bruteforce_kron():
     for spec in specs:
         joint = build_joint_chain(spec)
         op = StabilityOperator(joint, 0.7)
-        dense = dense_stability_matrix(joint, 0.7)
+        # binary edges with positive rates and birth-death chains are
+        # reversible, so the operator applies D^-1 M D
+        assert op.symmetric
+        dense = _operator_reference(op, joint, 0.7)
         x = rng.standard_normal((op.shape[0], 3))
         assert np.abs(op @ np.eye(op.shape[0]) - dense).max() <= 1e-14 * op.entry_max
         # a block of columns is the product with each column
@@ -320,6 +339,61 @@ def test_krylov_eta_matches_dense_reference():
     eta = exact_mean_stable(joint, params).eta
     dense = dense_abscissa(joint, beta=1.0)
     assert abs(eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_lanczos_eta_matches_dense_reference(scale):
+    # random binary specs with every rate scaled, at three betas: the
+    # Lanczos route against the oracle's dense abscissa
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        spec = random_small_spec(rng)
+        joint = build_joint_chain(SwitchedNetworkSpec(n=spec.n, edges=tuple(
+            EdgeChain(i=e.i, j=e.j, p_rate=e.p_rate * scale, q_rate=e.q_rate * scale)
+            for e in spec.edges)))
+        for beta in (0.1, 1.0, 10.0):
+            res = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0))
+            dense = dense_abscissa(joint, beta)
+            assert res.solver == "lanczos" and res.matvecs > 0
+            assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+def _cyclic_chain(i, j):
+    rates = ((-1.0, 1.0, 0.0), (0.0, -2.0, 2.0), (3.0, 0.0, -3.0))
+    return WeightedEdgeChain(i=i, j=j, states=(0.0, 0.5, 1.0), generator=rates)
+
+
+def test_irreversible_chains_take_arpack(monkeypatch):
+    # a cyclic weighted chain breaks detailed balance and a frozen edge has a
+    # state of stationary weight 0: both go through eigs, once each, and
+    # match the dense reference; a reversible spec never calls it
+    import scipy.sparse.linalg as sla
+
+    calls = []
+    eigs = sla.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigs", counting)
+    specs = {
+        "cyclic": (SwitchedNetworkSpec(n=3, edges=(
+            _cyclic_chain(1, 2), _birth_death_chain(2, 3, 2))), 1),
+        "frozen": (SwitchedNetworkSpec(n=3, edges=(
+            EdgeChain(i=1, j=2, p_rate=0.0, q_rate=0.01),
+            EdgeChain(i=2, j=3, p_rate=1.0, q_rate=2.0))), 1),
+        "reversible": (SwitchedNetworkSpec(n=3, edges=(
+            _birth_death_chain(1, 2, 4), _birth_death_chain(2, 3, 2))), 0),
+    }
+    for name, (spec, expected) in specs.items():
+        calls.clear()
+        joint = build_joint_chain(spec)
+        res = exact_mean_stable(joint, EpidemicParams(beta=0.7, delta=1.0))
+        assert len(calls) == expected, name
+        assert res.solver == ("arpack" if expected else "lanczos")
+        dense = dense_abscissa(joint, 0.7)
+        assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense)), name
 
 
 def test_perfect_matching_eta_is_golden_ratio():

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import epinet.ensembles
+import epinet.netmodel
+import epinet.oracle
 from epinet.exact import JointChain, build_joint_chain
 from epinet.netmodel import (
     EdgeChain,
     EpidemicParams,
+    StationaryStats,
     SwitchedNetworkSpec,
     WeightedEdgeChain,
+    stationary_stats,
 )
 from epinet.oracle import (
     check_instance,
@@ -62,6 +67,37 @@ def test_check_instance_eigensolves_configurations_once(monkeypatch):
         batched.clear()
         assert check_instance(spec).passed
         assert len(batched) == 1
+
+
+def test_check_instance_prices_stationary_moments_once(monkeypatch):
+    # the summary and the abar check read one set of closed-form moments
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return stationary_stats(spec)
+
+    for module in (epinet.netmodel, epinet.ensembles, epinet.oracle):
+        monkeypatch.setattr(module, "stationary_stats", counting)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        calls.clear()
+        assert check_instance(random_small_spec(rng)).passed
+        assert len(calls) == 1
+
+
+def test_perturbed_closed_form_abar_fails_the_consistency_check(monkeypatch):
+    def perturbed(spec):
+        stats = stationary_stats(spec)
+        abar = stats.abar.copy()
+        abar[0, 1] = abar[1, 0] = abar[0, 1] + 1e-8
+        return StationaryStats(abar, stats.delta_uncertainty)
+
+    spec = random_small_spec(np.random.default_rng(4))
+    assert check_instance(spec).abar_consistent
+    monkeypatch.setattr(epinet.oracle, "stationary_stats", perturbed)
+    report = check_instance(spec)
+    assert not report.abar_consistent and not report.passed
 
 
 def test_sandwich_ordering_holds_on_instance():

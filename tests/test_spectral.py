@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from epinet.spectral import lambda_max_dense, spectral_abscissa
+from epinet import spectral
+from epinet.spectral import lambda_max_dense, lanczos_abscissa, spectral_abscissa
 
 
 class DenseOperator:
@@ -111,3 +112,38 @@ def test_spectral_abscissa_operator_metzler_guard():
         joint = JointChain(n=3, edges=(edge,), stationary=edge.stationary)
         with pytest.raises(ValueError, match="Metzler"):
             spectral_abscissa(StabilityOperator(joint, 1.0))
+
+
+def _symmetric_metzler(rng, dim, spread=1.0):
+    off = np.triu(rng.random((dim, dim)) * (rng.random((dim, dim)) < 0.3), 1)
+    return off + off.T + np.diag(rng.uniform(-spread, 0.0, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 19, 20, 21, 300])
+def test_lanczos_abscissa_matches_eigvalsh(dim):
+    # bases shorter than, equal to and past LANCZOS_BASIS, with restarts at
+    # 300 rows and a diagonal spread of 1e3
+    rng = np.random.default_rng(dim)
+    for spread in (1.0, 1e3):
+        a = _symmetric_metzler(rng, dim, spread)
+        ref = float(np.linalg.eigvalsh(a)[-1])
+        eta = lanczos_abscissa(DenseOperator(a))
+        assert abs(eta - ref) <= 1e-12 * max(1.0, np.abs(a).max())
+        assert eta == lanczos_abscissa(DenseOperator(a))
+
+
+def test_lanczos_abscissa_guards(monkeypatch):
+    a = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="Metzler"):
+        lanczos_abscissa(DenseOperator(a))
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 20)
+    with pytest.raises(RuntimeError, match="Lanczos found no abscissa of the 300-row"):
+        lanczos_abscissa(DenseOperator(_symmetric_metzler(np.random.default_rng(300), 300, 1e3)))
+
+
+def test_lanczos_abscissa_scales_with_the_operator():
+    # the basis works on S / max|S|: at entries of 1e200 the norms of S v
+    # overflowed (a RuntimeWarning, and eta read half its value)
+    a = _symmetric_metzler(np.random.default_rng(7), 50)
+    ref = lanczos_abscissa(DenseOperator(a))
+    assert lanczos_abscissa(DenseOperator(a * 1e200)) == pytest.approx(ref * 1e200, rel=1e-12)

@@ -7,7 +7,8 @@ die out?
   decides mean stability exactly (exponential in the edge count);
 * :mod:`epinet.stability` certifies almost-sure extinction from two scalars
   of the stationary edge law, at any scale: :func:`epinet.summarize` gives
-  them for any model and :func:`epinet.check_sufficient` decides;
+  them for any model and :func:`epinet.check_sufficient` decides, returning
+  the report's ``sufficient`` block as a dict;
 * :mod:`epinet.simulate` integrates sample paths and estimates decay rates
   empirically.
 
@@ -48,7 +49,6 @@ from .simulate import (
 )
 from .stability import (
     AbarSummary,
-    StabilityReport,
     check_sufficient,
     concentration_penalty,
     convexity_onset,
@@ -66,7 +66,6 @@ __all__ = [
     "JointChain",
     "PowerLawSpec",
     "SimConfig",
-    "StabilityReport",
     "SwitchedNetworkSpec",
     "Trajectory",
     "WeightedEdgeChain",

@@ -126,13 +126,13 @@ def _attempt_exact(model, params: EpidemicParams) -> dict:
 def _cmd_analyze(args, out: Optional[Path], started: float, manifest: dict) -> int:
     params = EpidemicParams(beta=args.beta, delta=args.delta)
     model = load_network(args.spec)
-    report = check_sufficient(summarize(model), params)
+    sufficient = check_sufficient(summarize(model), params)
     exact_info = _attempt_exact(model, params)
 
     result = {
         "beta": params.beta,
         "delta": params.delta,
-        "sufficient": report.to_dict(),
+        "sufficient": sufficient,
         "exact": exact_info,
     }
     if exact_info["status"] == "ok":
@@ -145,10 +145,10 @@ def _cmd_analyze(args, out: Optional[Path], started: float, manifest: dict) -> i
     else:
         print(f"exact test skipped: {exact_info['reason']}")
     print(
-        f"sufficient test [{report.summary.test}]: lhs = {report.lhs:.9g}, "
-        f"threshold delta/beta = {params.threshold:.9g} -> {report.verdict}"
+        f"sufficient test [{sufficient['test']}]: lhs = {sufficient['lhs']:.9g}, "
+        f"threshold delta/beta = {params.threshold:.9g} -> {sufficient['verdict']}"
     )
-    for note in report.notes:
+    for note in sufficient["notes"]:
         print(f"note: {note}")
     if out:
         _write_json(out / "report.json", result)
@@ -257,7 +257,7 @@ def _cmd_example(args, out: Optional[Path], started: float, manifest: dict) -> i
             "offset": ens.offset,
             "max_degree": float(seq.block(0, 1)[0]),
             "mean_degree": seq.d1 / seq.n,
-            "d_tilde": summary.d_tilde,
+            "d_tilde": summary.lambda_max_abar,
             **certificate,
             "max_pair_prob": summary.max_pair_prob,
             "invalid_pairs": summary.invalid_pairs,

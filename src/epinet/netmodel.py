@@ -133,10 +133,10 @@ class EdgeChain(_Edge):
                 f"edge ({self.i}, {self.j}): p_rate + q_rate must be positive"
             )
         p, q = self.p_rate, self.q_rate
-        prob = p / (p + q)
+        # q / (p + q): 1 - p / (p + q) loses q's digits when p >> q
         self._set_chain(values=_BINARY_VALUES,
                         rate_matrix=np.array([[-p, p], [q, -q]], dtype=float),
-                        stationary=np.array([1.0 - prob, prob]))
+                        stationary=np.array([q, p]) / (p + q))
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,8 @@ def spectral_abscissa(a) -> float:
     matrix is real, so the Ritz value of largest real part (``which="LR"``)
     is the abscissa.  The start vector is fixed (all ones, never orthogonal
     to a nonnegative left Perron vector), so reruns are bit-identical.
-    Refuses operators with negative off-diagonal entries; raises
+    Refuses operators with negative off-diagonal entries or fewer than 3
+    rows (every irreversible joint chain has at least 4); raises
     RuntimeError if ARPACK does not converge or returns a value that is not
     real.
     """
@@ -142,18 +143,16 @@ def spectral_abscissa(a) -> float:
 
     scale = _metzler_scale(a)
     dim = a.shape[0]
-    if dim < 3:  # ARPACK needs k = 1 < dim - 1
-        vals = np.linalg.eigvals(a @ np.eye(dim))
-    else:
-        try:
-            vals = eigs(
-                a, k=1, which="LR", tol=0, v0=np.ones(dim),
-                return_eigenvectors=False,
-            )
-        except ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"ARPACK found no abscissa of the {dim}-row matrix: {exc}"
-            ) from None
+    if dim < 3:  # k = 1 < dim - 1
+        raise ValueError(f"ARPACK needs an operator of at least 3 rows, got {dim}")
+    try:
+        vals = eigs(
+            a, k=1, which="LR", tol=0, v0=np.ones(dim), return_eigenvectors=False
+        )
+    except ArpackNoConvergence as exc:
+        raise RuntimeError(
+            f"ARPACK found no abscissa of the {dim}-row matrix: {exc}"
+        ) from None
     top = vals[np.argmax(vals.real)]
     if abs(top.imag) > 1e-10 * scale:
         raise RuntimeError(

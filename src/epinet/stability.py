@@ -20,8 +20,8 @@ same machinery covers weighted networks (variances of the weight chains) and
 expected-degree ensembles, where lambda_max(abar) collapses to the ratio
 d_tilde = sum(d^2) / sum(d).  Every model reaches the test as an
 :class:`AbarSummary` (see :func:`epinet.ensembles.summarize`), which prices
-the penalty once, at construction, and :func:`check_sufficient` is the one
-test.
+the penalty once, at construction.  :func:`check_sufficient` is the one
+test: it returns the report's ``sufficient`` block, a dict.
 """
 from __future__ import annotations
 
@@ -47,9 +47,6 @@ PENALTY_N_CAP = 1e150
 DEGREE_BLOCK = 1 << 16
 
 SQRT27 = math.sqrt(27.0)
-
-VERDICT_STABLE = "stable-a.s."
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 def _tail_exponent(s: np.ndarray, delta_u: float) -> np.ndarray:
@@ -232,84 +229,46 @@ class AbarSummary:
     def lhs(self) -> float:
         return self.lambda_max_abar + self.penalty.f_min
 
-    @property
-    def test(self) -> str:
-        if self.network_kind == "expected-degree":
-            return "expected-degree"
-        return "spectral-penalty"
 
-    @property
-    def d_tilde(self) -> Optional[float]:
-        """sum(d^2) / sum(d), the lambda_max_abar of an expected-degree
-        summary; None for the other models."""
-        if self.network_kind == "expected-degree":
-            return self.lambda_max_abar
-        return None
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of one sufficient stability test: the model's priced summary
-    and the epidemic parameters.
-
-    ``stable=True`` certifies almost-sure extinction; ``stable=False`` means
-    the test was inconclusive, not that the epidemic survives.  The one
-    exception is a frozen graph (delta_uncertainty == 0), where the
-    comparison is exact and a note says so.
-    """
-
-    summary: AbarSummary
-    params: EpidemicParams
-
-    @property
-    def lhs(self) -> float:
-        return self.summary.lhs
-
-    @property
-    def stable(self) -> bool:
-        return bool(self.lhs < self.params.threshold)
-
-    @property
-    def verdict(self) -> str:
-        return VERDICT_STABLE if self.stable else VERDICT_INCONCLUSIVE
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        if self.summary.delta_uncertainty == 0.0:
-            return self.summary.notes + (
-                "frozen graph: the eigenvalue comparison is exact, not merely "
-                "sufficient",
-            )
-        return self.summary.notes
-
-    def to_dict(self) -> dict:
-        sm, pm = self.summary, self.summary.penalty
-        return {
-            "test": sm.test,
-            "network_kind": sm.network_kind,
-            "n": sm.n,
-            "beta": self.params.beta,
-            "delta": self.params.delta,
-            "threshold": self.params.threshold,
-            "lambda_max_abar": sm.lambda_max_abar,
-            "delta_uncertainty": sm.delta_uncertainty,
-            "f_min": pm.f_min,
-            "s_star": pm.s_star,
-            "s0": pm.s0,
-            "lhs": self.lhs,
-            "stable": self.stable,
-            "verdict": self.verdict,
-            "d_tilde": sm.d_tilde,
-            "max_pair_prob": sm.max_pair_prob,
-            "invalid_pairs": sm.invalid_pairs,
-            "notes": list(self.notes),
-        }
-
-
-def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> StabilityReport:
+def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> dict:
     """The sufficient extinction test lambda_max(abar) + min f < delta / beta
-    (strict), for every network model alike."""
-    return StabilityReport(summary, params)
+    (strict), for every network model alike, as the report's ``sufficient``
+    block.
+
+    ``stable`` true certifies almost-sure extinction; false means the test was
+    inconclusive, not that the epidemic survives.  The one exception is a
+    frozen graph (Delta = 0), where the comparison is exact and a note says
+    so.  ``d_tilde`` is the ``lambda_max_abar`` of an expected-degree summary
+    and None for the other models.
+    """
+    pm, lhs = summary.penalty, summary.lhs
+    expected_degree = summary.network_kind == "expected-degree"
+    stable = bool(lhs < params.threshold)
+    notes = list(summary.notes)
+    if summary.delta_uncertainty == 0.0:
+        notes.append(
+            "frozen graph: the eigenvalue comparison is exact, not merely sufficient"
+        )
+    return {
+        "test": "expected-degree" if expected_degree else "spectral-penalty",
+        "network_kind": summary.network_kind,
+        "n": summary.n,
+        "beta": params.beta,
+        "delta": params.delta,
+        "threshold": params.threshold,
+        "lambda_max_abar": summary.lambda_max_abar,
+        "delta_uncertainty": summary.delta_uncertainty,
+        "f_min": pm.f_min,
+        "s_star": pm.s_star,
+        "s0": pm.s0,
+        "lhs": lhs,
+        "stable": stable,
+        "verdict": "stable-a.s." if stable else "inconclusive",
+        "d_tilde": summary.lambda_max_abar if expected_degree else None,
+        "max_pair_prob": summary.max_pair_prob,
+        "invalid_pairs": summary.invalid_pairs,
+        "notes": notes,
+    }
 
 
 def _block_bounds(n: int, start: int = 0) -> Iterator[tuple[int, int]]:

@@ -79,7 +79,7 @@ def test_community_edge_cases():
 def test_expected_degree_stats_small():
     d = np.array([3.0, 2.0, 1.0])
     stats = expected_degree_stats(stream(d))
-    assert stats.d_tilde == stats.lambda_max_abar == pytest.approx(14.0 / 6.0)
+    assert stats.lambda_max_abar == pytest.approx(14.0 / 6.0)
     abar = np.outer(d, d) / 6.0
     np.fill_diagonal(abar, 0.0)
     assert stats.delta_uncertainty == pytest.approx(
@@ -88,8 +88,8 @@ def test_expected_degree_stats_small():
     lam = expected_degree_lambda_max(stream(d))
     assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
     # rank-one bound sandwiches the true eigenvalue
-    assert lam <= stats.d_tilde
-    assert lam >= stats.d_tilde - 9.0 / 6.0
+    assert lam <= stats.lambda_max_abar
+    assert lam >= stats.lambda_max_abar - 9.0 / 6.0
 
 
 def _random_degrees(seed: int) -> np.ndarray:
@@ -337,7 +337,7 @@ def _assert_streamed_matches(model, degrees: np.ndarray) -> None:
     assert expected_degree_lambda_max(seq) == pytest.approx(lam, rel=1e-13)
     if delta_u >= 0:
         summary = expected_degree_stats(seq)
-        assert summary.d_tilde == pytest.approx(d_tilde, rel=1e-13)
+        assert summary.lambda_max_abar == pytest.approx(d_tilde, rel=1e-13)
         assert summary.delta_uncertainty == pytest.approx(delta_u, rel=1e-13)
         assert summary.invalid_pairs == invalid
 

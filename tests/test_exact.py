@@ -396,6 +396,22 @@ def test_irreversible_chains_take_arpack(monkeypatch):
         assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense)), name
 
 
+@pytest.mark.parametrize("ratio", [1e5, 1e6])
+def test_lopsided_binary_edge_stays_reversible(ratio):
+    # from p / q = 1e5 on, the absent state's weight needs q / (p + q): read
+    # as 1 - p / (p + q) it loses digits and fails the balance test
+    spec = SwitchedNetworkSpec(n=3, edges=(
+        EdgeChain(i=1, j=2, p_rate=ratio, q_rate=1.0),
+        EdgeChain(i=2, j=3, p_rate=3.0, q_rate=0.5),
+        EdgeChain(i=1, j=3, p_rate=0.2, q_rate=1e3),
+    ))
+    joint = build_joint_chain(spec)
+    res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.0))
+    dense = dense_abscissa(joint, 0.5)
+    assert res.solver == "lanczos"
+    assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
 def test_perfect_matching_eta_is_golden_ratio():
     # 12 disjoint symmetric edges decouple, so eta is the single-edge value;
     # 4096 configurations x 24 vertices = 98 304 rows, far past dense reach

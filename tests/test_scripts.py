@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -43,3 +44,29 @@ def test_reproduce_examples_script(tmp_path):
         )
         assert report["example"] == name
         assert report["all_within_tolerance"] is True
+
+
+def test_readme_python_usage_block():
+    # each `expression  # value` line of README's python block is checked:
+    # a comment "x.yz..." is the value rounded to the digits shown, any other
+    # comment its repr
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    checked = []
+    for statement in ast.parse(block).body:
+        source = ast.get_source_segment(block, statement)
+        line = block.splitlines()[statement.end_lineno - 1]
+        if isinstance(statement, ast.Expr) and "#" in line:
+            value = eval(source, scope)
+            expected = line.split("#", 1)[1].strip()
+            if expected.endswith("..."):
+                digits = expected[:-3]
+                decimals = len(digits.split(".")[1])
+                assert f"{value:.{decimals}f}" == digits, (source, value)
+            else:
+                assert repr(value) == expected, (source, value)
+            checked.append(expected)
+        else:
+            exec(source, scope)
+    assert checked == ["0.6180339887...", "'inconclusive'", "31377.33..."]

@@ -61,9 +61,11 @@ def test_lambda_max_dense_symmetry_check_memory():
 
 
 def test_spectral_abscissa_triangular():
-    # two rows: below ARPACK's minimum, solved densely
-    a = DenseOperator([[-1.0, 2.0], [0.0, -3.0]])
+    a = DenseOperator([[-1.0, 2.0, 0.5], [0.0, -3.0, 1.0], [0.0, 0.0, -2.0]])
     assert spectral_abscissa(a) == pytest.approx(-1.0, abs=1e-12)
+    # two rows are below ARPACK's minimum, and no joint chain has so few
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        spectral_abscissa(DenseOperator([[-1.0, 2.0], [0.0, -3.0]]))
 
 
 def test_spectral_abscissa_complex_pair():
@@ -96,7 +98,7 @@ def test_spectral_abscissa_arpack_guards(monkeypatch):
 
 
 def test_spectral_abscissa_metzler_no_warning(recwarn):
-    spectral_abscissa(DenseOperator([[-2.0, 1.0], [0.5, -1.0]]))
+    spectral_abscissa(DenseOperator([[-2.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -3.0]]))
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 

@@ -331,27 +331,26 @@ def _summary(n, lambda_max_abar, delta_u):
 
 def test_frozen_graph_report_is_exact_branch():
     rep = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=2.0))
-    pm = rep.summary.penalty
-    assert pm.f_min == 0.0 and pm.s_star == 0.0 and pm.s0 == 0.0
-    assert rep.lhs == 1.5
-    assert rep.stable
-    assert any("exact" in note for note in rep.notes)
+    assert rep["f_min"] == 0.0 and rep["s_star"] == 0.0 and rep["s0"] == 0.0
+    assert rep["lhs"] == 1.5
+    assert rep["stable"]
+    assert any("exact" in note for note in rep["notes"])
     rep2 = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=1.5))
-    assert not rep2.stable  # strict inequality at the threshold
+    assert not rep2["stable"]  # strict inequality at the threshold
 
 
 def test_report_strict_threshold():
     pm = minimize_penalty(3, 0.1)
     lhs = 0.4 + pm.f_min
     exact = check_sufficient(_summary(3, 0.4, 0.1), _params(delta=lhs))
-    assert not exact.stable
+    assert not exact["stable"]
     above = check_sufficient(_summary(3, 0.4, 0.1), _params(delta=lhs * (1 + 1e-9)))
-    assert above.stable
+    assert above["stable"]
 
 
 def test_report_to_dict_is_json_ready():
     rep = check_sufficient(_summary(3, 0.4, 0.1), _params())
-    payload = json.dumps(rep.to_dict())
+    payload = json.dumps(rep)
     back = json.loads(payload)
     assert back["verdict"] in ("stable-a.s.", "inconclusive")
     assert back["n"] == 3
@@ -362,10 +361,10 @@ def test_check_sufficient_small_network():
         n=2, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),)
     )
     rep = check_sufficient(summarize(spec), _params())
-    assert rep.summary.lambda_max_abar == pytest.approx(0.5, abs=1e-14)
-    assert rep.summary.delta_uncertainty == pytest.approx(0.25, abs=1e-14)
-    assert rep.summary.network_kind == "binary"
-    assert rep.lhs == pytest.approx(0.5 + minimize_penalty(2, 0.25).f_min, rel=1e-12)
+    assert rep["lambda_max_abar"] == pytest.approx(0.5, abs=1e-14)
+    assert rep["delta_uncertainty"] == pytest.approx(0.25, abs=1e-14)
+    assert rep["network_kind"] == "binary"
+    assert rep["lhs"] == pytest.approx(0.5 + minimize_penalty(2, 0.25).f_min, rel=1e-12)
 
 
 def test_weighted_binary_valued_chain_matches_binary_test():
@@ -385,12 +384,11 @@ def test_weighted_binary_valued_chain_matches_binary_test():
     )
     rb = check_sufficient(summarize(binary), _params())
     rw = check_sufficient(summarize(weighted), _params())
-    sw, sb = rw.summary, rb.summary
-    assert sw.lambda_max_abar == pytest.approx(sb.lambda_max_abar, abs=1e-12)
-    assert sw.delta_uncertainty == pytest.approx(sb.delta_uncertainty, abs=1e-12)
-    assert sw.penalty.f_min == pytest.approx(sb.penalty.f_min, rel=1e-12)
-    assert rw.stable == rb.stable
-    assert sw.network_kind == "weighted" and sb.network_kind == "binary"
+    assert rw["lambda_max_abar"] == pytest.approx(rb["lambda_max_abar"], abs=1e-12)
+    assert rw["delta_uncertainty"] == pytest.approx(rb["delta_uncertainty"], abs=1e-12)
+    assert rw["f_min"] == pytest.approx(rb["f_min"], rel=1e-12)
+    assert rw["stable"] == rb["stable"]
+    assert rw["network_kind"] == "weighted" and rb["network_kind"] == "binary"
 
 
 def test_weighted_fractional_chain_report():
@@ -408,8 +406,8 @@ def test_weighted_fractional_chain_report():
     assert stats.abar[0, 1] == pytest.approx(mean, abs=1e-12)
     assert stats.delta_uncertainty == pytest.approx(var, abs=1e-12)
     rep = check_sufficient(summarize(spec), _params())
-    assert rep.summary.network_kind == "weighted"
-    assert rep.summary.lambda_max_abar == pytest.approx(mean, abs=1e-12)
+    assert rep["network_kind"] == "weighted"
+    assert rep["lambda_max_abar"] == pytest.approx(mean, abs=1e-12)
 
 
 # --- expected-degree test ----------------------------------------------------
@@ -418,12 +416,12 @@ def test_uniform_degrees_closed_form():
     n, c = 50, 5.0
     d = np.full(n, c)
     rep = check_sufficient(expected_degree_stats(stream(d)), _params(delta=100.0))
-    assert rep.summary.d_tilde == pytest.approx(c, rel=1e-14)
+    assert rep["d_tilde"] == pytest.approx(c, rel=1e-14)
     # abar_ij = c/n off-diagonal; row sum of variances has n-1 terms
     expected_delta = (n - 1) * (c / n) * (1 - c / n)
-    assert rep.summary.delta_uncertainty == pytest.approx(expected_delta, rel=1e-12)
-    assert rep.summary.max_pair_prob == pytest.approx(c / n, rel=1e-12)
-    assert rep.summary.invalid_pairs == 0
+    assert rep["delta_uncertainty"] == pytest.approx(expected_delta, rel=1e-12)
+    assert rep["max_pair_prob"] == pytest.approx(c / n, rel=1e-12)
+    assert rep["invalid_pairs"] == 0
 
 
 def test_expected_degree_uncertainty_matches_dense():
@@ -458,14 +456,14 @@ def test_pair_violations_match_bruteforce():
 def test_invalid_probabilities_recorded_as_note():
     d = np.array([1.0, 1.0, 50.0, 60.0])
     rep = check_sufficient(expected_degree_stats(stream(d)), _params())
-    assert rep.summary.max_pair_prob > 1.0
-    assert rep.summary.invalid_pairs >= 1
-    assert any("invalid edge probabilities" in note for note in rep.notes)
+    assert rep["max_pair_prob"] > 1.0
+    assert rep["invalid_pairs"] >= 1
+    assert any("invalid edge probabilities" in note for note in rep["notes"])
     valid = check_sufficient(
         expected_degree_stats(stream([1.0, 2.0, 3.0, 2.0])), _params()
     )
-    assert valid.summary.invalid_pairs == 0
-    assert not any("invalid" in n for n in valid.notes)
+    assert valid["invalid_pairs"] == 0
+    assert not any("invalid" in n for n in valid["notes"])
 
 
 def test_expected_degrees_input_validation():
@@ -497,9 +495,9 @@ def test_expected_degree_verdict_against_dense_test():
     abar = np.outer(d, d) / d.sum()
     np.fill_diagonal(abar, 0.0)
     lam_dense = float(np.linalg.eigvalsh(abar)[-1])
-    assert lam_dense <= rep.summary.d_tilde + 1e-12
+    assert lam_dense <= rep["d_tilde"] + 1e-12
     dense_delta = (abar * (1.0 - abar)).sum(axis=1).max()
-    assert rep.summary.delta_uncertainty == pytest.approx(dense_delta, rel=1e-12)
+    assert rep["delta_uncertainty"] == pytest.approx(dense_delta, rel=1e-12)
 
 
 def test_check_mean_lambda_max_single_edge():

@@ -77,6 +77,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's SeedSequence, which takes non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -170,6 +181,7 @@ def _cmd_simulate(args, out: Optional[Path], started: float, manifest: dict) -> 
         if args.linearized or args.coupled:
             raise ValueError("decay estimation (--trials > 1) runs the full dynamics")
         est = estimate_decay(spec, params, cfg)
+        manifest["simulate"] = {"events": est.events}
         hw = "n/a" if est.half_width is None else f"{est.half_width:.3g}"
         print(
             f"decay rate = {est.rate:.6g} (95% half-width {hw}) "
@@ -179,6 +191,7 @@ def _cmd_simulate(args, out: Optional[Path], started: float, manifest: dict) -> 
             summary = {
                 "mode": "decay",
                 "trials": est.trials,
+                "events": est.events,
                 "rate": est.rate,
                 "half_width": est.half_width,
                 "window_start": est.window_start,
@@ -369,7 +382,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="sample-grid step (default: a tenth of the fastest time constant)",
     )
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     group = ps.add_mutually_exclusive_group()
     group.add_argument(
         "--linearized", action="store_true", help="integrate the linearized system"
@@ -389,7 +402,7 @@ def _build_parser() -> _Parser:
 
     po = sub.add_parser("oracle", help="brute-force cross-check suite")
     po.add_argument("--trials", type=int, default=100)
-    po.add_argument("--seed", type=int, default=0)
+    po.add_argument("--seed", type=_seed, default=0)
     po.add_argument("--out")
     po.set_defaults(func=_cmd_oracle)
 
@@ -407,8 +420,8 @@ def main(argv=None) -> int:
     """Run one command.  With ``--out`` the directory is created first, and
     ``manifest.json`` is written once the command has returned, with the
     fields the command added (``analyze``: the solver that decided eta and
-    its matvec count); a command that raises (exit 1 or 2) leaves no
-    manifest."""
+    its matvec count; a decay ``simulate``: its switching event count); a
+    command that raises (exit 1 or 2) leaves no manifest."""
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:

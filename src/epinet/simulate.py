@@ -15,17 +15,21 @@ TRIAL_CHUNK rows and BATCH_ENTRY_CAP adjacency or norm entries and keeps
 only the sum of grid norms, added in trial order, so its memory does not
 grow with the trial count and its sums do not depend on the batch split.
 
-Determinism contract: one (spec, params, config, p0) tuple maps to one
-bit-identical trajectory.  Randomness is consumed only by the edge machinery
-(initial states, holding times, jump targets), never by the integrator, so a
-full run and a linearized run with the same seed see the same switching
-sequence.  Trial k uses the seed stream SeedSequence(seed, spawn_key=(k,)),
-and no step of the core mixes trials, so a trial's path is the same alone or
-in a batch of any size, and independent of the trial count.
+Each trial's switching path is drawn first, then integrated.  Trial k's
+initial edge states and its jumps before the horizon come from its own seed
+stream, SeedSequence(seed, spawn_key=(k,)), in event order; the core applies
+a batch's jumps as array updates, and the integrator draws nothing.  So one
+(spec, params, config, p0) tuple maps to one bit-identical trajectory, a full
+and a linearized run with one seed see the same switching sequence, and a
+trial's path is the same alone or in a batch of any size.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,8 +50,8 @@ BOUNDS_TOL = 1e-9
 MAX_HALVINGS = 20
 
 # A decay estimate runs its trials in lockstep batches of at most this many
-# rows, and of at most this many adjacency entries (rows * n^2, 128 MiB) and
-# buffered grid norms (rows * grid points), but never fewer than one row.
+# rows, and of at most this many adjacency (rows * n^2, 128 MiB), grid-norm
+# and expected jump-table entries, but never fewer than one row.
 TRIAL_CHUNK = 256
 BATCH_ENTRY_CAP = 1 << 24
 
@@ -127,11 +131,53 @@ def default_step(spec: SwitchedNetworkSpec, params: EpidemicParams) -> float:
     return 0.1 / rate
 
 
-def _positive_exponential(rng: np.random.Generator, scale: float) -> float:
-    x = float(rng.exponential(scale))
-    while x == 0.0:  # zero holding times would stall the event loop
-        x = float(rng.exponential(scale))
-    return x
+def _expected_events(spec: SwitchedNetworkSpec, horizon: float) -> float:
+    """horizon * sum_e sum_k pi_k (-Q_kk), the mean jump count of a trial;
+    a count over EVENT_CAP (or one that overflows) is refused."""
+    rates = (float(e.stationary @ -np.diag(e.rate_matrix)) for e in spec.edges)
+    expected = horizon * sum(rates)
+    if not expected <= EVENT_CAP:
+        raise ValueError(
+            f"expected {expected:.3g} switching events per trial exceeds the "
+            f"cap of {EVENT_CAP}; shorten the horizon or slow the edge chains"
+        )
+    return expected
+
+
+def _schedule(first, init_cum, scale, jump_cum, rng, horizon: float, block: int):
+    """The times and state codes of a trial's initial states (at t = 0) and
+    of its jumps before the horizon, from :func:`_lockstep`'s edge tables and
+    a heap of next times (ties by edge index).  In event order it draws a
+    uniform per initial state and per jump of a chain of three or more
+    states, then the hold of the state entered, redrawn if zero (none if
+    frozen); with no such chain a nonzero ``block`` draws the later holds in
+    blocks, the same stream."""
+    draw = rng.standard_exponential
+
+    def hold(c: int) -> float:
+        x = scale[c] * draw() if scale[c] else math.inf  # frozen: no draw
+        while x == 0.0:  # zero holding times would stall the event loop
+            x = scale[c] * draw()
+        return x
+
+    def pick(base: int, cum: list) -> int:
+        return base + min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+
+    times, jumps, heap = [0.0] * len(init_cum), [], []
+    for e, cum in enumerate(init_cum):  # heap entries: next time, edge, state
+        jumps.append(pick(first[e], cum))
+        heapq.heappush(heap, (hold(jumps[e]), e, jumps[e]))
+    if block:
+        draws = iter(lambda: rng.standard_exponential(block).tolist(), None)
+        draw = itertools.chain.from_iterable(draws).__next__
+    while heap and heap[0][0] < horizon:
+        t, e, k = heap[0]
+        cum = jump_cum[k]
+        c = 2 * first[e] + 1 - k if cum is None else pick(first[e], cum)
+        times.append(t)
+        jumps.append(c)
+        heapq.heapreplace(heap, (t + hold(c), e, c))
+    return times, jumps
 
 
 def _grid_times(cfg: SimConfig) -> np.ndarray:
@@ -188,59 +234,47 @@ def _rk4_span(f, a, q, span, clamp01: bool) -> np.ndarray:
 def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=None):
     """Advance the realizations of ``trials`` to the horizon in lockstep.
 
-    Row b starts as trial trials[b] with its own edge states, clock, grid
-    index and seed stream.  Each iteration moves every live row over its own
-    span to its next breakpoint; rows that reach the horizon are compacted
-    out.  At t = 0 and after every step, ``sample(slots, t, on_grid,
-    grid_index, p_full, p_linear)`` sees the live rows: ``slots`` are their
-    positions in ``trials``, ``grid_index`` numbers the grid point of rows
-    with ``on_grid`` set, an unrequested system is None, and no array passed
-    there is written to afterwards.  Slot s's jumps go to ``events[s]``.
+    Row b is trial trials[b].  Its switching path is drawn first, into one
+    flat table of times and state codes ending in an inf sentinel; each
+    iteration applies a row's jumps due at its time and moves it over its
+    own span to its next breakpoint, or compacts it out at the horizon.  At
+    t = 0 and after every step, ``sample(slots, t, on_grid, grid_index,
+    p_full, p_linear)`` sees the live rows: ``slots`` are their positions in
+    ``trials``, ``grid_index`` numbers the grid point of rows with ``on_grid``
+    set, an unrequested system is None, and no array passed there is written
+    to afterwards.  Slot s's jumps go to ``events[s]``; returns the jump count.
     """
     check_dense_size(spec.n)
     n, horizon = spec.n, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     edges = spec.edges
-    expected_events = horizon * sum(
-        float(edge.stationary @ -np.diag(edge.rate_matrix)) for edge in edges
-    )
-    if not expected_events <= EVENT_CAP:
-        raise ValueError(
-            f"expected {expected_events:.3g} switching events per trial "
-            f"exceeds the cap of {EVENT_CAP}; shorten the horizon or slow "
-            "the edge chains"
-        )
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
-        for k in trials
-    ]
-    rows = len(rngs)
+    expected_events = _expected_events(spec, horizon)
+    first, init_cum, scale, jump_cum, ends = [], [], [], [], []
+    for edge in edges:  # state k of edge e has the code first[e] + k
+        first.append(len(scale))
+        init_cum.append(np.cumsum(edge.stationary).tolist())
+        for k, row in enumerate(edge.rate_matrix):
+            scale.append(1.0 / -float(row[k]) if row[k] < 0.0 else 0.0)  # 0: frozen
+            jump = np.cumsum(np.where(np.arange(len(row)) == k, 0.0, row)).tolist()
+            jump_cum.append(jump if len(row) > 2 else None)  # None: a flip
+            ends.append((edge.i, edge.j, float(edge.values[k])))
+    block = 0 if any(len(e.values) > 2 for e in edges) else 16 + int(expected_events)
+    vi, vj, vv = np.array(ends).reshape(-1, 3).T
+    vi, vj = vi.astype(np.intp) - 1, vj.astype(np.intp) - 1
+    rows, m = len(trials), len(edges)
+    jump_t, jump_c = array("d"), array("i")  # the flat table, grown in place
+    for s, k in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
+        times, codes = _schedule(first, init_cum, scale, jump_cum, rng, horizon, block)
+        jump_t.extend(times + [math.inf])
+        jump_c.extend(codes + [0])
+        if events is not None:
+            jumps = zip(times[m:], codes[m:])
+            events[s].extend(SwitchEvent(t, *ends[c]) for t, c in jumps)
+    jump_t, jump_c = np.frombuffer(jump_t), np.frombuffer(jump_c, dtype=np.intc)
+    ptr = np.r_[0, np.isinf(jump_t).nonzero()[0][:-1] + 1]  # each row's first entry
     slots = np.arange(rows)
     adj = np.zeros((rows, n, n))
-    state = np.zeros((rows, len(edges)), dtype=int)
-    next_time = np.full((rows, len(edges)), np.inf)
-
-    def draw_state(rng: np.random.Generator, weights: np.ndarray) -> int:
-        # Inverse-CDF draw; one uniform per call keeps the stream identical
-        # between full and linearized runs.
-        cum = np.cumsum(weights)
-        u = rng.random() * cum[-1]
-        return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
-
-    def enter(b: int, e: int, k: int, t: float) -> float:
-        edge = edges[e]
-        state[b, e] = k
-        val = edge.values[k]
-        adj[b, edge.i - 1, edge.j - 1] = val
-        adj[b, edge.j - 1, edge.i - 1] = val
-        rate = -float(edge.rate_matrix[k, k])
-        hold = _positive_exponential(rngs[b], 1.0 / rate) if rate > 0.0 else math.inf
-        next_time[b, e] = t + hold
-        return float(val)
-
-    for b, rng in enumerate(rngs):
-        for e, edge in enumerate(edges):
-            enter(b, e, draw_state(rng, edge.stationary), 0.0)
 
     def rhs_full(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         infect = beta * np.matvec(a, q)
@@ -257,14 +291,21 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     p_full = np.tile(p0, (rows, 1)) if full else None
     p_lin = np.tile(p0, (rows, 1)) if linear else None
     t = np.zeros(rows)
-    te = next_time.min(axis=1, initial=math.inf)
+    te = jump_t[ptr]
     grid = _grid_times(cfg)
     grid_k = np.ones(rows, dtype=np.int64)
-    stale = slots  # rows whose eigendecomposition is out of date
     sample(slots, t, t == 0.0, np.zeros(rows, dtype=np.int64), p_full, p_lin)
     # a row ends on the iteration that samples grid[-1], not before the last-th
     it, last = 0, grid.size - 1
     while rows:
+        due = (t == te).nonzero()[0]
+        stale = due if it else slots  # rows whose eigendecomposition is stale
+        while due.size:  # the jumps at t, one per row and pass, in table order
+            c = jump_c[ptr[due]]
+            adj[due, vi[c], vj[c]] = adj[due, vj[c], vi[c]] = vv[c]
+            ptr[due] += 1
+            te[due] = jump_t[ptr[due]]
+            due = due[te[due] == t[due]]
         tg = grid[grid_k]
         t_next = np.minimum(te, tg)
         # per entry: a same-shape product is faster than broadcasting a column
@@ -286,32 +327,11 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
         if it >= last and (t == horizon).nonzero()[0].size:
             keep = (t < horizon).nonzero()[0]
             rows = keep.size
-            rngs = [rngs[b] for b in keep]
-            slots, adj, state, next_time, t, te, grid_k, p_full, p_lin, w, vecs = (
+            slots, adj, ptr, t, te, grid_k, p_full, p_lin, w, vecs = (
                 None if x is None else x[keep]
-                for x in (slots, adj, state, next_time, t, te, grid_k)
-                + (p_full, p_lin, w, vecs)
+                for x in (slots, adj, ptr, t, te, grid_k, p_full, p_lin, w, vecs)
             )
-        jumped = (t == te).nonzero()[0]
-        for b in jumped:
-            tb = float(t[b])
-            for e in (next_time[b] == tb).nonzero()[0]:
-                edge = edges[e]
-                k = state[b, e]
-                if len(edge.values) == 2:
-                    new_k = 1 - k  # two-state chains jump deterministically
-                else:
-                    row = edge.rate_matrix[k].copy()
-                    row[k] = 0.0
-                    new_k = draw_state(rngs[b], row)
-                val = enter(b, e, new_k, tb)
-                if events is not None:
-                    events[slots[b]].append(
-                        SwitchEvent(time=tb, i=edge.i, j=edge.j, new_value=val)
-                    )
-        if jumped.size:
-            te[jumped] = next_time[jumped].min(axis=1)
-        stale = jumped
+    return jump_t.size - len(trials) * (1 + m)
 
 
 def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -406,12 +426,13 @@ class DecayEstimate:
     ``rate`` is the slope of log ||p||_2 averaged across trials; -inf means
     the mean norm hit zero inside the fit window.  ``half_width`` is a 95%
     half-interval from the residual spread, reported only when the trial
-    count is at least 30.
+    count is at least 30.  ``events`` is the trials' total jump count.
     """
 
     rate: float
     half_width: Optional[float]
     trials: int
+    events: int
     window_start: float
     grid_times: np.ndarray
     mean_norms: np.ndarray
@@ -441,10 +462,11 @@ def estimate_decay(
             "raise the horizon"
         )
 
-    width = max(spec.n**2, grid_times.size)
+    table = len(spec.edges) + 1 + int(_expected_events(spec, cfg.horizon))
+    width = max(spec.n**2, grid_times.size, table)
     chunk = max(1, min(TRIAL_CHUNK, BATCH_ENTRY_CAP // width))
     norms = np.zeros((min(chunk, cfg.trials), grid_times.size))
-    norm_sum = np.zeros(grid_times.size)
+    norm_sum, events = np.zeros(grid_times.size), 0
 
     def sample(slots, t, on_grid, grid_index, pf, pl):
         on = on_grid.nonzero()[0]
@@ -452,7 +474,8 @@ def estimate_decay(
 
     for start in range(0, cfg.trials, chunk):
         batch = range(start, min(start + chunk, cfg.trials))
-        _lockstep(spec, params, cfg, p0, batch, sample, full=True, linear=False)
+        events += _lockstep(spec, params, cfg, p0, batch, sample,
+                            full=True, linear=False)
         for row in norms[: len(batch)]:
             norm_sum += row
     mean_norms = norm_sum / cfg.trials
@@ -469,7 +492,8 @@ def estimate_decay(
             sigma_sq = float(resid @ resid) / (tw.size - 2)
             t_center = tw - tw.mean()
             half = 1.96 * math.sqrt(sigma_sq / float(t_center @ t_center))
-    return DecayEstimate(rate, half, cfg.trials, window_start, grid_times, mean_norms)
+    return DecayEstimate(rate, half, cfg.trials, events, window_start, grid_times,
+                         mean_norms)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

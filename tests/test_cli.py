@@ -22,6 +22,7 @@ import epinet.cli
 import epinet.ensembles
 import epinet.exact
 import epinet.netmodel
+import epinet.simulate
 import epinet.spectral
 import epinet.stability
 from epinet.cli import COMMUNITY_EXAMPLE, POWERLAW_EXAMPLE, main
@@ -630,6 +631,14 @@ def test_simulate_refuses_unbounded_work(triangle_spec, tmp_path, capsys):
                  "--delta", "1.0", "--horizon", "10"])
     assert code == 1
     assert "switching events per trial exceeds the cap" in capsys.readouterr().err
+    # 1e5 grid steps pass, but the expected event count overflows to inf;
+    # decay mode sizes its batches from that count, and must refuse it first
+    code = main(["simulate", "--spec", str(triangle_spec), "--beta", "0.2",
+                 "--delta", "1.5", "--trials", "2", "--horizon", "1e308",
+                 "--step", "1e303"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "expected inf switching events per trial exceeds the cap" in err
 
 
 def test_simulate_decay_mode(triangle_spec, tmp_path):
@@ -650,6 +659,55 @@ def test_simulate_decay_mode(triangle_spec, tmp_path):
     decay = json.loads((out / "decay.json").read_text())
     assert decay["mode"] == "decay" and decay["trials"] == 5
     assert decay["rate"] < 0.0
+
+
+def test_simulate_decay_records_event_count(triangle_spec, tmp_path, capsys):
+    argv = ["simulate", "--spec", str(triangle_spec), "--beta", "0.2", "--delta",
+            "2.0", "--trials", "5", "--horizon", "6.0", "--step", "0.1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == plain  # stdout does not change
+    decay = json.loads((out / "decay.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(decay)[:4] == ["mode", "trials", "events", "rate"]
+    assert decay["events"] == manifest["simulate"]["events"] > 0
+    spec = epinet.ensembles.as_switched_network(load_network(triangle_spec))
+    cfg = epinet.simulate.SimConfig(horizon=6.0, step=0.1, trials=5)
+    est = epinet.simulate.estimate_decay(spec, EpidemicParams(0.2, 2.0), cfg)
+    assert decay["events"] == est.events
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "absent.json", "--beta", "1", "--delta", "1", "--seed", "-1"],
+    ["oracle", "--seed", "-3"],
+])
+def test_negative_seed_refused_at_parse_time(argv, capsys):
+    # numpy's SeedSequence refuses negative seeds with a message that does
+    # not name the option; the parser refuses them first (the spec file is
+    # never opened)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, got '{argv[-1]}'" in err
+
+
+def test_readme_simulate_lines(triangle_spec, tmp_path, capsys, monkeypatch):
+    # README's two simulate runs print its console lines verbatim; this pins
+    # the switching draw order end to end
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Simulate:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", "").splitlines()
+    assert lines[1::2] == [
+        "coupled run: 433 samples, 52 events, min l1 margin = 0",
+        "decay rate = -1.30049 (95% half-width 0.000536) from 200 trials",
+    ]
+    monkeypatch.chdir(tmp_path)  # where triangle.json is
+    for command, line in zip(lines[::2], lines[1::2]):
+        assert main(command.removeprefix("$ epinet ").split()) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_simulate_decay_rejects_linearized(triangle_spec):

@@ -13,6 +13,7 @@ from epinet.netmodel import (
 )
 from epinet.simulate import (
     SimConfig,
+    SwitchEvent,
     default_step,
     estimate_decay,
     simulate_coupled,
@@ -469,7 +470,7 @@ def test_estimate_decay_batch_memory_bound(n, rows, monkeypatch):
     batches = []
     monkeypatch.setattr(
         simulate, "_lockstep", lambda spec, params, cfg, p0, trials, *a, **kw:
-        batches.append(list(trials))
+        batches.append(list(trials)) or 0
     )
     cfg = SimConfig(horizon=2.0, step=0.5, trials=300, seed=0)
     estimate_decay(spec, EpidemicParams(beta=0.5, delta=1.0), cfg)
@@ -493,17 +494,182 @@ def test_estimate_decay_independent_of_batch_split(monkeypatch):
 
 
 def test_estimate_decay_norm_buffer_bound(monkeypatch):
-    # a batch buffers rows * grid points norms, kept under BATCH_ENTRY_CAP
+    # a batch buffers rows * grid points norms, kept under BATCH_ENTRY_CAP;
+    # slow edges, so that the 1025 grid points outnumber the 3 + 307 + 1
+    # jump-table entries of a trial
     batches = []
     monkeypatch.setattr(
         simulate, "_lockstep", lambda spec, params, cfg, p0, trials, *a, **kw:
-        batches.append(len(trials))
+        batches.append(len(trials)) or 0
     )
     monkeypatch.setattr(simulate, "BATCH_ENTRY_CAP", 1 << 16)
+    spec = SwitchedNetworkSpec(
+        n=3,
+        edges=tuple(EdgeChain(i=i, j=j, p_rate=0.1, q_rate=0.1)
+                    for i, j in ((1, 2), (1, 3), (2, 3))),
+    )
     cfg = SimConfig(horizon=1024.0, step=1.0, trials=300, seed=0)
-    estimate_decay(switching_spec(), EpidemicParams(beta=0.5, delta=1.0), cfg)
+    estimate_decay(spec, EpidemicParams(beta=0.5, delta=1.0), cfg)
     assert max(batches) == (1 << 16) // 1025  # grid points 0..1023 and 1024
     assert sum(batches) == cfg.trials
+
+
+def test_estimate_decay_jump_table_bound(monkeypatch):
+    # fast edges: 4800 expected jumps per trial, more than the 17 grid points
+    # and the 9 adjacency entries; a batch's jump table, rows * (3 initial
+    # states + 4800 jumps + 1 sentinel), is kept under BATCH_ENTRY_CAP
+    batches = []
+    monkeypatch.setattr(
+        simulate, "_lockstep", lambda spec, params, cfg, p0, trials, *a, **kw:
+        batches.append(len(trials)) or 0
+    )
+    monkeypatch.setattr(simulate, "BATCH_ENTRY_CAP", 1 << 16)
+    spec = SwitchedNetworkSpec(
+        n=3,
+        edges=tuple(EdgeChain(i=i, j=j, p_rate=100.0, q_rate=100.0)
+                    for i, j in ((1, 2), (1, 3), (2, 3))),
+    )
+    cfg = SimConfig(horizon=16.0, step=1.0, trials=300, seed=0)
+    estimate_decay(spec, EpidemicParams(beta=0.5, delta=1.0), cfg)
+    assert max(batches) == (1 << 16) // (3 + 4800 + 1)
+    assert sum(batches) == cfg.trials
+
+
+def test_estimate_decay_counts_every_jump(monkeypatch):
+    spec = switching_spec()
+    cfg = SimConfig(horizon=4.0, step=0.1, trials=20, seed=8)
+    monkeypatch.setattr(simulate, "TRIAL_CHUNK", 7)  # several batches
+    est = estimate_decay(spec, EpidemicParams(beta=0.3, delta=2.0), cfg)
+    batch = run_trials(spec, EpidemicParams(beta=0.3, delta=2.0), cfg,
+                       range(cfg.trials))
+    assert est.events == sum(len(path[3]) for path in batch.values()) > 0
+
+
+def scalar_switching(spec, seed, k, horizon):
+    """Trial k's jumps, drawn one scalar call at a time in event order: per
+    edge a uniform for the initial state, then an exponential hold; per jump
+    (in time order, ties by edge index) a flip, or for three or more states a
+    uniform over the jump row, then an exponential hold."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+    def draw_state(weights):
+        cum = np.cumsum(weights)
+        k = np.searchsorted(cum, rng.random() * cum[-1], side="right")
+        return min(int(k), len(weights) - 1)
+
+    def hold(edge, k):
+        rate = -float(edge.rate_matrix[k, k])
+        x = float(rng.exponential(1.0 / rate)) if rate > 0.0 else math.inf
+        while x == 0.0:
+            x = float(rng.exponential(1.0 / rate))
+        return x
+
+    state, next_time, jumps = [], [], []
+    for edge in spec.edges:
+        state.append(draw_state(edge.stationary))
+        next_time.append(hold(edge, state[-1]))
+    while min(next_time, default=math.inf) < horizon:
+        t = min(next_time)
+        for e in [e for e, te in enumerate(next_time) if te == t]:
+            edge, k = spec.edges[e], state[e]
+            if len(edge.values) == 2:
+                state[e] = 1 - k
+            else:
+                state[e] = draw_state(np.where(np.arange(len(edge.values)) == k,
+                                               0.0, edge.rate_matrix[k]))
+            next_time[e] = t + hold(edge, state[e])
+            jumps.append(SwitchEvent(t, edge.i, edge.j, float(edge.values[state[e]])))
+    return jumps
+
+
+def mixed_weighted_spec():
+    """Two-state chains around a three-state one (that of
+    test_trial_path_same_alone_and_in_batch)."""
+    return SwitchedNetworkSpec(
+        n=3,
+        edges=(
+            WeightedEdgeChain(1, 2, (0.0, 1.0), ((-2.0, 2.0), (1.0, -1.0))),
+            WeightedEdgeChain(
+                1, 3, (0.0, 0.5, 1.0),
+                ((-2.0, 1.5, 0.5), (1.0, -3.0, 2.0), (0.5, 0.5, -1.0)),
+            ),
+            WeightedEdgeChain(2, 3, (0.2, 0.9), ((-1.0, 1.0), (1.0, -1.0))),
+        ),
+    )
+
+
+def three_state_spec():
+    return SwitchedNetworkSpec(
+        n=4,
+        edges=(
+            WeightedEdgeChain(
+                1, 2, (0.0, 0.5, 1.0),
+                ((-2.0, 1.5, 0.5), (1.0, -3.0, 2.0), (0.5, 0.5, -1.0)),
+            ),
+            WeightedEdgeChain(
+                2, 3, (0.1, 0.4, 0.8),
+                ((-1.0, 1.0, 0.0), (0.5, -1.0, 0.5), (0.0, 3.0, -3.0)),
+            ),
+            WeightedEdgeChain(
+                3, 4, (0.0, 0.3, 0.7, 1.0),
+                ((-1.0, 1.0, 0.0, 0.0), (0.0, -2.0, 2.0, 0.0),
+                 (0.0, 0.0, -4.0, 4.0), (1.0, 0.0, 0.0, -1.0)),
+            ),
+        ),
+    )
+
+
+def frozen_edge_spec():
+    # edge (1, 3) is always present and never jumps; the others switch
+    return SwitchedNetworkSpec(
+        n=3,
+        edges=(
+            EdgeChain(i=1, j=2, p_rate=2.0, q_rate=1.0),
+            EdgeChain(i=1, j=3, p_rate=1.0, q_rate=0.0),
+            EdgeChain(i=2, j=3, p_rate=0.5, q_rate=3.0),
+        ),
+    )
+
+
+def fast_edge_spec():
+    # 200 expected jumps over horizon 4; a binary spec draws its later holds
+    # in blocks of 16 + 200, and trial 11 of seed 11 jumps 222 times
+    return SwitchedNetworkSpec(
+        n=2, edges=(EdgeChain(i=1, j=2, p_rate=50.0, q_rate=50.0),)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [switching_spec, mixed_weighted_spec, three_state_spec, frozen_edge_spec,
+     fast_edge_spec],
+)
+def test_switching_path_follows_scalar_draw_order(make_spec):
+    # the jumps the lockstep applies are those of a scalar event loop on the
+    # trial's own stream, and each trial's times and both paths are the same
+    # alone and in a batch
+    spec = make_spec()
+    params = EpidemicParams(beta=1.0, delta=1.5)
+    longest = 0
+    for seed in (0, 3, 11):
+        cfg = SimConfig(horizon=4.0, step=0.25, seed=seed)
+        batch = run_trials(spec, params, cfg, range(12))
+        assert sum(len(path[3]) for path in batch.values()) > 12
+        for k in (0, 5, 11):
+            expected = scalar_switching(spec, seed, k, cfg.horizon)
+            longest = max(longest, len(expected))
+            grid = np.append(np.arange(16) * 0.25, 4.0)
+            times = np.union1d(grid, [ev.time for ev in expected])
+            alone = run_trials(spec, params, cfg, [k])[k]
+            for path in (alone, batch[k]):
+                assert path[3] == expected
+                assert np.array_equal(path[0], times)
+            for x, y in zip(alone[:3], batch[k][:3]):
+                assert np.array_equal(x, y)
+            if make_spec is frozen_edge_spec:
+                assert all((ev.i, ev.j) != (1, 3) for ev in expected)
+    if make_spec is fast_edge_spec:  # a checked trial needs a second block
+        assert longest > 16 + int(simulate._expected_events(spec, 4.0))
 
 
 def test_csv_writers(tmp_path):

@@ -12,13 +12,14 @@ import argparse
 
 import numpy as np
 
+from epinet.cli import seed_argument
 from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import EpidemicParams
 from epinet.oracle import random_small_spec
 from epinet.simulate import SimConfig, default_step, estimate_decay
 
 parser = argparse.ArgumentParser(description=__doc__)
-parser.add_argument("--seed", type=int, default=0)
+parser.add_argument("--seed", type=seed_argument, default=0)
 parser.add_argument("--trials", type=int, default=200)
 args = parser.parse_args()
 

@@ -7,11 +7,12 @@ Exits nonzero if any instance fails a check.
 import argparse
 import sys
 
+from epinet.cli import seed_argument
 from epinet.oracle import run_sandwich_suite, suite_summary
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--count", type=int, default=100)
-parser.add_argument("--seed", type=int, default=0)
+parser.add_argument("--seed", type=seed_argument, default=0)
 args = parser.parse_args()
 
 reports = run_sandwich_suite(count=args.count, seed=args.seed)

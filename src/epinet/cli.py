@@ -29,7 +29,7 @@ from .exact import (
     exact_mean_stable,
     expected_lambda_max,
 )
-from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec
+from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec, as_seed
 from .oracle import run_sandwich_suite, suite_summary
 from .simulate import (
     SimConfig,
@@ -77,15 +77,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _seed(text: str) -> int:
-    """A seed for numpy's SeedSequence, which takes non-negative integers only."""
+def seed_argument(text: str) -> int:
+    """A ``--seed`` option's decimal value, refused at parse time unless
+    :func:`~epinet.netmodel.as_seed` takes it."""
     try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
+        return as_seed(int(text) if text.strip().isdecimal() else text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _jsonable(obj):
@@ -382,7 +380,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="sample-grid step (default: a tenth of the fastest time constant)",
     )
-    ps.add_argument("--seed", type=_seed, default=0)
+    ps.add_argument("--seed", type=seed_argument, default=0)
     group = ps.add_mutually_exclusive_group()
     group.add_argument(
         "--linearized", action="store_true", help="integrate the linearized system"
@@ -402,7 +400,7 @@ def _build_parser() -> _Parser:
 
     po = sub.add_parser("oracle", help="brute-force cross-check suite")
     po.add_argument("--trials", type=int, default=100)
-    po.add_argument("--seed", type=_seed, default=0)
+    po.add_argument("--seed", type=seed_argument, default=0)
     po.add_argument("--out")
     po.set_defaults(func=_cmd_oracle)
 

@@ -55,7 +55,7 @@ from .stability import (
 REALIZE_N_CAP = 200
 # A power-law ensemble is streamed in blocks, so its statistics need O(block)
 # memory at any n; this caps their O(n) work (`analyze` at 1e9 vertices
-# takes about 20 s of CPU on one core).
+# takes about 18 s of CPU on one core, the first pass most of it).
 POWER_LAW_N_CAP = 1_000_000_000
 
 

@@ -52,6 +52,13 @@ def as_real(value, what: str) -> float:
     raise SpecFormatError(f"{what} must be a number, got {value!r}")
 
 
+def as_seed(value) -> int:
+    """A seed numpy's SeedSequence takes: a non-negative integer, else ValueError."""
+    if isinstance(value, numbers.Integral) and value >= 0:
+        return int(value)
+    raise ValueError(f"expected a non-negative integer, got {value!r}")
+
+
 def read_fields(data, fields: tuple[str, ...], where: str) -> list:
     """The values of ``fields``, in that order, of one object of a parsed
     description.  A non-object, the first field not in ``fields`` and the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ensembles import summarize
 from .exact import JointChain, build_joint_chain
-from .netmodel import EdgeChain, SwitchedNetworkSpec, stationary_stats
+from .netmodel import EdgeChain, SwitchedNetworkSpec, as_seed, stationary_stats
 from .spectral import lambda_max_dense
 from .stability import _tail_exponent
 
@@ -232,7 +232,7 @@ def run_sandwich_suite(count: int = 100, seed: int = 0) -> list[OracleReport]:
     """Random-instance suite; deterministic for a fixed (count, seed)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     return [check_instance(random_small_spec(rng)) for _ in range(count)]
 
 

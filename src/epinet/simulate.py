@@ -38,6 +38,7 @@ import numpy as np
 from .netmodel import (
     EpidemicParams,
     SwitchedNetworkSpec,
+    as_seed,
     check_dense_size,
     max_vertex_weight,
 )
@@ -80,6 +81,7 @@ class SimConfig:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.trials >= 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        as_seed(self.seed)
         if self.horizon / self.step > GRID_STEP_CAP:
             raise ValueError(
                 f"horizon/step = {self.horizon / self.step:.3g} grid steps per "

@@ -289,7 +289,8 @@ def _fsums(
 class DegreeSequence:
     """A descending expected-degree sequence d_1 >= ... >= d_n, read in
     blocks, with the sums D1 = sum(d), D2 = sum(d^2) and d4 = sum((d / d_1)^4)
-    (in [1, n], so it cannot overflow) of one first pass.
+    (in [1, n], so it cannot overflow) and ``ends``, each block's first and
+    last degree, of one first pass.
 
     ``block(lo, hi)``, a model's ``degree_block``, returns d[lo:hi] (0-based),
     fresh or read-only, for at most DEGREE_BLOCK entries at a time."""
@@ -299,18 +300,24 @@ class DegreeSequence:
     d1: float
     d2: float
     d4: float
+    ends: np.ndarray
 
     @classmethod
     def of(cls, n: int, block: Callable[[int, int], np.ndarray]) -> "DegreeSequence":
         top = float(block(0, 1)[0])
+        buffers = np.empty((2, min(n, DEGREE_BLOCK)))  # reused by every block
+        ends = np.empty((-(-n // DEGREE_BLOCK), 2))
+        slot = iter(ends)
 
         def sums(d: np.ndarray) -> tuple[float, float, float]:
-            x = d / top
+            x, sq = buffers[:, : d.size]
+            np.divide(d, top, out=x)
             x *= x
-            return float(d.sum()), float((d * d).sum()), float(x @ x)
+            next(slot)[:] = d[0], d[-1]
+            return float(d.sum()), float(np.multiply(d, d, out=sq).sum()), float(x @ x)
 
         d1, d2, d4 = _fsums((block(lo, hi) for lo, hi in _block_bounds(n)), sums)
-        return cls(n=n, block=block, d1=d1, d2=d2, d4=d4)
+        return cls(n=n, block=block, d1=d1, d2=d2, d4=d4, ends=ends)
 
     def blocks(self, start: int = 0) -> Iterator[np.ndarray]:
         for lo, hi in _block_bounds(self.n, start):
@@ -323,18 +330,29 @@ def expected_degree_uncertainty(seq: DegreeSequence) -> float:
     With abar_ij = rho d_i d_j (zero diagonal), row i of the entrywise
     variance matrix abar * (1 - abar) sums to
 
-        rho d_i (D1 - d_i) - rho^2 d_i^2 (D2 - d_i^2),
+        rho d_i (D1 - d_i) - (rho d_i)^2 (D2 - d_i^2),
 
-    with D1 = sum(d) and D2 = sum(d^2), so the maximum over rows is one pass
-    over the blocks and never materializes the matrix.
+    with D1 = sum(d) and D2 = sum(d^2).  On a block of degrees in [l, h] it
+    is at most B = rho h (D1 - l) - (rho l)^2 (D2 - h^2); blocks are read in
+    descending order of B until B falls below the largest row so far: one
+    block of a power law, every block of a flat sequence.  Computed in the
+    rows' operation order on nonnegative operands (D1 >= d, D2 >= fl(d^2)),
+    each factor of B bounds the row's under monotone rounding, so B bounds
+    every computed row of its block and Delta is the maximum, bit for bit.
     """
     d1, d2 = seq.d1, seq.d2
     rho = 1.0 / d1
+    h, low = seq.ends.T
+    bound = rho * h * (d1 - low) - (rho * low) ** 2 * (d2 - h * h)
     # one set of buffers for every block: fresh block-sized temporaries
     # return their pages to the system and fault them in again each block
     buffers = np.empty((3, min(seq.n, DEGREE_BLOCK)))
     top = -math.inf
-    for d in seq.blocks():
+    for b in np.argsort(-bound).tolist():
+        if bound[b] < top:
+            break
+        lo = b * DEGREE_BLOCK
+        d = seq.block(lo, min(lo + DEGREE_BLOCK, seq.n))
         sq, a, rows = buffers[:, : d.size]
         np.multiply(d, d, out=sq)
         np.multiply(rho, d, out=a)

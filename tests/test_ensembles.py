@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from epinet import stability
 from epinet.cli import POWERLAW_EXAMPLE
 from epinet.ensembles import (
     CommunitySpec,
@@ -291,11 +292,10 @@ def _reference_stats(degrees: np.ndarray) -> tuple[float, float, float, int, flo
     """d_tilde, Delta, the largest pair probability, the invalid pairs and
     the secular root from whole-array formulas on the materialized sequence."""
     d = np.asarray(degrees, dtype=float)
-    d1, sq = float(d.sum()), d * d
-    d2 = float(sq.sum())
+    d1 = float(d.sum())
+    d2 = float((d * d).sum())
     rho = 1.0 / d1
-    a = rho * d
-    delta_u = float(((d1 - d) * a - a * a * (d2 - sq)).max())
+    delta_u = _reference_delta(d, d1, d2)
     top = int(np.argmax(d))
     d_max = float(d[top])
     second = max(d[:top].max(initial=-np.inf), d[top + 1:].max(initial=-np.inf))
@@ -307,6 +307,14 @@ def _reference_stats(degrees: np.ndarray) -> tuple[float, float, float, int, flo
         ordered = int((hubs.size - np.searchsorted(hubs, cutoffs, side="right")).sum())
         invalid = (ordered - int((hubs > cutoffs).sum())) // 2
     return rho * d2, delta_u, max_pair, invalid, _reference_root(d)
+
+
+def _reference_delta(d: np.ndarray, d1: float, d2: float) -> float:
+    """Delta, the largest row sum rho d (D1 - d) - (rho d)^2 (D2 - d^2), over
+    the whole array at once, for the sums D1 and D2."""
+    rho = 1.0 / d1
+    a = rho * d
+    return float(((d1 - d) * a - a * a * (d2 - d * d)).max())
 
 
 def _reference_root(d: np.ndarray) -> float:
@@ -376,16 +384,53 @@ def test_streamed_power_law_matches_materialized(spec):
     _assert_streamed_matches(spec, spec.degree_block(0, spec.n))
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_streamed_explicit_array_matches_materialized(seed):
-    # unsorted input, with zeros, across block boundaries
+def _random_degrees(seed: int) -> np.ndarray:
+    """Unsorted degrees, a quarter of them zero, across block boundaries."""
     rng = np.random.default_rng(seed)
     n = int(rng.choice([2, 7, DEGREE_BLOCK + 1, 2 * DEGREE_BLOCK + 3]))
     d = rng.pareto(rng.uniform(1.2, 3.0), size=n) + rng.uniform(0.0, 1.0)
     d[rng.random(n) < 0.25] = 0.0
     d[rng.integers(n)] += 1.0
     d[: min(n, 5)] *= 10.0 ** rng.uniform(0.0, 4.0)  # unsorted hubs
+    return d
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_streamed_explicit_array_matches_materialized(seed):
+    d = _random_degrees(seed)
     _assert_streamed_matches(ExpectedDegreeSpec(degrees=d), d)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *[_random_power_law(seed) for seed in range(30)],
+        *[ExpectedDegreeSpec(degrees=_random_degrees(seed)) for seed in range(10)],
+        ExpectedDegreeSpec(degrees=np.full(1000, 3.0)),  # every block opened
+        # every vertex a hub: 10^6 hubs, and a negative Delta
+        PowerLawSpec(n=1_000_000, exponent=2.2, max_degree=1e9, avg_degree=1e3),
+        ExpectedDegreeSpec(degrees=np.array([2.0, 0.5])),
+        ExpectedDegreeSpec(degrees=np.array([0.0, 4.0, 0.0, 1.0, 0.0, 0.0, 2.5])),
+    ],
+    ids=lambda model: f"{type(model).__name__}-{model.n}",
+)
+def test_delta_is_the_whole_array_maximum_bit_for_bit(model, monkeypatch):
+    # Delta opens blocks in descending order of their bounds and stops below
+    # the largest row so far; a block it skips holds no larger float row, so
+    # it equals the whole-array maximum exactly.  Blocks of max(3, n // 300)
+    # degrees make even short sequences span many blocks.
+    monkeypatch.setattr(stability, "DEGREE_BLOCK", max(3, model.n // 300))
+    seq = degree_sequence(model)
+    opened = []
+    counted = dataclasses.replace(
+        seq, block=lambda lo, hi: opened.append(lo) or seq.block(lo, hi)
+    )
+    d = model.degree_block(0, model.n)
+    assert expected_degree_uncertainty(counted) == _reference_delta(d, seq.d1, seq.d2)
+    blocks = -(-model.n // stability.DEGREE_BLOCK)
+    assert len(set(opened)) == len(opened) <= blocks
+    if d[0] == d[-1]:
+        assert len(opened) == blocks
 
 
 def test_explicit_array_and_power_law_are_one_stream():
@@ -426,6 +471,23 @@ def test_secular_root_reads_the_stream_twice():
     )
     assert expected_degree_lambda_max(counted) == pytest.approx(31523.961006291152, rel=1e-15)
     assert sum(read) <= 2 * seq.n
+
+
+def test_power_law_summary_reads_the_stream_once(monkeypatch):
+    # example powerlaw's 10^7-vertex stream: the first pass reads d_1 and all
+    # n degrees; Delta opens one block, the only one whose bound reaches the
+    # largest row; the hub-pair count reads d_1 and d_2, scans the first
+    # block for the 41239 hubs, then reads them as hubs and as the window
+    read = []
+    original = PowerLawSpec.degree_block
+    monkeypatch.setattr(
+        PowerLawSpec, "degree_block",
+        lambda self, lo, hi: read.append(hi - lo) or original(self, lo, hi),
+    )
+    summarize(POWERLAW_EXAMPLE)
+    n = POWERLAW_EXAMPLE.n
+    assert sum(read) == (1 + n) + DEGREE_BLOCK + (2 + DEGREE_BLOCK + 2 * 41239)
+    assert sum(read) < 1.03 * n
 
 
 def test_expected_degree_spec_keeps_its_own_degrees():

@@ -155,6 +155,11 @@ def test_suite_deterministic():
     assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
 
 
+def test_suite_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="expected a non-negative integer, got -2"):
+        run_sandwich_suite(count=1, seed=-2)
+
+
 def test_suite_passes():
     reports = run_sandwich_suite(count=25, seed=0)
     assert len(reports) == 25

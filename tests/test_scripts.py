@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,6 +35,16 @@ def test_decay_experiment_script(tmp_path):
     assert "fitted decay rate" in proc.stdout
     lines = (tmp_path / "decay_norms.csv").read_text().splitlines()
     assert lines[0] == "t,mean_norm" and len(lines) > 3
+
+
+@pytest.mark.parametrize("name", ["run_oracle_suite.py", "decay_experiment.py"])
+def test_scripts_refuse_a_negative_seed(name, tmp_path):
+    # refused when the arguments are parsed, before any instance is drawn
+    proc = run_script(name, ["--seed", "-1"], tmp_path)
+    assert proc.returncode != 0
+    assert "argument --seed: expected a non-negative integer, got '-1'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "decay_norms.csv").exists()
 
 
 def test_reproduce_examples_script(tmp_path):

@@ -285,6 +285,15 @@ def test_config_validation():
             run()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_config_refuses_a_seed_numpy_cannot_take(seed):
+    # numpy's SeedSequence takes non-negative integers only and refuses the
+    # rest with a message that names no seed; the config refuses them first
+    with pytest.raises(ValueError, match=f"expected a non-negative integer, got {seed!r}"):
+        SimConfig(horizon=1.0, step=0.1, seed=seed)
+    assert SimConfig(horizon=1.0, step=0.1, seed=np.int64(3)).seed == 3
+
+
 def test_estimate_decay_stable_instance():
     spec = switching_spec()
     params = EpidemicParams(beta=0.3, delta=2.0)

@@ -276,21 +276,19 @@ def _block_bounds(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + DEGREE_BLOCK, n)
 
 
-def _fsums(
-    blocks: Iterator[np.ndarray], terms: Callable[[np.ndarray], tuple]
-) -> list[float]:
-    """Correctly rounded totals of the per-block partial sums ``terms(d)``;
-    one tuple per block is kept, about 15 000 at a billion degrees."""
-    parts = [terms(d) for d in blocks]
-    return [math.fsum(column) for column in zip(*parts)]
+def _fsums(parts: Union[np.ndarray, list]) -> list[float]:
+    """Correctly rounded totals of the columns of ``parts``, per-block partial
+    sums with one row per block (about 15 000 rows at a billion degrees)."""
+    return [math.fsum(column) for column in np.transpose(parts).tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class DegreeSequence:
     """A descending expected-degree sequence d_1 >= ... >= d_n, read in
-    blocks, with the sums D1 = sum(d), D2 = sum(d^2) and d4 = sum((d / d_1)^4)
-    (in [1, n], so it cannot overflow) and ``ends``, each block's first and
-    last degree, of one first pass.
+    blocks, with what one first pass learns of it: the sums D1 = sum(d),
+    D2 = sum(d^2) and d4 = sum((d / d_1)^4) (in [1, n], so it cannot
+    overflow); ``block_sums``, the per-block partials of these three sums,
+    one row per block; and ``ends``, each block's first and last degree.
 
     ``block(lo, hi)``, a model's ``degree_block``, returns d[lo:hi] (0-based),
     fresh or read-only, for at most DEGREE_BLOCK entries at a time."""
@@ -300,28 +298,25 @@ class DegreeSequence:
     d1: float
     d2: float
     d4: float
+    block_sums: np.ndarray
     ends: np.ndarray
 
     @classmethod
     def of(cls, n: int, block: Callable[[int, int], np.ndarray]) -> "DegreeSequence":
         top = float(block(0, 1)[0])
         buffers = np.empty((2, min(n, DEGREE_BLOCK)))  # reused by every block
-        ends = np.empty((-(-n // DEGREE_BLOCK), 2))
-        slot = iter(ends)
-
-        def sums(d: np.ndarray) -> tuple[float, float, float]:
+        # per block: sum(d), sum(d^2), sum((d / d_1)^4), first and last degree
+        parts = np.empty((-(-n // DEGREE_BLOCK), 5))
+        for row, (lo, hi) in zip(parts, _block_bounds(n)):
+            d = block(lo, hi)
             x, sq = buffers[:, : d.size]
             np.divide(d, top, out=x)
             x *= x
-            next(slot)[:] = d[0], d[-1]
-            return float(d.sum()), float(np.multiply(d, d, out=sq).sum()), float(x @ x)
-
-        d1, d2, d4 = _fsums((block(lo, hi) for lo, hi in _block_bounds(n)), sums)
-        return cls(n=n, block=block, d1=d1, d2=d2, d4=d4, ends=ends)
-
-    def blocks(self, start: int = 0) -> Iterator[np.ndarray]:
-        for lo, hi in _block_bounds(self.n, start):
-            yield self.block(lo, hi)
+            row[:] = (float(d.sum()), float(np.multiply(d, d, out=sq).sum()),
+                      float(x @ x), d[0], d[-1])
+        d1, d2, d4 = _fsums(parts[:, :3])
+        return cls(n=n, block=block, d1=d1, d2=d2, d4=d4,
+                   block_sums=parts[:, :3], ends=parts[:, 3:])
 
 
 def expected_degree_uncertainty(seq: DegreeSequence) -> float:
@@ -367,23 +362,40 @@ def expected_degree_uncertainty(seq: DegreeSequence) -> float:
 
 
 def expected_degree_lambda_max(seq: DegreeSequence) -> float:
-    """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(n) time and
-    O(block) memory: the root, right of every pole, of the secular equation
-    g(lambda) = sum_i r_i = 1, r_i = w_i / (lambda + w_i), w_i = rho d_i^2
-    (Golub, SIAM Rev. 1973; Bunch, Nielsen & Sorensen, Numer. Math. 1978).
+    """Top eigenvalue of abar = rho (d d^T - diag(d^2)), in O(block) memory:
+    the root, right of every pole, of the secular equation g(lambda) =
+    sum_i r_i = 1, r_i = w_i / (lambda + w_i), w_i = rho d_i^2 (Golub, SIAM
+    Rev. 1973; Bunch, Nielsen & Sorensen, Numer. Math. 1978).
 
     1/g is concave and increasing there, so Newton on 1/g - 1 started left
     of the root only climbs, by inc = lambda s1 (s1 - 1) / (s1 - s2), with
     s1 = sum(r) = g and s2 = sum(r^2).  It starts, from the first pass, at
     the larger of two lower bounds: the largest entry rho d_1 d_2 of abar and
-    the Rayleigh quotient of d.  Then r_i <= 1/2 for i >= 2, so a pass sums
+    the Rayleigh quotient of d.  Then r_i <= 1/2 for i >= 2, so a step sums
     r_i and r_i^2 over i >= 2 only (A, B) and the top degree enters through
     q = 1 - r_1 = lambda / (lambda + w_1): s1 - 1 = A - q and s1 - s2 =
-    A - B + r_1 q do not cancel when one hub dominates.  inc >= (g - 1)
-    lambda, and -g' >= (s1 - s2) / root >= q / root up to the root, so the
-    root is within inc / (q lambda) of lambda, relative.  Newton stops once
-    that is 4 eps, or at the first step that does not increase lambda or
-    that reaches d_tilde = sum(w).
+    A - B + r_1 q do not cancel when one hub dominates.
+
+    A step reads only the first h blocks, the head.  The tail's ratios have
+    t_i = w_i / lambda, and t / (1 + t) = t - t^2 + R_i with 0 <= R_i <= t^3,
+    so the tail adds P1 / lambda - P2 / lambda^2 to A and P2 / lambda^2 to
+    B, from the first pass's block sums P1 = sum(w) and P2 = sum(w^2) =
+    w_1^2 sum((d / d_1)^4) over the tail.  That leaves out R = sum(R_i) of g,
+    and at most 3 R of s1 - s2.  Each tail block's t is at most t_b, t at
+    its first degree, so R <= sum over tail blocks of t_b P2_b / lambda^2,
+    P2_b the block's part of P2 (each (d / d_1)^4 that underflowed lost
+    under tiny).  h is the first block count where that bound, at the
+    start, is at most eps q / 8; it falls and q rises as lambda climbs, so
+    it holds at every step.  If no head fits, every block is read and there
+    is no tail.
+
+    Stop rule.  Up to the root, w_i <= w_1 gives r_i <= 1 - q, so s1 - s2 >=
+    r_1 q + q A >= (1 - q) q + q^2 = q, and -g' = (s1 - s2) / lambda >=
+    q / root: the root is within (g - 1) / q of lambda, relative.  The
+    computed g is g - R and s1 - s2 is no larger than g, so inc >=
+    (g - R - 1) lambda, and the root is within inc / (q lambda) + eps / 8 of
+    lambda.  Newton stops once inc / (q lambda) is 4 eps, or at the first
+    step that does not increase lambda or that reaches d_tilde = sum(w).
     """
     d_top, d_next = seq.block(0, 2).tolist()
     d1 = seq.d1
@@ -399,6 +411,15 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     # The rest adds 10 u d_tilde: in all, (5 B + 24) u d_tilde < 3 B eps d_tilde.
     rayleigh = d_tilde - seq.d4 * w_top * (d_top * d_top / seq.d2)
     lam = max(lam, rayleigh - 3 * DEGREE_BLOCK * math.ulp(1.0) * d_tilde)
+    ratio = w_top / lam
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: no tail
+        cubes = (seq.ends[:, 0] ** 2 / d1 / lam * (ratio * ratio)
+                 * (seq.block_sums[:, 2] + DEGREE_BLOCK * np.finfo(float).tiny))
+        bound = np.cumsum(cubes[::-1])[::-1]  # on R, for a tail from block b
+    fits = np.flatnonzero(bound[1:] <= math.ulp(1.0) / 8 * lam / (lam + w_top))
+    h = 1 + int(fits[0]) if fits.size else len(bound)
+    d2_tail, d4_tail = _fsums(seq.block_sums[h:, 1:])
+    head = min(h * DEGREE_BLOCK, seq.n)
     buffers = np.empty((2, min(seq.n - 1, DEGREE_BLOCK)))  # reused by every block
 
     def ratios(d: np.ndarray) -> tuple[float, float]:
@@ -408,7 +429,10 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
         return float(r.sum()), float(r @ r)
 
     while True:
-        a, b = _fsums(seq.blocks(start=1), ratios)
+        a, b = _fsums([ratios(seq.block(lo, hi)) for lo, hi in _block_bounds(head, 1)])
+        if head < seq.n:  # the tail: P1 / lambda - P2 / lambda^2 and P2 / lambda^2
+            p2 = (w_top / lam) * (w_top / lam) * d4_tail
+            a, b = a + d2_tail / d1 / lam - p2, b + p2
         r_top, q = w_top / (lam + w_top), lam / (lam + w_top)
         slope = a - b + r_top * q  # s1 - s2; zero only if every r underflows
         step = lam + lam * (r_top + a) * (a - q) / slope if slope else lam
@@ -439,17 +463,23 @@ def pair_probability_violations(seq: DegreeSequence) -> tuple[float, int]:
     if max_pair <= 1.0:
         return max_pair, 0
     cut = d1 / d_max
-    hubs = 0
-    for d in seq.blocks():
-        above = int(np.count_nonzero(d > cut))
-        hubs += above
-        if above < d.size:
-            break
+    # blocks whose last degree is above the cut hold only hubs; only the
+    # block the cut splits is counted, and a hub prefix that fits one block
+    # is read once, as the hubs and as the first window
+    full = int(np.count_nonzero(seq.ends[:, 1] > cut))
+    hubs, first = min(full * DEGREE_BLOCK, seq.n), None
+    if full < len(seq.ends) and seq.ends[full, 0] > cut:
+        split = seq.block(hubs, min(hubs + DEGREE_BLOCK, seq.n))
+        hubs += int(np.count_nonzero(split > cut))
+        first = split if full == 0 else None
+    if hubs <= DEGREE_BLOCK and first is None:
+        first = seq.block(0, hubs)
+    read = seq.block if first is None else lambda lo, hi: first[lo:hi]
     ordered = self_pairs = 0
     jlo = hubs
     window = np.empty(0)  # -d[jlo:jhi], ascending
     for lo, hi in _block_bounds(hubs):
-        d = seq.block(lo, hi)
+        d = read(lo, hi)
         cutoffs = d1 / d  # ascending
         self_pairs += int(np.count_nonzero(d > cutoffs))
         start = 0
@@ -462,5 +492,5 @@ def pair_probability_violations(seq: DegreeSequence) -> tuple[float, int]:
             if start == cutoffs.size or jlo == 0:
                 break
             jlo, jhi = max(0, jlo - DEGREE_BLOCK), jlo
-            window = -seq.block(jlo, jhi)
+            window = -read(jlo, jhi)
     return max_pair, (ordered - self_pairs) // 2

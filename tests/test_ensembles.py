@@ -93,7 +93,7 @@ def test_expected_degree_stats_small():
     assert lam >= stats.lambda_max_abar - 9.0 / 6.0
 
 
-def _random_degrees(seed: int) -> np.ndarray:
+def _small_random_degrees(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 120))
     d = rng.pareto(rng.uniform(1.2, 3.0), size=n) + rng.uniform(0.0, 1.0)
@@ -110,7 +110,7 @@ def _random_degrees(seed: int) -> np.ndarray:
         np.array([1.0, 0.0, 5.0, 0.0, 2.0]),
         np.full(50, 3.0),
         np.array([1000.0, 1.0, 1.0]),
-        *[_random_degrees(seed) for seed in range(40)],
+        *[_small_random_degrees(seed) for seed in range(40)],
         # one dominant hub: the top pole sits next to the root
         np.array([2.0, 1e-9]),
         np.array([1.0, 1e-8]),
@@ -319,13 +319,19 @@ def _reference_delta(d: np.ndarray, d1: float, d2: float) -> float:
 
 def _reference_root(d: np.ndarray) -> float:
     """lambda_max(abar) by dense eigvalsh up to 2000 vertices, and above by
-    bisection on the secular function with the top pole kept apart,
-    sum_{i >= 2} w_i / (lambda + w_i) - lambda / (lambda + w_1), which is
-    positive left of the root, between rho d_1 d_2 and d_tilde."""
+    :func:`_bisected_root`."""
     if d.size <= 2000:
         abar = np.outer(d, d) / d.sum()
         np.fill_diagonal(abar, 0.0)
         return lambda_max_dense(abar)
+    return _bisected_root(d)
+
+
+def _bisected_root(d: np.ndarray) -> float:
+    """lambda_max(abar) by bisection on the secular function with the top
+    pole kept apart, sum_{i >= 2} w_i / (lambda + w_i) - lambda / (lambda +
+    w_1), which is positive left of the root, between rho d_1 d_2 and
+    d_tilde."""
     w = np.sort(d)[::-1] ** 2 / d.sum()
     lo, hi = float(np.sqrt(w[0] * w[1])), float(w.sum())
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -401,19 +407,23 @@ def test_streamed_explicit_array_matches_materialized(seed):
     _assert_streamed_matches(ExpectedDegreeSpec(degrees=d), d)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        *[_random_power_law(seed) for seed in range(30)],
-        *[ExpectedDegreeSpec(degrees=_random_degrees(seed)) for seed in range(10)],
-        ExpectedDegreeSpec(degrees=np.full(1000, 3.0)),  # every block opened
-        # every vertex a hub: 10^6 hubs, and a negative Delta
-        PowerLawSpec(n=1_000_000, exponent=2.2, max_degree=1e9, avg_degree=1e3),
-        ExpectedDegreeSpec(degrees=np.array([2.0, 0.5])),
-        ExpectedDegreeSpec(degrees=np.array([0.0, 4.0, 0.0, 1.0, 0.0, 0.0, 2.5])),
-    ],
-    ids=lambda model: f"{type(model).__name__}-{model.n}",
-)
+# streams that span many blocks of max(3, n // 300) degrees
+BLOCK_SPANNING_MODELS = [
+    *[_random_power_law(seed) for seed in range(30)],
+    *[ExpectedDegreeSpec(degrees=_random_degrees(seed)) for seed in range(10)],
+    ExpectedDegreeSpec(degrees=np.full(1000, 3.0)),  # every block opened
+    # every vertex a hub: 10^6 hubs, and a negative Delta
+    PowerLawSpec(n=1_000_000, exponent=2.2, max_degree=1e9, avg_degree=1e3),
+    ExpectedDegreeSpec(degrees=np.array([2.0, 0.5])),
+    ExpectedDegreeSpec(degrees=np.array([0.0, 4.0, 0.0, 1.0, 0.0, 0.0, 2.5])),
+]
+
+
+def _model_id(model) -> str:
+    return f"{type(model).__name__}-{model.n}"
+
+
+@pytest.mark.parametrize("model", BLOCK_SPANNING_MODELS, ids=_model_id)
 def test_delta_is_the_whole_array_maximum_bit_for_bit(model, monkeypatch):
     # Delta opens blocks in descending order of their bounds and stops below
     # the largest row so far; a block it skips holds no larger float row, so
@@ -460,24 +470,81 @@ def test_power_law_blocks_are_never_larger_than_a_block(monkeypatch):
     assert sizes and max(sizes) <= DEGREE_BLOCK
 
 
-def test_secular_root_reads_the_stream_twice():
+def _root_against_references(model, monkeypatch, block: int) -> list:
+    """The secular root of ``model`` in blocks of ``block`` degrees, checked
+    against dense eigvalsh (up to 400 vertices) and against bisection on the
+    materialized sequence; returns the (lo, hi) of every block it read."""
+    monkeypatch.setattr(stability, "DEGREE_BLOCK", block)
+    seq = degree_sequence(model)
+    read = []
+    counted = dataclasses.replace(
+        seq, block=lambda lo, hi: read.append((lo, hi)) or seq.block(lo, hi)
+    )
+    lam = expected_degree_lambda_max(counted)
+    d = model.degree_block(0, model.n)
+    if d.size <= 400:
+        abar = np.outer(d, d) / d.sum()
+        np.fill_diagonal(abar, 0.0)
+        assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
+    assert lam == pytest.approx(_bisected_root(d), rel=1e-13)
+    return read
+
+
+@pytest.mark.parametrize("block", [7, 64, None])
+@pytest.mark.parametrize(
+    "degrees, head",
+    [
+        (np.full(300, 3.0), "every"),  # no tail is small enough
+        (np.array([1e3, 1e3] + [1e-3] * 398), "first"),  # a tail of crumbs
+        (np.array([1e6] + [0.1] * 50), None),
+        (np.array([1e6] + [0.1] * 399), None),
+        (PowerLawSpec(n=400, exponent=2.2, max_degree=50.0, avg_degree=5.0)
+         .degree_block(0, 400), None),
+        (PowerLawSpec(n=400, exponent=3.5, max_degree=1e3, avg_degree=2.0)
+         .degree_block(0, 400), None),
+        *[(_small_random_degrees(seed), None) for seed in range(8)],
+    ],
+)
+def test_secular_root_head_and_tail_on_small_streams(degrees, head, block, monkeypatch):
+    # Newton reads a head of whole blocks and takes the tail from the first
+    # pass's block sums; blocks of 7, 64 and max(3, n // 300) degrees move
+    # the head from the first block to every block
+    block = block or max(3, degrees.size // 300)
+    read = _root_against_references(ExpectedDegreeSpec(degrees=degrees), monkeypatch, block)
+    end = max(hi for lo, hi in read)
+    assert end == degrees.size or end % block == 0
+    if head == "every":
+        assert end == degrees.size
+    elif head == "first":
+        assert end == block
+
+
+@pytest.mark.parametrize("model", BLOCK_SPANNING_MODELS, ids=_model_id)
+def test_secular_root_head_and_tail_on_block_spanning_streams(model, monkeypatch):
+    _root_against_references(model, monkeypatch, max(3, model.n // 300))
+
+
+def test_secular_root_reads_its_head_blocks():
     # example powerlaw's 10^7-vertex stream: the root starts from the sums
-    # of the first pass, so it needs no moment pass; its first Newton step
-    # lands within rounding of the root and the second confirms it (2n)
+    # of the first pass, and each Newton step reads the first three blocks,
+    # less d_1; the other 150 enter through their first-pass sums
     seq = degree_sequence(POWERLAW_EXAMPLE)
     read = []
     counted = dataclasses.replace(
-        seq, block=lambda lo, hi: read.append(hi - lo) or seq.block(lo, hi)
+        seq, block=lambda lo, hi: read.append((lo, hi)) or seq.block(lo, hi)
     )
     assert expected_degree_lambda_max(counted) == pytest.approx(31523.961006291152, rel=1e-15)
-    assert sum(read) <= 2 * seq.n
+    assert read[0] == (0, 2)
+    steps = sum(lo == 1 for lo, hi in read)
+    assert steps >= 1
+    assert sum(hi - lo for lo, hi in read[1:]) <= steps * 3 * DEGREE_BLOCK
 
 
 def test_power_law_summary_reads_the_stream_once(monkeypatch):
     # example powerlaw's 10^7-vertex stream: the first pass reads d_1 and all
     # n degrees; Delta opens one block, the only one whose bound reaches the
-    # largest row; the hub-pair count reads d_1 and d_2, scans the first
-    # block for the 41239 hubs, then reads them as hubs and as the window
+    # largest row; the hub-pair count reads d_1 and d_2 and the first block,
+    # the one the hub cut splits, whose 41239 hubs are also the window
     read = []
     original = PowerLawSpec.degree_block
     monkeypatch.setattr(
@@ -486,7 +553,7 @@ def test_power_law_summary_reads_the_stream_once(monkeypatch):
     )
     summarize(POWERLAW_EXAMPLE)
     n = POWERLAW_EXAMPLE.n
-    assert sum(read) == (1 + n) + DEGREE_BLOCK + (2 + DEGREE_BLOCK + 2 * 41239)
+    assert sum(read) == (1 + n) + DEGREE_BLOCK + (2 + DEGREE_BLOCK)
     assert sum(read) < 1.03 * n
 
 

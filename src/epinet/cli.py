@@ -226,19 +226,11 @@ def _cmd_simulate(args, out: Optional[Path], started: float, manifest: dict) -> 
     return 0
 
 
-def _compare_reference(computed: dict, reference: dict) -> tuple[list[dict], bool]:
-    rows = []
-    all_ok = True
-    for key, (ref, tol) in reference.items():
-        val = computed[key]
-        dev = abs(val - ref) / abs(ref)
-        ok = dev <= tol
-        all_ok &= ok
-        rows.append(
-            {"quantity": key, "computed": val, "reference": ref,
-             "rel_deviation": dev, "tolerance": tol, "within": ok}
-        )
-    return rows, all_ok
+def _compare_reference(computed: dict, reference: dict) -> list[dict]:
+    return [{"quantity": key, "computed": computed[key], "reference": ref,
+             "rel_deviation": (dev := abs(computed[key] - ref) / abs(ref)),
+             "tolerance": tol, "within": dev <= tol}
+            for key, (ref, tol) in reference.items()]
 
 
 def _cmd_example(args, out: Optional[Path], started: float, manifest: dict) -> int:
@@ -280,7 +272,8 @@ def _cmd_example(args, out: Optional[Path], started: float, manifest: dict) -> i
             "reproduces the reference f_min",
             *summary.notes,
         ]
-    rows, all_ok = _compare_reference(computed, reference)
+    rows = _compare_reference(computed, reference)
+    all_ok = all(row["within"] for row in rows)
     elapsed = time.perf_counter() - started
     for row in rows:
         status = "ok" if row["within"] else "DEVIATES"
@@ -330,13 +323,8 @@ def _cmd_oracle(args, out: Optional[Path], started: float, manifest: dict) -> in
 
 def _cmd_minimize(args, out: Optional[Path], started: float, manifest: dict) -> int:
     pm = minimize_penalty(args.n, args.uncertainty)
-    result = {
-        "n": pm.n,
-        "delta_uncertainty": pm.delta_uncertainty,
-        "s0": pm.s0,
-        "s_star": pm.s_star,
-        "f_min": pm.f_min,
-    }
+    keys = ("n", "delta_uncertainty", "s0", "s_star", "f_min")
+    result = {k: getattr(pm, k) for k in keys}
     print(json.dumps(_jsonable(result), indent=2))
     if out:
         _write_json(out / "minimize.json", result)
@@ -374,12 +362,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--delta", type=float, required=True)
     ps.add_argument("--trials", type=int, default=1)
     ps.add_argument("--horizon", type=float, default=10.0)
-    ps.add_argument(
-        "--step",
-        type=float,
-        default=None,
-        help="sample-grid step (default: a tenth of the fastest time constant)",
-    )
+    ps.add_argument("--step", type=float, help="sample-grid step (default: a tenth "
+                    "of the fastest time constant)")
     ps.add_argument("--seed", type=seed_argument, default=0)
     group = ps.add_mutually_exclusive_group()
     group.add_argument(

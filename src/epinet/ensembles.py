@@ -41,8 +41,9 @@ from .netmodel import (
     read_fields,
     spec_from_dict,
     stationary_stats,
+    touched_ends,
 )
-from .spectral import lambda_max_dense
+from .spectral import lanczos_abscissa, lanczos_tolerance
 from .stability import (
     AbarSummary,
     DegreeSequence,
@@ -405,18 +406,43 @@ def as_switched_network(
     return SwitchedNetworkSpec(n=model.n, edges=tuple(edges))
 
 
+class _EdgeListOperator:
+    """abar / max_ij abar_ij on the vertices that carry an edge, for
+    :func:`~epinet.spectral.lanczos_abscissa`: two bincounts a product."""
+
+    offdiagonal_min, entry_max = 0.0, 1.0
+
+    def __init__(self, stats: StationaryStats) -> None:
+        local = touched_ends(stats.ends)
+        self.rows, self.cols = local.T
+        self.weights = stats.means / stats.means.max()
+        self.shape = (int(local.max()) + 1,) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (np.bincount(self.rows, self.weights * x[self.cols], minlength=len(x))
+                + np.bincount(self.cols, self.weights * x[self.rows], minlength=len(x)))
+
+
 def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec],
               stats: Optional[StationaryStats] = None) -> AbarSummary:
     """The sufficient test's certificate for any model, priced once: an
-    explicit spec from its dense stationary moments (``stats``, when the
-    caller already holds them), an ensemble from its closed form.
-    ``analyze``, ``example`` and ``oracle`` all read it."""
+    explicit spec from its edge-list moments (``stats``, when the caller
+    already holds them) and Lanczos on abar / max mean (top eigenvalue at
+    least 1, so the stop tolerance is relative), whose Rayleigh quotient
+    plus that tolerance, times the quotient past 1 to cover its rounding,
+    bounds lambda_max(abar) from above (0, with no solve, when every mean
+    is 0); an ensemble from its closed form."""
     if isinstance(model, SwitchedNetworkSpec):
         if stats is None:
             stats = stationary_stats(model)
+        top, lam = float(stats.means.max(initial=0.0)), 0.0
+        if top > 0.0:
+            op = _EdgeListOperator(stats)
+            theta = lanczos_abscissa(op)
+            lam = top * (theta + lanczos_tolerance(op) * max(1.0, theta))
         return AbarSummary(
             n=model.n,
-            lambda_max_abar=lambda_max_dense(stats.abar),
+            lambda_max_abar=lam,
             delta_uncertainty=stats.delta_uncertainty,
             network_kind=model.kind,
         )

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight
+from .netmodel import (AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight,
+                       touched_ends)
 from .spectral import lanczos_abscissa, lanczos_tolerance, spectral_abscissa
 
 # Cap on the rows n * N, the length of the 21 basis vectors Lanczos keeps
@@ -83,6 +84,9 @@ def check_joint_size(n: int, dims: Iterable[int], edge_count: int) -> None:
     stops at the one that crosses the cap, so ``dims`` may be lazy;
     ``edge_count`` is the number of edges the message names.
     """
+    if n > JOINT_DIM_CAP:
+        raise ValueError(f"the vertex count {n} alone exceeds the {JOINT_DIM_CAP}-row "
+                         "cap of the stability matrix; use the spectral bounds instead")
     n_configs = 1
     for states in dims:
         n_configs *= states
@@ -141,7 +145,7 @@ class StabilityOperator:
 
     def __init__(self, joint: JointChain, beta: float) -> None:
         edges, dims, self.n = joint.edges, joint.dims, joint.n
-        self.column_sum_max = beta * max_vertex_weight(self.n, edges)
+        self.column_sum_max = beta * max_vertex_weight(edges)
         if not math.isfinite(self.column_sum_max):
             raise ValueError(
                 f"beta = {beta:.6g} times the heaviest vertex weight overflows: "
@@ -266,9 +270,8 @@ def expected_lambda_max(joint: JointChain) -> float:
     vertices that carry an edge: an isolated vertex adds a zero eigenvalue,
     never above lambda_max of a nonnegative matrix.  Work O(N (2m)^3).
     """
-    ends = np.array([(e.i, e.j) for e in joint.edges])
-    touched, local = np.unique(ends, return_inverse=True)
-    size, local = len(touched), local.reshape(ends.shape)
+    local = touched_ends(np.array([(e.i - 1, e.j - 1) for e in joint.edges]))
+    size = int(local.max()) + 1
     rows = max(1, CONFIG_BLOCK // (size * size))
     top = np.empty(joint.n_configs)
     for start in range(0, joint.n_configs, rows):

@@ -9,9 +9,9 @@ independent, the stationary law of the whole graph factorizes over edges,
 and the first two stationary moments of the adjacency matrix are cheap to
 compute even when the joint configuration space is astronomically large.
 
-Those moments -- the expected adjacency matrix ``abar``, the entrywise
-variances, and the largest variance row sum -- are the inputs to every
-stability test in this package.
+Those moments -- the expected adjacency matrix ``abar``, held as its edge
+list, and the largest variance row sum -- are the inputs to every stability
+test in this package; they take O(m) memory at any vertex count n.
 """
 from __future__ import annotations
 
@@ -21,11 +21,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-
-# Explicit specs past this many vertices are refused before any n x n array
-# (stationary moments, the dense eigensolve, a simulated trial's adjacency)
-# is built; use the structured ensembles, which never materialize one.
-DENSE_N_CAP = 10_000
 
 
 class SpecFormatError(ValueError):
@@ -285,13 +280,24 @@ def _stationary_from_generator(q: np.ndarray, label: str) -> np.ndarray:
     return pi / pi.sum()
 
 
-def max_vertex_weight(n: int, edges) -> float:
+def touched_ends(ends: np.ndarray) -> np.ndarray:
+    """``ends``, one row of 0-based endpoints per edge, renumbered 0 .. k-1
+    over the k vertices that carry an edge, in vertex order."""
+    return np.unique(ends, return_inverse=True)[1].reshape(ends.shape)
+
+
+def vertex_sums(ends: np.ndarray, weights) -> np.ndarray:
+    """Each vertex's sum of ``weights``, one per row of ``ends``, in edge
+    order: one entry per vertex that carries an edge, O(m) memory at any n."""
+    return np.bincount(touched_ends(ends).ravel(),
+                       weights=np.repeat(np.asarray(weights, float), 2))
+
+
+def max_vertex_weight(edges) -> float:
     """max_v sum_{e on v} max_a w_e(a), the largest row sum any
-    configuration can reach; weights are added in edge order."""
-    total = np.zeros(n)
-    for e in edges:
-        total[[e.i - 1, e.j - 1]] += e.values.max()
-    return float(total.max(initial=0.0))
+    configuration can reach."""
+    ends = np.array([(e.i - 1, e.j - 1) for e in edges], dtype=np.int64).reshape(-1, 2)
+    return float(vertex_sums(ends, [e.values.max() for e in edges]).max(initial=0.0))
 
 
 def edge_moments(edge: AnyEdge) -> tuple[float, float]:
@@ -306,43 +312,29 @@ def edge_moments(edge: AnyEdge) -> tuple[float, float]:
 class StationaryStats:
     """First two stationary moments of the switched adjacency matrix.
 
-    ``abar`` is the expected adjacency matrix (symmetric, zero diagonal,
-    entries in [0, 1]); ``delta_uncertainty`` is the largest row sum of the
-    entrywise variances, the scalar that drives the concentration penalty
-    in the stability tests.
+    The expected adjacency matrix abar is held as its edge list: row k of
+    ``ends`` holds edge k's 0-based endpoints (i < j) and ``means[k]`` the
+    stationary mean of its weight.  ``delta_uncertainty`` is the largest
+    row sum of the entrywise variances, the scalar that drives the
+    concentration penalty in the stability tests.
     """
 
-    abar: np.ndarray
+    ends: np.ndarray
+    means: np.ndarray
     delta_uncertainty: float
 
 
-def check_dense_size(n: int) -> None:
-    """Refuse an explicit spec too large for n x n arrays (DENSE_N_CAP)."""
-    if n > DENSE_N_CAP:
-        raise ValueError(
-            f"n={n} exceeds the dense cap {DENSE_N_CAP}; use a structured "
-            "ensemble"
-        )
-
-
 def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
-    """Dense stationary moments of a switched network.
+    """Stationary moments of a switched network in O(m) memory, at any n.
 
-    Cost is O(n^2) memory; refuses n > DENSE_N_CAP before allocating.  For
-    large structured ensembles use the closed forms in
-    :mod:`epinet.ensembles` instead.  The variances are kept only as row
-    sums, accumulated in column order.
+    The variances are kept only as row sums over the vertices that carry an
+    edge (:func:`vertex_sums`).  For large structured ensembles use the
+    closed forms in :mod:`epinet.ensembles` instead.
     """
-    check_dense_size(spec.n)
-    abar = np.zeros((spec.n, spec.n))
-    var_rows = np.zeros(spec.n)
-    for edge in spec.edges:
-        mean, v = edge_moments(edge)
-        a, b = edge.i - 1, edge.j - 1
-        abar[a, b] = abar[b, a] = mean
-        var_rows[a] += v
-        var_rows[b] += v
-    return StationaryStats(abar, float(var_rows.max(initial=0.0)))
+    ends = np.array([(e.i - 1, e.j - 1) for e in spec.edges], dtype=np.int64).reshape(-1, 2)
+    means, variances = np.array([edge_moments(e) for e in spec.edges]).reshape(-1, 2).T
+    delta = float(vertex_sums(ends, variances).max(initial=0.0))
+    return StationaryStats(ends, means, delta)
 
 
 # ---------------------------------------------------------------------------

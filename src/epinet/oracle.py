@@ -4,7 +4,8 @@ Everything here enumerates the joint configuration chain, so it only runs
 for a handful of vertices; in exchange it validates the fast path end to
 end: the sandwich lambda_max(abar) <= E[lambda_max(A_G)] <= lambda_max(abar)
 + min f, the probability tail bound behind the penalty, and the agreement
-between the enumerated stationary law and the closed-form edge moments.
+between the enumerated stationary law and the closed-form edge moments,
+the Lanczos lambda_max(abar) against eigvalsh of the enumerated abar.
 
 It also holds the dense reference for the exact test: the adjacency
 matrices of all N configurations, the N x N joint generator, the direct
@@ -22,7 +23,6 @@ import numpy as np
 from .ensembles import summarize
 from .exact import JointChain, build_joint_chain
 from .netmodel import EdgeChain, SwitchedNetworkSpec, as_seed, stationary_stats
-from .spectral import lambda_max_dense
 from .stability import _tail_exponent
 
 REL_TOL = 1e-8
@@ -35,6 +35,14 @@ def dense_configs(joint: JointChain) -> np.ndarray:
     for e, digit in zip(joint.edges, digits):
         configs[:, e.i - 1, e.j - 1] = configs[:, e.j - 1, e.i - 1] = e.values[digit]
     return configs
+
+
+def dense_abar(stats, n: int) -> np.ndarray:
+    """The n x n abar of :func:`~epinet.netmodel.stationary_stats`'s edge list."""
+    abar = np.zeros((n, n))
+    rows, cols = stats.ends.T
+    abar[rows, cols] = abar[cols, rows] = stats.means
+    return abar
 
 
 def dense_generator(joint: JointChain) -> np.ndarray:
@@ -147,7 +155,8 @@ def check_tail_bound(
 
 @dataclass(frozen=True)
 class OracleReport:
-    """One random instance: enumerated truths next to the fast bounds."""
+    """One random instance: enumerated truths next to the fast bounds;
+    ``abar_consistent`` also holds lambda_max(abar) to eigvalsh, to 1e-12."""
 
     n: int
     m: int
@@ -195,7 +204,9 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
 
     configs = dense_configs(joint)
     abar_enum = np.tensordot(joint.stationary, configs, axes=1)
-    abar_consistent = float(np.abs(abar_enum - stats.abar).max()) <= 1e-10
+    lam_dense = float(np.linalg.eigvalsh(abar_enum)[-1])
+    abar_consistent = (float(np.abs(abar_enum - dense_abar(stats, spec.n)).max()) <= 1e-10
+                       and abs(lam_bar - lam_dense) <= 1e-12 * max(1.0, lam_dense))
 
     lam_all = np.linalg.eigvalsh(configs)[:, -1]
     e_lam = float(joint.stationary @ lam_all)
@@ -206,7 +217,7 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     tail = check_tail_bound(
         joint.stationary,
         lam_all,
-        lambda_max_dense(abar_enum),
+        lam_dense,
         spec.n,
         summary.delta_uncertainty,
         np.linspace(0.0, 1.5 * s_top, 20),

@@ -35,13 +35,11 @@ from typing import Optional
 
 import numpy as np
 
-from .netmodel import (
-    EpidemicParams,
-    SwitchedNetworkSpec,
-    as_seed,
-    check_dense_size,
-    max_vertex_weight,
-)
+from .netmodel import EpidemicParams, SwitchedNetworkSpec, as_seed, max_vertex_weight
+
+# Explicit specs past this many vertices are refused before any n-array (the
+# initial state, a trial's n x n adjacency) is built.
+DENSE_N_CAP = 10_000
 
 # Linearized segments use an exact symmetric-eigendecomposition propagator up
 # to this dimension, RK4 beyond it.
@@ -129,7 +127,7 @@ class CoupledResult:
 
 def default_step(spec: SwitchedNetworkSpec, params: EpidemicParams) -> float:
     """A tenth of the fastest time constant delta + beta * (max row weight)."""
-    rate = params.delta + params.beta * max_vertex_weight(spec.n, spec.edges)
+    rate = params.delta + params.beta * max_vertex_weight(spec.edges)
     return 0.1 / rate
 
 
@@ -246,7 +244,6 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     set, an unrequested system is None, and no array passed there is written
     to afterwards.  Slot s's jumps go to ``events[s]``; returns the jump count.
     """
-    check_dense_size(spec.n)
     n, horizon = spec.n, cfg.horizon
     beta, delta = np.asarray(params.beta), np.asarray(params.delta)
     edges = spec.edges
@@ -337,6 +334,11 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
 
 
 def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
+    """The initial state, all ones by default; every run starts here, and
+    refuses an n past DENSE_N_CAP before any n-array."""
+    if n > DENSE_N_CAP:
+        raise ValueError(
+            f"n={n} exceeds the dense cap {DENSE_N_CAP}; use a structured ensemble")
     if p0 is None:
         return np.ones(n)
     p0 = np.asarray(p0, dtype=float)

@@ -1,7 +1,8 @@
 """Eigenvalue kernels shared by the stability tests.
 
 The abscissa of a symmetric Metzler operator is found by a numpy Lanczos
-(:func:`lanczos_abscissa`); that of any other Metzler operator by ARPACK
+(:func:`lanczos_abscissa`), abar's on its edge list and a reversible joint
+chain's; that of any other Metzler operator by ARPACK
 (:func:`spectral_abscissa`), the only kernel that imports scipy.
 """
 from __future__ import annotations
@@ -11,9 +12,6 @@ import math
 import numpy as np
 
 
-# The symmetry check compares a against a.T in row blocks of about this many
-# entries, so it needs no n x n temporary.
-SYMMETRY_BLOCK = 1 << 16
 # Thick-restart Lanczos: at most this many basis vectors (ARPACK's own ncv),
 # and the top LANCZOS_KEEP Ritz vectors carried across each restart.
 LANCZOS_BASIS = 20
@@ -21,31 +19,12 @@ LANCZOS_KEEP = 10
 # Lanczos stops once the top Ritz pair's residual is at most this times
 # max(1, entry_max), or the new basis vector's norm at most this times |S v|.
 LANCZOS_RTOL = 1e-14
-# Lanczos gives up (RuntimeError) after this many products with the operator.
+# Lanczos gives up (RuntimeError) after this many products, or LANCZOS_BASIS
+# per row if more: a 10 000-vertex path's tiny top gap takes 14 per row.
 LANCZOS_MAX_MATVECS = 5000
 # A restart rewrites the basis in column blocks of this many entries, so it
 # needs no second copy of the kept vectors.
 RESTART_BLOCK = 1 << 14
-
-
-def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    rows = max(1, SYMMETRY_BLOCK // max(n, 1))
-    for start in range(0, n, rows):
-        gap = a[start:start + rows] - a[:, start:start + rows].T
-        if float(np.abs(gap, out=gap).max(initial=0.0)) > tol * scale:
-            raise ValueError("matrix is not symmetric")
-    return a
-
-
-def lambda_max_dense(a: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix (dense solver); callers
-    bound the size (netmodel.DENSE_N_CAP)."""
-    return float(np.linalg.eigvalsh(_check_symmetric(a))[-1])
 
 
 def _metzler_scale(a) -> float:
@@ -77,10 +56,12 @@ def lanczos_abscissa(a) -> float:
     the residual.  The start vector is all ones, never orthogonal to the
     nonnegative Perron vector, so a new vector of norm at most
     ``LANCZOS_RTOL`` |S v| means the basis spans an invariant subspace that
-    holds it.  The top Ritz value is returned at such a breakdown, or once
-    its residual |beta_m y_m| is at most :func:`lanczos_tolerance`; past
-    ``LANCZOS_MAX_MATVECS`` products it raises RuntimeError.  Reruns are
-    bit-identical.
+    holds it.  It stops there, or once the top Ritz pair's residual
+    |beta_m y_m| is at most :func:`lanczos_tolerance`, and returns that Ritz
+    vector's Rayleigh quotient, from one more product, which the restarts'
+    rounding drift in the projected matrix does not reach.  Past
+    max(``LANCZOS_MAX_MATVECS``, ``LANCZOS_BASIS`` x rows) products it
+    raises RuntimeError.  Reruns are bit-identical.
     """
     # the basis works on S / max(1, entry_max), whose norms cannot overflow;
     # there a residual of LANCZOS_RTOL is lanczos_tolerance(a) on S
@@ -91,7 +72,7 @@ def lanczos_abscissa(a) -> float:
     basis = np.empty((size + 1, dim))
     basis[0] = 1.0 / math.sqrt(dim)
     proj = np.zeros((size, size))
-    start, matvecs = 0, 0
+    start, matvecs, budget = 0, 0, max(LANCZOS_MAX_MATVECS, LANCZOS_BASIS * dim)
     while True:
         for j in range(start, size):
             w = a @ basis[j]
@@ -107,9 +88,10 @@ def lanczos_abscissa(a) -> float:
             theta, vecs = np.linalg.eigh(proj[:j + 1, :j + 1])
             beta = float(np.linalg.norm(w))
             if beta <= LANCZOS_RTOL * norm or beta * abs(vecs[j, -1]) <= LANCZOS_RTOL:
-                return float(theta[-1]) * scale
+                ritz = vecs[:, -1] @ basis[:j + 1]
+                return float(ritz @ (a @ ritz)) / float(ritz @ ritz)
             np.divide(w, beta, out=basis[j + 1])
-        if matvecs >= LANCZOS_MAX_MATVECS:
+        if matvecs >= budget:
             raise RuntimeError(
                 f"Lanczos found no abscissa of the {dim}-row matrix in "
                 f"{matvecs} products (residual {beta * abs(vecs[-1, -1]) * scale:.3g})"

@@ -190,7 +190,7 @@ class AbarSummary:
     ``lambda_max_abar`` and ``delta_uncertainty`` (Delta) are the two
     scalars of the certificate, and ``n`` sets the penalty's 2 n^2.  They
     come from :func:`epinet.ensembles.summarize`, for an explicit spec from
-    its dense moments and for an ensemble from a closed form.  Construction
+    its edge-list moments and for an ensemble from a closed form.  Construction
     refuses a non-finite lambda_max(abar) and sets ``penalty``, the minimum
     of f for (n, Delta); ``lhs`` is lambda_max(abar) + min f.  A frozen
     graph (Delta = 0) has no randomness to price: its penalty is zero and

@@ -292,22 +292,62 @@ def test_analyze_malformed_spec(tmp_path, capsys):
     assert "count must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("command", [["simulate"], ["simulate", "--step", "0.1"]],
+                         ids=" ".join)
 def test_dense_cap_refused_before_allocating(command, tmp_path, capsys):
-    # one n x n array of 10 001 vertices is 800 MB; the refusal comes first
+    # simulate holds n x n adjacency; past its vertex cap it is refused before
+    # any n-array: the default step and the initial state used to build one
+    # first, and at n = 1e12 numpy raised a traceback for 7.3 TiB
     spec = tmp_path / "big.json"
     spec.write_text(
-        json.dumps({"n": 10_001, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]})
+        json.dumps({"n": 10**12, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]})
     )
     tracemalloc.start()
     try:
-        code = main([command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
+        code = main([*command, "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 1
     assert "dense cap 10000" in capsys.readouterr().err
-    assert peak < 16 << 20
+    assert peak < 1 << 20
+
+
+def test_analyze_has_no_vertex_cap(tmp_path, capsys):
+    # abar is an edge list and Delta sums over the vertices that carry an
+    # edge, so a 1e12-vertex spec is priced in O(m) memory; the exact test
+    # is skipped on the vertex count alone
+    spec = tmp_path / "big.json"
+    spec.write_text(
+        json.dumps({"n": 10**12, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 3.0}]})
+    )
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.0",
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["sufficient"]["lambda_max_abar"] == pytest.approx(0.25, rel=1e-14)
+    assert report["exact"]["status"] == "skipped"
+
+
+def test_exact_refusal_names_the_vertex_count(tmp_path, capsys):
+    # n alone past the row cap: the joint chain used to be said to need "more
+    # than 0 configurations"
+    spec = tmp_path / "wide.json"
+    spec.write_text(
+        json.dumps({"n": 10**6, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]})
+    )
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert ("exact test skipped: the vertex count 1000000 alone exceeds the "
+            "524288-row cap of the stability matrix") in out
+    assert "0 configurations" not in out
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -370,8 +410,8 @@ def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_lanczos_failure_exits_two(triangle_spec, monkeypatch, capsys):
-    # the triangle's 24 rows need more than one basis of 20 vectors
-    monkeypatch.setattr(epinet.spectral, "LANCZOS_MAX_MATVECS", 1)
+    # a stop tolerance of 0 is never met, so Lanczos runs out of products
+    monkeypatch.setattr(epinet.spectral, "LANCZOS_RTOL", 0.0)
     code = main(
         ["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"]
     )

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import epinet.ensembles
 from epinet import stability
 from epinet.cli import POWERLAW_EXAMPLE
 from epinet.ensembles import (
@@ -18,14 +20,27 @@ from epinet.ensembles import (
     expected_degree_stats,
     summarize,
 )
-from epinet.netmodel import SpecFormatError, stationary_stats
-from epinet.spectral import lambda_max_dense
+from epinet.netmodel import (
+    EdgeChain,
+    SpecFormatError,
+    SwitchedNetworkSpec,
+    EpidemicParams,
+    WeightedEdgeChain,
+    stationary_stats,
+)
+from epinet.oracle import dense_abar, random_small_spec
 from epinet.stability import (
     DEGREE_BLOCK,
+    check_sufficient,
     expected_degree_lambda_max,
     expected_degree_uncertainty,
     pair_probability_violations,
 )
+
+
+def top_eigenvalue(a):
+    """The reference lambda_max of a small symmetric matrix: dense eigvalsh."""
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def stream(degrees):
@@ -41,7 +56,7 @@ def test_quotient_matches_dense_eigenvalue():
     spec = small_community()
     stats = community_stats(spec)
     dense = community_abar_dense(spec)
-    assert stats.lambda_max_abar == pytest.approx(lambda_max_dense(dense), rel=1e-12)
+    assert stats.lambda_max_abar == pytest.approx(top_eigenvalue(dense), rel=1e-12)
     # quotient layout
     q = community_quotient(spec)
     assert q[0, 0] == pytest.approx(0.6 * 6)
@@ -87,7 +102,7 @@ def test_expected_degree_stats_small():
         (abar * (1 - abar)).sum(axis=1).max(), rel=1e-12
     )
     lam = expected_degree_lambda_max(stream(d))
-    assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
+    assert lam == pytest.approx(top_eigenvalue(abar), rel=1e-12)
     # rank-one bound sandwiches the true eigenvalue
     assert lam <= stats.lambda_max_abar
     assert lam >= stats.lambda_max_abar - 9.0 / 6.0
@@ -129,7 +144,7 @@ def test_expected_degree_lambda_max_matches_dense(degrees):
     abar = np.outer(degrees, degrees) / total
     np.fill_diagonal(abar, 0.0)
     lam = expected_degree_lambda_max(stream(degrees))
-    assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12, abs=1e-300)
+    assert lam == pytest.approx(top_eigenvalue(abar), rel=1e-12, abs=1e-300)
     # between the largest entry rho d_1 d_2 and d_tilde
     second, first = np.sort(degrees)[-2:]
     assert first * second / total * (1 - 1e-14) <= lam
@@ -186,8 +201,123 @@ def test_realization_round_trip():
         for e in spec.edges:
             assert e.p_rate == abar[e.i - 1, e.j - 1]
             assert e.p_rate + e.q_rate == 1.0
-        assert np.array_equal(stationary_stats(spec).abar, abar)
+        assert np.array_equal(dense_abar(stationary_stats(spec), spec.n), abar)
     assert len(as_switched_network(community).edges) == 1 + 3
+
+
+def _random_sparse_spec(rng, n, m, rates):
+    """A binary spec on n vertices with m distinct random edges, each with
+    the (p, q) that ``rates(rng)`` draws."""
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False) + 1)))
+    return SwitchedNetworkSpec(n=n, edges=tuple(
+        EdgeChain(i=i, j=j, p_rate=p, q_rate=q)
+        for (i, j), (p, q) in zip(sorted(pairs), (rates(rng) for _ in pairs))))
+
+
+def _always_on(n, pairs):
+    """Always-on edges (q = 0): abar is the graph's adjacency and Delta is 0."""
+    return SwitchedNetworkSpec(n=n, edges=tuple(
+        EdgeChain(i=i, j=j, p_rate=1.0, q_rate=0.0) for i, j in pairs))
+
+
+def test_summarize_known_graphs():
+    assert summarize(_always_on(2, [(1, 2)])).lambda_max_abar == pytest.approx(1.0, abs=1e-14)
+    path3 = summarize(_always_on(3, [(1, 2), (2, 3)]))
+    assert path3.lambda_max_abar == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    k4 = summarize(_always_on(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]))
+    assert k4.lambda_max_abar == pytest.approx(3.0, rel=1e-13)
+    assert k4.delta_uncertainty == 0.0
+
+
+def test_summarize_matches_dense_on_the_oracle_specs():
+    # the specs of run_sandwich_suite(count=300, seed=0), drawn in its order
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        spec = random_small_spec(rng)
+        assert summarize(spec).lambda_max_abar == pytest.approx(
+            top_eigenvalue(dense_abar(stationary_stats(spec), spec.n)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(5, 8), (12, 20), (60, 200), (400, 1500)])
+def test_summarize_matches_dense_on_rare_edges(n, m):
+    # means near 1e-12: the Lanczos stop tolerance is absolute, so only the
+    # operator scaled by its largest mean resolves lambda_max to 1e-12 (left
+    # unscaled, it is off by up to 5e-6 here)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        spec = _random_sparse_spec(
+            rng, n, m, lambda r: (float(r.uniform(0.5e-12, 2e-12)), 1.0))
+        assert summarize(spec).lambda_max_abar == pytest.approx(
+            top_eigenvalue(dense_abar(stationary_stats(spec), spec.n)), rel=1e-12, abs=0.0)
+
+
+def test_summarize_matches_dense_on_large_sparse_specs():
+    # hundreds of vertices, isolated ones and several components: Lanczos
+    # restarts many times; weighted edges take the same route
+    rng = np.random.default_rng(7)
+    for n, m in ((300, 400), (1000, 3000)):
+        spec = _random_sparse_spec(rng, n, m, lambda r: tuple(r.uniform(0.1, 5.0, 2)))
+        assert summarize(spec).lambda_max_abar == pytest.approx(
+            top_eigenvalue(dense_abar(stationary_stats(spec), spec.n)), rel=1e-12)
+    gen = ((-1.0, 1.0, 0.0), (0.5, -1.0, 0.5), (0.0, 2.0, -2.0))
+    weighted = SwitchedNetworkSpec(n=50, edges=tuple(
+        WeightedEdgeChain(i=i, j=i + k, states=(0.0, 0.3 * k, 0.9), generator=gen)
+        for k in (1, 2) for i in range(1, 50 - k, 3)))
+    assert summarize(weighted).lambda_max_abar == pytest.approx(
+        top_eigenvalue(dense_abar(stationary_stats(weighted), weighted.n)), rel=1e-12)
+
+
+def test_summarize_matches_low_gap_graphs():
+    # a path's and a grid's top gaps are about 3 pi^2 / n^2 and 3 pi^2 / k^2,
+    # so Lanczos restarts thousands of times; lambda_max is 2 cos(pi / (n + 1))
+    # and 4 cos(pi / (k + 1)), and the certificate sits at or just above it
+    for n in (1000, 2000):
+        path = _always_on(n, [(v, v + 1) for v in range(1, n)])
+        lam, exact = summarize(path).lambda_max_abar, 2.0 * math.cos(math.pi / (n + 1))
+        assert exact <= lam <= exact * (1.0 + 1e-12)
+        if n == 1000:
+            dense = top_eigenvalue(dense_abar(stationary_stats(path), n))
+            assert lam == pytest.approx(dense, rel=1e-12, abs=0.0)
+    k = 100
+    pairs = ([(r * k + c + 1, r * k + c + 2) for r in range(k) for c in range(k - 1)]
+             + [(r * k + c + 1, r * k + c + k + 1) for r in range(k - 1) for c in range(k)])
+    lam = summarize(_always_on(k * k, pairs)).lambda_max_abar
+    exact = 4.0 * math.cos(math.pi / (k + 1))
+    assert exact <= lam <= exact * (1.0 + 1e-12)
+    # a ring with uneven rates
+    pairs = [(v, v + 1) for v in range(1, 1000)] + [(1, 1000)]
+    rates = np.random.default_rng(3).uniform(0.1, 5.0, (1000, 2)).tolist()
+    ring = SwitchedNetworkSpec(n=1000, edges=tuple(
+        EdgeChain(i=i, j=j, p_rate=p, q_rate=q) for (i, j), (p, q) in zip(pairs, rates)))
+    assert summarize(ring).lambda_max_abar == pytest.approx(
+        top_eigenvalue(dense_abar(stationary_stats(ring), ring.n)), rel=1e-12, abs=0.0)
+
+
+def test_summarize_prices_an_upper_bound_at_a_tie():
+    # one always-on edge: lambda_max(abar) is exactly 1 = delta / beta, so a
+    # strict test cannot certify it; a Ritz value a rounding below 1 would
+    summary = summarize(_always_on(2, [(1, 2)]))
+    assert 1.0 < summary.lambda_max_abar <= 1.0 + 1e-13
+    block = check_sufficient(summary, EpidemicParams(beta=1.0, delta=1.0))
+    assert block["lhs"] == summary.lambda_max_abar and block["verdict"] == "inconclusive"
+
+
+def test_summarize_without_means_makes_no_solve(monkeypatch):
+    # no edge, or every edge always absent (p = 0): lambda_max(abar) is 0
+    def refuse(operator):
+        raise AssertionError("Lanczos ran on a zero abar")
+
+    monkeypatch.setattr(epinet.ensembles, "lanczos_abscissa", refuse)
+    absent = SwitchedNetworkSpec(n=4, edges=(
+        EdgeChain(i=1, j=2, p_rate=0.0, q_rate=1.0),
+        EdgeChain(i=2, j=4, p_rate=0.0, q_rate=3.0),
+    ))
+    for spec in (SwitchedNetworkSpec(n=4, edges=()), absent):
+        summary = summarize(spec)
+        assert summary.lambda_max_abar == 0.0
+        assert summary.delta_uncertainty == 0.0
 
 
 def test_ensemble_from_dict_dispatch():
@@ -323,7 +453,7 @@ def _reference_root(d: np.ndarray) -> float:
     if d.size <= 2000:
         abar = np.outer(d, d) / d.sum()
         np.fill_diagonal(abar, 0.0)
-        return lambda_max_dense(abar)
+        return top_eigenvalue(abar)
     return _bisected_root(d)
 
 
@@ -485,7 +615,7 @@ def _root_against_references(model, monkeypatch, block: int) -> list:
     if d.size <= 400:
         abar = np.outer(d, d) / d.sum()
         np.fill_diagonal(abar, 0.0)
-        assert lam == pytest.approx(lambda_max_dense(abar), rel=1e-12)
+        assert lam == pytest.approx(top_eigenvalue(abar), rel=1e-12)
     assert lam == pytest.approx(_bisected_root(d), rel=1e-13)
     return read
 

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epinet.netmodel import (
-    DENSE_N_CAP,
     EdgeChain,
     EpidemicParams,
     SpecFormatError,
     SwitchedNetworkSpec,
     WeightedEdgeChain,
     edge_moments,
+    max_vertex_weight,
     spec_from_dict,
     stationary_stats,
 )
@@ -183,11 +182,9 @@ def test_stationary_stats_hand_example():
         ),
     )
     stats = stationary_stats(spec)
-    assert stats.abar[0, 1] == pytest.approx(0.5)
-    assert stats.abar[0, 2] == pytest.approx(0.25)
-    assert stats.abar[1, 2] == 0.0
-    assert np.allclose(stats.abar, stats.abar.T)
-    assert np.all(np.diag(stats.abar) == 0.0)
+    # abar as its edge list: 0-based endpoints, one row per edge
+    assert stats.ends.tolist() == [[0, 1], [0, 2]]
+    assert stats.means.tolist() == pytest.approx([0.5, 0.25])
     # row 1 carries both variances: 0.25 + 0.1875
     assert stats.delta_uncertainty == pytest.approx(0.4375, abs=1e-14)
     assert spec.kind == "binary"
@@ -196,22 +193,28 @@ def test_stationary_stats_hand_example():
 def test_stationary_stats_edgeless():
     stats = stationary_stats(SwitchedNetworkSpec(n=4, edges=()))
     assert stats.delta_uncertainty == 0.0
-    assert np.all(stats.abar == 0.0)
+    assert stats.ends.shape == (0, 2) and stats.means.shape == (0,)
 
 
-def test_stationary_stats_dense_cap():
-    # refused before any n x n array: a 10 001-vertex abar alone is 800 MB
-    spec = SwitchedNetworkSpec(
-        n=DENSE_N_CAP + 1, edges=(EdgeChain(i=1, j=2, p_rate=1.0, q_rate=1.0),)
-    )
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="dense cap 10000"):
-            stationary_stats(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+def test_vertex_sums_match_the_row_sums_of_all_n_vertices():
+    # Delta and the heaviest vertex weight, summed only over the vertices that
+    # carry an edge, equal the row sums over an n-vector bit for bit: both add
+    # the edges in order
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        pairs = sorted({tuple(sorted(rng.choice(n, 2, replace=False) + 1))
+                        for _ in range(int(rng.integers(1, 40)))})
+        rates = rng.uniform(0.1, 5.0, size=(len(pairs), 2))
+        spec = SwitchedNetworkSpec(n=n, edges=tuple(
+            EdgeChain(i=int(i), j=int(j), p_rate=float(p), q_rate=float(q))
+            for (i, j), (p, q) in zip(pairs, rates)))
+        var_rows, top_rows = np.zeros(n), np.zeros(n)
+        for e in spec.edges:
+            var_rows[[e.i - 1, e.j - 1]] += edge_moments(e)[1]
+            top_rows[[e.i - 1, e.j - 1]] += e.values.max()
+        assert stationary_stats(spec).delta_uncertainty == var_rows.max()
+        assert max_vertex_weight(spec.edges) == top_rows.max()
 
 
 @settings(max_examples=30, deadline=None)

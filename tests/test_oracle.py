@@ -89,15 +89,27 @@ def test_check_instance_prices_stationary_moments_once(monkeypatch):
 def test_perturbed_closed_form_abar_fails_the_consistency_check(monkeypatch):
     def perturbed(spec):
         stats = stationary_stats(spec)
-        abar = stats.abar.copy()
-        abar[0, 1] = abar[1, 0] = abar[0, 1] + 1e-8
-        return StationaryStats(abar, stats.delta_uncertainty)
+        means = stats.means.copy()
+        means[0] += 1e-8
+        return StationaryStats(stats.ends, means, stats.delta_uncertainty)
 
     spec = random_small_spec(np.random.default_rng(4))
     assert check_instance(spec).abar_consistent
     monkeypatch.setattr(epinet.oracle, "stationary_stats", perturbed)
     report = check_instance(spec)
     assert not report.abar_consistent and not report.passed
+
+
+@pytest.mark.parametrize("error, consistent", [(1e-13, True), (1e-11, False)])
+def test_perturbed_lambda_max_fails_the_consistency_check(error, consistent, monkeypatch):
+    # the edge list is right and only the Lanczos lambda_max(abar) is off: the
+    # check against dense eigvalsh holds it to 1e-12 max(1, lambda_max)
+    lanczos = epinet.ensembles.lanczos_abscissa
+    monkeypatch.setattr(epinet.ensembles, "lanczos_abscissa",
+                        lambda operator: lanczos(operator) * (1.0 + error))
+    report = check_instance(random_small_spec(np.random.default_rng(4)))
+    assert report.lambda_max_abar > 1.0
+    assert report.abar_consistent is consistent and report.passed is consistent
 
 
 def test_sandwich_ordering_holds_on_instance():

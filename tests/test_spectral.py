@@ -1,12 +1,10 @@
-import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from epinet import spectral
-from epinet.spectral import lambda_max_dense, lanczos_abscissa, spectral_abscissa
+from epinet.spectral import lanczos_abscissa, spectral_abscissa
 
 
 class DenseOperator:
@@ -24,40 +22,6 @@ class DenseOperator:
         return self.a @ x
 
     __matmul__ = matvec
-
-
-def test_lambda_max_dense_known_graphs():
-    edge = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert lambda_max_dense(edge) == pytest.approx(1.0, abs=1e-14)
-    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    assert lambda_max_dense(path3) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    k4 = np.ones((4, 4)) - np.eye(4)
-    assert lambda_max_dense(k4) == pytest.approx(3.0, rel=1e-13)
-
-
-def test_lambda_max_dense_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        lambda_max_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        lambda_max_dense(np.zeros((2, 3)))
-
-
-def test_lambda_max_dense_symmetry_check_memory():
-    # the check used to build a - a.T and its abs, two n x n temporaries
-    # (61 MiB at n = 2000, beside a 30.5 MiB abar)
-    rng = np.random.default_rng(0)
-    a = np.triu(rng.random((2000, 2000)), 1)
-    a += a.T
-    tracemalloc.start()
-    try:
-        lambda_max_dense(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 << 20
-    a[1999, 0] += 1e-3
-    with pytest.raises(ValueError, match="symmetric"):
-        lambda_max_dense(a)
 
 
 def test_spectral_abscissa_triangular():
@@ -138,8 +102,11 @@ def test_lanczos_abscissa_guards(monkeypatch):
     a = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="Metzler"):
         lanczos_abscissa(DenseOperator(a))
+    # a stop tolerance of 0 is never met: the budget is LANCZOS_BASIS
+    # products a row past LANCZOS_MAX_MATVECS
+    monkeypatch.setattr(spectral, "LANCZOS_RTOL", 0.0)
     monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 20)
-    with pytest.raises(RuntimeError, match="Lanczos found no abscissa of the 300-row"):
+    with pytest.raises(RuntimeError, match="of the 300-row matrix in 6000 products"):
         lanczos_abscissa(DenseOperator(_symmetric_metzler(np.random.default_rng(300), 300, 1e3)))
 
 

@@ -129,13 +129,14 @@ class StabilityOperator:
     """kron(Pi^T, I_n) + beta blockdiag(A_k), applied from its factors.
 
     A vector is an array of shape (K_1, ..., K_m, n) in the row order of the
-    matrix.  Edge {i, j} adds beta w(state) times the entries at j to those
-    at i, and back; each run of edges of at most ``GROUP_STATES`` joint
+    matrix.  A_k is a head of the edges' adjacency plus the tail's, two
+    stacks of matrices on the vertices that carry an edge, one batched
+    product each; each run of edges of at most ``GROUP_STATES`` joint
     states is one product with its dense Kronecker sum.  When every edge
     chain is reversible (``symmetric``), each group's G^T is replaced by the
     symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), so the operator applies
     D^-1 M D, D = diag(sqrt pi) x I_n, which has M's eigenvalues; the
-    adjacency adds stay, as D is a scalar on each configuration block.  The
+    adjacency stacks stay, as D is a scalar on each configuration block.  The
     scaling keeps the sign pattern, so ``offdiagonal_min`` (at most 0) and
     ``entry_max``, the Metzler guard of :mod:`epinet.spectral`, read the
     same from either form; ``column_sum_max``, beta max_v sum_{e on v} max_a
@@ -155,9 +156,14 @@ class StabilityOperator:
         self.dtype = np.dtype(float)
         self.symmetric = all(map(_reversible, edges))
         self.matvecs = 0
-        self._edges = [(math.prod(dims[:k]), dims[k], e.i - 1, e.j - 1,
-                        [(a, beta * w) for a, w in enumerate(e.values) if w != 0.0])
-                       for k, e in enumerate(edges)]
+        touched, local = np.unique([(e.i - 1, e.j - 1) for e in edges], return_inverse=True)
+        self._touched = slice(None) if len(touched) == self.n else touched
+        split = min(range(len(dims) + 1),
+                    key=lambda s: math.prod(dims[:s]) + math.prod(dims[s:]))
+        self._head, self._tail = (
+            beta * _configurations(edges[cut], local[cut], len(touched),
+                                   np.arange(math.prod(dims[cut])))
+            for cut in (slice(split), slice(split, None)))
         self._groups, start = [], 0
         while start < len(edges):
             stop = start + 1
@@ -185,19 +191,22 @@ class StabilityOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product with ``shape[0]`` rows: a vector or a block of columns."""
         x = np.asarray(x, dtype=float)
-        y = np.zeros_like(x)
-        # the adjacency terms first: the generator's grow with the rates
         cols = x.size // self.shape[0]
         self.matvecs += cols
-        for left, states, i, j, weights in self._edges:
-            xs = x.reshape(left, states, -1, self.n, cols)
-            ys = y.reshape(left, states, -1, self.n, cols)
-            for a, bw in weights:
-                ys[:, a, :, i] += bw * xs[:, a, :, j]
-                ys[:, a, :, j] += bw * xs[:, a, :, i]
-        for left, gen_t in self._groups:
-            y += np.matmul(gen_t, x.reshape(left, len(gen_t), -1)).reshape(x.shape)
-        return y
+        # adjacency first, as the generator terms grow with the rates; block k
+        # of a column is a row x_k, x_k A_k = (A_k x_k)^T: a GEMM per stack matrix
+        xt = x.T.reshape(cols, -1)
+        blocks = (cols, len(self._head), len(self._tail), self.n)
+        xs = xt.reshape(blocks)[..., self._touched]
+        adj = np.matmul(xs, self._head)
+        adj += np.matmul(xs.swapaxes(1, 2), self._tail).swapaxes(1, 2)
+        y = adj.reshape(cols, -1)
+        if not isinstance(self._touched, slice):  # back to all n vertices
+            y = np.zeros(xt.shape)
+            y.reshape(blocks)[..., self._touched] = adj
+        for left, g in self._groups:
+            y += np.matmul(g, xt.reshape(cols, left, len(g), -1)).reshape(y.shape)
+        return y.T.reshape(x.shape)
 
     __matmul__ = matvec
 
@@ -215,7 +224,7 @@ class ExactResult:
 
 
 def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
-    """Exact mean-stability verdict: eta < delta (strict).
+    """Exact mean-stability verdict: eta + lanczos_tolerance < delta.
 
     A chain whose edges are all reversible takes Lanczos on the symmetric
     operator; any other takes ARPACK.  The matrix is Metzler, so eta is at
@@ -225,14 +234,14 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     these bounds; a value past one by more than ETA_BOUND_RTOL is noise and
     raises RuntimeError.  Lanczos resolves eta to its stop tolerance; one
     wider than the bound would leave any value in [0, bound] equally
-    likely, so it raises RuntimeError before any product.
+    likely, so it raises RuntimeError before any product.  A tie is unstable.
     """
     operator = StabilityOperator(joint, params.beta)
     bound = operator.column_sum_max
     slack = ETA_BOUND_RTOL * max(bound, params.delta)
+    tol = lanczos_tolerance(operator)
     if operator.symmetric:
         solver = "lanczos"
-        tol = lanczos_tolerance(operator)
         if tol > bound + slack:
             raise RuntimeError(
                 f"the {solver} tolerance {tol:.6g} on eta exceeds its bound "
@@ -254,7 +263,7 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
             "joint generator alone; the edge rates are too stiff for the "
             "eigensolver"
         )
-    return ExactResult(eta=eta, mean_stable=eta < params.delta, solver=solver,
+    return ExactResult(eta=eta, mean_stable=eta + tol < params.delta, solver=solver,
                        matvecs=operator.matvecs)
 
 
@@ -276,9 +285,15 @@ def expected_lambda_max(joint: JointChain) -> float:
     top = np.empty(joint.n_configs)
     for start in range(0, joint.n_configs, rows):
         index = np.arange(start, min(start + rows, joint.n_configs))
-        block = np.zeros((len(index), size, size))
-        digits = np.unravel_index(index, joint.dims)
-        for edge, digit, (i, j) in zip(joint.edges, digits, local):
-            block[:, i, j] = block[:, j, i] = edge.values[digit]
-        top[index] = np.linalg.eigvalsh(block)[:, -1]
+        blocks = _configurations(joint.edges, local, size, index)
+        top[index] = np.linalg.eigvalsh(blocks)[:, -1]
     return float(joint.stationary @ top)
+
+
+def _configurations(edges, local, size: int, index: np.ndarray) -> np.ndarray:
+    """A_k, k in ``index``, on the ``size`` vertices of ``edges``' ends ``local``."""
+    block = np.zeros((len(index), size, size))
+    digits = np.unravel_index(index, [len(e.values) for e in edges]) if edges else ()
+    for edge, digit, (i, j) in zip(edges, digits, local):
+        block[:, i, j] = block[:, j, i] = edge.values[digit]
+    return block

@@ -19,6 +19,9 @@ LANCZOS_KEEP = 10
 # Lanczos stops once the top Ritz pair's residual is at most this times
 # max(1, entry_max), or the new basis vector's norm at most this times |S v|.
 LANCZOS_RTOL = 1e-14
+# Lanczos tests its Ritz residual, an eigh of the projected matrix, at bases of
+# a multiple of this many vectors and a full one (README: the measured trade-off).
+LANCZOS_TEST_STRIDE = 4
 # Lanczos gives up (RuntimeError) after this many products, or LANCZOS_BASIS
 # per row if more: a 10 000-vertex path's tiny top gap takes 14 per row.
 LANCZOS_MAX_MATVECS = 5000
@@ -57,10 +60,10 @@ def lanczos_abscissa(a) -> float:
     nonnegative Perron vector, so a new vector of norm at most
     ``LANCZOS_RTOL`` |S v| means the basis spans an invariant subspace that
     holds it.  It stops there, or once the top Ritz pair's residual
-    |beta_m y_m| is at most :func:`lanczos_tolerance`, and returns that Ritz
-    vector's Rayleigh quotient, from one more product, which the restarts'
-    rounding drift in the projected matrix does not reach.  Past
-    max(``LANCZOS_MAX_MATVECS``, ``LANCZOS_BASIS`` x rows) products it
+    |beta_m y_m|, tested every ``LANCZOS_TEST_STRIDE`` vectors, is at most
+    :func:`lanczos_tolerance`; it returns that Ritz vector's Rayleigh
+    quotient, from one more product, free of the restarts' rounding drift.
+    Past max(``LANCZOS_MAX_MATVECS``, ``LANCZOS_BASIS`` x rows) products it
     raises RuntimeError.  Reruns are bit-identical.
     """
     # the basis works on S / max(1, entry_max), whose norms cannot overflow;
@@ -78,18 +81,20 @@ def lanczos_abscissa(a) -> float:
             w = a @ basis[j]
             w /= scale
             matvecs += 1
-            norm = float(np.linalg.norm(w))
+            norm = math.sqrt(w @ w)
             coef = basis[:j + 1] @ w
             w -= coef @ basis[:j + 1]
             again = basis[:j + 1] @ w
             w -= again @ basis[:j + 1]
             coef += again
             proj[j, :j + 1] = proj[:j + 1, j] = coef
-            theta, vecs = np.linalg.eigh(proj[:j + 1, :j + 1])
-            beta = float(np.linalg.norm(w))
-            if beta <= LANCZOS_RTOL * norm or beta * abs(vecs[j, -1]) <= LANCZOS_RTOL:
-                ritz = vecs[:, -1] @ basis[:j + 1]
-                return float(ritz @ (a @ ritz)) / float(ritz @ ritz)
+            beta = math.sqrt(w @ w)
+            invariant = beta <= LANCZOS_RTOL * norm
+            if invariant or j == size - 1 or (j + 1) % LANCZOS_TEST_STRIDE == 0:
+                theta, vecs = np.linalg.eigh(proj[:j + 1, :j + 1])
+                if invariant or beta * abs(vecs[j, -1]) <= LANCZOS_RTOL:
+                    ritz = vecs[:, -1] @ basis[:j + 1]
+                    return float(ritz @ (a @ ritz)) / float(ritz @ ritz)
             np.divide(w, beta, out=basis[j + 1])
         if matvecs >= budget:
             raise RuntimeError(

@@ -967,6 +967,40 @@ def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
         assert exact["e_lambda_max_stable"] is stable
 
 
+def test_analyze_exact_tie_is_not_mean_stable(tmp_path, capsys):
+    # a frozen edge at beta = delta = 1: eta = 1 = delta, which ARPACK reads
+    # as 0.9999999999999999; within the solver's accuracy a tie is not below
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 0.0}]}))
+    assert main(["analyze", "--spec", str(spec), "--beta", "1", "--delta", "1"]) == 0
+    stdout = capsys.readouterr().out
+    exact = json.loads(stdout[stdout.index("{"):])["exact"]
+    assert exact["solver"] == "arpack"
+    assert exact["eta"] == pytest.approx(1.0, rel=1e-14)
+    assert exact["mean_stable"] is False
+    assert "-> not-mean-stable (authoritative)" in stdout
+
+
+_BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "seed-0.json"
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_analyze_matches_the_exact_ladder_bench(index, tmp_path, capsys):
+    # the committed exact-ladder commands, read-only, with the bench's own
+    # tolerance on eta and both verdicts against its expected values
+    ladder = json.loads(_BENCH_INPUTS.read_text())["exact-ladder"]
+    command = ladder["commands"][index]
+    spec = tmp_path / command["spec"]
+    spec.write_text(json.dumps(ladder["specs"][command["spec"]]))
+    assert main([arg.replace("{spec}", str(spec)) for arg in command["argv"]]) == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout[stdout.index("{"):])
+    expect = command["expect"]
+    assert report["exact"]["eta"] == pytest.approx(expect["eta"], rel=1e-9, abs=0.0)
+    assert report["exact"]["mean_stable"] is expect["mean_stable"]
+    assert report["sufficient"]["verdict"] == expect["verdict"]
+
+
 # One model of each kind; the community and power-law ones are the built-in
 # examples' ensembles.
 _MODELS = {

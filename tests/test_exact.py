@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epinet import exact
+from epinet import exact, spectral
 from epinet.exact import (
     StabilityOperator,
     build_joint_chain,
@@ -356,6 +356,32 @@ def test_lanczos_eta_matches_dense_reference(scale):
             dense = dense_abscissa(joint, beta)
             assert res.solver == "lanczos" and res.matvecs > 0
             assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+def test_lanczos_decomposes_the_projected_matrix_at_a_stride(monkeypatch):
+    # a ladder-size solve (5 vertices, 8 edges, 1280 rows) tests its Ritz
+    # residual at every LANCZOS_TEST_STRIDE-th basis and a full one, not at
+    # every product, and still meets the dense reference
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", counting)
+    rng = np.random.default_rng(8)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    edges = tuple(
+        EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
+        for (i, j), (p, q) in zip(pairs[:8], rng.uniform(0.1, 5.0, size=(8, 2)))
+    )
+    joint = build_joint_chain(SwitchedNetworkSpec(n=5, edges=edges))
+    res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.0))
+    assert res.solver == "lanczos" and res.matvecs > spectral.LANCZOS_BASIS
+    assert 0 < len(calls) < res.matvecs / 3
+    dense = dense_abscissa(joint, 0.5)
+    assert abs(res.eta - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
 def _cyclic_chain(i, j):

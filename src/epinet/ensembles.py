@@ -7,8 +7,9 @@ Three families whose expected adjacency matrix never has to be materialized:
 * expected-degree (Chung-Lu) networks: edge probability rho d_i d_j for a
   prescribed degree sequence d;
 * power-law degree sequences feeding the expected-degree model, calibrated
-  so the largest degree and the average degree hit prescribed targets, and
-  read in blocks from their closed form so that no n-array is built.
+  so the largest degree and the average degree hit prescribed targets, read
+  in blocks from their closed form so that no n-array is built, and summed
+  past the hubs by Euler-Maclaurin, so that most blocks are never read.
 
 Each family exposes the two scalars the stability tests need --
 lambda_max(abar) and the variance row-sum Delta -- plus a realization that
@@ -31,6 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import stability
 from .netmodel import (
     EdgeChain,
     SpecFormatError,
@@ -49,15 +51,21 @@ from .stability import (
     DegreeSequence,
     expected_degree_uncertainty,
     pair_probability_violations,
+    read_table,
 )
 
 # An ensemble is realized edge by edge (an n x n abar and up to n^2 / 2 edge
 # chains) only up to this many vertices; larger ones get the closed forms.
 REALIZE_N_CAP = 200
-# A power-law ensemble is streamed in blocks, so its statistics need O(block)
-# memory at any n; this caps their O(n) work (`analyze` at 1e9 vertices
-# takes about 18 s of CPU on one core, the first pass most of it).
+# A power-law ensemble is read in blocks, so its statistics need O(block)
+# memory at any n, and its first pass sums all but the first block in closed
+# form; this caps the O(n) work that is left, the hub-pair count's read of
+# every hub where most vertices are hubs.
 POWER_LAW_N_CAP = 1_000_000_000
+# A power law's blocks that start at or past this index are summed in closed
+# form: there x = i + i0 - 1 >= 2^16, where the Euler-Maclaurin remainder is
+# below 1e-25 of the sum.
+EULER_MACLAURIN_START = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +171,10 @@ class ExpectedDegreeSpec:
         """d[lo:hi] (0-based) of the degrees sorted descending, read-only."""
         return self._descending[lo:hi]
 
+    def block_table(self) -> np.ndarray:
+        """The first pass's table, every block read."""
+        return read_table(self.degree_block, self.n)
+
 
 def check_degree_scale(top: float, n: int) -> None:
     """The one scale rule of both expected-degree models, on n degrees whose
@@ -188,8 +200,10 @@ def check_degree_scale(top: float, n: int) -> None:
 
 
 def degree_sequence(model: Union[ExpectedDegreeSpec, PowerLawSpec]) -> DegreeSequence:
-    """The descending degree stream of an expected-degree model."""
-    return DegreeSequence.of(model.n, model.degree_block)
+    """The descending degree stream of an expected-degree model, with its
+    first pass's table: an explicit array's read block by block, a power
+    law's mostly in closed form."""
+    return DegreeSequence.of(model.n, model.degree_block, model.block_table())
 
 
 def expected_degree_stats(seq: DegreeSequence) -> AbarSummary:
@@ -258,7 +272,8 @@ class PowerLawSpec:
         if self.n > POWER_LAW_N_CAP:
             raise ValueError(
                 f"n={self.n} exceeds the power-law cap {POWER_LAW_N_CAP}; the "
-                "statistics take O(n) work"
+                "hub-pair count reads every hub, O(n) work where most vertices "
+                "are hubs"
             )
         if not (self.exponent > 2):
             raise ValueError(
@@ -291,14 +306,55 @@ class PowerLawSpec:
         return self.n * ratio ** (b - 1.0)
 
     def degree_block(self, lo: int, hi: int) -> np.ndarray:
-        """d[lo:hi] (0-based) of the descending sequence, from the closed
-        form d_i = c ((i + i0) - 1)^(-gamma) with a float index i."""
-        x = np.arange(lo + 1, hi + 1, dtype=float)
+        """d[lo:hi] (0-based) of the descending sequence."""
+        return self._degrees(np.arange(lo + 1, hi + 1, dtype=float))
+
+    def _degrees(self, x: np.ndarray) -> np.ndarray:
+        """d_i = c ((i + i0) - 1)^(-gamma) at the float indices i = ``x``,
+        in place."""
         x += self.offset
         x -= 1.0
         np.power(x, -1.0 / (self.exponent - 1.0), out=x)
         x *= self.coefficient
         return x
+
+    def block_table(self) -> np.ndarray:
+        """The first pass's table of :class:`~epinet.stability.DegreeSequence`.
+
+        The blocks before index EULER_MACLAURIN_START hold the hubs, where i0
+        may be far below 1, and are read.  Every later block sums f(x) = x^-s,
+        s = gamma, 2 gamma, 4 gamma, over x = a, ..., b, a = lo + i0, by
+        Euler-Maclaurin (Apostol, Amer. Math. Monthly 1999): int_a^b f +
+        (f(a) + f(b)) / 2 + (f'(b) - f'(a)) / 12 - (f^(3)(b) - f^(3)(a)) / 720,
+        the integral as a^(1-s) expm1((1-s) L) / (1-s), L = log1p((b - a) / a),
+        or L where 1 - s = 0.  f is completely monotone, so the remainder is
+        below the next term, under 1e-25 of the sum.  With the roundings
+        (|(1-s) L| <= 3 log 2; a rounded 1 - s costs at most ln(a) u < 21 u),
+        a partial is within 64 u of its block's exact sum.  c^k enters as
+        d_1^k (c / d_1)^k, which overflows only where the stream does, and the
+        ends come from :meth:`degree_block`'s own operations, bit for bit.
+        """
+        n, gamma, size = self.n, 1.0 / (self.exponent - 1.0), stability.DEGREE_BLOCK
+        head = read_table(self.degree_block, min(n, -(-EULER_MACLAURIN_START // size) * size))
+        starts = np.arange(len(head) * size, n, size)
+        stops = np.minimum(starts + size, n)
+        tail = np.empty((len(starts), 5))
+        tail[:, 3:] = self._degrees(np.stack([starts + 1, stops], axis=1).astype(float))
+        a = starts + self.offset
+        span = stops - starts - 1  # b - a
+        log_ratio = np.log1p(span / a)
+        b = a + span
+        top = head[0, 3]
+        ratio = self.coefficient / top
+        for column, k in enumerate((1, 2, 4)):
+            s, t = k * gamma, 1.0 - k * gamma
+            fa, fb = a ** -s, b ** -s
+            part = (a ** t * (np.expm1(t * log_ratio) / t if t else log_ratio)
+                    + 0.5 * (fa + fb) + s / 12.0 * (fa / a - fb / b)
+                    - s * (s + 1.0) * (s + 2.0) / 720.0 * (fa / a ** 3 - fb / b ** 3))
+            part *= ratio ** k
+            tail[:, column] = part if k == 4 else part * top ** k  # (d / d_1)^4 stays
+        return np.concatenate([head, tail])
 
 
 EnsembleSpec = Union[CommunitySpec, ExpectedDegreeSpec, PowerLawSpec]

@@ -46,8 +46,8 @@ ETA_BOUND_RTOL = 1e-6
 # An edge chain is reversible when its probability fluxes pi_a Q_ab and
 # pi_b Q_ba agree to this relative tolerance and every pi_a is positive.
 BALANCE_RTOL = 1e-12
-# Consecutive edges share one dense generator while their joint state count
-# stays at most this, so a product passes over the vector once per group.
+# Consecutive edges share one dense generator of at most this many joint
+# states, so a product passes over the vector once per group.
 GROUP_STATES = 16
 # expected_lambda_max builds about this many adjacency entries at a time.
 CONFIG_BLOCK = 1 << 16
@@ -125,22 +125,37 @@ def _reversible(edge: AnyEdge) -> bool:
         np.abs(flux - flux.T) <= BALANCE_RTOL * np.maximum(np.abs(flux), np.abs(flux.T))))
 
 
+def _runs(dims: tuple[int, ...], cap: int) -> list[tuple[int, int]]:
+    """Consecutive runs [start, stop) of ``dims``, each grown while its
+    product of state counts stays at most ``cap`` (one edge at least)."""
+    runs, start = [], 0
+    while start < len(dims):
+        stop = start + 1
+        while stop < len(dims) and math.prod(dims[start:stop + 1]) <= cap:
+            stop += 1
+        runs.append((start, stop))
+        start = stop
+    return runs
+
+
 class StabilityOperator:
     """kron(Pi^T, I_n) + beta blockdiag(A_k), applied from its factors.
 
     A vector is an array of shape (K_1, ..., K_m, n) in the row order of the
     matrix.  A_k is a head of the edges' adjacency plus the tail's, two
     stacks of matrices on the vertices that carry an edge, one batched
-    product each; each run of edges of at most ``GROUP_STATES`` joint
-    states is one product with its dense Kronecker sum.  When every edge
-    chain is reversible (``symmetric``), each group's G^T is replaced by the
-    symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), so the operator applies
-    D^-1 M D, D = diag(sqrt pi) x I_n, which has M's eigenvalues; the
-    adjacency stacks stay, as D is a scalar on each configuration block.  The
-    scaling keeps the sign pattern, so ``offdiagonal_min`` (at most 0) and
-    ``entry_max``, the Metzler guard of :mod:`epinet.spectral`, read the
-    same from either form; ``column_sum_max``, beta max_v sum_{e on v} max_a
-    w_e(a), is M's largest column sum; one that overflows is refused.
+    product each.  The edges fall into as few consecutive runs as a cap of
+    ``GROUP_STATES`` joint states allows, the largest run as small as that
+    count allows; each run is one product with its dense Kronecker sum.
+    When every edge chain is reversible (``symmetric``), each group's G^T is
+    replaced by the symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), so the
+    operator applies D^-1 M D, D = diag(sqrt pi) x I_n, which has M's
+    eigenvalues; the adjacency stacks stay, as D is a scalar on each
+    configuration block.  The scaling keeps the sign pattern, so
+    ``offdiagonal_min`` (at most 0) and ``entry_max``, the Metzler guard of
+    :mod:`epinet.spectral`, read the same from either form;
+    ``column_sum_max``, beta max_v sum_{e on v} max_a w_e(a), is M's largest
+    column sum; one that overflows is refused.
     ``matvecs`` counts the columns the operator has been applied to.
     """
 
@@ -164,11 +179,13 @@ class StabilityOperator:
             beta * _configurations(edges[cut], local[cut], len(touched),
                                    np.arange(math.prod(dims[cut])))
             for cut in (slice(split), slice(split, None)))
-        self._groups, start = [], 0
-        while start < len(edges):
-            stop = start + 1
-            while stop < len(edges) and math.prod(dims[start:stop + 1]) <= GROUP_STATES:
-                stop += 1
+        # the greedy's group count at GROUP_STATES, at the smallest cap that
+        # keeps it: 9 binary edges make 3 + 3 + 3, not 4 + 4 + 1
+        count = len(_runs(dims, GROUP_STATES))
+        runs = next(r for cap in range(1, GROUP_STATES + 1)
+                    if len(r := _runs(dims, cap)) == count)
+        self._groups = []
+        for start, stop in runs:
             gen = edges[start].rate_matrix
             for e in edges[start + 1:stop]:
                 gen = (np.kron(gen, np.eye(len(e.values)))
@@ -180,7 +197,6 @@ class StabilityOperator:
                 gen_t = gen_t * root / root[:, None]
                 gen_t = (gen_t + gen_t.T) / 2.0  # symmetric to the bit
             self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen_t)))
-            start = stop
         gens = [g for _, g in self._groups]
         off = np.concatenate([beta * np.concatenate([e.values for e in edges])]
                              + [(g - np.diag(np.diag(g))).ravel() for g in gens])

@@ -282,6 +282,24 @@ def _fsums(parts: Union[np.ndarray, list]) -> list[float]:
     return [math.fsum(column) for column in np.transpose(parts).tolist()]
 
 
+def read_table(block: Callable[[int, int], np.ndarray], stop: int) -> np.ndarray:
+    """A first pass's table read from the stream: one row per block of the
+    degrees d[:stop] that ``block`` reads (``stop`` is n or a whole number
+    of blocks), with the block's sum(d), sum(d^2), sum((d / d_1)^4) and its
+    first and last degree."""
+    top = float(block(0, 1)[0])
+    scratch = np.empty((2, min(stop, DEGREE_BLOCK)))  # reused by every block
+    table = np.empty((-(-stop // DEGREE_BLOCK), 5))
+    for row, (lo, hi) in zip(table, _block_bounds(stop)):
+        d = block(lo, hi)
+        x, sq = scratch[:, : d.size]
+        np.divide(d, top, out=x)
+        x *= x
+        row[:] = (float(d.sum()), float(np.multiply(d, d, out=sq).sum()),
+                  float(x @ x), d[0], d[-1])
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeSequence:
     """A descending expected-degree sequence d_1 >= ... >= d_n, read in
@@ -291,7 +309,9 @@ class DegreeSequence:
     one row per block; and ``ends``, each block's first and last degree.
 
     ``block(lo, hi)``, a model's ``degree_block``, returns d[lo:hi] (0-based),
-    fresh or read-only, for at most DEGREE_BLOCK entries at a time."""
+    fresh or read-only, for at most DEGREE_BLOCK entries at a time; the
+    first pass's ``table`` (the model's ``block_table``) has one row per
+    block: its three partial sums, then its first and last degree."""
 
     n: int
     block: Callable[[int, int], np.ndarray]
@@ -302,21 +322,11 @@ class DegreeSequence:
     ends: np.ndarray
 
     @classmethod
-    def of(cls, n: int, block: Callable[[int, int], np.ndarray]) -> "DegreeSequence":
-        top = float(block(0, 1)[0])
-        buffers = np.empty((2, min(n, DEGREE_BLOCK)))  # reused by every block
-        # per block: sum(d), sum(d^2), sum((d / d_1)^4), first and last degree
-        parts = np.empty((-(-n // DEGREE_BLOCK), 5))
-        for row, (lo, hi) in zip(parts, _block_bounds(n)):
-            d = block(lo, hi)
-            x, sq = buffers[:, : d.size]
-            np.divide(d, top, out=x)
-            x *= x
-            row[:] = (float(d.sum()), float(np.multiply(d, d, out=sq).sum()),
-                      float(x @ x), d[0], d[-1])
-        d1, d2, d4 = _fsums(parts[:, :3])
+    def of(cls, n: int, block: Callable[[int, int], np.ndarray],
+           table: np.ndarray) -> "DegreeSequence":
+        d1, d2, d4 = _fsums(table[:, :3])
         return cls(n=n, block=block, d1=d1, d2=d2, d4=d4,
-                   block_sums=parts[:, :3], ends=parts[:, 3:])
+                   block_sums=table[:, :3], ends=table[:, 3:])
 
 
 def expected_degree_uncertainty(seq: DegreeSequence) -> float:
@@ -383,10 +393,10 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     w_1^2 sum((d / d_1)^4) over the tail.  That leaves out R = sum(R_i) of g,
     and at most 3 R of s1 - s2.  Each tail block's t is at most t_b, t at
     its first degree, so R <= sum over tail blocks of t_b P2_b / lambda^2,
-    P2_b the block's part of P2 (each (d / d_1)^4 that underflowed lost
-    under tiny).  h is the first block count where that bound, at the
-    start, is at most eps q / 8; it falls and q rises as lambda climbs, so
-    it holds at every step.  If no head fits, every block is read and there
+    P2_b the block's part of P2: its partial inflated by the partial's error
+    bound, plus B tiny for the (d / d_1)^4 that underflowed.  h is the first
+    block count where that bound, at the start, is at most eps q / 8; it
+    falls and q rises as lambda climbs, so it holds at every step.  If no head fits, every block is read and there
     is no tail.
 
     Stop rule.  Up to the root, w_i <= w_1 gives r_i <= 1 - q, so s1 - s2 >=
@@ -404,17 +414,21 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
         return 0.0
     w_top = d_top * d_top / d1
     d_tilde = seq.d2 / d1
-    # Rayleigh quotient d_tilde - sum(w^2) / d_tilde.  D1, D2 and d4 each sum
-    # at most B = DEGREE_BLOCK nonnegative terms a block, in any order, after
-    # at most 7 roundings a term, and fsum rounds once: each is within (B + 7) u
-    # (u = eps / 2; d4's underflowed terms are negligible next to its term 1).
-    # The rest adds 10 u d_tilde: in all, (5 B + 24) u d_tilde < 3 B eps d_tilde.
+    # Rayleigh quotient d_tilde - sum(w^2) / d_tilde.  Each block partial of
+    # D1, D2 and d4 is within (B + 6) u of its exact sum (B = DEGREE_BLOCK,
+    # u = eps / 2): a block read sums at most B nonnegative terms, in any
+    # order, after at most 7 roundings a term, and a closed-form partial
+    # (PowerLawSpec.block_table) is within 64 u.  fsum rounds once, so each
+    # total is within (B + 7) u (d4's underflowed terms are negligible next
+    # to its term 1).  The rest adds 10 u d_tilde: in all, (5 B + 24) u
+    # d_tilde < 3 B eps d_tilde.
     rayleigh = d_tilde - seq.d4 * w_top * (d_top * d_top / seq.d2)
     lam = max(lam, rayleigh - 3 * DEGREE_BLOCK * math.ulp(1.0) * d_tilde)
     ratio = w_top / lam
+    p2_parts = (seq.block_sums[:, 2] * (1.0 + (DEGREE_BLOCK + 6) * math.ulp(0.5))
+                + DEGREE_BLOCK * np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: no tail
-        cubes = (seq.ends[:, 0] ** 2 / d1 / lam * (ratio * ratio)
-                 * (seq.block_sums[:, 2] + DEGREE_BLOCK * np.finfo(float).tiny))
+        cubes = seq.ends[:, 0] ** 2 / d1 / lam * (ratio * ratio) * p2_parts
         bound = np.cumsum(cubes[::-1])[::-1]  # on R, for a tail from block b
     fits = np.flatnonzero(bound[1:] <= math.ulp(1.0) / 8 * lam / (lam + w_top))
     h = 1 + int(fits[0]) if fits.size else len(bound)

@@ -1001,6 +1001,27 @@ def test_analyze_matches_the_exact_ladder_bench(index, tmp_path, capsys):
     assert report["sufficient"]["verdict"] == expect["verdict"]
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_commands_match_the_ensemble_bench(index, tmp_path, capsys):
+    # the committed ensemble-1e7 commands, read-only: each example exits 0,
+    # every quantity within its reference tolerance, and analyze gives the
+    # bench's expected verdict
+    ensemble = json.loads(_BENCH_INPUTS.read_text())["ensemble-1e7"]
+    command = ensemble["commands"][index]
+    argv = command["argv"]
+    if "spec" in command:
+        spec = tmp_path / command["spec"]
+        spec.write_text(json.dumps(ensemble["specs"][command["spec"]]))
+        argv = [arg.replace("{spec}", str(spec)) for arg in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    if command["check"] == "analyze-verdict":
+        report = json.loads(stdout[stdout.index("\n{") + 1:])
+        assert report["sufficient"]["verdict"] == command["expect"]["verdict"]
+    else:
+        assert command["check"] == "example" and "DEVIATES" not in stdout
+
+
 # One model of each kind; the community and power-law ones are the built-in
 # examples' ensembles.
 _MODELS = {

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import epinet.ensembles
 from epinet import stability
-from epinet.cli import POWERLAW_EXAMPLE
+from epinet.cli import POWERLAW_EXAMPLE, main
 from epinet.ensembles import (
     CommunitySpec,
     ExpectedDegreeSpec,
@@ -31,10 +32,12 @@ from epinet.netmodel import (
 from epinet.oracle import dense_abar, random_small_spec
 from epinet.stability import (
     DEGREE_BLOCK,
+    DegreeSequence,
     check_sufficient,
     expected_degree_lambda_max,
     expected_degree_uncertainty,
     pair_probability_violations,
+    read_table,
 )
 
 
@@ -671,20 +674,93 @@ def test_secular_root_reads_its_head_blocks():
 
 
 def test_power_law_summary_reads_the_stream_once(monkeypatch):
-    # example powerlaw's 10^7-vertex stream: the first pass reads d_1 and all
-    # n degrees; Delta opens one block, the only one whose bound reaches the
-    # largest row; the hub-pair count reads d_1 and d_2 and the first block,
-    # the one the hub cut splits, whose 41239 hubs are also the window
+    # example powerlaw's 10^7-vertex stream: the first pass reads d_1 and the
+    # first block, and sums the other 152 in closed form; Delta opens one
+    # block, the only one whose bound reaches the largest row; the hub-pair
+    # count reads d_1 and d_2 and the first block, the one the hub cut
+    # splits, whose 41239 hubs are also the window
     read = []
     original = PowerLawSpec.degree_block
     monkeypatch.setattr(
         PowerLawSpec, "degree_block",
-        lambda self, lo, hi: read.append(hi - lo) or original(self, lo, hi),
+        lambda self, lo, hi: read.append((lo, hi)) or original(self, lo, hi),
     )
     summarize(POWERLAW_EXAMPLE)
-    n = POWERLAW_EXAMPLE.n
-    assert sum(read) == (1 + n) + DEGREE_BLOCK + (2 + DEGREE_BLOCK)
-    assert sum(read) < 1.03 * n
+    head = (0, DEGREE_BLOCK)
+    assert read == [(0, 1), head, head, (0, 2), head]
+
+
+def _power_law_sweep(count: int) -> list:
+    """``count`` seeded power laws of 1e5 to 5e6 vertices and exponents 2.02
+    to 4, with max / avg degree ratios from 1 to 1e5."""
+    rng = np.random.default_rng(2026)
+    specs = []
+    while len(specs) < count:
+        avg = 10.0 ** rng.uniform(-1.0, 3.0)
+        try:
+            specs.append(PowerLawSpec(
+                n=int(10.0 ** rng.uniform(5.0, math.log10(5e6))),
+                exponent=float(rng.uniform(2.02, 4.0)),
+                max_degree=avg * 10.0 ** rng.uniform(0.0, 5.0),
+                avg_degree=avg,
+            ))
+        except ValueError:  # an offset that vanishes next to 1
+            continue
+    return specs
+
+
+CLOSED_FORM_SPECS = [
+    *_power_law_sweep(100),
+    PowerLawSpec(n=1_000_000, exponent=3.0, max_degree=100.0, avg_degree=2.0),  # 2 gamma = 1
+    PowerLawSpec(n=1_000_000, exponent=5.0, max_degree=100.0, avg_degree=2.0),  # 4 gamma = 1
+    PowerLawSpec(n=1_000_000, exponent=4.0, max_degree=1e5, avg_degree=1.0),  # i0 = 3e-10
+    PowerLawSpec(n=5_000_000, exponent=2.0000001, max_degree=100.0, avg_degree=1.0),
+    PowerLawSpec(n=5_000_000, exponent=2.02, max_degree=5e5, avg_degree=1e3),
+    PowerLawSpec(n=DEGREE_BLOCK, exponent=2.5, max_degree=50.0, avg_degree=5.0),  # one block
+    PowerLawSpec(n=DEGREE_BLOCK + 1, exponent=2.5, max_degree=50.0, avg_degree=5.0),
+    PowerLawSpec(n=1000, exponent=3.0, max_degree=50.0, avg_degree=5.0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", CLOSED_FORM_SPECS,
+    ids=lambda spec: f"{spec.n}-{spec.exponent:.8g}-{spec.max_degree:.3g}-{spec.avg_degree:.3g}",
+)
+def test_closed_form_block_sums_match_the_stream(spec):
+    # a closed-form partial is within 64 u of its block's exact sum, and a
+    # read's pairwise sum of at most 2^16 terms, each a few roundings, lies
+    # well within another 64 u: 128 u = 64 eps apart.  The ends come from
+    # degree_block's own operations, so they equal each read bit for bit.
+    with np.errstate(all="raise"):
+        fast = degree_sequence(spec)
+    slow = DegreeSequence.of(spec.n, spec.degree_block, read_table(spec.degree_block, spec.n))
+    bound = 64 * np.finfo(float).eps
+    assert np.all(np.abs(fast.block_sums - slow.block_sums) <= bound * slow.block_sums)
+    for total in ("d1", "d2", "d4"):
+        assert getattr(fast, total) == pytest.approx(getattr(slow, total), rel=bound, abs=0.0)
+    assert fast.ends.tobytes() == slow.ends.tobytes()
+
+
+@pytest.mark.parametrize("n, reads", [(10**8, 6), (10**9, 5)])
+def test_power_law_analyze_reads_only_head_blocks(n, reads, tmp_path, capsys, monkeypatch):
+    # analyze on the bench's power law at 1e8 and at the 1e9 cap: the first
+    # pass sums every block past the first in closed form, so the whole run
+    # reads d_1, d_1 and d_2, and the first block (at 1e8 also the block
+    # Delta's bound picks): no more than 4 blocks of 1525 or 15259
+    read = []
+    original = PowerLawSpec.degree_block
+    monkeypatch.setattr(
+        PowerLawSpec, "degree_block",
+        lambda self, lo, hi: read.append((lo, hi)) or original(self, lo, hi),
+    )
+    spec = tmp_path / "powerlaw.json"
+    spec.write_text(json.dumps({"ensemble": "power-law", "n": n, "exponent": 2.2,
+                                "max_degree": 5e5, "avg_degree": 1e3}))
+    assert main(["analyze", "--spec", str(spec), "--beta", "3.886364388224014e-05",
+                 "--delta", "0.9021563793787044"]) == 0
+    assert "-> inconclusive" in capsys.readouterr().out
+    assert len(read) == reads
+    assert sum(hi - lo for lo, hi in read) <= 3 + 4 * DEGREE_BLOCK
 
 
 def test_expected_degree_spec_keeps_its_own_degrees():

@@ -316,6 +316,26 @@ def test_stability_matrix_against_bruteforce_kron():
         assert np.allclose(block, dense @ x, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims, states", [
+    ((2,) * 9, [8, 8, 8]),  # the greedy's 4 + 4 + 1 edges, evened out
+    ((2,) * 7, [16, 8]),
+    ((2,) * 8, [16, 16]),
+    ((3, 3, 3), [9, 3]),
+    ((2, 17, 2), [2, 17, 2]),  # an edge past the cap is a group of its own
+])
+def test_generator_groups_keep_the_greedy_count_with_even_states(dims, states):
+    # each group is a run of consecutive edges: as many groups as the greedy
+    # makes under GROUP_STATES, the largest as small as that count allows
+    pairs = itertools.combinations(range(1, 6), 2)
+    spec = SwitchedNetworkSpec(n=5, edges=tuple(
+        _birth_death_chain(i, j, k) for (i, j), k in zip(pairs, dims)))
+    joint = build_joint_chain(spec)
+    op = StabilityOperator(joint, 0.7)
+    assert [len(g) for _, g in op._groups] == states
+    x = np.random.default_rng(0).standard_normal((op.shape[0], 3))
+    assert np.allclose(op @ x, _operator_reference(op, joint, 0.7) @ x, rtol=0, atol=1e-12)
+
+
 def test_krylov_eta_matches_dense_reference():
     # every spec of the default oracle suite, whose eta_beta1 is the dense
     # reference (eigvalsh of the symmetrized matrix, as every spec is

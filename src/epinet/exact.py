@@ -14,11 +14,12 @@ Kronecker sum of the per-edge generators and A_k a sum of per-edge terms,
 so :class:`StabilityOperator` applies the matrix from those factors without
 storing it.  When every edge chain is reversible, the operator applies the
 symmetric matrix D^-1 M D, D = diag(sqrt pi) x I_n, which is similar to M,
-and a numpy Lanczos finds its abscissa; ARPACK finds that of any other
-chain.  The size is still exponential in m, so :func:`check_joint_size`
-refuses an instance past a cap on the rows before anything is built.  It
-is the ground truth the scalable bounds are checked against; the dense
-reference lives in :mod:`epinet.oracle`.
+and a numpy Davidson, preconditioned by the symmetrized generator's shifted
+inverse, finds its abscissa; ARPACK finds that of any other chain.  The
+size is still exponential in m, so :func:`check_joint_size` refuses an
+instance past a cap on the rows before anything is built.  It is the ground
+truth the scalable bounds are checked against; the dense reference lives in
+:mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -31,12 +32,12 @@ import numpy as np
 
 from .netmodel import (AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight,
                        touched_ends)
-from .spectral import lanczos_abscissa, lanczos_tolerance, spectral_abscissa
+from .spectral import davidson_abscissa, lanczos_tolerance, spectral_abscissa
 
-# Cap on the rows n * N, the length of the 21 basis vectors Lanczos keeps
-# (ARPACK keeps 20 and its workspace); every other array of the route is a
-# few vectors or one block.  A binary spec meets it at 17 edges, which need
-# 7 vertices: 7 * 2^17 > 2^19.
+# Cap on the rows n * N, the length of the vectors the solver stores: Davidson
+# 10 basis vectors, their 10 images and a residual (ARPACK 20 and its
+# workspace); every other array of the route is a few vectors or one block.
+# A binary spec meets it at 17 edges, which need 7 vertices: 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
 # The eigensolver may exceed the column-sum bound on eta by this much,
 # relative to the larger of the bound and delta: a frozen regular graph sits
@@ -125,6 +126,24 @@ def _reversible(edge: AnyEdge) -> bool:
         np.abs(flux - flux.T) <= BALANCE_RTOL * np.maximum(np.abs(flux), np.abs(flux.T))))
 
 
+def _symmetrized(rates: np.ndarray) -> np.ndarray:
+    """D^-1 Q^T D, D = diag(sqrt pi), of a reversible generator Q, from its
+    rates alone: Q_aa on the diagonal and sqrt(Q_ab) sqrt(Q_ba) off it,
+    which detailed balance makes equal to D^-1 Q^T D.  No stationary root or
+    division enters, so a law with weights that underflow stays finite, and
+    the product commutes, so the matrix is symmetric to the bit.  Each entry
+    keeps the sign of its rate, so a negative rate meets the Metzler guard."""
+    root = np.sqrt(np.abs(rates))
+    sym = np.copysign(root * root.T, rates)
+    np.fill_diagonal(sym, rates.diagonal())
+    return sym
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _runs(dims: tuple[int, ...], cap: int) -> list[tuple[int, int]]:
     """Consecutive runs [start, stop) of ``dims``, each grown while its
     product of state counts stays at most ``cap`` (one edge at least)."""
@@ -148,12 +167,14 @@ class StabilityOperator:
     ``GROUP_STATES`` joint states allows, the largest run as small as that
     count allows; each run is one product with its dense Kronecker sum.
     When every edge chain is reversible (``symmetric``), each group's G^T is
-    replaced by the symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), so the
-    operator applies D^-1 M D, D = diag(sqrt pi) x I_n, which has M's
-    eigenvalues; the adjacency stacks stay, as D is a scalar on each
-    configuration block.  The scaling keeps the sign pattern, so
-    ``offdiagonal_min`` (at most 0) and ``entry_max``, the Metzler guard of
-    :mod:`epinet.spectral`, read the same from either form;
+    replaced by the symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), built
+    from the rates alone (:func:`_symmetrized`), so the operator applies
+    D^-1 M D, D = diag(sqrt pi) x I_n, which has M's eigenvalues; the
+    adjacency stacks stay, as D is a scalar on each configuration block,
+    and :meth:`precondition` applies the symmetrized generator's shifted
+    inverse from each group's eigendecomposition.  The scaling keeps the
+    sign pattern, so ``offdiagonal_min`` (at most 0) and ``entry_max``, the
+    Metzler guard of :mod:`epinet.spectral`, read the same from either form;
     ``column_sum_max``, beta max_v sum_{e on v} max_a w_e(a), is M's largest
     column sum; one that overflows is refused.
     ``matvecs`` counts the columns the operator has been applied to.
@@ -188,15 +209,14 @@ class StabilityOperator:
         for start, stop in runs:
             gen = edges[start].rate_matrix
             for e in edges[start + 1:stop]:
-                gen = (np.kron(gen, np.eye(len(e.values)))
-                       + np.kron(np.eye(len(gen)), e.rate_matrix))
-            gen_t = gen.T
-            if self.symmetric:
-                root = np.sqrt(functools.reduce(
-                    np.kron, [e.stationary for e in edges[start:stop]]))
-                gen_t = gen_t * root / root[:, None]
-                gen_t = (gen_t + gen_t.T) / 2.0  # symmetric to the bit
-            self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen_t)))
+                gen = _kron(gen, np.eye(len(e.values))) + _kron(np.eye(len(gen)), e.rate_matrix)
+            gen = _symmetrized(gen) if self.symmetric else gen.T
+            self._groups.append((math.prod(dims[:start]), np.ascontiguousarray(gen)))
+        if self.symmetric:
+            # G_s is the Kronecker sum of the groups' g = U diag(lam) U^T: its
+            # eigenbasis is the product of theirs, its spectrum the outer sum
+            lams, self._bases = zip(*(np.linalg.eigh(g) for _, g in self._groups))
+            self._spectrum = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), lams)
         gens = [g for _, g in self._groups]
         off = np.concatenate([beta * np.concatenate([e.values for e in edges])]
                              + [(g - np.diag(np.diag(g))).ravel() for g in gens])
@@ -226,11 +246,30 @@ class StabilityOperator:
 
     __matmul__ = matvec
 
+    def precondition(self, r: np.ndarray, theta: float) -> np.ndarray:
+        """(theta I - G_s x I_n)^-1 r, G_s the symmetrized joint generator, for
+        an operator on reversible chains: the residual in each group's
+        eigenbasis, divided by theta less the spectrum of G_s, and back.
+        A theta below 0, which eta never is, is read as 0: every gap is then
+        positive and the slow modes of G_s, where the Perron vector lives,
+        weigh most (gaps of either sign drew Davidson to eigenvalues below
+        the top on near-frozen edges).  A gap under eps max(1,
+        ``entry_max``), rounding on the operator's scale, is read as that."""
+        z = r
+        for (left, _), vecs in zip(self._groups, self._bases):
+            z = np.matmul(vecs.T, z.reshape(left, len(vecs), -1))
+        floor = np.finfo(float).eps * max(1.0, self.entry_max)
+        gap = np.maximum(max(theta, 0.0) - self._spectrum, floor)
+        z = z.reshape(len(gap), -1) / gap[:, None]
+        for (left, _), vecs in zip(self._groups, self._bases):
+            z = np.matmul(vecs, z.reshape(left, len(vecs), -1))
+        return z.reshape(r.shape)
+
 
 @dataclass(frozen=True)
 class ExactResult:
     """Exact verdict: the abscissa eta, whether it is below delta, the
-    eigensolver that found eta (``"lanczos"`` or ``"arpack"``) and the
+    eigensolver that found eta (``"davidson"`` or ``"arpack"``) and the
     number of products with the operator it took."""
 
     eta: float
@@ -242,13 +281,13 @@ class ExactResult:
 def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     """Exact mean-stability verdict: eta + lanczos_tolerance < delta.
 
-    A chain whose edges are all reversible takes Lanczos on the symmetric
+    A chain whose edges are all reversible takes Davidson on the symmetric
     operator; any other takes ARPACK.  The matrix is Metzler, so eta is at
     most its largest column sum, and it is at least 0, the abscissa of
     kron(Pi^T, I_n), which it dominates entrywise.  The eigensolver's error
     grows with the largest rate, so stiff rates can push its value out of
     these bounds; a value past one by more than ETA_BOUND_RTOL is noise and
-    raises RuntimeError.  Lanczos resolves eta to its stop tolerance; one
+    raises RuntimeError.  Davidson resolves eta to its stop tolerance; one
     wider than the bound would leave any value in [0, bound] equally
     likely, so it raises RuntimeError before any product.  A tie is unstable.
     """
@@ -257,14 +296,14 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     slack = ETA_BOUND_RTOL * max(bound, params.delta)
     tol = lanczos_tolerance(operator)
     if operator.symmetric:
-        solver = "lanczos"
+        solver = "davidson"
         if tol > bound + slack:
             raise RuntimeError(
                 f"the {solver} tolerance {tol:.6g} on eta exceeds its bound "
                 f"{bound:.6g} (beta times the largest column sum of a "
                 "configuration); the edge rates are too stiff for the eigensolver"
             )
-        eta = lanczos_abscissa(operator)
+        eta = davidson_abscissa(operator)
     else:
         solver, eta = "arpack", spectral_abscissa(operator)
     if eta > bound + slack:

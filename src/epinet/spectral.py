@@ -1,9 +1,13 @@
 """Eigenvalue kernels shared by the stability tests.
 
-The abscissa of a symmetric Metzler operator is found by a numpy Lanczos
-(:func:`lanczos_abscissa`), abar's on its edge list and a reversible joint
-chain's; that of any other Metzler operator by ARPACK
-(:func:`spectral_abscissa`), the only kernel that imports scipy.
+The abscissa of a symmetric Metzler operator that supplies a preconditioner
+is found by a numpy Davidson (:func:`davidson_abscissa`): a reversible joint
+chain's, whose symmetrized generator, a Kronecker sum of small per-edge
+chains, stretches the spectrum far below a small top gap and has a cheap
+exact shifted inverse.  Any other symmetric one, abar on its edge list, has
+no such factor and takes the leaner step of a numpy Lanczos
+(:func:`lanczos_abscissa`).  ARPACK (:func:`spectral_abscissa`), the only
+kernel that imports scipy, finds that of any other Metzler operator.
 """
 from __future__ import annotations
 
@@ -14,16 +18,20 @@ import numpy as np
 
 # Thick-restart Lanczos: at most this many basis vectors (ARPACK's own ncv),
 # and the top LANCZOS_KEEP Ritz vectors carried across each restart.
+# Davidson stores each basis vector's image too, so it keeps half of each.
 LANCZOS_BASIS = 20
 LANCZOS_KEEP = 10
-# Lanczos stops once the top Ritz pair's residual is at most this times
-# max(1, entry_max), or the new basis vector's norm at most this times |S v|.
+# Lanczos and Davidson stop once the top Ritz pair's residual is at most this
+# times max(1, entry_max) (Davidson: or this times |theta|), or the new basis
+# vector's norm is at most this times its norm before orthogonalization
+# (Lanczos: |S v|), an invariant subspace.
 LANCZOS_RTOL = 1e-14
 # Lanczos tests its Ritz residual, an eigh of the projected matrix, at bases of
 # a multiple of this many vectors and a full one (README: the measured trade-off).
 LANCZOS_TEST_STRIDE = 4
-# Lanczos gives up (RuntimeError) after this many products, or LANCZOS_BASIS
-# per row if more: a 10 000-vertex path's tiny top gap takes 14 per row.
+# Lanczos and Davidson give up (RuntimeError) after this many products, or
+# LANCZOS_BASIS per row if more: a 10 000-vertex path's tiny top gap takes
+# Lanczos 14 per row.
 LANCZOS_MAX_MATVECS = 5000
 # A restart rewrites the basis in column blocks of this many entries, so it
 # needs no second copy of the kept vectors.
@@ -109,6 +117,79 @@ def lanczos_abscissa(a) -> float:
         proj[:] = 0.0
         proj[:keep, :keep] = np.diag(theta[-keep:])
         start = keep
+
+
+def davidson_abscissa(a) -> float:
+    """Spectral abscissa of a symmetric Metzler operator that supplies a
+    preconditioner, by thick-restart Davidson on numpy alone.
+
+    ``a`` is read as :func:`lanczos_abscissa` reads it, and its
+    ``precondition(r, theta)`` approximates (theta I - S)^-1 r; it sets
+    the speed, never the value.  The basis holds at most
+    ``LANCZOS_BASIS`` // 2 vectors and their images under S, as many
+    vectors as Lanczos's basis.  From the all-ones start vector each step
+    takes the top Ritz pair (theta, u) of the basis and its residual
+    r = S u - theta u from the images, and extends the basis by the
+    preconditioned residual, orthogonalized twice, or by r itself if that
+    falls within ``LANCZOS_RTOL`` of the basis; if r does too, the basis
+    spans an invariant subspace that holds u.  A full basis restarts from
+    its top ``LANCZOS_KEEP`` // 2 Ritz vectors and their images.  It stops
+    there, or once |r| is at most :func:`lanczos_tolerance` or
+    ``LANCZOS_RTOL`` |theta| on S / max(1, ``entry_max``): r is a difference
+    of images and cannot be resolved below the rounding of S u, where
+    Lanczos's recurrence estimate still can.  It returns u's Rayleigh
+    quotient from one more product, free of the images' rounding drift.
+    The budget, the error and bit-identical reruns are those of
+    :func:`lanczos_abscissa`.
+    """
+    scale = _metzler_scale(a)
+    dim = a.shape[0]
+    size = min(LANCZOS_BASIS // 2, dim)
+    keep = min(LANCZOS_KEEP // 2, size - 1)
+    basis, images = np.empty((size, dim)), np.empty((size, dim))
+    basis[0] = 1.0 / math.sqrt(dim)
+    proj = np.zeros((size, size))
+    j, matvecs, budget = 0, 0, max(LANCZOS_MAX_MATVECS, LANCZOS_BASIS * dim)
+    while True:
+        np.divide(a @ basis[j], scale, out=images[j])
+        matvecs += 1
+        proj[j, :j + 1] = proj[:j + 1, j] = basis[:j + 1] @ images[j]
+        theta, vecs = np.linalg.eigh(proj[:j + 1, :j + 1])
+        top = vecs[:, -1]
+        resid = top @ images[:j + 1]
+        resid -= theta[-1] * (top @ basis[:j + 1])
+        norm = math.sqrt(resid @ resid)
+        done = norm <= LANCZOS_RTOL * max(1.0, abs(theta[-1]))
+        if not done:
+            if matvecs >= budget:
+                raise RuntimeError(
+                    f"Davidson found no abscissa of the {dim}-row matrix in "
+                    f"{matvecs} products (residual {norm * scale:.3g})"
+                )
+            resid /= norm
+            for new in (a.precondition(resid, theta[-1] * scale), resid):
+                before = math.sqrt(new @ new)
+                for _ in range(2):
+                    new -= (basis[:j + 1] @ new) @ basis[:j + 1]
+                after = math.sqrt(new @ new)
+                if after > LANCZOS_RTOL * before:
+                    break
+            else:
+                done = True  # an invariant subspace that holds the Ritz vector
+        if done:
+            ritz = top @ basis[:j + 1]
+            return float(ritz @ (a @ ritz)) / float(ritz @ ritz)
+        if j == size - 1:
+            kept = vecs[:, -keep:]
+            for col in range(0, dim, RESTART_BLOCK):
+                block = slice(col, col + RESTART_BLOCK)
+                basis[:keep, block] = kept.T @ basis[:, block]
+                images[:keep, block] = kept.T @ images[:, block]
+            proj[:] = 0.0
+            proj[:keep, :keep] = np.diag(theta[-keep:])
+            j = keep - 1
+        j += 1
+        np.divide(new, after, out=basis[j])
 
 
 def spectral_abscissa(a) -> float:

@@ -33,7 +33,8 @@ from epinet.ensembles import (
     load_network,
     summarize,
 )
-from epinet.netmodel import EpidemicParams
+from epinet.netmodel import EpidemicParams, spec_from_dict
+from epinet.oracle import dense_abscissa
 from epinet.stability import check_sufficient
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -409,21 +410,26 @@ def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert "ARPACK" in capsys.readouterr().err
 
 
-def test_analyze_lanczos_failure_exits_two(triangle_spec, monkeypatch, capsys):
-    # a stop tolerance of 0 is never met, so Lanczos runs out of products
+def test_analyze_lanczos_failure_exits_two(triangle_spec, tmp_path, monkeypatch, capsys):
+    # a stop tolerance of 0 is never met, so the first solver runs out of
+    # products: the certificate's Lanczos on the triangle, and the exact
+    # route's Davidson on a reversible edge of weight 0, whose abar needs no
+    # solve
+    weightless = tmp_path / "weightless.json"
+    weightless.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "states": [0.0, 0.0], "generator": [[-1.0, 1.0], [2.0, -2.0]]}]}))
     monkeypatch.setattr(epinet.spectral, "LANCZOS_RTOL", 0.0)
-    code = main(
-        ["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("internal check failed:") and "Lanczos" in err
+    for spec, solver in ((triangle_spec, "Lanczos"), (weightless, "Davidson")):
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed:") and solver in err
 
 
 def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
-    # reversible chains take Lanczos, a frozen edge ARPACK; report.json and
+    # reversible chains take Davidson, a frozen edge ARPACK; report.json and
     # manifest.json both name the solver and its matvec count
-    for spec, solver in ((triangle_spec, "lanczos"), (_frozen_triangle(tmp_path), "arpack")):
+    for spec, solver in ((triangle_spec, "davidson"), (_frozen_triangle(tmp_path), "arpack")):
         out = tmp_path / solver
         assert main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5",
                      "--out", str(out)]) == 0
@@ -431,6 +437,25 @@ def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert exact["solver"] == solver and exact["matvecs"] > 0
         assert manifest["exact"] == {"solver": solver, "matvecs": exact["matvecs"]}
+
+
+def test_analyze_on_an_underflowing_stationary_law(tmp_path, capsys):
+    # each edge's law (1, 1e-200) is positive, but the joint law's product
+    # underflows to 0; the symmetric generator comes from the rates alone,
+    # so nothing divides by its square roots
+    data = {"n": 3, "edges": [{"i": 1, "j": 2, "p": 1e-200, "q": 1.0},
+                              {"i": 2, "j": 3, "p": 1e-200, "q": 1.0}]}
+    spec = tmp_path / "underflow.json"
+    spec.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    exact = json.loads(out[out.index("{"):])["exact"]
+    assert exact["status"] == "ok" and exact["solver"] == "davidson"
+    dense = dense_abscissa(epinet.exact.build_joint_chain(spec_from_dict(data)), 0.5)
+    assert abs(exact["eta"] - dense) <= 1e-10 * max(1.0, abs(dense))
 
 
 def _analyze_in_fresh_process(spec: Path) -> str:
@@ -453,7 +478,7 @@ def _analyze_in_fresh_process(spec: Path) -> str:
 def test_analyze_on_reversible_chains_loads_no_scipy(triangle_spec):
     out = _analyze_in_fresh_process(triangle_spec)
     assert out.splitlines()[-1] == "[] 0"
-    assert '"solver": "lanczos"' in out
+    assert '"solver": "davidson"' in out
 
 
 def test_lanczos_eta_is_identical_across_processes(triangle_spec, tmp_path):
@@ -465,7 +490,7 @@ def test_lanczos_eta_is_identical_across_processes(triangle_spec, tmp_path):
     ]}))
     for spec in (triangle_spec, stiff):
         runs = [_analyze_in_fresh_process(spec) for _ in range(2)]
-        assert '"solver": "lanczos"' in runs[0] and runs[0] == runs[1]
+        assert '"solver": "davidson"' in runs[0] and runs[0] == runs[1]
 
 
 def test_ensemble_refused_from_its_pair_count(tmp_path, capsys, monkeypatch):

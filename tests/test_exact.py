@@ -364,7 +364,7 @@ def test_krylov_eta_matches_dense_reference():
 @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
 def test_lanczos_eta_matches_dense_reference(scale):
     # random binary specs with every rate scaled, at three betas: the
-    # Lanczos route against the oracle's dense abscissa
+    # Davidson route against the oracle's dense abscissa
     rng = np.random.default_rng(5)
     for _ in range(30):
         spec = random_small_spec(rng)
@@ -374,14 +374,25 @@ def test_lanczos_eta_matches_dense_reference(scale):
         for beta in (0.1, 1.0, 10.0):
             res = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0))
             dense = dense_abscissa(joint, beta)
-            assert res.solver == "lanczos" and res.matvecs > 0
+            assert res.solver == "davidson" and res.matvecs > 0
             assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
 
 
+def _ladder_size_joint():
+    # 5 vertices and 8 binary edges drawn by default_rng(8): 1280 rows
+    rng = np.random.default_rng(8)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    edges = tuple(
+        EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
+        for (i, j), (p, q) in zip(pairs[:8], rng.uniform(0.1, 5.0, size=(8, 2)))
+    )
+    return build_joint_chain(SwitchedNetworkSpec(n=5, edges=edges))
+
+
 def test_lanczos_decomposes_the_projected_matrix_at_a_stride(monkeypatch):
-    # a ladder-size solve (5 vertices, 8 edges, 1280 rows) tests its Ritz
-    # residual at every LANCZOS_TEST_STRIDE-th basis and a full one, not at
-    # every product, and still meets the dense reference
+    # Lanczos on a ladder-size operator tests its Ritz residual at every
+    # LANCZOS_TEST_STRIDE-th basis and a full one, not at every product,
+    # and still meets the dense reference
     calls = []
     eigh = np.linalg.eigh
 
@@ -389,19 +400,82 @@ def test_lanczos_decomposes_the_projected_matrix_at_a_stride(monkeypatch):
         calls.append(a.shape)
         return eigh(a)
 
+    joint = _ladder_size_joint()
+    op = StabilityOperator(joint, 0.5)
     monkeypatch.setattr(spectral.np.linalg, "eigh", counting)
-    rng = np.random.default_rng(8)
-    pairs = list(itertools.combinations(range(1, 6), 2))
-    edges = tuple(
-        EdgeChain(i=i, j=j, p_rate=float(p), q_rate=float(q))
-        for (i, j), (p, q) in zip(pairs[:8], rng.uniform(0.1, 5.0, size=(8, 2)))
-    )
-    joint = build_joint_chain(SwitchedNetworkSpec(n=5, edges=edges))
+    eta = spectral.lanczos_abscissa(op)
+    assert op.matvecs > spectral.LANCZOS_BASIS
+    assert 0 < len(calls) < op.matvecs / 3
+    dense = dense_abscissa(joint, 0.5)
+    assert abs(eta - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_exact_route_preconditions_with_the_generator():
+    # the same operator: the generator's spectrum stretches to about -60
+    # against a top gap near 0.5, so Lanczos takes 73 products; Davidson,
+    # preconditioned by the generator's shifted inverse, takes at most 25
+    joint = _ladder_size_joint()
     res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.0))
-    assert res.solver == "lanczos" and res.matvecs > spectral.LANCZOS_BASIS
-    assert 0 < len(calls) < res.matvecs / 3
+    assert res.solver == "davidson" and res.matvecs <= 25
     dense = dense_abscissa(joint, 0.5)
     assert abs(res.eta - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def _drawn_binary_spec(n, m, seed=0):
+    """m of the pairs on n vertices drawn by default_rng(seed), sorted, with
+    p, q ~ U[0.1, 5] per pair in that order."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = []
+    for k in sorted(rng.choice(len(pairs), m, replace=False)):
+        p, q = rng.uniform(0.1, 5.0, 2)
+        edges.append(EdgeChain(i=pairs[k][0], j=pairs[k][1], p_rate=float(p), q_rate=float(q)))
+    return SwitchedNetworkSpec(n=n, edges=tuple(edges))
+
+
+def test_davidson_agrees_with_lanczos():
+    # a 57 344-row binary spec (7 vertices, 13 pairs) and a birth-death spec
+    # of 3 to 7 states per edge (10 080 rows): the two solvers on one operator
+    birth_death = SwitchedNetworkSpec(n=4, edges=tuple(
+        _birth_death_chain(i, j, k)
+        for (i, j), k in zip([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], [6, 5, 4, 3, 7])))
+    for spec in (_drawn_binary_spec(7, 13), birth_death):
+        joint = build_joint_chain(spec)
+        davidson = spectral.davidson_abscissa(StabilityOperator(joint, 0.5))
+        lanczos = spectral.lanczos_abscissa(StabilityOperator(joint, 0.5))
+        assert abs(davidson - lanczos) <= 1e-12 * max(1.0, abs(lanczos))
+
+
+def test_near_frozen_edges_keep_the_top_eigenvalue():
+    # edges with p = 1e-105 to 1e-298 leave S all but reducible: blocks of
+    # configurations with such an edge on have their own, lower tops.  The
+    # first spec's start vector reads -6.9 and the top is 0.026; the second
+    # is an expected-degree triple (degrees 1, 3e-149, 3e-149) as an edge
+    # list, whose start vector's Rayleigh quotient sits on an eigenvalue of
+    # the generator.  Shifted by a theta below 0, the preconditioner drew
+    # Davidson to -2.77 and -0.5
+    cases = [
+        (4, [(1, 3, 6.0, 1.2), (1, 4, 6.2, 0.2), (2, 3, 1e-141, 2.8), (2, 4, 1e-105, 4.9),
+             (3, 4, 0.36, 0.72)], 0.018),
+        (3, [(1, 2, 3e-149, 1.0), (1, 3, 3e-149, 1.0), (2, 3, 9e-298, 1.0)], 0.5),
+    ]
+    for n, edges, beta in cases:
+        joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=tuple(
+            EdgeChain(i=i, j=j, p_rate=p, q_rate=q) for i, j, p, q in edges)))
+        res = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0))
+        dense = dense_abscissa(joint, beta)
+        assert res.solver == "davidson"
+        assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+
+
+def test_cap_instance_is_decided_in_few_products():
+    # 16 binary edges on 8 vertices: 524 288 rows, the row cap.  The value is
+    # Lanczos's, which took 151 products
+    joint = build_joint_chain(_drawn_binary_spec(8, 16))
+    assert joint.n * joint.n_configs == exact.JOINT_DIM_CAP
+    res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.5))
+    assert res.solver == "davidson" and res.matvecs <= 50
+    assert res.eta == pytest.approx(1.0777592946082906, rel=1e-12)
 
 
 def _cyclic_chain(i, j):
@@ -437,7 +511,7 @@ def test_irreversible_chains_take_arpack(monkeypatch):
         joint = build_joint_chain(spec)
         res = exact_mean_stable(joint, EpidemicParams(beta=0.7, delta=1.0))
         assert len(calls) == expected, name
-        assert res.solver == ("arpack" if expected else "lanczos")
+        assert res.solver == ("arpack" if expected else "davidson")
         dense = dense_abscissa(joint, 0.7)
         assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense)), name
 
@@ -454,7 +528,7 @@ def test_lopsided_binary_edge_stays_reversible(ratio):
     joint = build_joint_chain(spec)
     res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.0))
     dense = dense_abscissa(joint, 0.5)
-    assert res.solver == "lanczos"
+    assert res.solver == "davidson"
     assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
 
 

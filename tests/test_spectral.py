@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epinet import spectral
-from epinet.spectral import lanczos_abscissa, spectral_abscissa
+from epinet.spectral import davidson_abscissa, lanczos_abscissa, spectral_abscissa
 
 
 class DenseOperator:
@@ -116,3 +116,51 @@ def test_lanczos_abscissa_scales_with_the_operator():
     a = _symmetric_metzler(np.random.default_rng(7), 50)
     ref = lanczos_abscissa(DenseOperator(a))
     assert lanczos_abscissa(DenseOperator(a * 1e200)) == pytest.approx(ref * 1e200, rel=1e-12)
+
+
+class PreconditionedOperator(DenseOperator):
+    """A dense symmetric matrix with a preconditioner: Jacobi's
+    (theta - diag S)^-1 r, or, ``stale``, the all-ones start vector, which
+    the basis already holds."""
+
+    def __init__(self, a, stale=False):
+        super().__init__(a)
+        self.stale = stale
+
+    def precondition(self, r, theta):
+        if self.stale:
+            return np.ones_like(r)
+        gap = theta - np.diag(self.a)
+        return r / np.where(np.abs(gap) < 1e-300, 1.0, gap)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 11, 300])
+def test_davidson_abscissa_matches_eigvalsh(dim):
+    # bases shorter than, equal to and past LANCZOS_BASIS // 2, with
+    # restarts at 300 rows; a preconditioner that adds nothing leaves the
+    # residual as the new direction, so it sets the speed, not the value
+    rng = np.random.default_rng(dim)
+    for spread in (1.0, 1e3):
+        a = _symmetric_metzler(rng, dim, spread)
+        ref = float(np.linalg.eigvalsh(a)[-1])
+        for stale in (False, True):
+            eta = davidson_abscissa(PreconditionedOperator(a, stale))
+            assert abs(eta - ref) <= 1e-12 * max(1.0, np.abs(a).max())
+            assert eta == davidson_abscissa(PreconditionedOperator(a, stale))
+
+
+def test_davidson_abscissa_guards(monkeypatch):
+    with pytest.raises(ValueError, match="Metzler"):
+        davidson_abscissa(PreconditionedOperator([[0.0, -1.0], [-1.0, 0.0]]))
+    monkeypatch.setattr(spectral, "LANCZOS_RTOL", 0.0)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 20)
+    with pytest.raises(RuntimeError, match="Davidson .* of the 300-row matrix in 6000 products"):
+        davidson_abscissa(PreconditionedOperator(
+            _symmetric_metzler(np.random.default_rng(300), 300, 1e3)))
+
+
+def test_davidson_abscissa_scales_with_the_operator():
+    a = _symmetric_metzler(np.random.default_rng(7), 50)
+    ref = davidson_abscissa(PreconditionedOperator(a))
+    assert davidson_abscissa(PreconditionedOperator(a * 1e200)) == pytest.approx(
+        ref * 1e200, rel=1e-12)

@@ -12,14 +12,15 @@ configuration k.  The epidemic is mean stable exactly when the spectral
 abscissa of that matrix stays below the recovery rate delta.  Pi is a
 Kronecker sum of the per-edge generators and A_k a sum of per-edge terms,
 so :class:`StabilityOperator` applies the matrix from those factors without
-storing it.  When every edge chain is reversible, the operator applies the
-symmetric matrix D^-1 M D, D = diag(sqrt pi) x I_n, which is similar to M,
-and a numpy Davidson, preconditioned by the symmetrized generator's shifted
-inverse, finds its abscissa; ARPACK finds that of any other chain.  The
-size is still exponential in m, so :func:`check_joint_size` refuses an
-instance past a cap on the rows before anything is built.  It is the ground
-truth the scalable bounds are checked against; the dense reference lives in
-:mod:`epinet.oracle`.
+storing it.  When every edge's transition graph is a tree (a binary edge's,
+frozen or not), the operator applies D^-1 M D, D = diag(sqrt pi) x I_n, on
+each block a one-way link splits off: a symmetric matrix with M's spectrum,
+whose abscissa a numpy Davidson, preconditioned by the symmetrized
+generator's shifted inverse, finds; ARPACK finds that of a chain with a
+cycle.  The size is still exponential in m, so :func:`check_joint_size`
+refuses an instance past a cap on the rows before anything is built.  It is
+the ground truth the scalable bounds are checked against; the dense
+reference lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -40,13 +41,10 @@ from .spectral import davidson_abscissa, lanczos_tolerance, spectral_abscissa
 # A binary spec meets it at 17 edges, which need 7 vertices: 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
 # The eigensolver may exceed the column-sum bound on eta by this much,
-# relative to the larger of the bound and delta: a frozen regular graph sits
-# on the bound, and with rates of 1e6 its computed eta exceeds it by up to
-# 2.5e-7 relative.
+# relative to the larger of the bound and delta: ARPACK, which a chain with a
+# cycle takes, reads a regular graph whose states all weigh 1, on the bound,
+# up to 5.7e-7 relative above it at rates of 1e6 (K4, beta 1e-3).
 ETA_BOUND_RTOL = 1e-6
-# An edge chain is reversible when its probability fluxes pi_a Q_ab and
-# pi_b Q_ba agree to this relative tolerance and every pi_a is positive.
-BALANCE_RTOL = 1e-12
 # Consecutive edges share one dense generator of at most this many joint
 # states, so a product passes over the vector once per group.
 GROUP_STATES = 16
@@ -117,22 +115,22 @@ def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
 
 
 def _reversible(edge: AnyEdge) -> bool:
-    """Detailed balance pi_a Q_ab = pi_b Q_ba, to BALANCE_RTOL relative, with
-    every pi_a > 0.  Binary edges with p, q > 0 and birth-death chains pass;
-    cyclic chains and frozen edges (a state of weight 0) do not."""
-    pi = edge.stationary
-    flux = pi[:, None] * edge.rate_matrix
-    return bool(pi.min() > 0.0 and np.all(
-        np.abs(flux - flux.T) <= BALANCE_RTOL * np.maximum(np.abs(flux), np.abs(flux.T))))
+    """Whether the edge's transition graph (states joined by a positive rate
+    either way) is a tree: it is connected, as the stationary law is unique.
+    A tree's two-way links balance (Kolmogorov); a one-way link, a frozen
+    edge's or an absorbing state's, splits it into blocks that each do."""
+    rates = edge.rate_matrix
+    return np.count_nonzero(np.triu((rates > 0) | (rates.T > 0), 1)) == len(rates) - 1
 
 
 def _symmetrized(rates: np.ndarray) -> np.ndarray:
-    """D^-1 Q^T D, D = diag(sqrt pi), of a reversible generator Q, from its
-    rates alone: Q_aa on the diagonal and sqrt(Q_ab) sqrt(Q_ba) off it,
-    which detailed balance makes equal to D^-1 Q^T D.  No stationary root or
-    division enters, so a law with weights that underflow stays finite, and
-    the product commutes, so the matrix is symmetric to the bit.  Each entry
-    keeps the sign of its rate, so a negative rate meets the Metzler guard."""
+    """D^-1 Q^T D, D = diag(sqrt pi), of a generator Q on a tree, from its
+    rates alone: Q_aa on the diagonal and sqrt(Q_ab) sqrt(Q_ba) off it, which
+    detailed balance makes equal to D^-1 Q^T D, and 0 on a one-way link, on
+    each block such links split off.  No root of pi or division enters, so
+    underflowing weights stay finite, and the product commutes, so the matrix
+    is symmetric to the bit.  Each entry keeps the sign of its rate, so a
+    negative rate meets the Metzler guard."""
     root = np.sqrt(np.abs(rates))
     sym = np.copysign(root * root.T, rates)
     np.fill_diagonal(sym, rates.diagonal())
@@ -166,17 +164,18 @@ class StabilityOperator:
     product each.  The edges fall into as few consecutive runs as a cap of
     ``GROUP_STATES`` joint states allows, the largest run as small as that
     count allows; each run is one product with its dense Kronecker sum.
-    When every edge chain is reversible (``symmetric``), each group's G^T is
-    replaced by the symmetric Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), built
-    from the rates alone (:func:`_symmetrized`), so the operator applies
-    D^-1 M D, D = diag(sqrt pi) x I_n, which has M's eigenvalues; the
-    adjacency stacks stay, as D is a scalar on each configuration block,
-    and :meth:`precondition` applies the symmetrized generator's shifted
-    inverse from each group's eigendecomposition.  The scaling keeps the
-    sign pattern, so ``offdiagonal_min`` (at most 0) and ``entry_max``, the
-    Metzler guard of :mod:`epinet.spectral`, read the same from either form;
-    ``column_sum_max``, beta max_v sum_{e on v} max_a w_e(a), is M's largest
-    column sum; one that overflows is refused.
+    When every edge's transition graph is a tree (``symmetric``), each
+    group's G^T is replaced by Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), built
+    from the rates alone (:func:`_symmetrized`) on each block a one-way link
+    (a frozen edge, an absorbing state) splits off: a symmetric matrix whose
+    blocks are the diagonal blocks of M's block-triangular form, so it has
+    M's eigenvalues.  The adjacency stacks stay, as D is a scalar on each
+    configuration block, and :meth:`precondition` applies the symmetrized
+    generator's shifted inverse from each group's eigendecomposition.  The
+    scaling keeps the sign pattern, so ``offdiagonal_min`` (at most 0) and
+    ``entry_max``, the Metzler guard of :mod:`epinet.spectral`, read the same
+    from either form; ``column_sum_max``, beta max_v sum_{e on v} max_a
+    w_e(a), is M's largest column sum; one that overflows is refused.
     ``matvecs`` counts the columns the operator has been applied to.
     """
 
@@ -248,18 +247,18 @@ class StabilityOperator:
 
     def precondition(self, r: np.ndarray, theta: float) -> np.ndarray:
         """(theta I - G_s x I_n)^-1 r, G_s the symmetrized joint generator, for
-        an operator on reversible chains: the residual in each group's
-        eigenbasis, divided by theta less the spectrum of G_s, and back.
-        A theta below 0, which eta never is, is read as 0: every gap is then
-        positive and the slow modes of G_s, where the Perron vector lives,
-        weigh most (gaps of either sign drew Davidson to eigenvalues below
-        the top on near-frozen edges).  A gap under eps max(1,
+        a ``symmetric`` operator: the residual in each group's eigenbasis,
+        divided by theta less the spectrum of G_s, and back.  A theta at or
+        below 0 is read as ``column_sum_max``, at least eta: every gap is then
+        positive (gaps of either sign drew Davidson below the top on
+        near-frozen edges), and none is eps on a zero mode of G_s (that
+        stopped it on an absorbing block's).  A gap under eps max(1,
         ``entry_max``), rounding on the operator's scale, is read as that."""
         z = r
         for (left, _), vecs in zip(self._groups, self._bases):
             z = np.matmul(vecs.T, z.reshape(left, len(vecs), -1))
         floor = np.finfo(float).eps * max(1.0, self.entry_max)
-        gap = np.maximum(max(theta, 0.0) - self._spectrum, floor)
+        gap = np.maximum((theta if theta > 0 else self.column_sum_max) - self._spectrum, floor)
         z = z.reshape(len(gap), -1) / gap[:, None]
         for (left, _), vecs in zip(self._groups, self._bases):
             z = np.matmul(vecs, z.reshape(left, len(vecs), -1))
@@ -281,15 +280,16 @@ class ExactResult:
 def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     """Exact mean-stability verdict: eta + lanczos_tolerance < delta.
 
-    A chain whose edges are all reversible takes Davidson on the symmetric
-    operator; any other takes ARPACK.  The matrix is Metzler, so eta is at
-    most its largest column sum, and it is at least 0, the abscissa of
-    kron(Pi^T, I_n), which it dominates entrywise.  The eigensolver's error
-    grows with the largest rate, so stiff rates can push its value out of
-    these bounds; a value past one by more than ETA_BOUND_RTOL is noise and
-    raises RuntimeError.  Davidson resolves eta to its stop tolerance; one
-    wider than the bound would leave any value in [0, bound] equally
-    likely, so it raises RuntimeError before any product.  A tie is unstable.
+    A chain whose edges' transition graphs are all trees takes Davidson on
+    the symmetric operator; one with a cycle takes ARPACK.  The matrix is
+    Metzler, so eta is at most its largest column sum, and it is at least 0,
+    the abscissa of kron(Pi^T, I_n), which it dominates entrywise.  The
+    eigensolver's error grows with the largest rate, so stiff rates can push
+    its value out of these bounds; a value past one by more than
+    ETA_BOUND_RTOL is noise and raises RuntimeError.  Davidson resolves eta
+    to its stop tolerance; one wider than the bound would leave any value in
+    [0, bound] equally likely, so it raises RuntimeError before any product.
+    A tie is unstable.
     """
     operator = StabilityOperator(joint, params.beta)
     bound = operator.column_sum_max

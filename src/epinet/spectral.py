@@ -1,13 +1,13 @@
 """Eigenvalue kernels shared by the stability tests.
 
 The abscissa of a symmetric Metzler operator that supplies a preconditioner
-is found by a numpy Davidson (:func:`davidson_abscissa`): a reversible joint
-chain's, whose symmetrized generator, a Kronecker sum of small per-edge
-chains, stretches the spectrum far below a small top gap and has a cheap
-exact shifted inverse.  Any other symmetric one, abar on its edge list, has
-no such factor and takes the leaner step of a numpy Lanczos
-(:func:`lanczos_abscissa`).  ARPACK (:func:`spectral_abscissa`), the only
-kernel that imports scipy, finds that of any other Metzler operator.
+is found by a numpy Davidson (:func:`davidson_abscissa`): a joint chain's
+on edges whose transition graphs are trees, binary ones among them, whose
+symmetrized generator stretches the spectrum far below a small top gap and
+has a cheap exact shifted inverse.  Any other symmetric one, abar on its
+edge list, takes the leaner step of a numpy Lanczos (:func:`lanczos_abscissa`).
+ARPACK (:func:`spectral_abscissa`), the only kernel that imports scipy,
+finds that of any other Metzler operator, a joint chain's with a cycle.
 """
 from __future__ import annotations
 
@@ -203,7 +203,7 @@ def spectral_abscissa(a) -> float:
     is the abscissa.  The start vector is fixed (all ones, never orthogonal
     to a nonnegative left Perron vector), so reruns are bit-identical.
     Refuses operators with negative off-diagonal entries or fewer than 3
-    rows (every irreversible joint chain has at least 4); raises
+    rows (a chain with a cycle has at least 3 states, so 6 rows); raises
     RuntimeError if ARPACK does not converge or returns a value that is not
     real.
     """

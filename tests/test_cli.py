@@ -385,12 +385,26 @@ def test_rate_sum_overflow_rejected(command, tmp_path, capsys):
 
 def _frozen_triangle(tmp_path) -> Path:
     """The README triangle with edge (1, 3) frozen absent (p = 0): its
-    stationary law has a zero, so the exact test takes ARPACK."""
+    stationary law has a zero, and the exact test still takes Davidson."""
     spec = tmp_path / "frozen.json"
     spec.write_text(json.dumps({"n": 3, "edges": [
         {"i": 1, "j": 2, "p": 2.0, "q": 1.0},
         {"i": 1, "j": 3, "p": 0.0, "q": 1.5},
         {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
+    ]}))
+    return spec
+
+
+def _cyclic_triangle(tmp_path) -> Path:
+    """The README triangle as weighted chains, with edge (1, 3) cycling
+    0 -> 1/2 -> 1 -> 0: a transition graph with a cycle, so the exact test
+    takes ARPACK."""
+    spec = tmp_path / "cyclic.json"
+    spec.write_text(json.dumps({"n": 3, "edges": [
+        {"i": 1, "j": 2, "states": [0.0, 1.0], "generator": [[-2.0, 2.0], [1.0, -1.0]]},
+        {"i": 1, "j": 3, "states": [0.0, 0.5, 1.0],
+         "generator": [[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [3.0, 0.0, -3.0]]},
+        {"i": 2, "j": 3, "states": [0.0, 1.0], "generator": [[-1.0, 1.0], [1.0, -1.0]]},
     ]}))
     return spec
 
@@ -403,7 +417,7 @@ def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(sla, "eigs", no_convergence)
     code = main(
-        ["analyze", "--spec", str(_frozen_triangle(tmp_path)), "--beta", "0.2",
+        ["analyze", "--spec", str(_cyclic_triangle(tmp_path)), "--beta", "0.2",
          "--delta", "1.5"]
     )
     assert code == 2
@@ -427,9 +441,9 @@ def test_analyze_lanczos_failure_exits_two(triangle_spec, tmp_path, monkeypatch,
 
 
 def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
-    # reversible chains take Davidson, a frozen edge ARPACK; report.json and
-    # manifest.json both name the solver and its matvec count
-    for spec, solver in ((triangle_spec, "davidson"), (_frozen_triangle(tmp_path), "arpack")):
+    # binary chains take Davidson, a cyclic weighted chain ARPACK; report.json
+    # and manifest.json both name the solver and its matvec count
+    for spec, solver in ((triangle_spec, "davidson"), (_cyclic_triangle(tmp_path), "arpack")):
         out = tmp_path / solver
         assert main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5",
                      "--out", str(out)]) == 0
@@ -475,10 +489,11 @@ def _analyze_in_fresh_process(spec: Path) -> str:
     ).stdout
 
 
-def test_analyze_on_reversible_chains_loads_no_scipy(triangle_spec):
-    out = _analyze_in_fresh_process(triangle_spec)
-    assert out.splitlines()[-1] == "[] 0"
-    assert '"solver": "davidson"' in out
+def test_analyze_on_reversible_chains_loads_no_scipy(triangle_spec, tmp_path):
+    for spec in (triangle_spec, _frozen_triangle(tmp_path)):
+        out = _analyze_in_fresh_process(spec)
+        assert out.splitlines()[-1] == "[] 0"
+        assert '"solver": "davidson"' in out
 
 
 def test_lanczos_eta_is_identical_across_processes(triangle_spec, tmp_path):
@@ -993,15 +1008,15 @@ def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
 
 
 def test_analyze_exact_tie_is_not_mean_stable(tmp_path, capsys):
-    # a frozen edge at beta = delta = 1: eta = 1 = delta, which ARPACK reads
-    # as 0.9999999999999999; within the solver's accuracy a tie is not below
+    # a frozen edge at beta = delta = 1: eta = 1 = delta, which Davidson reads
+    # exactly; within the solver's accuracy a tie is not below
     spec = tmp_path / "frozen.json"
     spec.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 0.0}]}))
     assert main(["analyze", "--spec", str(spec), "--beta", "1", "--delta", "1"]) == 0
     stdout = capsys.readouterr().out
     exact = json.loads(stdout[stdout.index("{"):])["exact"]
-    assert exact["solver"] == "arpack"
-    assert exact["eta"] == pytest.approx(1.0, rel=1e-14)
+    assert exact["solver"] == "davidson"
+    assert exact["eta"] == 1.0
     assert exact["mean_stable"] is False
     assert "-> not-mean-stable (authoritative)" in stdout
 

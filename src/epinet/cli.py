@@ -29,7 +29,7 @@ from .exact import (
     exact_mean_stable,
     expected_lambda_max,
 )
-from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec, as_seed
+from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec, as_seed, touched_ends
 from .oracle import run_sandwich_suite, suite_summary
 from .simulate import (
     SimConfig,
@@ -112,9 +112,9 @@ def _write_json(path: Path, obj) -> None:
 def _attempt_exact(model, params: EpidemicParams) -> dict:
     try:
         if not isinstance(model, SwitchedNetworkSpec):
-            # an ensemble is refused from its pair count, before any chain
-            count = len(realized_pairs(model)[0])
-            check_joint_size(model.n, itertools.repeat(2, count), count)
+            # an ensemble is refused from its pairs, before any chain
+            pairs = touched_ends(np.column_stack(realized_pairs(model)[:2]))
+            check_joint_size(pairs, itertools.repeat(2, len(pairs)))
         joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)

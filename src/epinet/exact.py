@@ -10,17 +10,18 @@ a finite linear ODE whose system matrix is
 where Pi is the joint generator and A_k the adjacency matrix of
 configuration k.  The epidemic is mean stable exactly when the spectral
 abscissa of that matrix stays below the recovery rate delta.  Pi is a
-Kronecker sum of the per-edge generators and A_k a sum of per-edge terms,
-so :class:`StabilityOperator` applies the matrix from those factors without
-storing it.  When every edge's transition graph is a tree (a binary edge's,
-frozen or not), the operator applies D^-1 M D, D = diag(sqrt pi) x I_n, on
-each block a one-way link splits off: a symmetric matrix with M's spectrum,
-whose abscissa a numpy Davidson, preconditioned by the symmetrized
-generator's shifted inverse, finds; ARPACK finds that of a chain with a
-cycle.  The size is still exponential in m, so :func:`check_joint_size`
-refuses an instance past a cap on the rows before anything is built.  It is
-the ground truth the scalable bounds are checked against; the dense
-reference lives in :mod:`epinet.oracle`.
+Kronecker sum of the per-edge generators and A_k a sum of per-edge terms, so
+:class:`StabilityOperator` applies the matrix from those factors without
+storing it, on the k vertices some edge touches: another adds a decoupled
+kron(Pi^T, I) block, of abscissa 0 <= eta.  When every edge's transition graph
+is a tree (a binary edge's, frozen or not), the operator applies D^-1 M D, D =
+diag(sqrt pi) x I_k, on each block a one-way link splits off: a symmetric
+matrix with M's spectrum, whose abscissa a numpy Davidson, preconditioned by
+the symmetrized generator's shifted inverse, finds; ARPACK finds that of a
+chain with a cycle.  The size k N is still exponential in m, so
+:func:`check_joint_size` refuses an instance past a cap on the rows before
+anything is built.  It is the ground truth the scalable bounds are checked
+against; the dense reference lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -35,10 +36,10 @@ from .netmodel import (AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_
                        touched_ends)
 from .spectral import davidson_abscissa, lanczos_tolerance, spectral_abscissa
 
-# Cap on the rows n * N, the length of the vectors the solver stores: Davidson
+# Cap on the rows k * N, the length of the vectors the solver stores: Davidson
 # 10 basis vectors, their 10 images and a residual (ARPACK 20 and its
 # workspace); every other array of the route is a few vectors or one block.
-# A binary spec meets it at 17 edges, which need 7 vertices: 7 * 2^17 > 2^19.
+# A binary spec meets it at 17 edges, which touch 7 vertices: 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
 # The eigensolver may exceed the column-sum bound on eta by this much,
 # relative to the larger of the bound and delta: ARPACK, which a chain with a
@@ -60,38 +61,45 @@ class JointChain:
     stationary law.  Configuration k is the mixed-radix digits of k over
     ``dims``, last edge fastest: A_k holds edge e's weight in state
     digit_e(k), and the joint generator is the Kronecker sum of the edge
-    generators in this order.  No configuration is stored.
+    generators in this order.  ``ends`` numbers the edges' ends over the
+    ``touched`` vertices, in vertex order.  No configuration is stored.
     """
 
     n: int
     edges: tuple[AnyEdge, ...]
     stationary: np.ndarray
+    ends: np.ndarray
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(e.values) for e in self.edges)
 
     @property
+    def touched(self) -> int:
+        return int(self.ends.max()) + 1
+
+    @property
     def n_configs(self) -> int:
         return self.stationary.shape[0]
 
 
-def check_joint_size(n: int, dims: Iterable[int], edge_count: int) -> None:
-    """Refuse a joint chain of more than JOINT_DIM_CAP rows n * prod(dims).
+def check_joint_size(ends: np.ndarray, dims: Iterable[int]) -> None:
+    """Refuse more than JOINT_DIM_CAP rows k * prod(dims), k the vertices
+    that ``ends`` numbers 0 .. k - 1 (:func:`~epinet.netmodel.touched_ends`).
 
     The check runs in integer arithmetic, state count by state count, and
-    stops at the one that crosses the cap, so ``dims`` may be lazy;
-    ``edge_count`` is the number of edges the message names.
+    stops at the one that crosses the cap, so ``dims`` may be lazy.
     """
-    if n > JOINT_DIM_CAP:
-        raise ValueError(f"the vertex count {n} alone exceeds the {JOINT_DIM_CAP}-row "
-                         "cap of the stability matrix; use the spectral bounds instead")
+    k, edge_count = int(ends.max(initial=-1)) + 1, len(ends)
+    if k > JOINT_DIM_CAP:
+        raise ValueError(f"the {k} vertices the edges touch alone exceed the {JOINT_DIM_CAP}"
+                         "-row cap of the stability matrix; use the spectral bounds instead")
     n_configs = 1
     for states in dims:
         n_configs *= states
-        if n * n_configs > JOINT_DIM_CAP:
+        if k * n_configs > JOINT_DIM_CAP:
             raise ValueError(
-                f"joint chain needs more than {JOINT_DIM_CAP // n} configurations "
+                f"joint chain needs more than {JOINT_DIM_CAP // k} configurations "
                 f"({edge_count} edges; the count grows exponentially with the "
                 "edge count), so the stability matrix would exceed "
                 f"{JOINT_DIM_CAP} rows; use the spectral bounds instead"
@@ -101,17 +109,18 @@ def check_joint_size(n: int, dims: Iterable[int], edge_count: int) -> None:
 def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
-    The configuration count N = prod_e K_e grows exponentially, so the row
-    cap is checked first (:func:`check_joint_size`), edge by edge: a
-    refusal stops at the edge that crosses it.  The stationary law is the
-    tensor product of the per-edge laws, because the edges switch
-    independently.
+    The touched vertices are numbered first.  The configuration count N =
+    prod_e K_e grows exponentially, so the row cap is checked next
+    (:func:`check_joint_size`), edge by edge: a refusal stops at the edge
+    that crosses it.  The stationary law is the tensor product of the
+    per-edge laws, because the edges switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
-    check_joint_size(spec.n, (len(e.values) for e in spec.edges), len(spec.edges))
+    ends = touched_ends(np.array([(e.i - 1, e.j - 1) for e in spec.edges]))
+    check_joint_size(ends, (len(e.values) for e in spec.edges))
     stationary = functools.reduce(np.kron, [e.stationary for e in spec.edges])
-    return JointChain(n=spec.n, edges=spec.edges, stationary=stationary)
+    return JointChain(n=spec.n, edges=spec.edges, stationary=stationary, ends=ends)
 
 
 def _reversible(edge: AnyEdge) -> bool:
@@ -156,20 +165,20 @@ def _runs(dims: tuple[int, ...], cap: int) -> list[tuple[int, int]]:
 
 
 class StabilityOperator:
-    """kron(Pi^T, I_n) + beta blockdiag(A_k), applied from its factors.
+    """kron(Pi^T, I_k) + beta blockdiag(A_k), applied from its factors.
 
-    A vector is an array of shape (K_1, ..., K_m, n) in the row order of the
-    matrix.  A_k is a head of the edges' adjacency plus the tail's, two
-    stacks of matrices on the vertices that carry an edge, one batched
+    A vector is an array of shape (K_1, ..., K_m, k) in the row order of the
+    matrix, k the vertices some edge touches.  A_k is a head of the edges'
+    adjacency plus the tail's, two stacks of k x k matrices, one batched
     product each.  The edges fall into as few consecutive runs as a cap of
     ``GROUP_STATES`` joint states allows, the largest run as small as that
-    count allows; each run is one product with its dense Kronecker sum.
-    When every edge's transition graph is a tree (``symmetric``), each
-    group's G^T is replaced by Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), built
-    from the rates alone (:func:`_symmetrized`) on each block a one-way link
-    (a frozen edge, an absorbing state) splits off: a symmetric matrix whose
-    blocks are the diagonal blocks of M's block-triangular form, so it has
-    M's eigenvalues.  The adjacency stacks stay, as D is a scalar on each
+    count allows; each run is one product with its dense Kronecker sum.  When
+    every edge's transition graph is a tree (``symmetric``), each group's G^T
+    is replaced by Dg^-1 G^T Dg, Dg = diag(sqrt pi_group), built from the
+    rates alone (:func:`_symmetrized`) on each block a one-way link (a frozen
+    edge, an absorbing state) splits off: a symmetric matrix whose blocks are
+    the diagonal blocks of M's block-triangular form, so it has M's
+    eigenvalues.  The adjacency stacks stay, as D is a scalar on each
     configuration block, and :meth:`precondition` applies the symmetrized
     generator's shifted inverse from each group's eigendecomposition.  The
     scaling keeps the sign pattern, so ``offdiagonal_min`` (at most 0) and
@@ -180,23 +189,21 @@ class StabilityOperator:
     """
 
     def __init__(self, joint: JointChain, beta: float) -> None:
-        edges, dims, self.n = joint.edges, joint.dims, joint.n
+        edges, dims = joint.edges, joint.dims
         self.column_sum_max = beta * max_vertex_weight(edges)
         if not math.isfinite(self.column_sum_max):
             raise ValueError(
                 f"beta = {beta:.6g} times the heaviest vertex weight overflows: "
                 "the stability matrix would hold infinite entries"
             )
-        self.shape = (joint.n * joint.n_configs,) * 2
+        self.shape = (joint.touched * joint.n_configs,) * 2
         self.dtype = np.dtype(float)
         self.symmetric = all(map(_reversible, edges))
         self.matvecs = 0
-        touched, local = np.unique([(e.i - 1, e.j - 1) for e in edges], return_inverse=True)
-        self._touched = slice(None) if len(touched) == self.n else touched
         split = min(range(len(dims) + 1),
                     key=lambda s: math.prod(dims[:s]) + math.prod(dims[s:]))
         self._head, self._tail = (
-            beta * _configurations(edges[cut], local[cut], len(touched),
+            beta * _configurations(edges[cut], joint.ends[cut], joint.touched,
                                    np.arange(math.prod(dims[cut])))
             for cut in (slice(split), slice(split, None)))
         # the greedy's group count at GROUP_STATES, at the smallest cap that
@@ -230,23 +237,18 @@ class StabilityOperator:
         self.matvecs += cols
         # adjacency first, as the generator terms grow with the rates; block k
         # of a column is a row x_k, x_k A_k = (A_k x_k)^T: a GEMM per stack matrix
-        xt = x.T.reshape(cols, -1)
-        blocks = (cols, len(self._head), len(self._tail), self.n)
-        xs = xt.reshape(blocks)[..., self._touched]
-        adj = np.matmul(xs, self._head)
-        adj += np.matmul(xs.swapaxes(1, 2), self._tail).swapaxes(1, 2)
-        y = adj.reshape(cols, -1)
-        if not isinstance(self._touched, slice):  # back to all n vertices
-            y = np.zeros(xt.shape)
-            y.reshape(blocks)[..., self._touched] = adj
+        xs = x.T.reshape(cols, len(self._head), len(self._tail), -1)
+        y = np.matmul(xs, self._head)
+        y += np.matmul(xs.swapaxes(1, 2), self._tail).swapaxes(1, 2)
+        y = y.reshape(cols, -1)
         for left, g in self._groups:
-            y += np.matmul(g, xt.reshape(cols, left, len(g), -1)).reshape(y.shape)
+            y += np.matmul(g, xs.reshape(cols, left, len(g), -1)).reshape(y.shape)
         return y.T.reshape(x.shape)
 
     __matmul__ = matvec
 
     def precondition(self, r: np.ndarray, theta: float) -> np.ndarray:
-        """(theta I - G_s x I_n)^-1 r, G_s the symmetrized joint generator, for
+        """(theta I - G_s x I_k)^-1 r, G_s the symmetrized joint generator, for
         a ``symmetric`` operator: the residual in each group's eigenbasis,
         divided by theta less the spectrum of G_s, and back.  A theta at or
         below 0 is read as ``column_sum_max``, at least eta: every gap is then
@@ -283,7 +285,7 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
     A chain whose edges' transition graphs are all trees takes Davidson on
     the symmetric operator; one with a cycle takes ARPACK.  The matrix is
     Metzler, so eta is at most its largest column sum, and it is at least 0,
-    the abscissa of kron(Pi^T, I_n), which it dominates entrywise.  The
+    the abscissa of kron(Pi^T, I_k), which it dominates entrywise.  The
     eigensolver's error grows with the largest rate, so stiff rates can push
     its value out of these bounds; a value past one by more than
     ETA_BOUND_RTOL is noise and raises RuntimeError.  Davidson resolves eta
@@ -331,16 +333,14 @@ def expected_lambda_max(joint: JointChain) -> float:
     implied by mean stability (eta < delta).
 
     Configurations are built in blocks from their digits, on the at most 2m
-    vertices that carry an edge: an isolated vertex adds a zero eigenvalue,
+    vertices some edge touches: an untouched vertex adds a zero eigenvalue,
     never above lambda_max of a nonnegative matrix.  Work O(N (2m)^3).
     """
-    local = touched_ends(np.array([(e.i - 1, e.j - 1) for e in joint.edges]))
-    size = int(local.max()) + 1
-    rows = max(1, CONFIG_BLOCK // (size * size))
+    rows = max(1, CONFIG_BLOCK // joint.touched**2)
     top = np.empty(joint.n_configs)
     for start in range(0, joint.n_configs, rows):
         index = np.arange(start, min(start + rows, joint.n_configs))
-        blocks = _configurations(joint.edges, local, size, index)
+        blocks = _configurations(joint.edges, joint.ends, joint.touched, index)
         top[index] = np.linalg.eigvalsh(blocks)[:, -1]
     return float(joint.stationary @ top)
 

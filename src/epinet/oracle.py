@@ -53,28 +53,27 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     solve of pi Pi = 0, to 1e-12 times the spread of the rates (the largest
     |Pi| entry over the smallest positive rate), and its residual pi Pi to
     1e-12 max|Pi|, which guards the enumeration order and the solver both.
+    Two laws differ by at most 1, so a tolerance of 1 or more leaves the
+    solve nothing to check; it is skipped there, where it can be singular.
     """
     mats = [e.rate_matrix for e in joint.edges]
     gen = mats[0]
     for q in mats[1:]:
         gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)
     size, scale = gen.shape[0], float(np.abs(gen).max())
-    if size == 1:
-        solved, tol = np.ones(1), 1e-12
-    else:
+    # The solve's error is about eps * cond, and cond grows with the rate
+    # spread: 1.4 r on the path whose two edges switch at rates r and 1.
+    tol = 1e-12 * scale / float(gen[gen > 0].min(initial=np.inf))
+    if tol < 1.0:
         system = gen.T.copy()
         system[-1, :] = 1.0
         rhs = np.zeros(size)
         rhs[-1] = 1.0
-        solved = np.linalg.solve(system, rhs)
-        # The solve's error is about eps * cond, and cond grows with the rate
-        # spread: 1.4 r on the path whose two edges switch at rates r and 1.
-        tol = 1e-12 * scale / float(gen[gen > 0].min())
-    if float(np.abs(joint.stationary - solved).max()) > tol:
-        raise RuntimeError(
-            "stationary laws from the product form and the direct solve "
-            "disagree; joint-chain construction is inconsistent"
-        )
+        if float(np.abs(joint.stationary - np.linalg.solve(system, rhs)).max()) > tol:
+            raise RuntimeError(
+                "stationary laws from the product form and the direct solve "
+                "disagree; joint-chain construction is inconsistent"
+            )
     if float(np.abs(joint.stationary @ gen).max()) > 1e-12 * scale:
         raise RuntimeError("stationary residual pi @ generator exceeds 1e-12 max|Pi|")
     return gen

@@ -50,7 +50,8 @@ MAX_HALVINGS = 20
 
 # A decay estimate runs its trials in lockstep batches of at most this many
 # rows, and of at most this many adjacency (rows * n^2, 128 MiB), grid-norm
-# and expected jump-table entries, but never fewer than one row.
+# and expected jump-table entries, but never fewer than one row.  A single
+# path, which keeps every sampled state, is refused past this many entries.
 TRIAL_CHUNK = 256
 BATCH_ENTRY_CAP = 1 << 24
 
@@ -333,12 +334,17 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     return jump_t.size - len(trials) * (1 + m)
 
 
-def _check_p0(p0: Optional[np.ndarray], n: int) -> np.ndarray:
+def _check_p0(p0: Optional[np.ndarray], n: int, stored: float = 0.0) -> np.ndarray:
     """The initial state, all ones by default; every run starts here, and
-    refuses an n past DENSE_N_CAP before any n-array."""
+    refuses an n past DENSE_N_CAP, or a path that stores ``stored`` states
+    of n entries past BATCH_ENTRY_CAP in all, before any n-array."""
     if n > DENSE_N_CAP:
         raise ValueError(
             f"n={n} exceeds the dense cap {DENSE_N_CAP}; use a structured ensemble")
+    if stored * n > BATCH_ENTRY_CAP:
+        raise ValueError(
+            f"the path would store about {stored:.3g} states of {n} entries, past the "
+            f"cap of {BATCH_ENTRY_CAP} entries; raise the step or shorten the horizon")
     if p0 is None:
         return np.ones(n)
     p0 = np.asarray(p0, dtype=float)
@@ -361,7 +367,9 @@ def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
             paths[1].append(pl[0])
 
     events: list[list[SwitchEvent]] = [[]]
-    p0 = _check_p0(p0, spec.n)
+    # a sample per grid point and per expected event, for each system
+    samples = math.floor(cfg.horizon / cfg.step) + 2 + _expected_events(spec, cfg.horizon)
+    p0 = _check_p0(p0, spec.n, samples * (full + linear))
     # the linearized state can grow past the largest double; refused below
     with np.errstate(**({"over": "ignore", "invalid": "ignore"} if linear else {})):
         _lockstep(spec, params, cfg, p0, [0], sample, full=full, linear=linear,

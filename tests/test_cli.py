@@ -317,7 +317,7 @@ def test_dense_cap_refused_before_allocating(command, tmp_path, capsys):
 def test_analyze_has_no_vertex_cap(tmp_path, capsys):
     # abar is an edge list and Delta sums over the vertices that carry an
     # edge, so a 1e12-vertex spec is priced in O(m) memory; the exact test
-    # is skipped on the vertex count alone
+    # runs on the 2 vertices the edge touches, and is authoritative
     spec = tmp_path / "big.json"
     spec.write_text(
         json.dumps({"n": 10**12, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 3.0}]})
@@ -331,23 +331,55 @@ def test_analyze_has_no_vertex_cap(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 1 << 20
+    assert "(authoritative)" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["sufficient"]["lambda_max_abar"] == pytest.approx(0.25, rel=1e-14)
-    assert report["exact"]["status"] == "skipped"
+    assert report["exact"]["status"] == "ok" and report["exact"]["n_configs"] == 2
 
 
-def test_exact_refusal_names_the_vertex_count(tmp_path, capsys):
-    # n alone past the row cap: the joint chain used to be said to need "more
-    # than 0 configurations"
+def _twelve_edge_spec(n: int) -> dict:
+    """12 of the 28 pairs on vertices 1-8 drawn by default_rng(0), sorted,
+    with p, q ~ U[0.1, 5] per pair in that order, on n vertices."""
+    rng = np.random.default_rng(0)
+    pairs = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    edges = []
+    for k in sorted(rng.choice(len(pairs), 12, replace=False)):
+        p, q = rng.uniform(0.1, 5.0, 2)
+        edges.append({"i": pairs[k][0], "j": pairs[k][1], "p": float(p), "q": float(q)})
+    return {"n": n, "edges": edges}
+
+
+def test_exact_route_ignores_untouched_vertices(tmp_path, capsys):
+    # vertices no edge touches add only kron(Pi^T, I) blocks of abscissa 0,
+    # so eta on 200, 1e6 and 1e12 vertices is the 8-vertex value, bit for
+    # bit; at 200 vertices the joint chain was once refused ("more than 2621
+    # configurations"), at 1e6 on the vertex count alone
+    etas = []
+    for n in (8, 200, 10**6, 10**12):
+        spec = tmp_path / f"spec{n}.json"
+        spec.write_text(json.dumps(_twelve_edge_spec(n)))
+        assert main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.5",
+                     "--out", str(tmp_path / str(n))]) == 0
+        assert "(authoritative)" in capsys.readouterr().out
+        exact = json.loads((tmp_path / str(n) / "report.json").read_text())["exact"]
+        assert exact["status"] == "ok" and exact["n_configs"] == 2**12
+        etas.append(exact["eta"])
+    assert etas == [etas[0]] * 4
+
+
+def test_exact_refusal_names_the_vertex_count(tmp_path, capsys, monkeypatch):
+    # the touched vertices alone past the row cap: the joint chain used to be
+    # said to need "more than 0 configurations"
     spec = tmp_path / "wide.json"
     spec.write_text(
         json.dumps({"n": 10**6, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]})
     )
+    monkeypatch.setattr(epinet.exact, "JOINT_DIM_CAP", 1)
     code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.0"])
     assert code == 0
     out = capsys.readouterr().out
-    assert ("exact test skipped: the vertex count 1000000 alone exceeds the "
-            "524288-row cap of the stability matrix") in out
+    assert ("exact test skipped: the 2 vertices the edges touch alone exceed the "
+            "1-row cap of the stability matrix") in out
     assert "0 configurations" not in out
 
 
@@ -427,11 +459,13 @@ def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
 def test_analyze_lanczos_failure_exits_two(triangle_spec, tmp_path, monkeypatch, capsys):
     # a stop tolerance of 0 is never met, so the first solver runs out of
     # products: the certificate's Lanczos on the triangle, and the exact
-    # route's Davidson on a reversible edge of weight 0, whose abar needs no
-    # solve
+    # route's Davidson on a path of two reversible edges of weight 0, whose
+    # abar needs no solve (on one such edge's 4 rows Davidson's residual is
+    # exactly 0)
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"n": 3, "edges": [
-        {"i": 1, "j": 2, "states": [0.0, 0.0], "generator": [[-1.0, 1.0], [2.0, -2.0]]}]}))
+        {"i": 1, "j": 2, "states": [0.0, 0.0], "generator": [[-1.0, 1.0], [2.0, -2.0]]},
+        {"i": 2, "j": 3, "states": [0.0, 0.0], "generator": [[-3.0, 3.0], [0.5, -0.5]]}]}))
     monkeypatch.setattr(epinet.spectral, "LANCZOS_RTOL", 0.0)
     for spec, solver in ((triangle_spec, "Lanczos"), (weightless, "Davidson")):
         code = main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5"])
@@ -719,6 +753,28 @@ def test_simulate_refuses_unbounded_work(triangle_spec, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "expected inf switching events per trial exceeds the cap" in err
+
+
+@pytest.mark.parametrize("mode, step", [([], "1e-4"), (["--linearized"], "1e-4"),
+                                        (["--coupled"], "2e-4")],
+                         ids=["full", "linearized", "coupled"])
+def test_simulate_refuses_an_unbounded_path(mode, step, tmp_path, capsys):
+    # a path stores a state of n entries per sample and system: 2000 vertices
+    # over 10^4 grid points (or 5000 for both systems of a coupled run) pass
+    # BATCH_ENTRY_CAP, and are refused before any n-array; 8000 grid points
+    # of a full run peaked at 246 MiB and took 47.5 s
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"n": 2000, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 1.0}]}))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--spec", str(spec), "--beta", "0.5", "--delta", "1.0",
+                     "--horizon", "1", "--step", step, *mode])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"states of 2000 entries, past the cap of {1 << 24}" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_simulate_decay_mode(triangle_spec, tmp_path):

@@ -196,23 +196,35 @@ def _random_chain(rng, i, j):
             continue
 
 
+def _on_touched(dense, joint):
+    """An nN x nN matrix of the oracle on the rows and columns of the k
+    vertices some edge touches, the operator's k N rows: another vertex's
+    rows and columns hold only its decoupled kron(Pi^T, I) block."""
+    touched = np.unique([(e.i - 1, e.j - 1) for e in joint.edges])
+    rows = (np.arange(joint.n_configs)[:, None] * joint.n + touched).ravel()
+    return dense[np.ix_(rows, rows)]
+
+
 def _operator_reference(op, joint, beta):
-    """The oracle's dense M, or D^-1 M D, D = diag(sqrt pi) x I_n, when the
-    operator applies the symmetrized form of chains with every pi > 0."""
-    dense = dense_stability_matrix(joint, beta)
+    """The oracle's dense M on the touched vertices, or D^-1 M D, D =
+    diag(sqrt pi) x I_k, when the operator applies the symmetrized form of
+    chains with every pi > 0."""
+    dense = _on_touched(dense_stability_matrix(joint, beta), joint)
     if not op.symmetric:
         return dense
-    root = np.repeat(np.sqrt(joint.stationary), joint.n)
+    root = np.repeat(np.sqrt(joint.stationary), len(dense) // joint.n_configs)
     return dense * root / root[:, None]
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_nonzero_count_matches_assembly(seed):
     # the operator applied to the identity is the oracle's dense Kronecker
-    # assembly M, or D^-1 M D, D = diag(sqrt pi) x I_n, when it applies the
-    # symmetrized form and every pi > 0: nonzero for nonzero and entry for
-    # entry, on binary and weighted specs with absorbing states, p = 0 chains,
-    # single-state chains and zero weights.  A one-way link leaves a state
+    # assembly M on the rows and columns of the vertices some edge touches
+    # (a spec with an isolated vertex checks the reduction), or D^-1 M D,
+    # D = diag(sqrt pi) x I_k, when it applies the symmetrized form and every
+    # pi > 0: nonzero for nonzero and entry for entry, on binary and weighted
+    # specs with absorbing states, p = 0 chains, single-state chains and zero
+    # weights.  A one-way link leaves a state
     # of weight 0 and no D (the solved law may read it as rounding noise);
     # the symmetrized form drops those links and keeps M's spectrum.  The
     # column-sum bound is the largest column sum over the enumerated
@@ -238,7 +250,7 @@ def test_nonzero_count_matches_assembly(seed):
             break
     op = StabilityOperator(joint, 0.7)
     mat = op @ np.eye(op.shape[0])
-    dense = dense_stability_matrix(joint, 0.7)
+    dense = _on_touched(dense_stability_matrix(joint, 0.7), joint)
     scale = max(1.0, op.entry_max)
     if seed % 2 == 0:
         # every binary edge, frozen (p = 0 or q = 0) or not, is a tree
@@ -601,9 +613,8 @@ def test_exact_route_matches_the_dense_reference_on_drawn_specs():
     # 150 specs of 2-4 vertices and at most 2500 rows, beta 10^U[-3, 2]: half
     # binary with frozen, underflowing and stiff rates, every one on Davidson;
     # half weighted chains of 1-4 states with absorbing states and cycles.  An
-    # edge keeps one rate of at least 1e-4: where a chain moves only at
-    # 1e-100 or slower, the oracle's direct solve of the joint law can be
-    # singular
+    # edge with p = q = 0, which has no unique law, gets its q redrawn; one
+    # that moves only at 1e-100 or slower stays
     rng = np.random.default_rng(0)
     for _ in range(150):
         while True:
@@ -615,7 +626,7 @@ def test_exact_route_matches_the_dense_reference_on_drawn_specs():
                 edges = []
                 for i, j in pairs:
                     p, q = _mixed_rate(rng), _mixed_rate(rng)
-                    if max(p, q) < 1e-4:
+                    if p + q == 0:
                         q = float(10.0 ** rng.uniform(-4.0, 4.0))
                     edges.append(EdgeChain(i=i, j=j, p_rate=p, q_rate=q))
             else:

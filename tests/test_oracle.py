@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import epinet.ensembles
 import epinet.netmodel
 import epinet.oracle
-from epinet.exact import JointChain, build_joint_chain
+from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import (
     EdgeChain,
     EpidemicParams,
@@ -254,6 +255,29 @@ def test_dense_generator_accepts_stiff_chains():
         ))))
 
 
+def test_dense_generator_skips_a_solve_that_checks_nothing(monkeypatch):
+    # a rate near 1e-276 makes the direct solve singular, and its tolerance
+    # 1e-12 * spread, past 1 there, admits any law: the solve is skipped and
+    # the residual still checked, so the dense reference meets Davidson.  On
+    # oracle specs (rates in [0.1, 5]) it still runs
+    joint = build_joint_chain(SwitchedNetworkSpec(n=3, edges=(
+        EdgeChain(i=1, j=2, p_rate=0.009390050364037124, q_rate=30.344573421165695),
+        EdgeChain(i=1, j=3, p_rate=1.2990726822941082e-276, q_rate=0.0),
+        EdgeChain(i=2, j=3, p_rate=0.0, q_rate=0.05606105929423507),
+    )))
+    dense = dense_abscissa(joint, 0.5)
+    res = exact_mean_stable(joint, EpidemicParams(beta=0.5, delta=1.0))
+    assert res.solver == "davidson"
+    assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        dense_generator(build_joint_chain(random_small_spec(rng)))
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("rate, message", [(1.0, "disagree"), (1e13, "residual")])
 def test_dense_generator_refuses_a_misordered_stationary_law(rate, message):
     # at a rate spread of 6e13 the solve comparison admits anything, and the
@@ -265,4 +289,4 @@ def test_dense_generator_refuses_a_misordered_stationary_law(rate, message):
     swapped = joint.stationary[[1, 0, 2, 3]]
     assert swapped[0] != swapped[1]
     with pytest.raises(RuntimeError, match=message):
-        dense_generator(JointChain(n=joint.n, edges=joint.edges, stationary=swapped))
+        dense_generator(dataclasses.replace(joint, stationary=swapped))

@@ -75,7 +75,8 @@ def test_spectral_abscissa_operator_metzler_guard():
     for values, rate in ((np.array([0.0, -0.5]), rates), (np.array([0.0, 1.0]), -rates)):
         edge = SimpleNamespace(i=1, j=2, values=values, rate_matrix=rate,
                                stationary=np.array([0.5, 0.5]))
-        joint = JointChain(n=3, edges=(edge,), stationary=edge.stationary)
+        joint = JointChain(n=3, edges=(edge,), stationary=edge.stationary,
+                           ends=np.array([[0, 1]]))
         with pytest.raises(ValueError, match="Metzler"):
             spectral_abscissa(StabilityOperator(joint, 1.0))
 

@@ -258,7 +258,7 @@ def _cmd_example(args, out: Optional[Path], started: float, manifest: dict) -> i
         computed = {
             "coefficient": ens.coefficient,
             "offset": ens.offset,
-            "max_degree": float(seq.block(0, 1)[0]),
+            "max_degree": float(seq.ends[0, 0]),
             "mean_degree": seq.d1 / seq.n,
             "d_tilde": summary.lambda_max_abar,
             **certificate,
@@ -401,9 +401,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one command.  With ``--out`` the directory is created first, and
     ``manifest.json`` is written once the command has returned, with the
-    fields the command added (``analyze``: the solver that decided eta and
-    its matvec count; a decay ``simulate``: its switching event count); a
-    command that raises (exit 1 or 2) leaves no manifest."""
+    argv main parsed and the fields the command added (``analyze``: the
+    solver that decided eta and its matvec count; a decay ``simulate``: its
+    switching event count); a command that raises (exit 1 or 2) leaves no
+    manifest."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -414,7 +416,7 @@ def main(argv=None) -> int:
             "tool": "epinet",
             "version": __version__,
             "command": args.command,
-            "argv": sys.argv[1:],
+            "argv": argv,
         }
         code = args.func(args, out, started, manifest)
         if out is not None:

@@ -171,10 +171,6 @@ class ExpectedDegreeSpec:
         """d[lo:hi] (0-based) of the degrees sorted descending, read-only."""
         return self._descending[lo:hi]
 
-    def block_table(self) -> np.ndarray:
-        """The first pass's table, every block read."""
-        return read_table(self.degree_block, self.n)
-
 
 def check_degree_scale(top: float, n: int) -> None:
     """The one scale rule of both expected-degree models, on n degrees whose
@@ -200,10 +196,17 @@ def check_degree_scale(top: float, n: int) -> None:
 
 
 def degree_sequence(model: Union[ExpectedDegreeSpec, PowerLawSpec]) -> DegreeSequence:
-    """The descending degree stream of an expected-degree model, with its
-    first pass's table: an explicit array's read block by block, a power
-    law's mostly in closed form."""
-    return DegreeSequence.of(model.n, model.degree_block, model.block_table())
+    """The descending degree stream of an expected-degree model and its first
+    pass's table: an explicit array's read block by block, a power law's head
+    computed once and kept as long as the stream, the rest in closed form."""
+    if isinstance(model, ExpectedDegreeSpec):
+        return DegreeSequence.of(model.n, model.degree_block,
+                                 read_table(model.degree_block, model.n))
+    size = stability.DEGREE_BLOCK
+    head = model.degree_block(0, min(model.n, -(-EULER_MACLAURIN_START // size) * size))
+    head.flags.writeable = False
+    return DegreeSequence.of(model.n, lambda lo, hi: head[lo:hi] if hi <= head.size
+                             else model.degree_block(lo, hi), model.block_table(head))
 
 
 def expected_degree_stats(seq: DegreeSequence) -> AbarSummary:
@@ -318,11 +321,11 @@ class PowerLawSpec:
         x *= self.coefficient
         return x
 
-    def block_table(self) -> np.ndarray:
+    def block_table(self, head: np.ndarray) -> np.ndarray:
         """The first pass's table of :class:`~epinet.stability.DegreeSequence`.
 
         The blocks before index EULER_MACLAURIN_START hold the hubs, where i0
-        may be far below 1, and are read.  Every later block sums f(x) = x^-s,
+        may be far below 1, and are ``head``.  Every later block sums f(x) = x^-s,
         s = gamma, 2 gamma, 4 gamma, over x = a, ..., b, a = lo + i0, by
         Euler-Maclaurin (Apostol, Amer. Math. Monthly 1999): int_a^b f +
         (f(a) + f(b)) / 2 + (f'(b) - f'(a)) / 12 - (f^(3)(b) - f^(3)(a)) / 720,
@@ -335,8 +338,7 @@ class PowerLawSpec:
         ends come from :meth:`degree_block`'s own operations, bit for bit.
         """
         n, gamma, size = self.n, 1.0 / (self.exponent - 1.0), stability.DEGREE_BLOCK
-        head = read_table(self.degree_block, min(n, -(-EULER_MACLAURIN_START // size) * size))
-        starts = np.arange(len(head) * size, n, size)
+        starts = np.arange(head.size, n, size)
         stops = np.minimum(starts + size, n)
         tail = np.empty((len(starts), 5))
         tail[:, 3:] = self._degrees(np.stack([starts + 1, stops], axis=1).astype(float))
@@ -344,8 +346,7 @@ class PowerLawSpec:
         span = stops - starts - 1  # b - a
         log_ratio = np.log1p(span / a)
         b = a + span
-        top = head[0, 3]
-        ratio = self.coefficient / top
+        ratio = self.coefficient / head[0]
         for column, k in enumerate((1, 2, 4)):
             s, t = k * gamma, 1.0 - k * gamma
             fa, fb = a ** -s, b ** -s
@@ -353,8 +354,8 @@ class PowerLawSpec:
                     + 0.5 * (fa + fb) + s / 12.0 * (fa / a - fb / b)
                     - s * (s + 1.0) * (s + 2.0) / 720.0 * (fa / a ** 3 - fb / b ** 3))
             part *= ratio ** k
-            tail[:, column] = part if k == 4 else part * top ** k  # (d / d_1)^4 stays
-        return np.concatenate([head, tail])
+            tail[:, column] = part if k == 4 else part * head[0] ** k  # (d / d_1)^4 stays
+        return np.concatenate([read_table(lambda lo, hi: head[lo:hi], head.size), tail])
 
 
 EnsembleSpec = Union[CommunitySpec, ExpectedDegreeSpec, PowerLawSpec]

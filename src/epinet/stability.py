@@ -271,8 +271,8 @@ def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> dict:
     }
 
 
-def _block_bounds(n: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    for lo in range(start, n, DEGREE_BLOCK):
+def _block_bounds(n: int) -> Iterator[tuple[int, int]]:
+    for lo in range(0, n, DEGREE_BLOCK):
         yield lo, min(lo + DEGREE_BLOCK, n)
 
 
@@ -283,10 +283,10 @@ def _fsums(parts: Union[np.ndarray, list]) -> list[float]:
 
 
 def read_table(block: Callable[[int, int], np.ndarray], stop: int) -> np.ndarray:
-    """A first pass's table read from the stream: one row per block of the
-    degrees d[:stop] that ``block`` reads (``stop`` is n or a whole number
-    of blocks), with the block's sum(d), sum(d^2), sum((d / d_1)^4) and its
-    first and last degree."""
+    """A first pass's table read through ``block`` (the stream, or slices of a
+    power law's head): one row per block of d[:stop] (``stop`` is n or a whole
+    number of blocks), with the block's sum(d), sum(d^2), sum((d / d_1)^4)
+    and its first and last degree."""
     top = float(block(0, 1)[0])
     scratch = np.empty((2, min(stop, DEGREE_BLOCK)))  # reused by every block
     table = np.empty((-(-stop // DEGREE_BLOCK), 5))
@@ -308,10 +308,10 @@ class DegreeSequence:
     overflow); ``block_sums``, the per-block partials of these three sums,
     one row per block; and ``ends``, each block's first and last degree.
 
-    ``block(lo, hi)``, a model's ``degree_block``, returns d[lo:hi] (0-based),
-    fresh or read-only, for at most DEGREE_BLOCK entries at a time; the
-    first pass's ``table`` (the model's ``block_table``) has one row per
-    block: its three partial sums, then its first and last degree."""
+    ``block(lo, hi)`` returns d[lo:hi] (0-based), fresh or read-only, for at
+    most DEGREE_BLOCK entries at a time, and a slice inside a power law's
+    head, which its first pass computed; the first pass's ``table`` has one
+    row per block: its three partial sums, then its first and last degree."""
 
     n: int
     block: Callable[[int, int], np.ndarray]
@@ -386,7 +386,7 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     q = 1 - r_1 = lambda / (lambda + w_1): s1 - 1 = A - q and s1 - s2 =
     A - B + r_1 q do not cancel when one hub dominates.
 
-    A step reads only the first h blocks, the head.  The tail's ratios have
+    A step reads only the head, the first h blocks less d_1.  The tail's ratios have
     t_i = w_i / lambda, and t / (1 + t) = t - t^2 + R_i with 0 <= R_i <= t^3,
     so the tail adds P1 / lambda - P2 / lambda^2 to A and P2 / lambda^2 to
     B, from the first pass's block sums P1 = sum(w) and P2 = sum(w^2) =
@@ -396,8 +396,8 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     P2_b the block's part of P2: its partial inflated by the partial's error
     bound, plus B tiny for the (d / d_1)^4 that underflowed.  h is the first
     block count where that bound, at the start, is at most eps q / 8; it
-    falls and q rises as lambda climbs, so it holds at every step.  If no head fits, every block is read and there
-    is no tail.
+    falls and q rises as lambda climbs, so it holds at every step.  If no
+    head fits, every block is read and there is no tail.
 
     Stop rule.  Up to the root, w_i <= w_1 gives r_i <= 1 - q, so s1 - s2 >=
     r_1 q + q A >= (1 - q) q + q^2 = q, and -g' = (s1 - s2) / lambda >=
@@ -434,7 +434,7 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
     h = 1 + int(fits[0]) if fits.size else len(bound)
     d2_tail, d4_tail = _fsums(seq.block_sums[h:, 1:])
     head = min(h * DEGREE_BLOCK, seq.n)
-    buffers = np.empty((2, min(seq.n - 1, DEGREE_BLOCK)))  # reused by every block
+    buffers = np.empty((2, min(seq.n, DEGREE_BLOCK)))  # reused by every block
 
     def ratios(d: np.ndarray) -> tuple[float, float]:
         w, r = buffers[:, : d.size]
@@ -443,7 +443,7 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
         return float(r.sum()), float(r @ r)
 
     while True:
-        a, b = _fsums([ratios(seq.block(lo, hi)) for lo, hi in _block_bounds(head, 1)])
+        a, b = _fsums([ratios(seq.block(max(lo, 1), hi)) for lo, hi in _block_bounds(head)])
         if head < seq.n:  # the tail: P1 / lambda - P2 / lambda^2 and P2 / lambda^2
             p2 = (w_top / lam) * (w_top / lam) * d4_tail
             a, b = a + d2_tail / d1 / lam - p2, b + p2
@@ -457,54 +457,53 @@ def expected_degree_lambda_max(seq: DegreeSequence) -> float:
         lam = step
 
 
+def _row_thresholds(d: np.ndarray, d1: float) -> np.ndarray:
+    """t_i, the largest float with fl(d_i t_i) <= D1, for the block's rows of
+    the square (fl(d_i^2) > D1): fl(D1 / d_i) is within half an ulp of D1 /
+    d_i, so the float below it always qualifies and the one two above never."""
+    d = d[: np.count_nonzero(d * d > d1)]
+    t = d1 / d
+    bits = t.view(np.int64)
+    bits -= d * t > d1
+    up = (bits + 1).view(float)
+    bits += np.multiply(d, up, out=up) <= d1
+    return t
+
+
 def pair_probability_violations(seq: DegreeSequence) -> tuple[float, int]:
     """Largest pairwise edge probability rho d_i d_j (i != j) and the number
     of unordered pairs where it exceeds 1, in O(block) memory.
 
-    rho d_i d_j > 1 means d_j > D1 / d_i, so a pair needs two hubs,
-    d_i > D1 / d_1: a prefix of the descending sequence.  With k(i) the
-    number of j where d_j > D1 / d_i, the count is (sum of k(i) over hubs,
-    less the hubs where d_i > D1 / d_i) / 2.  k falls as i rises, so the
-    hubs are read forward in blocks while a window of degrees moves back
-    from the last hub: every degree before the window exceeds the cutoffs
-    below the window's first degree, and none after it exceeds a later
-    cutoff.
+    A pair exceeds it when fl(d_i d_j) > D1, which is symmetric (products
+    commute; d_j > fl(D1 / d_i) need not be) and monotone, so the pairs form a
+    self-conjugate Ferrers diagram: row i has k(i) cells, the d_j > t_i
+    (:func:`_row_thresholds`), and its Durfee square's side s counts the rows
+    with fl(d_i^2) > D1.  Each cell lies in the first s rows or columns, so
+    there are 2 sum_{i<s} k(i) - s^2 ordered pairs, s of them diagonal, and
+    sum_{i<s} k(i) - s (s + 1) / 2 unordered ones.  Only the s rows are
+    searched, in blocks, while a window of degrees moves back from the end of
+    the blocks holding row 0's cells: every degree before it exceeds the
+    thresholds below its first degree, and none after it a later one.
     """
     d1 = seq.d1
-    rho = 1.0 / d1
     d_max, second = seq.block(0, 2).tolist()
-    max_pair = rho * second * d_max
+    max_pair = 1.0 / d1 * second * d_max
     if max_pair <= 1.0:
         return max_pair, 0
-    cut = d1 / d_max
-    # blocks whose last degree is above the cut hold only hubs; only the
-    # block the cut splits is counted, and a hub prefix that fits one block
-    # is read once, as the hubs and as the first window
-    full = int(np.count_nonzero(seq.ends[:, 1] > cut))
-    hubs, first = min(full * DEGREE_BLOCK, seq.n), None
-    if full < len(seq.ends) and seq.ends[full, 0] > cut:
-        split = seq.block(hubs, min(hubs + DEGREE_BLOCK, seq.n))
-        hubs += int(np.count_nonzero(split > cut))
-        first = split if full == 0 else None
-    if hubs <= DEGREE_BLOCK and first is None:
-        first = seq.block(0, hubs)
-    read = seq.block if first is None else lambda lo, hi: first[lo:hi]
-    ordered = self_pairs = 0
-    jlo = hubs
-    window = np.empty(0)  # -d[jlo:jhi], ascending
+    jlo = hubs = min(seq.n, DEGREE_BLOCK * int(np.count_nonzero(d_max * seq.ends[:, 0] > d1)))
+    window, ordered, side = np.empty(0), 0, 0  # the window: d[jlo:jhi] reversed, ascending
     for lo, hi in _block_bounds(hubs):
-        d = read(lo, hi)
-        cutoffs = d1 / d  # ascending
-        self_pairs += int(np.count_nonzero(d > cutoffs))
-        start = 0
-        while True:
-            if window.size:
-                end = start + int(np.searchsorted(cutoffs[start:], -window[0]))
-                part = cutoffs[start:end]
-                ordered += jlo * part.size + int(np.searchsorted(window, -part).sum())
+        t, start = _row_thresholds(seq.block(lo, hi), d1), 0
+        while start < t.size:
+            if window.size and t[start] < window[-1]:  # k(i) = jhi - #{d_j <= t_i}
+                end = start + int(np.searchsorted(t[start:], window[-1]))
+                ordered += jhi * (end - start) - int(
+                    np.searchsorted(window, t[start:end], side="right").sum())
                 start = end
-            if start == cutoffs.size or jlo == 0:
-                break
-            jlo, jhi = max(0, jlo - DEGREE_BLOCK), jlo
-            window = -read(jlo, jhi)
-    return max_pair, (ordered - self_pairs) // 2
+            else:  # k(start) <= jlo
+                jlo, jhi = max(0, jlo - DEGREE_BLOCK), jlo
+                window = np.ascontiguousarray(seq.block(jlo, jhi)[::-1])
+        side += t.size
+        if t.size < hi - lo:
+            break
+    return max_pair, ordered - side * (side + 1) // 2

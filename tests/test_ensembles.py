@@ -657,37 +657,56 @@ def test_secular_root_head_and_tail_on_block_spanning_streams(model, monkeypatch
     _root_against_references(model, monkeypatch, max(3, model.n // 300))
 
 
-def test_secular_root_reads_its_head_blocks():
+def _counting_degree_blocks(monkeypatch) -> list:
+    """The (lo, hi) of every block PowerLawSpec.degree_block computes from
+    here on, in order."""
+    computed = []
+    original = PowerLawSpec.degree_block
+    monkeypatch.setattr(
+        PowerLawSpec, "degree_block",
+        lambda self, lo, hi: computed.append((lo, hi)) or original(self, lo, hi),
+    )
+    return computed
+
+
+def test_secular_root_reads_its_head_blocks(monkeypatch):
     # example powerlaw's 10^7-vertex stream: the root starts from the sums
     # of the first pass, and each Newton step reads the first three blocks,
-    # less d_1; the other 150 enter through their first-pass sums
+    # aligned as the first pass's, the first less d_1; the other 150 enter
+    # through their first-pass sums.  The first block is a slice of the
+    # head the first pass computed, so a step computes two blocks.
+    computed = _counting_degree_blocks(monkeypatch)
     seq = degree_sequence(POWERLAW_EXAMPLE)
+    assert computed == [(0, DEGREE_BLOCK)]
     read = []
     counted = dataclasses.replace(
         seq, block=lambda lo, hi: read.append((lo, hi)) or seq.block(lo, hi)
     )
     assert expected_degree_lambda_max(counted) == pytest.approx(31523.961006291152, rel=1e-15)
-    assert read[0] == (0, 2)
-    steps = sum(lo == 1 for lo, hi in read)
+    step = [(1, DEGREE_BLOCK), (DEGREE_BLOCK, 2 * DEGREE_BLOCK),
+            (2 * DEGREE_BLOCK, 3 * DEGREE_BLOCK)]
+    steps = (len(read) - 1) // 3
     assert steps >= 1
-    assert sum(hi - lo for lo, hi in read[1:]) <= steps * 3 * DEGREE_BLOCK
+    assert read == [(0, 2)] + step * steps
+    assert computed == [(0, DEGREE_BLOCK)] + step[1:] * steps
 
 
 def test_power_law_summary_reads_the_stream_once(monkeypatch):
-    # example powerlaw's 10^7-vertex stream: the first pass reads d_1 and the
-    # first block, and sums the other 152 in closed form; Delta opens one
-    # block, the only one whose bound reaches the largest row; the hub-pair
-    # count reads d_1 and d_2 and the first block, the one the hub cut
-    # splits, whose 41239 hubs are also the window
-    read = []
-    original = PowerLawSpec.degree_block
-    monkeypatch.setattr(
-        PowerLawSpec, "degree_block",
-        lambda self, lo, hi: read.append((lo, hi)) or original(self, lo, hi),
-    )
-    summarize(POWERLAW_EXAMPLE)
-    head = (0, DEGREE_BLOCK)
-    assert read == [(0, 1), head, head, (0, 2), head]
+    # example powerlaw's 10^7-vertex stream: the first pass computes the
+    # head, the first block, once and sums the other 152 in closed form;
+    # Delta's one block and the hub-pair count's d_1 and d_2, 4636 rows
+    # and window of 41239 hubs are all slices of the head
+    computed = _counting_degree_blocks(monkeypatch)
+    assert summarize(POWERLAW_EXAMPLE).invalid_pairs == 44_368_861
+    assert computed == [(0, DEGREE_BLOCK)]
+
+
+def test_power_law_example_computes_five_blocks(monkeypatch, capsys):
+    # example powerlaw: the head, then two Newton steps of two blocks each
+    computed = _counting_degree_blocks(monkeypatch)
+    assert main(["example", "powerlaw"]) == 0
+    step = [(DEGREE_BLOCK, 2 * DEGREE_BLOCK), (2 * DEGREE_BLOCK, 3 * DEGREE_BLOCK)]
+    assert computed == [(0, DEGREE_BLOCK)] + step * 2
 
 
 def _power_law_sweep(count: int) -> list:
@@ -741,26 +760,20 @@ def test_closed_form_block_sums_match_the_stream(spec):
     assert fast.ends.tobytes() == slow.ends.tobytes()
 
 
-@pytest.mark.parametrize("n, reads", [(10**8, 6), (10**9, 5)])
-def test_power_law_analyze_reads_only_head_blocks(n, reads, tmp_path, capsys, monkeypatch):
-    # analyze on the bench's power law at 1e8 and at the 1e9 cap: the first
-    # pass sums every block past the first in closed form, so the whole run
-    # reads d_1, d_1 and d_2, and the first block (at 1e8 also the block
-    # Delta's bound picks): no more than 4 blocks of 1525 or 15259
-    read = []
-    original = PowerLawSpec.degree_block
-    monkeypatch.setattr(
-        PowerLawSpec, "degree_block",
-        lambda self, lo, hi: read.append((lo, hi)) or original(self, lo, hi),
-    )
+@pytest.mark.parametrize("n", [10**7, 10**8, 10**9])
+def test_power_law_analyze_reads_only_head_blocks(n, tmp_path, capsys, monkeypatch):
+    # analyze on the bench's power law at 1e7, 1e8 and at the 1e9 cap: the
+    # spec's scale check computes d_1, and the first pass the first block,
+    # the head, whose slices every kernel reads; every later block is summed
+    # in closed form
+    computed = _counting_degree_blocks(monkeypatch)
     spec = tmp_path / "powerlaw.json"
     spec.write_text(json.dumps({"ensemble": "power-law", "n": n, "exponent": 2.2,
                                 "max_degree": 5e5, "avg_degree": 1e3}))
     assert main(["analyze", "--spec", str(spec), "--beta", "3.886364388224014e-05",
                  "--delta", "0.9021563793787044"]) == 0
     assert "-> inconclusive" in capsys.readouterr().out
-    assert len(read) == reads
-    assert sum(hi - lo for lo, hi in read) <= 3 + 4 * DEGREE_BLOCK
+    assert computed == [(0, 1), (0, DEGREE_BLOCK)]
 
 
 def test_expected_degree_spec_keeps_its_own_degrees():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from epinet.ensembles import (
     ExpectedDegreeSpec,
+    PowerLawSpec,
     degree_sequence,
     expected_degree_stats,
     summarize,
@@ -451,6 +452,63 @@ def test_pair_violations_match_bruteforce():
     assert max_pair > 1.0
     valid = np.array([1.0, 2.0, 3.0, 2.0])
     assert pair_probability_violations(stream(valid)) == (pytest.approx(6.0 / 8.0), 0)
+
+
+def _violations_brute(d: np.ndarray, d1: float) -> int:
+    """The unordered pairs i < j with fl(d_i d_j) > D1, row by row: O(n^2)."""
+    return sum(int(np.count_nonzero(d[i] * d[i + 1:] > d1)) for i in range(d.size))
+
+
+def _exact_ties() -> np.ndarray:
+    """Integer degrees summing to D1 = 2^16 exactly, shuffled: 111 rows of the
+    Durfee square (d^2 > D1) among 206 hubs, five 256s with d^2 = D1, pairs
+    with d_i d_j = D1 (4096 16, 2048 32, 1024 64, 512 128) and ties
+    throughout."""
+    counts = {4096: 1, 2048: 2, 1024: 3, 512: 5, 300: 40, 257: 60, 256: 5,
+              255: 10, 200: 30, 128: 20, 64: 20, 32: 10, 16: 10}
+    d = np.repeat(np.array(list(counts), dtype=float), list(counts.values()))
+    d = np.concatenate([d, np.full(int(2**16 - d.sum()) // 2, 2.0)])
+    return np.random.default_rng(3).permutation(d)
+
+
+EXACT_TIES = ExpectedDegreeSpec(degrees=_exact_ties())
+
+
+@pytest.mark.parametrize("block", [64, 7, None])
+@pytest.mark.parametrize(
+    "model",
+    [
+        EXACT_TIES,
+        ExpectedDegreeSpec(degrees=np.repeat(  # float ties, D1 not a round number
+            np.random.default_rng(5).pareto(1.2, size=400) + 0.5, 5)),
+        ExpectedDegreeSpec(degrees=np.full(150, 200.0)),  # every vertex a row
+        # every vertex a row, and fl(D1 / d_i) off by an ulp either way
+        ExpectedDegreeSpec(degrees=np.repeat(np.random.default_rng(2).uniform(200, 300, 50), 3)),
+        ExpectedDegreeSpec(degrees=np.array([1e6, 1e6])),
+        PowerLawSpec(n=3000, exponent=2.1, max_degree=1500.0, avg_degree=10.0),
+    ],
+    ids=["exact-ties", "float-ties", "all-rows", "all-rows-rounded", "two", "power-law"],
+)
+def test_pair_count_over_the_durfee_square(model, block, monkeypatch):
+    # the count over the square's rows equals the pair-by-pair count of the
+    # same predicate, with blocks small enough that the rows, the hubs and
+    # the window each span several
+    if block is not None:
+        monkeypatch.setattr(stability, "DEGREE_BLOCK", block)
+    seq = degree_sequence(model)
+    d = model.degree_block(0, model.n)
+    max_pair, invalid = pair_probability_violations(seq)
+    assert max_pair > 1.0
+    assert invalid == _violations_brute(d, seq.d1) > 0
+    # each row's threshold is the largest float whose product stays <= D1
+    t = stability._row_thresholds(d, seq.d1)
+    rows = d[: t.size]
+    assert np.all(rows * t <= seq.d1) and np.all(rows * np.nextafter(t, np.inf) > seq.d1)
+    if model is EXACT_TIES:
+        assert seq.d1 == 2.0**16
+        assert np.count_nonzero(d * d > seq.d1) == 111
+        assert np.count_nonzero(d * d == seq.d1) == 5
+        assert np.count_nonzero(np.multiply.outer(d[:250], d) == seq.d1) > 0
 
 
 def test_invalid_probabilities_recorded_as_note():

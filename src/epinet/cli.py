@@ -118,18 +118,10 @@ def _attempt_exact(model, params: EpidemicParams) -> dict:
         joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)
-        return {
-            "status": "ok",
-            "n_configs": joint.n_configs,
-            "eta": res.eta,
-            "mean_stable": res.mean_stable,
-            "solver": res.solver,
-            "matvecs": res.matvecs,
-            "e_lambda_max": e_lam,
-            "e_lambda_max_stable": e_lam < params.threshold,
-        }
     except ValueError as exc:
         return {"status": "skipped", "reason": str(exc)}
+    return {"status": "ok", "n_configs": joint.n_configs, **dataclasses.asdict(res),
+            "e_lambda_max": e_lam, "e_lambda_max_stable": e_lam < params.threshold}
 
 
 def _cmd_analyze(args, out: Optional[Path], started: float, manifest: dict) -> int:
@@ -145,12 +137,17 @@ def _cmd_analyze(args, out: Optional[Path], started: float, manifest: dict) -> i
         "exact": exact_info,
     }
     if exact_info["status"] == "ok":
-        manifest["exact"] = {k: exact_info[k] for k in ("solver", "matvecs")}
-        verdict = "mean-stable" if exact_info["mean_stable"] else "not-mean-stable"
+        manifest["exact"] = {k: exact_info[k] for k in ("solver", "matvecs", "lo", "hi", "note")}
+        eta = exact_info["eta"]
+        verdict = {True: "mean-stable (authoritative)", None: "inconclusive",
+                   False: "not-mean-stable (authoritative)"}[exact_info["mean_stable"]]
         print(
-            f"exact test: eta = {exact_info['eta']:.9g}, delta = {params.delta:g} "
-            f"-> {verdict} (authoritative)"
+            f"exact test: eta = {'n/a' if eta is None else format(eta, '.9g')} in "
+            f"[{exact_info['lo']:.9g}, {exact_info['hi']:.9g}], delta = {params.delta:g} "
+            f"-> {verdict}"
         )
+        if exact_info["note"]:
+            print(f"note: {exact_info['note']}")
     else:
         print(f"exact test skipped: {exact_info['reason']}")
     print(
@@ -402,7 +399,8 @@ def main(argv=None) -> int:
     """Run one command.  With ``--out`` the directory is created first, and
     ``manifest.json`` is written once the command has returned, with the
     argv main parsed and the fields the command added (``analyze``: the
-    solver that decided eta and its matvec count; a decay ``simulate``: its
+    exact route's solver, its matvec count, its bracket on eta and its note;
+    a decay ``simulate``: its
     switching event count); a command that raises (exit 1 or 2) leaves no
     manifest."""
     argv = sys.argv[1:] if argv is None else list(argv)

@@ -18,7 +18,9 @@ is a tree (a binary edge's, frozen or not), the operator applies D^-1 M D, D =
 diag(sqrt pi) x I_k, on each block a one-way link splits off: a symmetric
 matrix with M's spectrum, whose abscissa a numpy Davidson, preconditioned by
 the symmetrized generator's shifted inverse, finds; ARPACK finds that of a
-chain with a cycle.  The size k N is still exponential in m, so
+chain with a cycle.  The verdict comes from a bracket on eta: [0, largest
+column sum], narrowed to that value plus or minus the solver's stop tolerance
+when it lies in reach.  The size k N is still exponential in m, so
 :func:`check_joint_size` refuses an instance past a cap on the rows before
 anything is built.  It is the ground truth the scalable bounds are checked
 against; the dense reference lives in :mod:`epinet.oracle`.
@@ -29,6 +31,7 @@ import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -41,11 +44,6 @@ from .spectral import davidson_abscissa, lanczos_tolerance, spectral_abscissa
 # workspace); every other array of the route is a few vectors or one block.
 # A binary spec meets it at 17 edges, which touch 7 vertices: 7 * 2^17 > 2^19.
 JOINT_DIM_CAP = 1 << 19
-# The eigensolver may exceed the column-sum bound on eta by this much,
-# relative to the larger of the bound and delta: ARPACK, which a chain with a
-# cycle takes, reads a regular graph whose states all weigh 1, on the bound,
-# up to 5.7e-7 relative above it at rates of 1e6 (K4, beta 1e-3).
-ETA_BOUND_RTOL = 1e-6
 # Consecutive edges share one dense generator of at most this many joint
 # states, so a product passes over the vector once per group.
 GROUP_STATES = 16
@@ -269,59 +267,54 @@ class StabilityOperator:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact verdict: the abscissa eta, whether it is below delta, the
-    eigensolver that found eta (``"davidson"`` or ``"arpack"``) and the
-    number of products with the operator it took."""
+    """Exact verdict from a bracket [lo, hi] on the abscissa eta: the
+    eigensolver's value ``eta`` (None when it was not taken), ``mean_stable``
+    (None when the bracket holds delta), the solver that ran (``"davidson"``
+    or ``"arpack"``), the products with the operator it took, and a ``note``
+    saying why its value was not taken, or None."""
 
-    eta: float
-    mean_stable: bool
+    eta: Optional[float]
+    lo: float
+    hi: float
+    mean_stable: Optional[bool]
     solver: str
     matvecs: int
+    note: Optional[str]
 
 
 def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
-    """Exact mean-stability verdict: eta + lanczos_tolerance < delta.
+    """Exact mean-stability verdict from one bracket on eta.
 
-    A chain whose edges' transition graphs are all trees takes Davidson on
-    the symmetric operator; one with a cycle takes ARPACK.  The matrix is
-    Metzler, so eta is at most its largest column sum, and it is at least 0,
-    the abscissa of kron(Pi^T, I_k), which it dominates entrywise.  The
-    eigensolver's error grows with the largest rate, so stiff rates can push
-    its value out of these bounds; a value past one by more than
-    ETA_BOUND_RTOL is noise and raises RuntimeError.  Davidson resolves eta
-    to its stop tolerance; one wider than the bound would leave any value in
-    [0, bound] equally likely, so it raises RuntimeError before any product.
-    A tie is unstable.
+    The matrix is Metzler, so eta is at most its largest column sum B
+    (``column_sum_max``), and at least 0, the abscissa of kron(Pi^T, I_k),
+    which it dominates entrywise: the bracket starts as [0, B].  A chain
+    whose edges' transition graphs are all trees takes Davidson on the
+    symmetric operator; one with a cycle takes ARPACK.  A value v within
+    tol = :func:`~epinet.spectral.lanczos_tolerance` of [0, B] narrows the
+    bracket to [max(0, v - tol), min(B, v + tol)]; one farther out, or a
+    solver that raises RuntimeError, leaves [0, B] and a ``note``.  Stiff
+    rates widen tol past B, where the bracket alone decides.  Mean-stable
+    when hi < delta, not when lo >= delta, undecided (None) otherwise.
     """
     operator = StabilityOperator(joint, params.beta)
-    bound = operator.column_sum_max
-    slack = ETA_BOUND_RTOL * max(bound, params.delta)
+    lo, hi = 0.0, operator.column_sum_max
     tol = lanczos_tolerance(operator)
-    if operator.symmetric:
-        solver = "davidson"
-        if tol > bound + slack:
-            raise RuntimeError(
-                f"the {solver} tolerance {tol:.6g} on eta exceeds its bound "
-                f"{bound:.6g} (beta times the largest column sum of a "
-                "configuration); the edge rates are too stiff for the eigensolver"
-            )
-        eta = davidson_abscissa(operator)
+    solver = "davidson" if operator.symmetric else "arpack"
+    eta = note = None
+    try:
+        value = davidson_abscissa(operator) if operator.symmetric else spectral_abscissa(operator)
+    except RuntimeError as exc:
+        note = f"the {solver} solve failed, so eta is only bounded by [0, {hi:.6g}]: {exc}"
     else:
-        solver, eta = "arpack", spectral_abscissa(operator)
-    if eta > bound + slack:
-        raise RuntimeError(
-            f"the {solver} abscissa {eta:.6g} exceeds its bound {bound:.6g} "
-            "(beta times the largest column sum of a configuration); the "
-            "edge rates are too stiff for the eigensolver"
-        )
-    if eta < -slack:
-        raise RuntimeError(
-            f"the {solver} abscissa {eta:.6g} is below 0, the abscissa of the "
-            "joint generator alone; the edge rates are too stiff for the "
-            "eigensolver"
-        )
-    return ExactResult(eta=eta, mean_stable=eta + tol < params.delta, solver=solver,
-                       matvecs=operator.matvecs)
+        if -tol <= value <= hi + tol:
+            eta, lo, hi = value, max(lo, value - tol), min(hi, value + tol)
+        else:
+            note = (f"the {solver} value {value:.6g} lies more than its tolerance {tol:.3g} "
+                    f"outside [0, {hi:.6g}] (0 and beta times the largest column sum "
+                    "of a configuration), so eta is only bounded by them")
+    verdict = True if hi < params.delta else False if lo >= params.delta else None
+    return ExactResult(eta=eta, lo=lo, hi=hi, mean_stable=verdict, solver=solver,
+                       matvecs=operator.matvecs, note=note)
 
 
 def expected_lambda_max(joint: JointChain) -> float:

@@ -52,7 +52,10 @@ def _metzler_scale(a) -> float:
 
 def lanczos_tolerance(a) -> float:
     """The Ritz residual at which :func:`lanczos_abscissa` stops on ``a``,
-    ``LANCZOS_RTOL`` max(1, ``entry_max``): the accuracy of its value."""
+    ``LANCZOS_RTOL`` max(1, ``entry_max``): the accuracy of its value, and
+    the margin every caller puts on a solver's value: the certificate's on
+    Lanczos's, and :func:`epinet.exact.exact_mean_stable`'s bracket on
+    Davidson's and ARPACK's."""
     return LANCZOS_RTOL * max(1.0, a.entry_max)
 
 

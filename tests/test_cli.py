@@ -444,42 +444,52 @@ def _cyclic_triangle(tmp_path) -> Path:
     return spec
 
 
-def test_analyze_arpack_failure_exits_two(tmp_path, monkeypatch, capsys):
+def test_analyze_exact_solver_failure_leaves_a_note(tmp_path, monkeypatch, capsys):
+    # a solver that raises leaves the bracket [0, column-sum bound] and a
+    # note naming it: ARPACK without convergence on the cyclic triangle, and
+    # Davidson on a path of two reversible edges of weight 0 (bound 0), under
+    # a stop tolerance of 0 that is never met (on one such edge's 4 rows
+    # Davidson's residual is exactly 0); the path's abar needs no solve
     import scipy.sparse.linalg as sla
 
     def no_convergence(*args, **kwargs):
         raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
 
-    monkeypatch.setattr(sla, "eigs", no_convergence)
-    code = main(
-        ["analyze", "--spec", str(_cyclic_triangle(tmp_path)), "--beta", "0.2",
-         "--delta", "1.5"]
-    )
-    assert code == 2
-    assert "ARPACK" in capsys.readouterr().err
-
-
-def test_analyze_lanczos_failure_exits_two(triangle_spec, tmp_path, monkeypatch, capsys):
-    # a stop tolerance of 0 is never met, so the first solver runs out of
-    # products: the certificate's Lanczos on the triangle, and the exact
-    # route's Davidson on a path of two reversible edges of weight 0, whose
-    # abar needs no solve (on one such edge's 4 rows Davidson's residual is
-    # exactly 0)
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"n": 3, "edges": [
         {"i": 1, "j": 2, "states": [0.0, 0.0], "generator": [[-1.0, 1.0], [2.0, -2.0]]},
         {"i": 2, "j": 3, "states": [0.0, 0.0], "generator": [[-3.0, 3.0], [0.5, -0.5]]}]}))
+    cases = ((_cyclic_triangle(tmp_path), "arpack", 0.4, (sla, "eigs", no_convergence)),
+             (weightless, "davidson", 0.0, (epinet.spectral, "LANCZOS_RTOL", 0.0)))
+    for spec, solver, bound, patch in cases:
+        out = tmp_path / solver
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5",
+                         "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        exact = json.loads((out / "report.json").read_text())["exact"]
+        assert exact["eta"] is None and exact["mean_stable"] is True
+        assert exact["lo"] == 0.0 and exact["hi"] == pytest.approx(bound, rel=1e-15)
+        assert exact["note"].startswith(f"the {solver} solve failed")
+        assert f"note: {exact['note']}" in stdout
+        assert "-> mean-stable (authoritative)" in stdout
+
+
+def test_analyze_lanczos_failure_exits_two(triangle_spec, monkeypatch, capsys):
+    # a stop tolerance of 0 is never met, so the certificate's Lanczos on the
+    # triangle runs out of products
     monkeypatch.setattr(epinet.spectral, "LANCZOS_RTOL", 0.0)
-    for spec, solver in ((triangle_spec, "Lanczos"), (weightless, "Davidson")):
-        code = main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("internal check failed:") and solver in err
+    code = main(["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:") and "Lanczos" in err
 
 
 def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
     # binary chains take Davidson, a cyclic weighted chain ARPACK; report.json
-    # and manifest.json both name the solver and its matvec count
+    # and manifest.json both name the solver, its matvec count, the bracket
+    # and the note
     for spec, solver in ((triangle_spec, "davidson"), (_cyclic_triangle(tmp_path), "arpack")):
         out = tmp_path / solver
         assert main(["analyze", "--spec", str(spec), "--beta", "0.2", "--delta", "1.5",
@@ -487,7 +497,8 @@ def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
         exact = json.loads((out / "report.json").read_text())["exact"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert exact["solver"] == solver and exact["matvecs"] > 0
-        assert manifest["exact"] == {"solver": solver, "matvecs": exact["matvecs"]}
+        assert exact["lo"] < exact["eta"] < exact["hi"] and exact["note"] is None
+        assert manifest["exact"] == {k: exact[k] for k in ("solver", "matvecs", "lo", "hi", "note")}
 
 
 def test_analyze_on_an_underflowing_stationary_law(tmp_path, capsys):
@@ -1066,18 +1077,18 @@ def test_analyze_e_lambda_max_strict_threshold(tmp_path, capsys):
         assert exact["e_lambda_max_stable"] is stable
 
 
-def test_analyze_exact_tie_is_not_mean_stable(tmp_path, capsys):
+def test_analyze_exact_tie_is_inconclusive(tmp_path, capsys):
     # a frozen edge at beta = delta = 1: eta = 1 = delta, which Davidson reads
-    # exactly; within the solver's accuracy a tie is not below
+    # exactly; the bracket [1 - 1e-14, 1] holds delta, so it is undecided
     spec = tmp_path / "frozen.json"
     spec.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "p": 1.0, "q": 0.0}]}))
     assert main(["analyze", "--spec", str(spec), "--beta", "1", "--delta", "1"]) == 0
     stdout = capsys.readouterr().out
     exact = json.loads(stdout[stdout.index("{"):])["exact"]
     assert exact["solver"] == "davidson"
-    assert exact["eta"] == 1.0
-    assert exact["mean_stable"] is False
-    assert "-> not-mean-stable (authoritative)" in stdout
+    assert exact["eta"] == 1.0 and exact["lo"] < 1.0 == exact["hi"]
+    assert exact["mean_stable"] is None
+    assert "exact test: eta = 1 in [1, 1], delta = 1 -> inconclusive\n" in stdout
 
 
 _BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "seed-0.json"
@@ -1219,21 +1230,81 @@ def test_expected_degree_statistics_run_in_block_memory(spec, monkeypatch, capsy
     assert "invalid edge probabilities" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("rate", [1e16, 1e20])
-def test_analyze_refuses_stiff_abscissa(rate, tmp_path, capsys):
-    # on this path eta <= beta * (largest column sum) = 0.5 * 2 = 1, but
-    # the eigensolver's error grows with the largest rate: Lanczos's stop
-    # tolerance, 1e-14 times the largest entry, is 100 and 1e6 here, so the
-    # route is refused before it runs
+@pytest.mark.parametrize("delta", [0.5, 1.5])
+@pytest.mark.parametrize("rate", [1e14, 1e16, 1e20, 1e100])
+def test_analyze_decides_stiff_path_from_its_bound(rate, delta, tmp_path, capsys):
+    # on this path 0 <= eta <= beta * (largest column sum) = 0.5 * 2 = 1, but
+    # the eigensolver's error grows with the largest rate: its stop tolerance,
+    # 1e-14 times the largest entry, is 1 to 1e86 here, so the bracket is the
+    # bound [0, 1] itself.  It decides delta = 1.5 (once refused with exit 2
+    # from 1e16 on) and leaves 0.5 undecided (the dense eta is 0.371; 1e14
+    # once read not mean-stable there)
     spec = tmp_path / "path.json"
     spec.write_text(json.dumps({"n": 3, "edges": [
         {"i": 1, "j": 2, "p": rate, "q": rate},
         {"i": 2, "j": 3, "p": 1.0, "q": 1.0},
     ]}))
-    code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", "1.5"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("internal check failed:") and "exceeds its bound 1" in err
+    code = main(["analyze", "--spec", str(spec), "--beta", "0.5", "--delta", str(delta)])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    exact = json.loads(stdout[stdout.index("{"):])["exact"]
+    assert (exact["lo"], exact["hi"]) == (0.0, 1.0)
+    if delta < 1:
+        assert exact["mean_stable"] is None and "-> inconclusive" in stdout
+    else:
+        assert exact["mean_stable"] is True and "-> mean-stable (authoritative)" in stdout
+
+
+def _bracket_cases() -> dict:
+    """Specs whose eigensolver misses or strays, each with its beta, the
+    bracket's upper end and whether the solver's value is taken."""
+    cyclic = [[-1e6, 1e6, 0.0], [0.0, -1e6, 1e6], [1e6, 0.0, -1e6]]
+    return {
+        # eigs stops below the top at -0.2376 (its Krylov space is invariant
+        # at dimension 18), where eta is 0
+        "arpack-miss": ({"n": 4, "edges": [
+            {"i": 1, "j": 3, "states": [0.0], "generator": [[0.0]]},
+            {"i": 1, "j": 4, "states": [0.0, 0.0], "generator": [[-1.08, 1.08], [1.92, -1.92]]},
+            {"i": 2, "j": 4,
+             "states": [0.4709880669164216, 0.0, 0.6591078335748368, 0.17581140283814967],
+             "generator": [
+                 [-3.035327583777139, 1.002442622252316, 0.0, 2.032884961524823],
+                 [0.0, 0.0, 0.0, 0.0],
+                 [0.0, 2.9505338712687106, -5.077806803055685, 2.127272931786974],
+                 [0.0, 1.9761767665188719, 0.1507591616348406, -2.1269359281537126]]},
+            {"i": 3, "j": 4, "states": [0.0, 0.178], "generator": [[0.0, 0.0], [0.259, -0.259]]},
+        ]}, 0.12031815589697487, 0.1007192708, False),
+        # Davidson ends its 5000 products at a residual of 1.29e-10, just
+        # above its tolerance 9.9e-11; the dense eta is 1.156e-4
+        "davidson-stall": ({"n": 4, "edges": [
+            {"i": 1, "j": 3, "p": 1.0485062837688404, "q": 1489.9974566682133},
+            {"i": 1, "j": 4, "p": 1.1933315953589288e-244, "q": 1.0764168174528383},
+            {"i": 2, "j": 4, "p": 0.0, "q": 8383.091246409776},
+            {"i": 3, "j": 4, "p": 0.00027286245707330235, "q": 1.0785394224515723},
+        ]}, 0.1502931576569745, 0.4508794730, False),
+        # ARPACK reads 1.4e-8 relative above the bound, within its tolerance
+        "cyclic-k4": ({"n": 4, "edges": [
+            {"i": i, "j": j, "states": [1.0, 1.0, 1.0], "generator": cyclic}
+            for i in range(1, 5) for j in range(i + 1, 5)
+        ]}, 1e-3, 3e-3, True),
+    }
+
+
+@pytest.mark.parametrize("case", ["arpack-miss", "davidson-stall", "cyclic-k4"])
+def test_analyze_decides_from_the_bracket_when_the_solver_strays(case, tmp_path, capsys):
+    data, beta, hi, taken = _bracket_cases()[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    assert main(["analyze", "--spec", str(spec), "--beta", repr(beta), "--delta", "1.0"]) == 0
+    stdout = capsys.readouterr().out
+    exact = json.loads(stdout[stdout.index("{"):])["exact"]
+    assert exact["hi"] == pytest.approx(hi, rel=1e-9) and exact["mean_stable"] is True
+    assert "-> mean-stable (authoritative)" in stdout
+    if taken:
+        assert exact["note"] is None and exact["eta"] is not None
+    else:
+        assert exact["eta"] is None and exact["lo"] == 0.0
+        assert f"note: {exact['note']}" in stdout
 
 
 def test_every_command_writes_one_manifest(triangle_spec, tmp_path):

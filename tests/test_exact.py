@@ -569,7 +569,7 @@ def test_frozen_edge_eta_is_beta_less_q(n):
     res = exact_mean_stable(build_joint_chain(spec), EpidemicParams(beta=1.5, delta=0.3))
     assert res.solver == "davidson"
     assert abs(res.eta - 0.5) <= 1e-12
-    assert not res.mean_stable
+    assert res.mean_stable is False
 
 
 def _stiff_birth_death_chain(rng, i, j):
@@ -614,7 +614,8 @@ def test_exact_route_matches_the_dense_reference_on_drawn_specs():
     # binary with frozen, underflowing and stiff rates, every one on Davidson;
     # half weighted chains of 1-4 states with absorbing states and cycles.  An
     # edge with p = q = 0, which has no unique law, gets its q redrawn; one
-    # that moves only at 1e-100 or slower stays
+    # that moves only at 1e-100 or slower stays.  The bracket holds the dense
+    # value, to its rounding
     rng = np.random.default_rng(0)
     for _ in range(150):
         while True:
@@ -639,6 +640,8 @@ def test_exact_route_matches_the_dense_reference_on_drawn_specs():
         dense = dense_abscissa(joint, beta)
         assert res.solver == "davidson" or not binary
         assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
+        slack = 1e-12 * max(1.0, abs(dense))
+        assert res.lo - slack <= dense <= res.hi + slack
 
 
 def test_perfect_matching_eta_is_golden_ratio():
@@ -664,12 +667,14 @@ def test_stability_matrix_dim_cap(monkeypatch):
 
 
 def test_exact_mean_stable_strictness():
+    # delta = eta lies inside the bracket eta -/+ the stop tolerance (1e-14
+    # here), so it is undecided; 1e-12 above it, the bracket is below delta
     joint = build_joint_chain(single_edge_spec())
     eta = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=1.0)).eta
     at = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=eta))
-    assert not at.mean_stable
+    assert at.mean_stable is None and at.lo < eta < at.hi
     above = exact_mean_stable(joint, EpidemicParams(beta=1.0, delta=eta + 1e-12))
-    assert above.mean_stable
+    assert above.mean_stable is True
 
 
 def test_eta_scales_with_beta_on_static_graph():
@@ -686,9 +691,10 @@ def test_eta_scales_with_beta_on_static_graph():
         assert eta == pytest.approx(beta * (n - 1), rel=1e-10)
 
 
-def test_eta_past_column_sum_bound_is_refused():
-    # eta <= beta * max_k max_v sum_u A_k[u, v] = 1 on this path, and
-    # Davidson's stop tolerance for p = q = 1e20 on edge (1, 2) is far above it
+def test_eta_past_column_sum_bound_is_refused(monkeypatch):
+    # 0 <= eta <= beta * max_k max_v sum_u A_k[u, v] = 1 on this path, and
+    # Davidson's stop tolerance for p = q = 1e20 on edge (1, 2), 1e6, is far
+    # wider: whatever value it reads, the bracket is the bound itself
     stiff = SwitchedNetworkSpec(
         n=3,
         edges=(
@@ -696,8 +702,17 @@ def test_eta_past_column_sum_bound_is_refused():
             EdgeChain(i=2, j=3, p_rate=1.0, q_rate=1.0),
         ),
     )
-    with pytest.raises(RuntimeError, match="exceeds its bound 1"):
-        exact_mean_stable(build_joint_chain(stiff), EpidemicParams(beta=0.5, delta=1.0))
+    res = exact_mean_stable(build_joint_chain(stiff), EpidemicParams(beta=0.5, delta=1.0))
+    assert (res.lo, res.hi, res.note) == (0.0, 1.0, None)
+    assert res.mean_stable is None
+    # a value past the bound by more than the tolerance is refused as eta:
+    # the bracket stays [0, bound] and the note quotes the value
+    monkeypatch.setattr(exact, "davidson_abscissa", lambda op: 2.0)
+    res = exact_mean_stable(build_joint_chain(single_edge_spec()),
+                            EpidemicParams(beta=1.0, delta=1.5))
+    assert (res.eta, res.lo, res.hi, res.mean_stable) == (None, 0.0, 1.0, True)
+    assert "davidson value 2 lies more than its tolerance" in res.note
+    monkeypatch.undo()
     # a frozen complete graph is regular and sits on the bound; Davidson
     # reads it to rounding, where ARPACK was off by up to 6.4e-7 at rates 1e6
     for n in (3, 4, 5):
@@ -709,6 +724,15 @@ def test_eta_past_column_sum_bound_is_refused():
         for beta in (1e-3, 0.5, 7.3):
             eta = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0)).eta
             assert eta == pytest.approx(beta * (n - 1), rel=1e-12)
+    # K4 of 3-state cyclic chains whose states all weigh 1, rates 1e6: ARPACK
+    # reads 1.4e-8 relative above the bound 3e-3, within its tolerance 6e-8
+    rates = ((-1e6, 1e6, 0.0), (0.0, -1e6, 1e6), (1e6, 0.0, -1e6))
+    joint = build_joint_chain(SwitchedNetworkSpec(n=4, edges=tuple(
+        WeightedEdgeChain(i=i, j=j, states=(1.0, 1.0, 1.0), generator=rates)
+        for i, j in itertools.combinations(range(1, 5), 2))))
+    res = exact_mean_stable(joint, EpidemicParams(beta=1e-3, delta=1.0))
+    assert res.solver == "arpack" and res.note is None
+    assert res.eta > res.hi == 3e-3 and res.mean_stable is True
 
 
 @settings(max_examples=25, deadline=None)
@@ -751,7 +775,7 @@ def test_expected_lambda_max_is_not_a_mean_stability_test():
     sym = build_joint_chain(single_edge_spec())
     params = EpidemicParams(beta=1.0, delta=0.55)
     assert expected_lambda_max(sym) < params.threshold
-    assert not exact_mean_stable(sym, params).mean_stable
+    assert exact_mean_stable(sym, params).mean_stable is False
     fast = build_joint_chain(
         SwitchedNetworkSpec(
             n=3,
@@ -764,7 +788,7 @@ def test_expected_lambda_max_is_not_a_mean_stability_test():
     # lambda_max(abar) = 1/sqrt(2) ~ 0.707 < 0.72 < E[lambda_max] = 0.853...
     params = EpidemicParams(beta=1.0, delta=0.72)
     assert not expected_lambda_max(fast) < params.threshold
-    assert exact_mean_stable(fast, params).mean_stable
+    assert exact_mean_stable(fast, params).mean_stable is True
 
 
 def test_enumerate_expectation_edge_count():

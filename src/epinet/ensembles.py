@@ -45,7 +45,7 @@ from .netmodel import (
     stationary_stats,
     touched_ends,
 )
-from .spectral import lanczos_abscissa, lanczos_tolerance
+from .spectral import abscissa_bracket
 from .stability import (
     AbarSummary,
     DegreeSequence,
@@ -465,15 +465,17 @@ def as_switched_network(
 
 class _EdgeListOperator:
     """abar / max_ij abar_ij on the vertices that carry an edge, for
-    :func:`~epinet.spectral.lanczos_abscissa`: two bincounts a product."""
+    :func:`~epinet.spectral.abscissa_bracket`: two bincounts a product, and
+    ``column_sum_max``, its largest row sum, from one with the ones vector."""
 
-    offdiagonal_min, entry_max = 0.0, 1.0
+    offdiagonal_min, entry_max, symmetric = 0.0, 1.0, True
 
     def __init__(self, stats: StationaryStats) -> None:
         local = touched_ends(stats.ends)
         self.rows, self.cols = local.T
         self.weights = stats.means / stats.means.max()
         self.shape = (int(local.max()) + 1,) * 2
+        self.column_sum_max = float((self @ np.ones(self.shape[0])).max())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return (np.bincount(self.rows, self.weights * x[self.cols], minlength=len(x))
@@ -484,24 +486,25 @@ def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec],
               stats: Optional[StationaryStats] = None) -> AbarSummary:
     """The sufficient test's certificate for any model, priced once: an
     explicit spec from its edge-list moments (``stats``, when the caller
-    already holds them) and Lanczos on abar / max mean (top eigenvalue at
-    least 1, so the stop tolerance is relative), whose Rayleigh quotient
-    plus that tolerance, times the quotient past 1 to cover its rounding,
-    bounds lambda_max(abar) from above (0, with no solve, when every mean
-    is 0); an ensemble from its closed form."""
+    already holds them), priced at the upper end of the bracket that
+    :func:`~epinet.spectral.abscissa_bracket` puts on abar / max mean, times
+    that mean (0, with no solve, when every mean is 0): the largest row sum,
+    with a note, when the solve narrowed nothing; an ensemble from its
+    closed form."""
     if isinstance(model, SwitchedNetworkSpec):
         if stats is None:
             stats = stationary_stats(model)
-        top, lam = float(stats.means.max(initial=0.0)), 0.0
+        top, lam, notes = float(stats.means.max(initial=0.0)), 0.0, ()
         if top > 0.0:
-            op = _EdgeListOperator(stats)
-            theta = lanczos_abscissa(op)
-            lam = top * (theta + lanczos_tolerance(op) * max(1.0, theta))
+            *_, hi, note = abscissa_bracket(_EdgeListOperator(stats))
+            lam = top * hi
+            notes = (f"lambda_max(abar) is its row-sum bound {lam:.6g}: {note}",) if note else ()
         return AbarSummary(
             n=model.n,
             lambda_max_abar=lam,
             delta_uncertainty=stats.delta_uncertainty,
             network_kind=model.kind,
+            notes=notes,
         )
     if isinstance(model, CommunitySpec):
         return community_stats(model)

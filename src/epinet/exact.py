@@ -16,14 +16,11 @@ storing it, on the k vertices some edge touches: another adds a decoupled
 kron(Pi^T, I) block, of abscissa 0 <= eta.  When every edge's transition graph
 is a tree (a binary edge's, frozen or not), the operator applies D^-1 M D, D =
 diag(sqrt pi) x I_k, on each block a one-way link splits off: a symmetric
-matrix with M's spectrum, whose abscissa a numpy Davidson, preconditioned by
-the symmetrized generator's shifted inverse, finds; ARPACK finds that of a
-chain with a cycle.  The verdict comes from a bracket on eta: [0, largest
-column sum], narrowed to that value plus or minus the solver's stop tolerance
-when it lies in reach.  The size k N is still exponential in m, so
-:func:`check_joint_size` refuses an instance past a cap on the rows before
-anything is built.  It is the ground truth the scalable bounds are checked
-against; the dense reference lives in :mod:`epinet.oracle`.
+matrix with M's spectrum.  The verdict is the bracket on eta that
+:func:`~epinet.spectral.abscissa_bracket` reads off the operator.  As k N is
+exponential in m, :func:`check_joint_size` refuses an instance past a cap on
+the rows before anything is built.  It is the ground truth the scalable
+bounds are checked against; the dense reference lives in :mod:`epinet.oracle`.
 """
 from __future__ import annotations
 
@@ -37,7 +34,7 @@ import numpy as np
 
 from .netmodel import (AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight,
                        touched_ends)
-from .spectral import davidson_abscissa, lanczos_tolerance, spectral_abscissa
+from .spectral import abscissa_bracket
 
 # Cap on the rows k * N, the length of the vectors the solver stores: Davidson
 # 10 basis vectors, their 10 images and a residual (ARPACK 20 and its
@@ -268,10 +265,10 @@ class StabilityOperator:
 @dataclass(frozen=True)
 class ExactResult:
     """Exact verdict from a bracket [lo, hi] on the abscissa eta: the
-    eigensolver's value ``eta`` (None when it was not taken), ``mean_stable``
-    (None when the bracket holds delta), the solver that ran (``"davidson"``
-    or ``"arpack"``), the products with the operator it took, and a ``note``
-    saying why its value was not taken, or None."""
+    eigensolver's value ``eta`` inside it (None when it was not taken),
+    ``mean_stable`` (None when the bracket holds delta), the solver that ran
+    (``"davidson"`` or ``"arpack"``), the products with the operator it
+    took, and a ``note`` saying why its value was not taken, or None."""
 
     eta: Optional[float]
     lo: float
@@ -287,31 +284,13 @@ def exact_mean_stable(joint: JointChain, params: EpidemicParams) -> ExactResult:
 
     The matrix is Metzler, so eta is at most its largest column sum B
     (``column_sum_max``), and at least 0, the abscissa of kron(Pi^T, I_k),
-    which it dominates entrywise: the bracket starts as [0, B].  A chain
-    whose edges' transition graphs are all trees takes Davidson on the
-    symmetric operator; one with a cycle takes ARPACK.  A value v within
-    tol = :func:`~epinet.spectral.lanczos_tolerance` of [0, B] narrows the
-    bracket to [max(0, v - tol), min(B, v + tol)]; one farther out, or a
-    solver that raises RuntimeError, leaves [0, B] and a ``note``.  Stiff
-    rates widen tol past B, where the bracket alone decides.  Mean-stable
-    when hi < delta, not when lo >= delta, undecided (None) otherwise.
+    which it dominates entrywise: :func:`~epinet.spectral.abscissa_bracket`
+    narrows [0, B] around its solver's value, or leaves it with a note, as
+    when stiff rates widen the solver's tolerance past B.  Mean-stable when
+    hi < delta, not when lo >= delta, undecided (None) otherwise.
     """
     operator = StabilityOperator(joint, params.beta)
-    lo, hi = 0.0, operator.column_sum_max
-    tol = lanczos_tolerance(operator)
-    solver = "davidson" if operator.symmetric else "arpack"
-    eta = note = None
-    try:
-        value = davidson_abscissa(operator) if operator.symmetric else spectral_abscissa(operator)
-    except RuntimeError as exc:
-        note = f"the {solver} solve failed, so eta is only bounded by [0, {hi:.6g}]: {exc}"
-    else:
-        if -tol <= value <= hi + tol:
-            eta, lo, hi = value, max(lo, value - tol), min(hi, value + tol)
-        else:
-            note = (f"the {solver} value {value:.6g} lies more than its tolerance {tol:.3g} "
-                    f"outside [0, {hi:.6g}] (0 and beta times the largest column sum "
-                    "of a configuration), so eta is only bounded by them")
+    solver, eta, lo, hi, note = abscissa_bracket(operator)
     verdict = True if hi < params.delta else False if lo >= params.delta else None
     return ExactResult(eta=eta, lo=lo, hi=hi, mean_stable=verdict, solver=solver,
                        matvecs=operator.matvecs, note=note)

@@ -1,13 +1,13 @@
-"""Eigenvalue kernels shared by the stability tests.
-
-The abscissa of a symmetric Metzler operator that supplies a preconditioner
-is found by a numpy Davidson (:func:`davidson_abscissa`): a joint chain's
-on edges whose transition graphs are trees, binary ones among them, whose
-symmetrized generator stretches the spectrum far below a small top gap and
-has a cheap exact shifted inverse.  Any other symmetric one, abar on its
-edge list, takes the leaner step of a numpy Lanczos (:func:`lanczos_abscissa`).
-ARPACK (:func:`spectral_abscissa`), the only kernel that imports scipy,
-finds that of any other Metzler operator, a joint chain's with a cycle.
+"""Eigenvalue kernels shared by the stability tests, behind one entry point,
+:func:`abscissa_bracket`: an operator in, its solver picked from what it
+offers, a bracket on its spectral abscissa out.  A symmetric operator with a
+preconditioner takes a numpy Davidson (:func:`davidson_abscissa`): a joint
+chain's on edges whose transition graphs are trees, whose symmetrized
+generator stretches the spectrum far below a small top gap and has a cheap
+exact shifted inverse.  Any other symmetric one, abar on its edge list, takes
+the leaner step of a numpy Lanczos (:func:`lanczos_abscissa`).  ARPACK
+(:func:`spectral_abscissa`), the only kernel that imports scipy, takes any
+other Metzler operator, a joint chain's with a cycle.
 """
 from __future__ import annotations
 
@@ -50,15 +50,6 @@ def _metzler_scale(a) -> float:
     return scale
 
 
-def lanczos_tolerance(a) -> float:
-    """The Ritz residual at which :func:`lanczos_abscissa` stops on ``a``,
-    ``LANCZOS_RTOL`` max(1, ``entry_max``): the accuracy of its value, and
-    the margin every caller puts on a solver's value: the certificate's on
-    Lanczos's, and :func:`epinet.exact.exact_mean_stable`'s bracket on
-    Davidson's and ARPACK's."""
-    return LANCZOS_RTOL * max(1.0, a.entry_max)
-
-
 def lanczos_abscissa(a) -> float:
     """Spectral abscissa of a symmetric Metzler operator, by thick-restart
     Lanczos on numpy alone.
@@ -72,13 +63,13 @@ def lanczos_abscissa(a) -> float:
     ``LANCZOS_RTOL`` |S v| means the basis spans an invariant subspace that
     holds it.  It stops there, or once the top Ritz pair's residual
     |beta_m y_m|, tested every ``LANCZOS_TEST_STRIDE`` vectors, is at most
-    :func:`lanczos_tolerance`; it returns that Ritz vector's Rayleigh
-    quotient, from one more product, free of the restarts' rounding drift.
+    ``LANCZOS_RTOL`` max(1, ``entry_max``); it returns that Ritz vector's
+    Rayleigh quotient, from one more product, free of the restarts' drift.
     Past max(``LANCZOS_MAX_MATVECS``, ``LANCZOS_BASIS`` x rows) products it
     raises RuntimeError.  Reruns are bit-identical.
     """
     # the basis works on S / max(1, entry_max), whose norms cannot overflow;
-    # there a residual of LANCZOS_RTOL is lanczos_tolerance(a) on S
+    # there a residual of LANCZOS_RTOL is LANCZOS_RTOL max(1, entry_max) on S
     scale = _metzler_scale(a)
     dim = a.shape[0]
     size = min(LANCZOS_BASIS, dim)
@@ -137,13 +128,12 @@ def davidson_abscissa(a) -> float:
     falls within ``LANCZOS_RTOL`` of the basis; if r does too, the basis
     spans an invariant subspace that holds u.  A full basis restarts from
     its top ``LANCZOS_KEEP`` // 2 Ritz vectors and their images.  It stops
-    there, or once |r| is at most :func:`lanczos_tolerance` or
-    ``LANCZOS_RTOL`` |theta| on S / max(1, ``entry_max``): r is a difference
-    of images and cannot be resolved below the rounding of S u, where
-    Lanczos's recurrence estimate still can.  It returns u's Rayleigh
-    quotient from one more product, free of the images' rounding drift.
-    The budget, the error and bit-identical reruns are those of
-    :func:`lanczos_abscissa`.
+    there, or once |r| is at most ``LANCZOS_RTOL`` max(1, |theta|) on S /
+    max(1, ``entry_max``): r is a difference of images and cannot be
+    resolved below the rounding of S u, where Lanczos's recurrence estimate
+    still can.  It returns u's Rayleigh quotient from one more product, free
+    of the images' rounding drift.  The budget, the error and bit-identical
+    reruns are those of :func:`lanczos_abscissa`.
     """
     scale = _metzler_scale(a)
     dim = a.shape[0]
@@ -230,3 +220,29 @@ def spectral_abscissa(a) -> float:
             f"rightmost eigenvalue {top} of a Metzler matrix is not real"
         )
     return float(top.real)
+
+
+def abscissa_bracket(a) -> tuple:
+    """(solver, value, lo, hi, note) of a Metzler operator of abscissa at
+    least 0, read as :func:`spectral_abscissa` reads it plus ``symmetric``
+    and ``column_sum_max`` B, its largest column sum: a symmetric one with
+    ``precondition`` takes :func:`davidson_abscissa`, any other symmetric one
+    :func:`lanczos_abscissa`, the rest :func:`spectral_abscissa`.  Its value
+    v narrows the bracket [0, B] to v -/+ ``LANCZOS_RTOL`` max(1,
+    ``entry_max``, |v|), the widest residual either Krylov solver stops at,
+    and is clamped into it.  A solver that raises RuntimeError, or a v that
+    cuts nothing off a [0, B] of B > 0, leaves [0, B], no value and a note."""
+    bound = a.column_sum_max
+    solver = ("davidson" if hasattr(a, "precondition") else "lanczos") if a.symmetric else "arpack"
+    try:
+        value = {"davidson": davidson_abscissa, "lanczos": lanczos_abscissa,
+                 "arpack": spectral_abscissa}[solver](a)
+    except RuntimeError as exc:
+        return solver, None, 0.0, bound, f"the {solver} solve failed: {exc}"
+    tol = LANCZOS_RTOL * max(1.0, a.entry_max, abs(value))
+    lo, hi = max(0.0, value - tol), min(bound, value + tol)
+    if lo == hi or 0.0 <= hi - lo < bound:
+        return solver, min(max(value, lo), hi), lo, hi, None
+    side = "more than its tolerance {:.3g} outside" if lo > hi else "within {:.3g} of all of"
+    return solver, None, 0.0, bound, (f"the {solver} value {value:.6g} lies {side.format(tol)} "
+                                      f"[0, {bound:.6g}], 0 and the largest column sum")

@@ -476,14 +476,20 @@ def test_analyze_exact_solver_failure_leaves_a_note(tmp_path, monkeypatch, capsy
         assert "-> mean-stable (authoritative)" in stdout
 
 
-def test_analyze_lanczos_failure_exits_two(triangle_spec, monkeypatch, capsys):
+def test_analyze_lanczos_failure_leaves_a_note(triangle_spec, tmp_path, monkeypatch, capsys):
     # a stop tolerance of 0 is never met, so the certificate's Lanczos on the
-    # triangle runs out of products
+    # triangle runs out of products: lambda_max(abar) is priced at abar's
+    # largest row sum, 2/3 + 1/2 on vertex 2, and a note quotes that bound
     monkeypatch.setattr(epinet.spectral, "LANCZOS_RTOL", 0.0)
-    code = main(["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("internal check failed:") and "Lanczos" in err
+    assert main(["analyze", "--spec", str(triangle_spec), "--beta", "0.2", "--delta", "1.5",
+                 "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    sufficient = json.loads((tmp_path / "report.json").read_text())["sufficient"]
+    assert sufficient["lambda_max_abar"] == pytest.approx(2.0 / 3.0 + 0.5, rel=1e-15, abs=0.0)
+    (note,) = [n for n in sufficient["notes"] if "Lanczos" in n]
+    assert note.startswith(f"lambda_max(abar) is its row-sum bound "
+                           f"{sufficient['lambda_max_abar']:.6g}: the lanczos solve failed")
+    assert f"note: {note}" in stdout
 
 
 def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epinet import exact, spectral
+from epinet.ensembles import summarize
 from epinet.exact import (
     StabilityOperator,
     build_joint_chain,
@@ -20,8 +21,10 @@ from epinet.netmodel import (
     EpidemicParams,
     SwitchedNetworkSpec,
     WeightedEdgeChain,
+    stationary_stats,
 )
 from epinet.oracle import (
+    dense_abar,
     dense_abscissa,
     dense_configs,
     dense_generator,
@@ -609,13 +612,12 @@ def _mixed_rate(rng):
     return float(10.0 ** (rng.uniform(-300.0, -100.0) if u < 0.375 else rng.uniform(-4.0, 4.0)))
 
 
-def test_exact_route_matches_the_dense_reference_on_drawn_specs():
-    # 150 specs of 2-4 vertices and at most 2500 rows, beta 10^U[-3, 2]: half
-    # binary with frozen, underflowing and stiff rates, every one on Davidson;
-    # half weighted chains of 1-4 states with absorbing states and cycles.  An
-    # edge with p = q = 0, which has no unique law, gets its q redrawn; one
-    # that moves only at 1e-100 or slower stays.  The bracket holds the dense
-    # value, to its rounding
+def _drawn_specs():
+    """150 specs of 2-4 vertices and at most 2500 rows, each with a beta
+    10^U[-3, 2] and whether it is binary: half binary with frozen,
+    underflowing and stiff rates, half weighted chains of 1-4 states with
+    absorbing states and cycles.  An edge with p = q = 0, which has no unique
+    law, gets its q redrawn; one that moves only at 1e-100 or slower stays."""
     rng = np.random.default_rng(0)
     for _ in range(150):
         while True:
@@ -632,16 +634,34 @@ def test_exact_route_matches_the_dense_reference_on_drawn_specs():
                     edges.append(EdgeChain(i=i, j=j, p_rate=p, q_rate=q))
             else:
                 edges = [_random_chain(rng, i, j) for i, j in pairs]
-            joint = build_joint_chain(SwitchedNetworkSpec(n=n, edges=tuple(edges)))
+            spec = SwitchedNetworkSpec(n=n, edges=tuple(edges))
+            joint = build_joint_chain(spec)
             if n * joint.n_configs <= 2500:
                 break
-        beta = float(10.0 ** rng.uniform(-3.0, 2.0))
+        yield spec, joint, binary, float(10.0 ** rng.uniform(-3.0, 2.0))
+
+
+def test_exact_route_matches_the_dense_reference_on_drawn_specs():
+    # every binary spec of _drawn_specs takes Davidson; the bracket holds the
+    # dense value, to its rounding, and eta lies inside the bracket
+    for _, joint, binary, beta in _drawn_specs():
         res = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0))
         dense = dense_abscissa(joint, beta)
         assert res.solver == "davidson" or not binary
         assert abs(res.eta - dense) <= 1e-10 * max(1.0, abs(dense))
         slack = 1e-12 * max(1.0, abs(dense))
         assert res.lo - slack <= dense <= res.hi + slack
+        assert res.lo <= res.eta <= res.hi
+
+
+def test_certificate_bounds_lambda_max_abar_from_above_on_drawn_specs():
+    # the certificate's lambda_max(abar) lies between the dense top
+    # eigenvalue and abar's largest row sum, on frozen, stiff and weighted
+    # specs alike (those with every mean 0 read 0)
+    for spec, *_ in _drawn_specs():
+        abar = dense_abar(stationary_stats(spec), spec.n)
+        lam = summarize(spec).lambda_max_abar
+        assert np.linalg.eigvalsh(abar)[-1] <= lam <= abar.sum(axis=1).max()
 
 
 def test_perfect_matching_eta_is_golden_ratio():
@@ -694,7 +714,8 @@ def test_eta_scales_with_beta_on_static_graph():
 def test_eta_past_column_sum_bound_is_refused(monkeypatch):
     # 0 <= eta <= beta * max_k max_v sum_u A_k[u, v] = 1 on this path, and
     # Davidson's stop tolerance for p = q = 1e20 on edge (1, 2), 1e6, is far
-    # wider: whatever value it reads, the bracket is the bound itself
+    # wider: whatever value it reads, the bracket is the bound itself, and a
+    # value that narrows nothing is not reported as eta
     stiff = SwitchedNetworkSpec(
         n=3,
         edges=(
@@ -703,11 +724,11 @@ def test_eta_past_column_sum_bound_is_refused(monkeypatch):
         ),
     )
     res = exact_mean_stable(build_joint_chain(stiff), EpidemicParams(beta=0.5, delta=1.0))
-    assert (res.lo, res.hi, res.note) == (0.0, 1.0, None)
-    assert res.mean_stable is None
+    assert (res.eta, res.lo, res.hi) == (None, 0.0, 1.0)
+    assert res.mean_stable is None and "within 1e+06 of all of [0, 1]" in res.note
     # a value past the bound by more than the tolerance is refused as eta:
     # the bracket stays [0, bound] and the note quotes the value
-    monkeypatch.setattr(exact, "davidson_abscissa", lambda op: 2.0)
+    monkeypatch.setattr(spectral, "davidson_abscissa", lambda op: 2.0)
     res = exact_mean_stable(build_joint_chain(single_edge_spec()),
                             EpidemicParams(beta=1.0, delta=1.5))
     assert (res.eta, res.lo, res.hi, res.mean_stable) == (None, 0.0, 1.0, True)
@@ -725,14 +746,15 @@ def test_eta_past_column_sum_bound_is_refused(monkeypatch):
             eta = exact_mean_stable(joint, EpidemicParams(beta=beta, delta=1.0)).eta
             assert eta == pytest.approx(beta * (n - 1), rel=1e-12)
     # K4 of 3-state cyclic chains whose states all weigh 1, rates 1e6: ARPACK
-    # reads 1.4e-8 relative above the bound 3e-3, within its tolerance 6e-8
+    # reads 1.4e-8 relative above the bound 3e-3, within its tolerance 6e-8,
+    # and eta is clamped into its bracket, onto the bound
     rates = ((-1e6, 1e6, 0.0), (0.0, -1e6, 1e6), (1e6, 0.0, -1e6))
     joint = build_joint_chain(SwitchedNetworkSpec(n=4, edges=tuple(
         WeightedEdgeChain(i=i, j=j, states=(1.0, 1.0, 1.0), generator=rates)
         for i, j in itertools.combinations(range(1, 5), 2))))
     res = exact_mean_stable(joint, EpidemicParams(beta=1e-3, delta=1.0))
     assert res.solver == "arpack" and res.note is None
-    assert res.eta > res.hi == 3e-3 and res.mean_stable is True
+    assert res.eta == res.hi == 3e-3 and res.mean_stable is True
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 import epinet.ensembles
 import epinet.netmodel
 import epinet.oracle
+import epinet.spectral
 from epinet.exact import build_joint_chain, exact_mean_stable
 from epinet.netmodel import (
     EdgeChain,
@@ -105,8 +106,8 @@ def test_perturbed_closed_form_abar_fails_the_consistency_check(monkeypatch):
 def test_perturbed_lambda_max_fails_the_consistency_check(error, consistent, monkeypatch):
     # the edge list is right and only the Lanczos lambda_max(abar) is off: the
     # check against dense eigvalsh holds it to 1e-12 max(1, lambda_max)
-    lanczos = epinet.ensembles.lanczos_abscissa
-    monkeypatch.setattr(epinet.ensembles, "lanczos_abscissa",
+    lanczos = epinet.spectral.lanczos_abscissa
+    monkeypatch.setattr(epinet.spectral, "lanczos_abscissa",
                         lambda operator: lanczos(operator) * (1.0 + error))
     report = check_instance(random_small_spec(np.random.default_rng(4)))
     assert report.lambda_max_abar > 1.0

@@ -165,3 +165,30 @@ def test_davidson_abscissa_scales_with_the_operator():
     ref = davidson_abscissa(PreconditionedOperator(a))
     assert davidson_abscissa(PreconditionedOperator(a * 1e200)) == pytest.approx(
         ref * 1e200, rel=1e-12)
+
+
+def test_abscissa_bracket_picks_the_solver_the_operator_offers(monkeypatch):
+    # one nonnegative symmetric matrix behind three interfaces: with a
+    # preconditioner it takes Davidson, without one Lanczos, and flagged not
+    # symmetric ARPACK; each bracket holds the dense top eigenvalue and the
+    # value, inside [0, largest column sum]
+    off = np.triu(np.random.default_rng(4).random((30, 30)), 1)
+    a = off + off.T
+    top, bound = float(np.linalg.eigvalsh(a)[-1]), float(a.sum(axis=0).max())
+    for make, symmetric, expected in ((PreconditionedOperator, True, "davidson"),
+                                      (DenseOperator, True, "lanczos"),
+                                      (DenseOperator, False, "arpack")):
+        op = make(a)
+        op.symmetric, op.column_sum_max = symmetric, bound
+        solver, value, lo, hi, note = spectral.abscissa_bracket(op)
+        assert (solver, note) == (expected, None)
+        assert 0.0 < lo <= min(value, top) <= max(value, top) <= hi < bound
+        # the half-width is LANCZOS_RTOL |value| here, as |value| > max|a| = 1
+        assert hi - lo == pytest.approx(2.0 * spectral.LANCZOS_RTOL * value, rel=0.01)
+    # a solver that gives up leaves [0, bound], no value and a note
+    monkeypatch.setattr(spectral, "LANCZOS_RTOL", 0.0)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_MATVECS", 20)
+    op.symmetric = True
+    solver, value, lo, hi, note = spectral.abscissa_bracket(op)
+    assert (solver, value, lo, hi) == ("lanczos", None, 0.0, bound)
+    assert note.startswith("the lanczos solve failed: Lanczos found no abscissa")

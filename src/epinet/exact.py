@@ -114,7 +114,7 @@ def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
         raise ValueError("spec has no edges; the joint chain would be trivial")
     ends = touched_ends(np.array([(e.i - 1, e.j - 1) for e in spec.edges]))
     check_joint_size(ends, (len(e.values) for e in spec.edges))
-    stationary = functools.reduce(np.kron, [e.stationary for e in spec.edges])
+    stationary = functools.reduce(np.multiply.outer, [e.stationary for e in spec.edges]).ravel()
     return JointChain(n=spec.n, edges=spec.edges, stationary=stationary, ends=ends)
 
 

@@ -8,11 +8,12 @@ between the enumerated stationary law and the closed-form edge moments,
 the Lanczos lambda_max(abar) against eigvalsh of the enumerated abar.
 
 It also holds the dense reference for the exact test: the adjacency
-matrices of all N configurations, the N x N joint generator, the direct
-solve of its stationary law, the dense nN x nN mean-dynamics matrix and its
-abscissa: eigvalsh of the symmetrized matrix when the joint chain is
-reversible, eigvals otherwise.  Like the rest of this module it needs numpy
-only.
+matrices of all N configurations, enumerated once per instance, the N x N
+joint generator from digit flips, the direct solve of its stationary law,
+the dense nN x nN mean-dynamics matrix and its abscissa: eigvalsh when the
+joint chain is reversible, its generator symmetrized by sqrt(pi) at N x N
+before it is spread over nN x nN, eigvals otherwise.  Like the rest of this
+module it needs numpy only.
 """
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ def dense_abar(stats, n: int) -> np.ndarray:
 
 
 def dense_generator(joint: JointChain) -> np.ndarray:
-    """Dense N x N joint generator, the Kronecker sum
-    sum_e I x ... x Q_e x ... x I of the edge generators.
+    """Dense N x N joint generator, the Kronecker sum sum_e I x ... x Q_e x
+    ... x I, from digit flips: row k holds Q_e's row digit_e(k) where only
+    digit e differs from k, and the sum of their diagonals at k.
 
     Checks the chain's product-form stationary law pi against a direct
     solve of pi Pi = 0, to 1e-12 times the spread of the rates (the largest
@@ -56,11 +58,13 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     Two laws differ by at most 1, so a tolerance of 1 or more leaves the
     solve nothing to check; it is skipped there, where it can be singular.
     """
-    mats = [e.rate_matrix for e in joint.edges]
-    gen = mats[0]
-    for q in mats[1:]:
-        gen = np.kron(gen, np.eye(q.shape[0])) + np.kron(np.eye(gen.shape[0]), q)
-    size, scale = gen.shape[0], float(np.abs(gen).max())
+    size = stride = joint.n_configs
+    gen, rows = np.zeros((size, size)), np.arange(size)[:, None]
+    for e, digit in zip(joint.edges, np.unravel_index(rows[:, 0], joint.dims)):
+        stride //= len(e.values)  # digit e steps by the product of the later edges' sizes
+        flips = (np.arange(len(e.values)) - digit[:, None]) * stride
+        gen[rows, rows + flips] += e.rate_matrix[digit]
+    scale = float(np.abs(gen).max())
     # The solve's error is about eps * cond, and cond grows with the rate
     # spread: 1.4 r on the path whose two edges switch at rates r and 1.
     tol = 1e-12 * scale / float(gen[gen > 0].min(initial=np.inf))
@@ -79,37 +83,44 @@ def dense_generator(joint: JointChain) -> np.ndarray:
     return gen
 
 
-def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
-    """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
-    n, size = joint.n, joint.n_configs
+def _spread(gen_t: np.ndarray, configs: np.ndarray, beta: float) -> np.ndarray:
+    """kron(gen_t, I_n) + beta blockdiag(configs), dense."""
+    size, n = configs.shape[:2]
     mat = np.zeros((size, n, size, n))
     vertex, config = np.arange(n), np.arange(size)
-    mat[:, vertex, :, vertex] = dense_generator(joint).T
-    mat[config, :, config, :] += beta * dense_configs(joint)
+    mat[:, vertex, :, vertex] = gen_t
+    mat[config, :, config, :] += beta * configs
     return mat.reshape(size * n, size * n)
 
 
-def dense_abscissa(joint: JointChain, beta: float) -> float:
+def dense_stability_matrix(joint: JointChain, beta: float) -> np.ndarray:
+    """Dense nN x nN mean-dynamics matrix kron(Pi^T, I) + beta blockdiag(A_k)."""
+    return _spread(dense_generator(joint).T, dense_configs(joint), beta)
+
+
+def dense_abscissa(joint: JointChain, beta: float, configs=None) -> float:
     """Mean-stability abscissa eta: the reference for
-    :func:`epinet.exact.exact_mean_stable`.
+    :func:`epinet.exact.exact_mean_stable`; pass ``configs`` if already built.
 
     A reversible joint chain (every binary or birth-death edge) with a
     positive stationary law pi makes S = D^-1 M D symmetric, D = diag(sqrt
     pi) x I, and S is similar to M, so eta is eigvalsh's top eigenvalue of
-    S.  Any other chain, or an S that overflows or is not symmetric to
-    rounding, takes the top real part of M's dense eigvals.
+    S: the N x N generator part symmetrized, then spread.  Any other chain,
+    or an S that overflows or is not symmetric to rounding, takes the top
+    real part of M's dense eigvals.
     """
-    mat = dense_stability_matrix(joint, beta)
+    configs = dense_configs(joint) if configs is None else configs
+    gen_t = dense_generator(joint).T
     if joint.stationary.min() > 0:
-        root = np.repeat(np.sqrt(joint.stationary), joint.n)
+        root = np.sqrt(joint.stationary)
         with np.errstate(over="ignore"):
-            sym = mat * root
+            sym = gen_t * root
             sym /= root[:, None]
-        scale = max(sym.max(), -sym.min())
+        scale = max(sym.max(), -sym.min(), beta * configs.max())
         # S - S^T is antisymmetric to the bit, so its max is its max modulus.
         if np.isfinite(scale) and (sym - sym.T).max() <= 1e-12 * scale:
-            return float(np.linalg.eigvalsh(sym)[-1])
-    return float(np.linalg.eigvals(mat).real.max())
+            return float(np.linalg.eigvalsh(_spread(sym, configs, beta))[-1])
+    return float(np.linalg.eigvals(_spread(gen_t, configs, beta)).real.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,33 +134,23 @@ class TailCheck:
     ok: bool
 
 
-def check_tail_bound(
-    stationary: np.ndarray,
-    lam_all: np.ndarray,
-    lam_bar: float,
-    n: int,
-    delta_u: float,
-    s_values: np.ndarray,
-) -> TailCheck:
+def check_tail_bound(stationary: np.ndarray, lam_all: np.ndarray, lam_bar: float, n: int,
+                     delta_u: float, s_values: np.ndarray) -> TailCheck:
     """Compare P(lambda_max(A_G) > lambda_max(abar) + s), enumerated exactly,
     with the bound 2 n exp(-3 s^2 / (2 s + 6 Delta)) at each requested s.
 
     ``lam_all`` holds lambda_max of every configuration, weighted by
-    ``stationary``; ``lam_bar`` is lambda_max(abar).
+    ``stationary``; ``lam_bar`` is lambda_max(abar).  One sort of
+    ``lam_all`` gives every tail, summed from the top.
     """
     s = np.asarray(s_values, dtype=float)
-    exact = np.array(
-        [float(stationary[lam_all > lam_bar + si].sum()) for si in s]
-    )
+    order = np.argsort(lam_all)
+    above = np.append(np.cumsum(stationary[order[::-1]])[::-1], 0.0)
+    exact = above[np.searchsorted(lam_all[order], lam_bar + s, side="right")]
     bound = 2.0 * n * np.exp(_tail_exponent(s, delta_u))
     violation = float((exact - bound).max(initial=-np.inf))
-    return TailCheck(
-        s_values=s,
-        exact_tail=exact,
-        bound=bound,
-        max_violation=violation,
-        ok=violation <= 1e-12,
-    )
+    return TailCheck(s_values=s, exact_tail=exact, bound=bound, max_violation=violation,
+                     ok=violation <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -213,28 +214,14 @@ def check_instance(spec: SwitchedNetworkSpec) -> OracleReport:
     sandwich_ok = (lam_bar - tol <= e_lam) and (e_lam <= lhs + tol)
 
     s_top = max(1.0, float(lam_all.max()) - lam_bar)
-    tail = check_tail_bound(
-        joint.stationary,
-        lam_all,
-        lam_dense,
-        spec.n,
-        summary.delta_uncertainty,
-        np.linspace(0.0, 1.5 * s_top, 20),
-    )
-    eta = dense_abscissa(joint, beta=1.0)
+    tail = check_tail_bound(joint.stationary, lam_all, lam_dense, spec.n,
+                            summary.delta_uncertainty, np.linspace(0.0, 1.5 * s_top, 20))
     return OracleReport(
-        n=spec.n,
-        m=len(spec.edges),
-        lambda_max_abar=lam_bar,
-        delta_uncertainty=summary.delta_uncertainty,
-        f_min=summary.penalty.f_min,
-        lhs_upper=lhs,
-        e_lambda_max=e_lam,
-        eta_beta1=eta,
-        sandwich_ok=bool(sandwich_ok),
-        tail_ok=tail.ok,
-        tail_max_violation=tail.max_violation,
-        abar_consistent=abar_consistent,
+        n=spec.n, m=len(spec.edges), lambda_max_abar=lam_bar,
+        delta_uncertainty=summary.delta_uncertainty, f_min=summary.penalty.f_min,
+        lhs_upper=lhs, e_lambda_max=e_lam, eta_beta1=dense_abscissa(joint, 1.0, configs),
+        sandwich_ok=bool(sandwich_ok), tail_ok=tail.ok,
+        tail_max_violation=tail.max_violation, abar_consistent=abar_consistent,
     )
 
 

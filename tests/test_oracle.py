@@ -154,6 +154,58 @@ def test_tail_bound_flags_violation():
     assert tail.max_violation > 0.0
 
 
+def _masked_tail(stationary, lam_all, lam_bar, s_values):
+    # the slow reference: one masked sum per s
+    return np.array([stationary[lam_all > lam_bar + s].sum() for s in s_values])
+
+
+def test_tail_bound_matches_masked_sums():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 7, 64, 300):
+        stationary = rng.dirichlet(np.ones(size))
+        # quarters, so lam_bar + s lands exactly on entries, which the strict
+        # > leaves out of the tail
+        lam_all = rng.integers(0, 12, size=size) / 4.0
+        s_values = np.append(np.arange(13) / 4.0, np.linspace(0.0, 3.0, 20))
+        tail = check_tail_bound(stationary, lam_all, 0.5, 3, 0.5, s_values)
+        ref = _masked_tail(stationary, lam_all, 0.5, s_values)
+        assert np.abs(tail.exact_tail - ref).max() <= 1e-15
+    ties = check_tail_bound(np.full(4, 0.25), np.array([0.0, 1.0, 1.0, 2.0]), 0.5, 2,
+                            0.25, np.array([0.0, 0.5, 1.5, 2.0]))
+    assert ties.exact_tail.tolist() == [0.75, 0.25, 0.0, 0.0]
+
+
+def _kronecker_generator(joint):
+    # the slow reference: the Kronecker sum sum_e I x ... x Q_e x ... x I
+    gen = np.zeros((1, 1))
+    for q in (e.rate_matrix for e in joint.edges):
+        gen = np.kron(gen, np.eye(len(q))) + np.kron(np.eye(len(gen)), q)
+    return gen
+
+
+@pytest.mark.parametrize("edges", [
+    (EdgeChain(i=1, j=2, p_rate=0.7, q_rate=1.3), EdgeChain(i=1, j=3, p_rate=2.0, q_rate=0.4),
+     EdgeChain(i=2, j=3, p_rate=1.1, q_rate=0.9)),
+    (WeightedEdgeChain(i=1, j=2, states=(0.0, 0.5, 1.0),
+                       generator=((-1, 1, 0), (0, -2, 2), (3, 0, -3))),
+     WeightedEdgeChain(i=2, j=3, states=(0.0, 1.0), generator=((-0.3, 0.3), (4, -4)))),
+    (EdgeChain(i=1, j=2, p_rate=1.5, q_rate=0.0), EdgeChain(i=2, j=3, p_rate=1.0, q_rate=2.0)),
+    (WeightedEdgeChain(i=1, j=3, states=(0.0, 1.0), generator=((-0.5, 0.5), (0.25, -0.25))),
+     WeightedEdgeChain(i=2, j=3, states=(0.0, 0.5, 1.0),
+                       generator=((-1, 1, 0), (0.5, -1, 0.5), (0, 0, 0)))),
+], ids=["binary", "cyclic", "frozen", "absorbing"])
+def test_dense_generator_is_the_kronecker_sum(edges):
+    joint = build_joint_chain(SwitchedNetworkSpec(n=3, edges=edges))
+    assert np.array_equal(dense_generator(joint), _kronecker_generator(joint))
+
+
+def test_dense_generator_is_the_kronecker_sum_on_oracle_specs():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        joint = build_joint_chain(random_small_spec(rng))
+        assert np.array_equal(dense_generator(joint), _kronecker_generator(joint))
+
+
 def test_random_small_spec_reproducible():
     a = random_small_spec(np.random.default_rng(42))
     b = random_small_spec(np.random.default_rng(42))

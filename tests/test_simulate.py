@@ -151,6 +151,22 @@ def test_linear_dominates_full_in_l1():
         assert res.min_margin >= -1e-7
 
 
+@pytest.mark.parametrize("delta", [0.1, 1.0, 5.0, 20.0])
+def test_edgeless_margin_is_rk4_truncation(delta):
+    # with no edges both systems decay at delta: the full one by RK4, the
+    # linear one by its exact propagator, so the margin is RK4's error
+    # alone, within -||p0||_1 (delta h)^4 / 250 at the default step
+    # (delta h = 0.1) and above -1e-7 at a quarter of it, criterion 5's step
+    spec = SwitchedNetworkSpec(n=3, edges=())
+    params = EpidemicParams(beta=0.2, delta=delta)
+    step = default_step(spec, params)
+    assert delta * step == pytest.approx(0.1)
+    margin = simulate_coupled(spec, params, SimConfig(horizon=5.0, step=step)).min_margin
+    assert -3.0 * 0.1**4 / 250.0 <= margin < -5e-7
+    quarter = simulate_coupled(spec, params, SimConfig(horizon=5.0, step=step / 4.0))
+    assert -1e-7 < quarter.min_margin < 0.0
+
+
 def test_sample_grid_structure():
     spec = switching_spec()
     params = EpidemicParams(beta=1.0, delta=1.0)

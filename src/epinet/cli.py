@@ -29,7 +29,7 @@ from .exact import (
     exact_mean_stable,
     expected_lambda_max,
 )
-from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec, as_seed, touched_ends
+from .netmodel import EpidemicParams, SpecFormatError, SwitchedNetworkSpec, as_seed
 from .oracle import run_sandwich_suite, suite_summary
 from .simulate import (
     SimConfig,
@@ -113,8 +113,9 @@ def _attempt_exact(model, params: EpidemicParams) -> dict:
     try:
         if not isinstance(model, SwitchedNetworkSpec):
             # an ensemble is refused from its pairs, before any chain
-            pairs = touched_ends(np.column_stack(realized_pairs(model)[:2]))
-            check_joint_size(pairs, itertools.repeat(2, len(pairs)))
+            rows, cols, _ = realized_pairs(model)
+            touched = np.count_nonzero(np.bincount(np.r_[rows, cols]))
+            check_joint_size(touched, len(rows), itertools.repeat(2, len(rows)))
         joint = build_joint_chain(as_switched_network(model))
         e_lam = expected_lambda_max(joint)
         res = exact_mean_stable(joint, params)

@@ -43,10 +43,10 @@ from .netmodel import (
     read_fields,
     spec_from_dict,
     stationary_stats,
-    touched_ends,
 )
 from .spectral import abscissa_bracket
 from .stability import (
+    FROZEN_NOTE,
     AbarSummary,
     DegreeSequence,
     expected_degree_uncertainty,
@@ -126,7 +126,8 @@ def community_stats(spec: CommunitySpec) -> AbarSummary:
         lambda_max_abar=float(lam),
         delta_uncertainty=float(max(row1, row2)),
         network_kind="binary",
-        notes=("two-community closed form (exact quotient eigenvalue)",),
+        notes=("two-community closed form (exact quotient eigenvalue)",
+               *((FROZEN_NOTE,) if max(row1, row2) == 0.0 else ())),
     )
 
 
@@ -464,16 +465,15 @@ def as_switched_network(
 
 
 class _EdgeListOperator:
-    """abar / max_ij abar_ij on the vertices that carry an edge, for
-    :func:`~epinet.spectral.abscissa_bracket`: two bincounts a product, and
-    ``column_sum_max``, its largest row sum, from one with the ones vector."""
+    """abar / max_ij abar_ij, ``means`` on the edges a spec's ``local`` numbers,
+    for :func:`~epinet.spectral.abscissa_bracket`: two bincounts a product,
+    and ``column_sum_max``, its largest row sum, from one with ones."""
 
     offdiagonal_min, entry_max, symmetric = 0.0, 1.0, True
 
-    def __init__(self, stats: StationaryStats) -> None:
-        local = touched_ends(stats.ends)
+    def __init__(self, local: np.ndarray, means: np.ndarray) -> None:
         self.rows, self.cols = local.T
-        self.weights = stats.means / stats.means.max()
+        self.weights = means / means.max()
         self.shape = (int(local.max()) + 1,) * 2
         self.column_sum_max = float((self @ np.ones(self.shape[0])).max())
 
@@ -489,16 +489,17 @@ def summarize(model: Union[SwitchedNetworkSpec, EnsembleSpec],
     already holds them), priced at the upper end of the bracket that
     :func:`~epinet.spectral.abscissa_bracket` puts on abar / max mean, times
     that mean (0, with no solve, when every mean is 0): the largest row sum,
-    with a note, when the solve narrowed nothing; an ensemble from its
-    closed form."""
+    with a note, when the solve narrowed nothing, else abar's eigenvalue,
+    noted as exact on a frozen graph; an ensemble from its closed form."""
     if isinstance(model, SwitchedNetworkSpec):
         if stats is None:
             stats = stationary_stats(model)
-        top, lam, notes = float(stats.means.max(initial=0.0)), 0.0, ()
+        top, lam, note = float(stats.means.max(initial=0.0)), 0.0, ""
         if top > 0.0:
-            *_, hi, note = abscissa_bracket(_EdgeListOperator(stats))
+            *_, hi, note = abscissa_bracket(_EdgeListOperator(model.local, stats.means))
             lam = top * hi
-            notes = (f"lambda_max(abar) is its row-sum bound {lam:.6g}: {note}",) if note else ()
+        notes = ((f"lambda_max(abar) is its row-sum bound {lam:.6g}: {note}",) if note
+                 else (FROZEN_NOTE,) if stats.delta_uncertainty == 0.0 else ())
         return AbarSummary(
             n=model.n,
             lambda_max_abar=lam,

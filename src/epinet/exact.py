@@ -32,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .netmodel import (AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight,
-                       touched_ends)
+from .netmodel import AnyEdge, EpidemicParams, SwitchedNetworkSpec, max_vertex_weight
 from .spectral import abscissa_bracket
 
 # Cap on the rows k * N, the length of the vectors the solver stores: Davidson
@@ -56,8 +55,8 @@ class JointChain:
     stationary law.  Configuration k is the mixed-radix digits of k over
     ``dims``, last edge fastest: A_k holds edge e's weight in state
     digit_e(k), and the joint generator is the Kronecker sum of the edge
-    generators in this order.  ``ends`` numbers the edges' ends over the
-    ``touched`` vertices, in vertex order.  No configuration is stored.
+    generators in this order.  ``ends`` is the spec's ``local``, the edges'
+    ends over the ``touched`` vertices.  No configuration is stored.
     """
 
     n: int
@@ -78,14 +77,13 @@ class JointChain:
         return self.stationary.shape[0]
 
 
-def check_joint_size(ends: np.ndarray, dims: Iterable[int]) -> None:
+def check_joint_size(k: int, edge_count: int, dims: Iterable[int]) -> None:
     """Refuse more than JOINT_DIM_CAP rows k * prod(dims), k the vertices
-    that ``ends`` numbers 0 .. k - 1 (:func:`~epinet.netmodel.touched_ends`).
+    that the ``edge_count`` edges touch, ``dims`` their state counts.
 
     The check runs in integer arithmetic, state count by state count, and
     stops at the one that crosses the cap, so ``dims`` may be lazy.
     """
-    k, edge_count = int(ends.max(initial=-1)) + 1, len(ends)
     if k > JOINT_DIM_CAP:
         raise ValueError(f"the {k} vertices the edges touch alone exceed the {JOINT_DIM_CAP}"
                          "-row cap of the stability matrix; use the spectral bounds instead")
@@ -104,18 +102,18 @@ def check_joint_size(ends: np.ndarray, dims: Iterable[int]) -> None:
 def build_joint_chain(spec: SwitchedNetworkSpec) -> JointChain:
     """Enumerate the joint chain of a small switched network.
 
-    The touched vertices are numbered first.  The configuration count N =
-    prod_e K_e grows exponentially, so the row cap is checked next
-    (:func:`check_joint_size`), edge by edge: a refusal stops at the edge
-    that crosses it.  The stationary law is the tensor product of the
-    per-edge laws, because the edges switch independently.
+    The touched vertices are the spec's ``local`` numbering.  The
+    configuration count N = prod_e K_e grows exponentially, so the row cap
+    is checked first (:func:`check_joint_size`), edge by edge: a refusal
+    stops at the edge that crosses it.  The stationary law is the tensor
+    product of the per-edge laws, because the edges switch independently.
     """
     if not spec.edges:
         raise ValueError("spec has no edges; the joint chain would be trivial")
-    ends = touched_ends(np.array([(e.i - 1, e.j - 1) for e in spec.edges]))
-    check_joint_size(ends, (len(e.values) for e in spec.edges))
+    check_joint_size(int(spec.local.max()) + 1, len(spec.edges),
+                     (len(e.values) for e in spec.edges))
     stationary = functools.reduce(np.multiply.outer, [e.stationary for e in spec.edges]).ravel()
-    return JointChain(n=spec.n, edges=spec.edges, stationary=stationary, ends=ends)
+    return JointChain(n=spec.n, edges=spec.edges, stationary=stationary, ends=spec.local)
 
 
 def _reversible(edge: AnyEdge) -> bool:
@@ -185,7 +183,7 @@ class StabilityOperator:
 
     def __init__(self, joint: JointChain, beta: float) -> None:
         edges, dims = joint.edges, joint.dims
-        self.column_sum_max = beta * max_vertex_weight(edges)
+        self.column_sum_max = beta * max_vertex_weight(joint.ends, edges)
         if not math.isfinite(self.column_sum_max):
             raise ValueError(
                 f"beta = {beta:.6g} times the heaviest vertex weight overflows: "

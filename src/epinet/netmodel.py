@@ -73,6 +73,13 @@ def read_fields(data, fields: tuple[str, ...], where: str) -> list:
     return [data[key] for key in fields]
 
 
+def _set_arrays(obj, **arrays: np.ndarray) -> None:
+    """Store ``arrays`` on the frozen dataclass ``obj``, each read-only."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
+
+
 @dataclass(frozen=True)
 class _Edge:
     """The two 1-based vertices of a potential edge, stored with i < j (the
@@ -96,11 +103,6 @@ class _Edge:
             i, j = self.j, self.i
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
-
-    def _set_chain(self, **arrays: np.ndarray) -> None:
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
 
 # The state weights every binary edge shares: absent, present.
@@ -136,9 +138,9 @@ class EdgeChain(_Edge):
             )
         p, q = self.p_rate, self.q_rate
         # q / (p + q): 1 - p / (p + q) loses q's digits when p >> q
-        self._set_chain(values=_BINARY_VALUES,
-                        rate_matrix=np.array([[-p, p], [q, -q]], dtype=float),
-                        stationary=np.array([q, p]) / (p + q))
+        _set_arrays(self, values=_BINARY_VALUES,
+                    rate_matrix=np.array([[-p, p], [q, -q]], dtype=float),
+                    stationary=np.array([q, p]) / (p + q))
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ class WeightedEdgeChain(_Edge):
             )
         # Fails loudly here rather than deep inside an analysis run.
         pi = _stationary_from_generator(q, label=f"edge ({self.i}, {self.j})")
-        self._set_chain(values=np.array(states), rate_matrix=q, stationary=pi)
+        _set_arrays(self, values=np.array(states), rate_matrix=q, stationary=pi)
 
 
 AnyEdge = Union[EdgeChain, WeightedEdgeChain]
@@ -203,11 +205,16 @@ class SwitchedNetworkSpec:
 
     Edges are stored sorted by (i, j) so that any construction that
     enumerates them (joint chains, simulators) is deterministic.  Binary and
-    weighted edges cannot be mixed in one spec.
+    weighted edges cannot be mixed in one spec.  Every edge-list route reads
+    the read-only edge table built here: row e of ``ends`` holds edge e's
+    0-based endpoints, and of ``local`` the same renumbered 0 .. k-1 over the
+    k vertices some edge touches, in vertex order.
     """
 
     n: int
     edges: tuple[AnyEdge, ...]
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    local: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -226,6 +233,9 @@ class SwitchedNetworkSpec:
             if (e.i, e.j) in seen:
                 raise ValueError(f"duplicate edge ({e.i}, {e.j})")
             seen.add((e.i, e.j))
+        ends = np.array([(e.i, e.j) for e in edges], dtype=np.int64).reshape(-1, 2) - 1
+        _set_arrays(self, ends=ends,
+                    local=np.unique(ends, return_inverse=True)[1].reshape(ends.shape))
 
     @property
     def kind(self) -> str:
@@ -280,24 +290,17 @@ def _stationary_from_generator(q: np.ndarray, label: str) -> np.ndarray:
     return pi / pi.sum()
 
 
-def touched_ends(ends: np.ndarray) -> np.ndarray:
-    """``ends``, one row of 0-based endpoints per edge, renumbered 0 .. k-1
-    over the k vertices that carry an edge, in vertex order."""
-    return np.unique(ends, return_inverse=True)[1].reshape(ends.shape)
+def vertex_sums(local: np.ndarray, weights) -> np.ndarray:
+    """Each vertex's sum of ``weights``, one per row of ``local`` (a spec's
+    touched-vertex numbering), in edge order: one entry per vertex that
+    carries an edge, O(m) memory at any n."""
+    return np.bincount(local.ravel(), weights=np.repeat(np.asarray(weights, float), 2))
 
 
-def vertex_sums(ends: np.ndarray, weights) -> np.ndarray:
-    """Each vertex's sum of ``weights``, one per row of ``ends``, in edge
-    order: one entry per vertex that carries an edge, O(m) memory at any n."""
-    return np.bincount(touched_ends(ends).ravel(),
-                       weights=np.repeat(np.asarray(weights, float), 2))
-
-
-def max_vertex_weight(edges) -> float:
+def max_vertex_weight(local: np.ndarray, edges) -> float:
     """max_v sum_{e on v} max_a w_e(a), the largest row sum any
-    configuration can reach."""
-    ends = np.array([(e.i - 1, e.j - 1) for e in edges], dtype=np.int64).reshape(-1, 2)
-    return float(vertex_sums(ends, [e.values.max() for e in edges]).max(initial=0.0))
+    configuration can reach; ``local`` is the spec's touched numbering."""
+    return float(vertex_sums(local, [e.values.max() for e in edges]).max(initial=0.0))
 
 
 def edge_moments(edge: AnyEdge) -> tuple[float, float]:
@@ -331,10 +334,9 @@ def stationary_stats(spec: SwitchedNetworkSpec) -> StationaryStats:
     edge (:func:`vertex_sums`).  For large structured ensembles use the
     closed forms in :mod:`epinet.ensembles` instead.
     """
-    ends = np.array([(e.i - 1, e.j - 1) for e in spec.edges], dtype=np.int64).reshape(-1, 2)
     means, variances = np.array([edge_moments(e) for e in spec.edges]).reshape(-1, 2).T
-    delta = float(vertex_sums(ends, variances).max(initial=0.0))
-    return StationaryStats(ends, means, delta)
+    delta = float(vertex_sums(spec.local, variances).max(initial=0.0))
+    return StationaryStats(spec.ends, means, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -368,5 +370,5 @@ def spec_from_dict(data: dict) -> SwitchedNetworkSpec:
             raise SpecFormatError(f"{where}: {exc}") from None
     try:
         return SwitchedNetworkSpec(n=n, edges=tuple(edges))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a vertex past int64
         raise SpecFormatError(str(exc)) from None

@@ -128,7 +128,7 @@ class CoupledResult:
 
 def default_step(spec: SwitchedNetworkSpec, params: EpidemicParams) -> float:
     """A tenth of the fastest time constant delta + beta * (max row weight)."""
-    rate = params.delta + params.beta * max_vertex_weight(spec.edges)
+    rate = params.delta + params.beta * max_vertex_weight(spec.local, spec.edges)
     return 0.1 / rate
 
 
@@ -223,7 +223,7 @@ def _rk4_span(f, a, q, span, clamp01: bool) -> np.ndarray:
     rows, nsub = (~_inside01(out, axis=1)).nonzero()[0], 1
     while rows.size:
         if nsub == 1 << MAX_HALVINGS:
-            raise RuntimeError(
+            raise ValueError(
                 f"state left [0, 1] even after {MAX_HALVINGS} step halvings; "
                 "the configured step is far too coarse for these rates"
             )
@@ -233,6 +233,8 @@ def _rk4_span(f, a, q, span, clamp01: bool) -> np.ndarray:
     return out
 
 
+# _inside01 refuses a full row that overflowed, _single_trial a linearized one
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=None):
     """Advance the realizations of ``trials`` to the horizon in lockstep.
 
@@ -250,7 +252,7 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
     delta = np.asarray(params.delta)
     edges = spec.edges
     expected_events = _expected_events(spec, horizon)
-    first, init_cum, scale, jump_cum, ends = [], [], [], [], []
+    first, init_cum, scale, jump_cum = [], [], [], []
     for edge in edges:  # state k of edge e has the code first[e] + k
         first.append(len(scale))
         init_cum.append(np.cumsum(edge.stationary).tolist())
@@ -258,10 +260,11 @@ def _lockstep(spec, params, cfg, p0, trials, sample, *, full, linear, events=Non
             scale.append(1.0 / -float(row[k]) if row[k] < 0.0 else 0.0)  # 0: frozen
             jump = np.cumsum(np.where(np.arange(len(row)) == k, 0.0, row)).tolist()
             jump_cum.append(jump if len(row) > 2 else None)  # None: a flip
-            ends.append((edge.i, edge.j, float(edge.values[k])))
     block = 0 if any(len(e.values) > 2 for e in edges) else 16 + int(expected_events)
-    vi, vj, vv = np.array(ends).reshape(-1, 3).T
-    vi, vj, vv = vi.astype(np.intp) - 1, vj.astype(np.intp) - 1, params.beta * vv
+    vi, vj = spec.ends.repeat([len(e.values) for e in edges], axis=0).T  # per code
+    weights = np.concatenate([np.empty(0), *(e.values for e in edges)])
+    ends = list(zip((vi + 1).tolist(), (vj + 1).tolist(), weights.tolist()))  # event labels
+    vv = params.beta * weights
     rows, m = len(trials), len(edges)
     jump_t, jump_c = array("d"), array("i")  # the flat table, grown in place
     for s, k in enumerate(trials):
@@ -370,10 +373,7 @@ def _single_trial(spec, params, cfg, p0, *, full: bool, linear: bool):
     # a sample per grid point and per expected event, for each system
     samples = math.floor(cfg.horizon / cfg.step) + 2 + _expected_events(spec, cfg.horizon)
     p0 = _check_p0(p0, spec.n, samples * (full + linear))
-    # the linearized state can grow past the largest double; refused below
-    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if linear else {})):
-        _lockstep(spec, params, cfg, p0, [0], sample, full=full, linear=linear,
-                  events=events)
+    _lockstep(spec, params, cfg, p0, [0], sample, full=full, linear=linear, events=events)
     if linear and not np.isfinite(paths[1][-1]).all():  # inf and NaN persist
         raise ValueError(
             f"the linearized state overflowed before the horizon {cfg.horizon:g}; "

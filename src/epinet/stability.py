@@ -33,6 +33,9 @@ import numpy as np
 
 from .netmodel import EpidemicParams
 
+# A frozen graph's note, added by the producer whose lambda_max(abar) is abar's eigenvalue
+FROZEN_NOTE = "frozen graph: the eigenvalue comparison is exact, not merely sufficient"
+
 # exp underflows to 0 below roughly exp(-745); clamping keeps f finite and
 # monotone instead of raising on extreme (n, Delta) combinations.
 EXP_FLOOR = -745.0
@@ -193,8 +196,7 @@ class AbarSummary:
     its edge-list moments and for an ensemble from a closed form.  Construction
     refuses a non-finite lambda_max(abar) and sets ``penalty``, the minimum
     of f for (n, Delta); ``lhs`` is lambda_max(abar) + min f.  A frozen
-    graph (Delta = 0) has no randomness to price: its penalty is zero and
-    lambda_max(abar) is the graph's own eigenvalue.
+    graph (Delta = 0) has no randomness to price: its penalty is zero.
 
     An expected-degree summary also carries the largest pair probability,
     the number of pairs above 1 and the ``degrees`` stream it was read
@@ -236,19 +238,15 @@ def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> dict:
     block.
 
     ``stable`` true certifies almost-sure extinction; false means the test was
-    inconclusive, not that the epidemic survives.  The one exception is a
-    frozen graph (Delta = 0), where the comparison is exact and a note says
-    so.  ``d_tilde`` is the ``lambda_max_abar`` of an expected-degree summary
-    and None for the other models.
+    inconclusive, not that the epidemic survives.  The notes are the
+    summary's: on a frozen graph (Delta = 0) whose lambda_max(abar) is abar's
+    eigenvalue, not a bound on it, they include FROZEN_NOTE, and the
+    comparison is exact.  ``d_tilde`` is the ``lambda_max_abar`` of an
+    expected-degree summary and None for the other models.
     """
     pm, lhs = summary.penalty, summary.lhs
     expected_degree = summary.network_kind == "expected-degree"
     stable = bool(lhs < params.threshold)
-    notes = list(summary.notes)
-    if summary.delta_uncertainty == 0.0:
-        notes.append(
-            "frozen graph: the eigenvalue comparison is exact, not merely sufficient"
-        )
     return {
         "test": "expected-degree" if expected_degree else "spectral-penalty",
         "network_kind": summary.network_kind,
@@ -267,7 +265,7 @@ def check_sufficient(summary: AbarSummary, params: EpidemicParams) -> dict:
         "d_tilde": summary.lambda_max_abar if expected_degree else None,
         "max_pair_prob": summary.max_pair_prob,
         "invalid_pairs": summary.invalid_pairs,
-        "notes": notes,
+        "notes": list(summary.notes),
     }
 
 

@@ -492,6 +492,76 @@ def test_analyze_lanczos_failure_leaves_a_note(triangle_spec, tmp_path, monkeypa
     assert f"note: {note}" in stdout
 
 
+_FROZEN_NOTE = "frozen graph: the eigenvalue comparison is exact, not merely sufficient"
+
+
+@pytest.mark.parametrize("spec, delta, patch", [
+    # d_tilde = 2 bounds the frozen edge's eigenvalue 1
+    ({"ensemble": "expected-degree", "degrees": [2, 2]}, 1.5, False),
+    # the path 1-2-3, frozen present, priced at its row sum 2 above sqrt 2
+    ({"n": 3, "edges": [{"i": 1, "j": 2, "p": 1, "q": 0},
+                        {"i": 2, "j": 3, "p": 1, "q": 0}]}, 1.7, True),
+])
+def test_frozen_note_only_on_an_eigenvalue(spec, delta, patch, tmp_path, monkeypatch, capsys):
+    # a frozen graph priced at a bound on lambda_max(abar) is inconclusive, not
+    # exact; its exact block decides it mean-stable
+    def fail(a):
+        raise RuntimeError("no Lanczos")
+
+    if patch:
+        monkeypatch.setattr(epinet.spectral, "lanczos_abscissa", fail)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", "--spec", str(path), "--beta", "1", "--delta", str(delta),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    sufficient = report["sufficient"]
+    assert sufficient["delta_uncertainty"] == 0.0 and sufficient["lhs"] == 2.0
+    assert sufficient["verdict"] == "inconclusive"
+    assert report["exact"]["mean_stable"] is True
+    assert _FROZEN_NOTE not in sufficient["notes"]
+    assert "frozen graph" not in capsys.readouterr().out
+    assert [n.startswith("lambda_max(abar) is its row-sum bound 2:")
+            for n in sufficient["notes"]] == ([True] if patch else [])
+
+
+def test_frozen_note_keeps_its_place(tmp_path):
+    # a frozen explicit spec and a frozen community ensemble hold abar's
+    # eigenvalue: the note follows the producer's own notes
+    frozen = {"ensemble": "community", "n1": 3, "n2": 4, "theta1": 1.0, "theta2": 1.0,
+              "phi": 0.0}
+    for name, spec, first in (("explicit", _MODELS["frozen"], []),
+                              ("community", frozen,
+                               ["two-community closed form (exact quotient eigenvalue)"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["analyze", "--spec", str(path), "--beta", "1", "--delta", "1",
+                     "--out", str(tmp_path / name)]) == 0
+        notes = json.loads((tmp_path / name / "report.json").read_text())["sufficient"]["notes"]
+        assert notes == [*first, _FROZEN_NOTE]
+
+
+@pytest.mark.parametrize("n", [3, 10**12])
+def test_analyze_numbers_the_touched_vertices_once(n, tmp_path, monkeypatch, capsys):
+    # the spec numbers its touched vertices when it is built; the moments, the
+    # certificate's operator and the exact route read that one numbering, at
+    # any n
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({**_MODELS["binary"], "n": n}))
+    calls, unique = [], np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    assert main(["analyze", "--spec", str(path), "--beta", "0.2", "--delta", "1.5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert ("exact test: eta = 0.200301846 in [0.200301846, 0.200301846]"
+            in capsys.readouterr().out)
+
+
 def test_analyze_names_the_solver_that_decided_eta(triangle_spec, tmp_path):
     # binary chains take Davidson, a cyclic weighted chain ARPACK; report.json
     # and manifest.json both name the solver, its matvec count, the bracket
@@ -724,6 +794,19 @@ def test_simulate_linearized_overflow_exits_one(mode, triangle_spec, tmp_path, c
     assert captured.err.startswith("error: the linearized state overflowed")
     assert "nan" not in captured.out
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_simulate_step_too_coarse_exits_one(triangle_spec, tmp_path, monkeypatch, capsys):
+    # a step far too coarse for the rates is bad input, not a failed internal
+    # check; the overflow on the way there warns nothing (a RuntimeWarning is
+    # an error here)
+    monkeypatch.setattr(epinet.simulate, "MAX_HALVINGS", 2)
+    code = main(["simulate", "--spec", str(triangle_spec), "--beta", "1e7", "--delta", "1",
+                 "--step", "1", "--horizon", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: state left [0, 1] even after 2 step halvings; "
+        "the configured step is far too coarse for these rates\n")
 
 
 def test_simulate_conflicting_modes(triangle_spec):

@@ -134,6 +134,14 @@ def test_config_cap_raises():
         build_joint_chain(SwitchedNetworkSpec(n=n, edges=edges))
 
 
+def test_joint_chain_reads_the_spec_numbering():
+    # the exact route numbers no vertex itself: vertices 3 and 8 of 10 are 0, 1
+    spec = SwitchedNetworkSpec(n=10, edges=(EdgeChain(i=8, j=3, p_rate=1.0, q_rate=2.0),))
+    joint = build_joint_chain(spec)
+    assert joint.ends is spec.local and not joint.ends.flags.writeable
+    assert joint.ends.tolist() == [[0, 1]] and joint.touched == 2
+
+
 def _binary_spec(n, m):
     pairs = list(itertools.combinations(range(1, n + 1), 2))[:m]
     return SwitchedNetworkSpec(
@@ -176,7 +184,8 @@ def test_refusal_stops_at_the_edge_that_crosses_the_cap():
             return getattr(self._edge, name)
 
     spec = _binary_spec(50, 1000)
-    counted = SimpleNamespace(n=spec.n, edges=tuple(map(Counting, spec.edges)))
+    counted = SimpleNamespace(n=spec.n, edges=tuple(map(Counting, spec.edges)),
+                              local=spec.local)
     with pytest.raises(ValueError, match=r"\(1000 edges;"):
         build_joint_chain(counted)
     assert 0 < len(reads) <= 20

@@ -196,6 +196,29 @@ def test_stationary_stats_edgeless():
     assert stats.ends.shape == (0, 2) and stats.means.shape == (0,)
 
 
+def test_spec_numbers_its_touched_vertices_once():
+    # vertices 2, 4 and 7 of 9 carry an edge: ends holds the 0-based endpoints
+    # and local renumbers them 0, 1, 2 in vertex order; both are read-only and
+    # take no part in equality, hashing or repr
+    spec = SwitchedNetworkSpec(n=9, edges=(EdgeChain(i=7, j=2, p_rate=1.0, q_rate=1.0),
+                                           EdgeChain(i=4, j=2, p_rate=2.0, q_rate=1.0)))
+    assert spec.ends.tolist() == [[1, 3], [1, 6]]
+    assert spec.local.tolist() == [[0, 1], [0, 2]]
+    assert not spec.ends.flags.writeable and not spec.local.flags.writeable
+    same = SwitchedNetworkSpec(n=9, edges=spec.edges[::-1])
+    assert same == spec and hash(same) == hash(spec)
+    assert "ends" not in repr(spec) and "local" not in repr(spec)
+    stats = stationary_stats(spec)
+    assert stats.ends is spec.ends
+    edgeless = SwitchedNetworkSpec(n=9, edges=())
+    assert edgeless.ends.shape == edgeless.local.shape == (0, 2)
+
+
+def test_vertex_past_int64_is_a_format_error():
+    with pytest.raises(SpecFormatError, match="too large"):
+        spec_from_dict({"n": 10**20, "edges": [{"i": 1, "j": 10**20, "p": 1, "q": 1}]})
+
+
 def test_vertex_sums_match_the_row_sums_of_all_n_vertices():
     # Delta and the heaviest vertex weight, summed only over the vertices that
     # carry an edge, equal the row sums over an n-vector bit for bit: both add
@@ -214,7 +237,7 @@ def test_vertex_sums_match_the_row_sums_of_all_n_vertices():
             var_rows[[e.i - 1, e.j - 1]] += edge_moments(e)[1]
             top_rows[[e.i - 1, e.j - 1]] += e.values.max()
         assert stationary_stats(spec).delta_uncertainty == var_rows.max()
-        assert max_vertex_weight(spec.edges) == top_rows.max()
+        assert max_vertex_weight(spec.local, spec.edges) == top_rows.max()
 
 
 @settings(max_examples=30, deadline=None)

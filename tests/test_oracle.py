@@ -88,6 +88,22 @@ def test_check_instance_prices_stationary_moments_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_check_instance_numbers_no_vertex(monkeypatch):
+    # a prebuilt spec carries its touched numbering; nothing in the instance
+    # renumbers it
+    calls, unique = [], np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    specs = [random_small_spec(np.random.default_rng(seed)) for seed in range(5)]
+    monkeypatch.setattr(np, "unique", counting)
+    for spec in specs:
+        assert check_instance(spec).passed
+    assert calls == []
+
+
 def test_perturbed_closed_form_abar_fails_the_consistency_check(monkeypatch):
     def perturbed(spec):
         stats = stationary_stats(spec)

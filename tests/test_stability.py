@@ -23,6 +23,7 @@ from epinet.netmodel import (
 )
 from epinet import stability
 from epinet.stability import (
+    FROZEN_NOTE,
     AbarSummary,
     _penalty_derivative,
     check_sufficient,
@@ -331,11 +332,17 @@ def _summary(n, lambda_max_abar, delta_u):
 
 
 def test_frozen_graph_report_is_exact_branch():
-    rep = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=2.0))
+    # the producer that holds abar's eigenvalue notes that the comparison is
+    # exact; the report passes its notes on and adds none to a bare summary,
+    # whose lambda_max(abar) may be a bound
+    exact = AbarSummary(n=4, lambda_max_abar=1.5, delta_uncertainty=0.0,
+                        network_kind="binary", notes=(FROZEN_NOTE,))
+    rep = check_sufficient(exact, _params(delta=2.0))
     assert rep["f_min"] == 0.0 and rep["s_star"] == 0.0 and rep["s0"] == 0.0
     assert rep["lhs"] == 1.5
     assert rep["stable"]
-    assert any("exact" in note for note in rep["notes"])
+    assert rep["notes"] == [FROZEN_NOTE]
+    assert check_sufficient(_summary(4, 1.5, 0.0), _params(delta=2.0))["notes"] == []
     rep2 = check_sufficient(_summary(4, 1.5, 0.0), _params(delta=1.5))
     assert not rep2["stable"]  # strict inequality at the threshold
 
